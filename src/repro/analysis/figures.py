@@ -168,25 +168,14 @@ def fig10b_series(
     model = KernelTimingModel(arch)
     compiler = KernelCompiler()
     compiled = compiler.compile(kernel, arch)
-    launches = [
-        LaunchConfig(
-            grid_size=grid, block_size=block_size,
-            elements=grid * block_size * 8,
-        )
-        for grid in grids
-    ]
-    # The whole staircase sweep is one batch: N launches of one compiled
-    # kernel priced in a single array program (scalar loop when
-    # vectorized timing is disabled — results are bit-identical).
-    profiles = model.execute_batch(
-        [(compiled, launch) for launch in launches]
-    )
     return [
         StaircasePoint(
             grid=grid,
-            time_ms=arch.kernel_launch_overhead_ms + profile.time_ms,
+            time_ms=model.kernel_time_ms(compiled, LaunchConfig(
+                grid_size=grid, block_size=block_size, elements=grid * block_size * 8,
+            )),
         )
-        for grid, profile in zip(grids, profiles)
+        for grid in grids
     ]
 
 

@@ -3,14 +3,14 @@
 Everything in SigmaVP that actually *executes* functional kernel work —
 allocations, H2D/D2H copies, launches, batched launches — routes through
 one :class:`ExecutionBackend` seam (the shape reikna's CLUDA gives CUDA
-and OpenCL).  Backends are name-keyed plugins: ``numpy`` is the
-reference per-launch path, ``numpy-batched`` (the default) adds stacked
-replication batching, and ``cupy`` runs on a real host GPU when cupy is
-installed.  Select with ``--backend`` / ``REPRO_BACKEND`` / ``backend=``
-on the scenario entry points; list with ``repro backends``.
+and OpenCL).  Backends are name-keyed plugins; the built-in ``numpy``
+backend (the default) runs on the host CPU with stacked replication
+batching for merged launches.  Select with ``--backend`` /
+``REPRO_BACKEND`` / ``backend=`` on the scenario entry points; list with
+``repro backends``.
 """
 
-from .api import BackendUnavailableError, ExecutionBackend
+from .api import ExecutionBackend
 from .config import BackendConfig
 from .registry import (
     BACKEND_ENV_VAR,
@@ -19,7 +19,6 @@ from .registry import (
     backend_from_config,
     backend_from_env,
     backend_scope,
-    backend_status,
     default_backend,
     default_backend_name,
     make_backend,
@@ -27,24 +26,19 @@ from .registry import (
     set_default_backend,
 )
 
-# Importing the modules registers the built-in backends.
-from .cupy_backend import CupyBackend
-from .numpy_backend import NumpyBackend, NumpyBatchedBackend, stacked_rows
+# Importing the module registers the built-in backend.
+from .numpy_backend import NumpyBackend, stacked_rows
 
 __all__ = [
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND_NAME",
     "BackendConfig",
-    "BackendUnavailableError",
-    "CupyBackend",
     "ExecutionBackend",
     "NumpyBackend",
-    "NumpyBatchedBackend",
     "available_backends",
     "backend_from_config",
     "backend_from_env",
     "backend_scope",
-    "backend_status",
     "default_backend",
     "default_backend_name",
     "make_backend",

@@ -6,8 +6,7 @@ numpy calls scattered across the kernels, device, dispatcher, and
 VP-runtime layers.  :class:`ExecutionBackend` is the one seam they all
 route through now — the same shape CLUDA gives reikna (one API over
 CUDA and OpenCL) and the shape a physical-device bridge needs (arXiv
-2505.15590): a small, capability-flagged contract a host execution
-resource plugs in behind.
+2505.15590): a small contract a host execution resource plugs in behind.
 
 The contract
 ------------
@@ -20,20 +19,15 @@ The contract
   style replication batching, arXiv 1501.01405), or return ``None`` to
   ask the caller for the per-VP fallback;
 * ``synchronize`` — drain asynchronous device work (no-op for host
-  backends);
-* capability flags — ``supports_batched`` (may serve
-  ``launch_batched``) and ``zero_copy`` (``h2d`` returns a view of the
-  host array rather than a private copy).
+  backends).
 
-Zero-copy safety: a zero-copy ``h2d`` MUST return a **read-only** view
+A backend whose ``h2d`` returns a view of the host array (zero-copy, as
+the numpy backend does) MUST make it **read-only**
 (``view.flags.writeable = False``) so a functional kernel that mutates
 its input fails loudly instead of silently corrupting shared host data.
 
 Every public operation counts into the ``exec.backend_*`` observability
 counters (None-guarded, so the disabled path costs one attribute read).
-Backends may be registered-but-unavailable (see :class:`CupyBackend`):
-``available()`` probes, ``require_available()`` raises
-:class:`BackendUnavailableError` with the reason.
 """
 
 from __future__ import annotations
@@ -45,28 +39,20 @@ from ..kernels.functional import REGISTRY, FunctionalRegistry, KernelFunction
 from ..obs import metrics as _obs_metrics
 
 
-class BackendUnavailableError(RuntimeError):
-    """A registered backend cannot run in this environment."""
-
-
 class ExecutionBackend(abc.ABC):
     """One host execution resource behind the CLUDA-style seam.
 
     Subclasses implement the private ``_h2d``/``_d2h``/``_launch``
     hooks (and optionally ``_launch_batched``/``_allocate``/``_free``);
-    the public methods are template wrappers that enforce availability,
-    keep the allocation ledger, and maintain the ``exec.backend_*``
-    counters uniformly across every backend.
+    the public methods are template wrappers that keep the allocation
+    ledger and maintain the ``exec.backend_*`` counters uniformly across
+    every backend.
     """
 
     #: Registry key; subclasses must override with a concrete name.
     name: ClassVar[str] = "abstract"
     #: One-line description for ``repro backends``.
     description: ClassVar[str] = ""
-    #: Whether ``launch_batched`` may serve stacked replication batches.
-    supports_batched: ClassVar[bool] = False
-    #: Whether ``h2d`` returns a (read-only) view of the host array.
-    zero_copy: ClassVar[bool] = False
 
     def __init__(self, registry: Optional[FunctionalRegistry] = None) -> None:
         self.registry = REGISTRY if registry is None else registry
@@ -77,40 +63,12 @@ class ExecutionBackend(abc.ABC):
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"
 
-    # -- availability -----------------------------------------------------
-
-    def available(self) -> bool:
-        """Whether this backend can execute in the current environment."""
-        return True
-
-    def unavailable_reason(self) -> Optional[str]:
-        """Why :meth:`available` is ``False`` (``None`` when available)."""
-        return None
-
-    def require_available(self) -> "ExecutionBackend":
-        """Return ``self`` or raise :class:`BackendUnavailableError`."""
-        if not self.available():
-            reason = self.unavailable_reason() or "unavailable"
-            raise BackendUnavailableError(
-                f"execution backend {self.name!r} is unavailable: {reason}"
-            )
-        return self
-
-    def capabilities(self) -> Dict[str, bool]:
-        """The capability flags, JSON-ably."""
-        return {
-            "supports_batched": self.supports_batched,
-            "zero_copy": self.zero_copy,
-            "available": self.available(),
-        }
-
     # -- memory -----------------------------------------------------------
 
     def allocate(self, nbytes: int, owner: str = "") -> int:
         """Account one device allocation; returns an opaque token."""
         if nbytes <= 0:
             raise ValueError(f"allocation size must be positive, got {nbytes}")
-        self.require_available()
         token = self._next_token
         self._next_token += 1
         self._allocate(token, int(nbytes), owner)
@@ -148,11 +106,10 @@ class ExecutionBackend(abc.ABC):
     def h2d(self, host: Any) -> Any:
         """Transfer host data to the device; returns the device array.
 
-        Zero-copy backends return a read-only view of the host array —
+        A zero-copy backend returns a read-only view of the host array —
         the cleared writeable flag turns any in-place mutation by a
         functional kernel into a loud ``ValueError``.
         """
-        self.require_available()
         device = self._h2d(host)
         self._count("h2d")
         return device
@@ -161,7 +118,6 @@ class ExecutionBackend(abc.ABC):
         """Transfer a device array back to the host (``None`` passes)."""
         if device is None:
             return None
-        self.require_available()
         host = self._d2h(device)
         self._count("d2h")
         return host
@@ -183,7 +139,6 @@ class ExecutionBackend(abc.ABC):
         fn = self.registry.get(signature)
         if fn is None:
             return None
-        self.require_available()
         out = self._launch(fn, list(inputs), dict(params or {}))
         self._count("launches")
         return out
@@ -197,19 +152,16 @@ class ExecutionBackend(abc.ABC):
         """Run N member calls as ONE stacked ``(N, ...)`` operation.
 
         Returns per-member output rows, or ``None`` when this backend
-        cannot serve the batch — no capability, a non-batch-flagged
-        signature, no registered implementation, or failed stacking
-        preconditions.  ``None`` always means "take the per-VP
-        fallback", never an error.
+        cannot serve the batch — a non-batch-flagged signature, no
+        registered implementation, failed stacking preconditions, or a
+        backend without a ``_launch_batched`` implementation.  ``None``
+        always means "take the per-VP fallback", never an error.
         """
-        if not self.supports_batched:
-            return None
         if not self.registry.is_batched(signature):
             return None
         fn = self.registry.get(signature)
         if fn is None:
             return None
-        self.require_available()
         rows = self._launch_batched(
             fn, [tuple(inputs) for inputs in inputs_list], dict(params or {})
         )

@@ -1,11 +1,9 @@
-"""Reference numpy execution backends.
+"""The numpy execution backend.
 
-``NumpyBackend`` is the original per-launch path: zero-copy read-only
-views for H2D, a direct ``fn(*inputs, **params)`` per launch, no batch
-capability (so the dispatcher always takes the per-VP fallback — the
-path PR 3 proved digest-identical to batching).  ``NumpyBatchedBackend``
-layers the PR-3 stacked ``(N, ...)`` replication batching on top and is
-the process default.
+``NumpyBackend`` runs functional kernels on the host CPU: zero-copy
+read-only views for H2D, a direct ``fn(*inputs, **params)`` per launch,
+and stacked ``(N, ...)`` replication batching for merged launches of
+batch-flagged kernels.  A per-launch call is the batch-of-one path.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ def stacked_rows(
     fn: KernelFunction,
     inputs_list: List[Tuple[Any, ...]],
     params: Dict[str, Any],
-    xp: Any = np,
-    array_type: Any = np.ndarray,
 ) -> Optional[List[Any]]:
     """Execute N member calls as ONE call over ``(N, ...)`` stacked inputs.
 
@@ -34,10 +30,6 @@ def stacked_rows(
     dtypes across members, or an implementation that does not preserve
     the leading axis.  Callers treat ``None`` as "fall back to per-VP
     execution", so this helper never guesses.
-
-    ``xp``/``array_type`` parametrize the array module (numpy by
-    default) so device backends with a numpy-compatible namespace (cupy)
-    reuse the identical precondition logic.
     """
     n_members = len(inputs_list)
     if n_members == 0:
@@ -51,28 +43,26 @@ def stacked_rows(
     for position in range(n_args):
         arrays = [inputs[position] for inputs in inputs_list]
         head = arrays[0]
-        if not all(isinstance(a, array_type) for a in arrays):
+        if not all(isinstance(a, np.ndarray) for a in arrays):
             return None
         if any(a.shape != head.shape or a.dtype != head.dtype for a in arrays):
             return None
     stacked = [
-        xp.stack([inputs[position] for inputs in inputs_list])
+        np.stack([inputs[position] for inputs in inputs_list])
         for position in range(n_args)
     ]
     out = fn(*stacked, **params)
-    if not isinstance(out, array_type) or out.ndim < 1 or out.shape[0] != n_members:
+    if not isinstance(out, np.ndarray) or out.ndim < 1 or out.shape[0] != n_members:
         return None
     return [out[i] for i in range(n_members)]
 
 
 @register_backend
 class NumpyBackend(ExecutionBackend):
-    """Per-launch numpy execution with zero-copy read-only H2D views."""
+    """Host numpy execution: zero-copy H2D views, stacked batches."""
 
     name = "numpy"
-    description = "reference per-launch numpy execution (zero-copy views)"
-    supports_batched = False
-    zero_copy = True
+    description = "host numpy execution with stacked (N, ...) batching"
 
     def asarray(self, host: Any) -> np.ndarray:
         return np.asarray(host)
@@ -92,15 +82,6 @@ class NumpyBackend(ExecutionBackend):
         self, fn: KernelFunction, inputs: List[Any], params: Dict[str, Any]
     ) -> Any:
         return fn(*inputs, **params)
-
-
-@register_backend
-class NumpyBatchedBackend(NumpyBackend):
-    """Numpy with stacked ``(N, ...)`` replication batching (PR-3 path)."""
-
-    name = "numpy-batched"
-    description = "numpy with stacked (N, ...) replication batching"
-    supports_batched = True
 
     def _launch_batched(
         self,

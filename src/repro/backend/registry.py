@@ -1,9 +1,8 @@
 """Name-keyed execution-backend registry and process-default selection.
 
-Mirrors ``repro.sched.registry`` (register/make/available triple) and
-the ``repro.gpu.vectimes`` process-toggle idiom (env var + module
-default + scoped override), so backend selection composes with the
-existing config surface:
+Mirrors ``repro.sched.registry`` (register/make/available triple) plus
+a process default (env var + module default + scoped override), so
+backend selection composes with the existing config surface:
 
 * ``register_backend`` — class decorator; ``name``/``description`` come
   from class attributes, re-registration is last-wins (tests override).
@@ -40,8 +39,8 @@ if TYPE_CHECKING:
 #: Environment variable selecting the process-default backend.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-#: Built-in default: the PR-3 stacked-replication path (current behavior).
-DEFAULT_BACKEND_NAME = "numpy-batched"
+#: Built-in default: host numpy execution with stacked batching.
+DEFAULT_BACKEND_NAME = "numpy"
 
 _BACKENDS: Dict[str, Tuple[Callable[..., "ExecutionBackend"], str]] = {}
 
@@ -79,28 +78,6 @@ def make_backend(name: str, **options: Any) -> "ExecutionBackend":
 def available_backends() -> List[Tuple[str, str]]:
     """Sorted ``(name, description)`` pairs of registered backends."""
     return sorted((name, desc) for name, (_, desc) in _BACKENDS.items())
-
-
-def backend_status() -> List[Dict[str, Any]]:
-    """Probe every registered backend for the ``repro backends`` listing.
-
-    Instantiates each backend (cheap: imports are deferred) to report
-    availability and capability flags without requiring availability.
-    """
-    rows: List[Dict[str, Any]] = []
-    for name, description in available_backends():
-        backend = make_backend(name)
-        rows.append(
-            {
-                "name": name,
-                "description": description,
-                "available": backend.available(),
-                "reason": backend.unavailable_reason(),
-                "supports_batched": backend.supports_batched,
-                "zero_copy": backend.zero_copy,
-            }
-        )
-    return rows
 
 
 # -- process default ------------------------------------------------------

@@ -28,7 +28,6 @@ Commands:
 * ``policies``                   — list registered scheduling policies
                                    and placement strategies
 * ``backends``                   — list registered execution backends
-                                   and their availability
 * ``cache stats|clear``          — inspect / purge the persistent
                                    cross-process artifact cache
 
@@ -117,11 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the persistent on-disk artifact cache "
                              "for this invocation (equivalent to "
                              "REPRO_DISK_CACHE=0)")
-    parser.add_argument("--no-vectimes", action="store_true",
-                        help="disable vectorized batched timing and fall "
-                             "back to the scalar reference model "
-                             "(equivalent to REPRO_VECTIMES=0; results "
-                             "are bit-identical)")
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help="execution backend for functional kernel "
                              "work (equivalent to REPRO_BACKEND; see "
@@ -215,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "backends",
-        help="list registered execution backends, their availability and "
-             "capability flags",
+        help="list registered execution backends",
     )
 
     cache = sub.add_parser(
@@ -697,22 +690,15 @@ def _cmd_policies() -> None:
 
 
 def _cmd_backends() -> None:
-    from .backend import backend_status, default_backend_name
+    from .backend import available_backends, default_backend_name
 
     default = default_backend_name()
-    rows = []
-    for status in backend_status():
-        name = status["name"]
-        rows.append((
-            name + (" *" if name == default else ""),
-            "yes" if status["available"] else "no",
-            "yes" if status["supports_batched"] else "no",
-            "yes" if status["zero_copy"] else "no",
-            status["description"] if status["available"]
-            else status["reason"] or status["description"],
-        ))
+    rows = [
+        (name + (" *" if name == default else ""), description)
+        for name, description in available_backends()
+    ]
     print(render_table(
-        ["Backend", "Available", "Batched", "Zero-copy", "Description"],
+        ["Backend", "Description"],
         rows,
         title="Execution backends (* = process default)",
     ))
@@ -811,10 +797,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from . import cache as repro_cache
 
         repro_cache.set_disk_enabled(False)
-    if args.no_vectimes:
-        from .gpu import vectimes as _vectimes
-
-        _vectimes.set_vectimes_enabled(False)
     if args.backend is not None:
         from .backend import set_default_backend
 

@@ -14,13 +14,6 @@ from .interleaving import (
 from .ipc import IPCManager, IPCTransport, SHARED_MEMORY, SOCKET, VPControl
 from .jobs import Job, JobKind, JobQueue
 from .profiler import ProfileRecord, Profiler
-from .rescheduler import (
-    EngineBacklog,
-    FIFOPolicy,
-    InterleavingPolicy,
-    SchedulingPolicy,
-    make_policy,
-)
 from .scenarios import (
     ScenarioResult,
     run_c_program,
@@ -32,13 +25,10 @@ from .scenarios import (
 __all__ = [
     "CoalesceStats",
     "DispatchStats",
-    "EngineBacklog",
     "ExecutionAnalyzer",
-    "FIFOPolicy",
     "HandleTable",
     "IPCManager",
     "IPCTransport",
-    "InterleavingPolicy",
     "Job",
     "JobDispatcher",
     "JobKind",
@@ -48,7 +38,6 @@ __all__ = [
     "ProfileRecord",
     "Profiler",
     "ScenarioResult",
-    "SchedulingPolicy",
     "ServiceMode",
     "SHARED_MEMORY",
     "SOCKET",
@@ -60,7 +49,6 @@ __all__ = [
     "balanced_speedup",
     "expected_speedup",
     "interleaved_total_time",
-    "make_policy",
     "run_c_program",
     "run_emulation",
     "run_native_gpu",

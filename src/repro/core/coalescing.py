@@ -124,6 +124,11 @@ class KernelCoalescer:
         self.copy_merge_limit_bytes = copy_merge_limit_bytes
         self.stats = CoalesceStats()
         self._merge_counter = 0
+        #: Per member VP, the merged H2D copy that last moved its inputs.
+        #: The copy runs under its group's name, so neither the VP's
+        #: in-flight slot nor its queue shows it; a later merged kernel
+        #: reading those inputs must wait for it explicitly.
+        self._group_inputs: Dict[str, Job] = {}
         # Version-keyed triple cache: the dispatcher asks for the triple
         # grouping on every scheduling decision (``hold_deadline`` per
         # candidate plus one ``coalesce_pass`` per loop), but the answer
@@ -344,8 +349,22 @@ class KernelCoalescer:
             inflight = self.inflight_of(triple.vp)
             if inflight is not None and inflight.kind is JobKind.COPY_H2D:
                 depends_on.append(inflight.completion)
+            # Likewise for an earlier merge's group copy of this VP's
+            # inputs, queued or in flight under the group's name.
+            group_copy = self._group_inputs.get(triple.vp)
+            if (
+                group_copy is not None
+                and not group_copy.completion.processed
+                and group_copy.completion not in depends_on
+            ):
+                depends_on.append(group_copy.completion)
         if depends_on:
             merged_kernel.depends_on = depends_on
+        if h2d_merged:
+            # This merge's own group copy precedes its kernel in the
+            # group's queue order; later merges must wait for it.
+            for member in h2d_members:
+                self._group_inputs[member.vp] = merged[0]
         queue.replace(kernel_members, merged_kernel)
         merged.append(merged_kernel)
         seq += 1

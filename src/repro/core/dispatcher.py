@@ -30,20 +30,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..backend.api import ExecutionBackend
 from ..backend.registry import default_backend
-from ..gpu import vectimes as _vectimes
 from ..gpu.device import HostGPU
 from ..gpu.engines import Engine
-from ..kernels.compiler import CompiledKernel
-from ..kernels.launch import LaunchConfig
-from ..kernels.functional import (
-    REGISTRY,
-    FunctionalRegistry,
-    batching_enabled,
-)
+from ..kernels.functional import REGISTRY, FunctionalRegistry
 from ..obs import metrics as _obs_metrics
 from ..obs import tracer as _obs_trace
 from ..sched.backlog import EngineBacklog, engine_role
@@ -200,9 +193,7 @@ class JobDispatcher:
 
     def _run(self):
         while True:
-            merged = self.pipeline.hold.merge(self.queue)
-            if merged:
-                self._prewarm_merged(merged)
+            self.pipeline.hold.merge(self.queue)
 
             decision = self.pipeline.decide(
                 self.queue, self._inflight, self.env.now
@@ -231,36 +222,6 @@ class JobDispatcher:
             )
             if self.mode is ServiceMode.SERIAL:
                 yield execution
-
-    def _prewarm_merged(self, merged: List[Job]) -> None:
-        """Batch-compute timing profiles for freshly merged kernel jobs.
-
-        Every coalescing pass mints brand-new merged :class:`KernelIR`
-        objects, so their profiles always miss the id-keyed memo and
-        would otherwise be computed one scalar walk at a time as each
-        job reaches ``_expected_ms``/``_execute``.  With vectorized
-        timing enabled we instead price the whole coalescing window's
-        misses as one array program.  Timing results are bit-identical
-        either way (the vectorized engine is digest-proven against the
-        scalar reference); this only changes *when* profiles enter the
-        cache.
-        """
-        if not _vectimes.vectimes_enabled():
-            return
-        pending: Dict[int, List[Tuple[CompiledKernel, LaunchConfig]]] = {}
-        for job in merged:
-            if not job.is_kernel or job.kernel is None or job.launch is None:
-                continue
-            gpu = self._gpu_of(job)
-            compiled = gpu.compiler.compile(job.kernel, gpu.arch)
-            if gpu.timing.profile_cached(compiled, job.launch):
-                continue
-            pending.setdefault(job.device, []).append((compiled, job.launch))
-        for device, items in pending.items():
-            # A singleton miss gains nothing from array form — leave it
-            # to the scalar path it would hit anyway.
-            if len(items) >= 2:
-                self.gpus[device].timing.execute_batch(items)
 
     def _idle_event(self, hold_deadline: Optional[float]) -> Event:
         """Event that fires when dispatching might become possible again."""
@@ -449,17 +410,12 @@ class JobDispatcher:
         """Run a merged job's functional effect as ONE stacked backend op.
 
         All members of a coalesced launch share a signature by
-        construction; the batch additionally requires a backend with the
-        ``supports_batched`` capability, a batch-flagged implementation,
-        leaf members with uniform parameters, and (inside
-        ``launch_batched``) uniform shapes/dtypes.  Returns ``False`` on
-        any precondition failure — the caller then takes the per-VP
-        fallback, which is always correct.
+        construction; the batch additionally requires leaf members with
+        uniform parameters, and (inside ``launch_batched``) a
+        batch-flagged implementation and uniform shapes/dtypes.  Returns
+        ``False`` on any precondition failure — the caller then takes the
+        per-VP fallback, which is always correct.
         """
-        if not batching_enabled():
-            return False
-        if not self.backend.supports_batched:
-            return False
         first = members[0]
         if first.kernel is None or first.out_handle is None:
             return False

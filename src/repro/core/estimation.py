@@ -23,19 +23,15 @@ runtime energy at the estimated execution rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Optional
 
 from ..gpu import cache as cache_model
-from ..gpu import vectimes as _vectimes
 from ..gpu.arch import GPUArchitecture
 from ..gpu.timing import ExecutionProfile, KernelTimingModel
 from ..kernels.compiler import KernelCompiler
 from ..kernels.ir import ALL_TYPES, InstructionType, MEMORY_TYPES
 from ..kernels.launch import LaunchConfig
 from ..kernels.ir import KernelIR
-from ..obs import metrics as _obs_metrics
 
 
 @dataclass(frozen=True)
@@ -182,16 +178,10 @@ class ExecutionAnalyzer:
         """Run the whole Fig. 7 flow for one kernel launch.
 
         If no measured host profile is supplied, the kernel is executed
-        on the host GPU model to obtain one (profiling run).  With
-        vectorized timing enabled the estimate is produced by the batch
-        engine (bit-identical to the scalar reference below, which the
-        conformance suite proves); the scalar per-equation methods remain
-        the reference implementation.
+        on the host GPU model to obtain one (profiling run).
         """
         if host_profile is None:
             host_profile = self.profile_on_host(kernel, launch)
-        if _vectimes.vectimes_enabled():
-            return self.analyze_batch(kernel, [launch], [host_profile])[0]
         return TimingEstimate(
             kernel_name=kernel.name,
             host_name=self.host.name,
@@ -205,112 +195,11 @@ class ExecutionAnalyzer:
             host_elapsed_cycles=host_profile.elapsed_cycles,
         )
 
-    def analyze_batch(
-        self,
-        kernel: KernelIR,
-        launches: Sequence[LaunchConfig],
-        host_profiles: Optional[Sequence[ExecutionProfile]] = None,
-    ) -> List[TimingEstimate]:
-        """Eq. (1)-(5) estimates for N launches of one kernel in one pass.
-
-        The sweep twin of :meth:`analyze`: instruction mixes fold into an
-        (N, 7) sigma matrix per architecture and every estimator runs as
-        one array program, instead of re-deriving sigma and the ideal
-        cycles once per equation per launch.  With vectorized timing
-        disabled this is an :meth:`analyze` loop (the scalar reference).
-        """
-        launches = list(launches)
-        if host_profiles is None:
-            resolved = self.profile_on_host_batch(kernel, launches)
-        else:
-            resolved = list(host_profiles)
-            if len(resolved) != len(launches):
-                raise ValueError(
-                    f"{len(launches)} launches but {len(resolved)} host profiles"
-                )
-        if not _vectimes.vectimes_enabled():
-            return [
-                self.analyze(kernel, launch, profile)
-                for launch, profile in zip(launches, resolved)
-            ]
-        n = len(launches)
-        if n == 0:
-            return []
-        compiled_target = self.compiler.compile(kernel, self.target)
-        compiled_host = self.compiler.compile(kernel, self.host)
-        sigma_t = _vectimes.sigma_matrix(compiled_target, launches)
-        sigma_h = _vectimes.sigma_matrix(compiled_host, launches)
-        grid = np.fromiter(
-            (launch.grid_size for launch in launches), dtype=np.int64, count=n
-        )
-        block = np.fromiter(
-            (launch.block_size for launch in launches), dtype=np.int64, count=n
-        )
-        # Eq. (2): sigma total over the peak-IPC product (a Python-float
-        # scalar, evaluated exactly as the scalar method writes it).
-        ipc_host = self.host.ipc_peak
-        ipc_host_to_target = self.target.ipc_peak / self.host.ipc_peak
-        c = _vectimes.column_sum(sigma_t) / (ipc_host * ipc_host_to_target)
-        # Eq. (4): ideal target cycles plus the host's measured stalls.
-        ideal_t = _vectimes.ideal_cycles_array(self.target, sigma_t)
-        ideal_h = _vectimes.ideal_cycles_array(self.host, sigma_h)
-        elapsed_h = np.fromiter(
-            (profile.elapsed_cycles for profile in resolved),
-            dtype=np.float64,
-            count=n,
-        )
-        c_prime = ideal_t + elapsed_h - ideal_h
-        # Eq. (5): swap measured host data stalls for predicted target ones.
-        upsilon_h = np.fromiter(
-            (profile.data_stall_cycles for profile in resolved),
-            dtype=np.float64,
-            count=n,
-        )
-        upsilon_t = _vectimes.predicted_data_stalls_array(
-            self.target, kernel.footprint, sigma_t, block, grid, ideal_t
-        )
-        c_double_prime = c_prime - upsilon_h + upsilon_t
-        registry = _obs_metrics.REGISTRY
-        if registry is not None:
-            registry.counter("exec.vectimes_estimates").inc(n)
-        estimates: List[TimingEstimate] = []
-        for i in range(n):
-            sigma_target: Dict[InstructionType, float] = {
-                t: float(sigma_t[i, j]) for j, t in enumerate(ALL_TYPES)
-            }
-            estimates.append(
-                TimingEstimate(
-                    kernel_name=kernel.name,
-                    host_name=self.host.name,
-                    target_name=self.target.name,
-                    sigma_target=sigma_target,
-                    c_cycles=float(c[i]),
-                    c_prime_cycles=float(c_prime[i]),
-                    c_double_prime_cycles=float(c_double_prime[i]),
-                    host_elapsed_cycles=resolved[i].elapsed_cycles,
-                )
-            )
-        return estimates
-
     def profile_on_host(self, kernel: KernelIR, launch: LaunchConfig) -> ExecutionProfile:
         """Execute the kernel on the host GPU model (Fig. 7 step 2)."""
         model = KernelTimingModel(self.host)
         compiled = self.compiler.compile(kernel, self.host)
         return model.execute(compiled, launch)
-
-    def profile_on_host_batch(
-        self, kernel: KernelIR, launches: Sequence[LaunchConfig]
-    ) -> List[ExecutionProfile]:
-        """Host profiles for N launches through one timing model.
-
-        One compile and one :meth:`~repro.gpu.timing.KernelTimingModel.
-        execute_batch` pass, instead of a fresh model per launch; the
-        profile is a pure function of (kernel, arch, launch), so sharing
-        the model changes nothing but the work done.
-        """
-        model = KernelTimingModel(self.host)
-        compiled = self.compiler.compile(kernel, self.host)
-        return model.execute_batch([(compiled, launch) for launch in launches])
 
     def observe_on_target(self, kernel: KernelIR, launch: LaunchConfig) -> ExecutionProfile:
         """Ground truth: run the reference model at target parameters.
@@ -343,13 +232,6 @@ class ExecutionAnalyzer:
         paper does ("We use C'' as the clock cycles for calculating the
         estimated power consumption").
         """
-        if _vectimes.vectimes_enabled():
-            return self.estimate_power_batch(
-                kernel,
-                [launch],
-                cycles=None if cycles is None else [cycles],
-                host_profiles=None if host_profile is None else [host_profile],
-            )[0]
         if cycles is None:
             cycles = self.estimate_c_double_prime(
                 kernel, launch,
@@ -372,74 +254,6 @@ class ExecutionAnalyzer:
             dynamic_w=dynamic_w,
             execution_time_ms=et_ms,
         )
-
-    def estimate_power_batch(
-        self,
-        kernel: KernelIR,
-        launches: Sequence[LaunchConfig],
-        cycles: Optional[Sequence[float]] = None,
-        host_profiles: Optional[Sequence[ExecutionProfile]] = None,
-    ) -> List[PowerEstimate]:
-        """Eq. (6) power for N launches of one kernel in one array pass.
-
-        With vectorized timing disabled this loops the scalar
-        :meth:`estimate_power` (the reference path).
-        """
-        launches = list(launches)
-        if not _vectimes.vectimes_enabled():
-            cycles_list: List[Optional[float]] = (
-                [None] * len(launches) if cycles is None else [float(c) for c in cycles]
-            )
-            profiles_list: List[Optional[ExecutionProfile]] = (
-                [None] * len(launches) if host_profiles is None else list(host_profiles)
-            )
-            return [
-                self.estimate_power(kernel, launch, cycles=cyc, host_profile=prof)
-                for launch, cyc, prof in zip(launches, cycles_list, profiles_list)
-            ]
-        n = len(launches)
-        if n == 0:
-            return []
-        if cycles is None:
-            estimates = self.analyze_batch(
-                kernel, launches, host_profiles=host_profiles
-            )
-            cycles_arr = np.fromiter(
-                (est.c_double_prime_cycles for est in estimates),
-                dtype=np.float64,
-                count=n,
-            )
-        else:
-            if len(cycles) != n:
-                raise ValueError(
-                    f"{n} launches but {len(cycles)} cycle counts"
-                )
-            cycles_arr = np.fromiter(
-                (float(c) for c in cycles), dtype=np.float64, count=n
-            )
-        for value in cycles_arr:
-            if value < 0:
-                raise ValueError(f"negative cycle count {float(value)}")
-        et_ms = cycles_arr / self.target.clock_khz
-        if np.any(et_ms <= 0):
-            raise ValueError("estimated execution time must be positive")
-        et_seconds = et_ms / 1e3
-        compiled_target = self.compiler.compile(kernel, self.target)
-        sigma_t = _vectimes.sigma_matrix(compiled_target, launches)
-        energy = [self.target.instruction_energy_nj[t] for t in ALL_TYPES]
-        dynamic = np.zeros(n, dtype=np.float64)
-        for j in range(len(ALL_TYPES)):
-            dynamic = dynamic + (sigma_t[:, j] / et_seconds) * energy[j] * 1e-9
-        return [
-            PowerEstimate(
-                kernel_name=kernel.name,
-                target_name=self.target.name,
-                static_w=self.target.static_power_w,
-                dynamic_w=float(dynamic[i]),
-                execution_time_ms=float(et_ms[i]),
-            )
-            for i in range(n)
-        ]
 
     def observed_power(self, kernel: KernelIR, launch: LaunchConfig) -> PowerEstimate:
         """Ground-truth power: what a meter on the target board reads.

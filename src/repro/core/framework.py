@@ -82,11 +82,6 @@ class SigmaVP:
             registry=registry,
             **self.sched.backend_options(),
         )
-        # An explicitly configured backend must be usable; the implicit
-        # default is validated lazily so timing-only runs keep working
-        # in environments where the default backend cannot.
-        if self.sched.backend is not None:
-            self.backend.require_available()
         # "SigmaVP multiplexes the host GPUs": one or more devices (the
         # Grid K520 board, for instance, carries two GK104 GPUs).  All
         # devices share one kernel compiler so compilation caches once.
@@ -253,21 +248,15 @@ class SigmaVP:
         state — engine utilizations, per-VP lifetimes, cache hit rates,
         coalescing totals — is collected into the active registry.
         """
-        from ..gpu import vectimes as _vectimes  # local: cheap either way
         from ..obs import metrics as _obs_metrics  # local: cheap either way
 
         start = self.env.now
-        with _vectimes.vectimes_scope(
-            _vectimes.vectimes_enabled()
-            if self.sched.vectimes is None
-            else self.sched.vectimes
-        ):
-            if _obs_metrics.REGISTRY is None:
+        if _obs_metrics.REGISTRY is None:
+            self.env.run(self.env.all_of(processes))
+        else:
+            with _obs_metrics.timed("framework.run"):
                 self.env.run(self.env.all_of(processes))
-            else:
-                with _obs_metrics.timed("framework.run"):
-                    self.env.run(self.env.all_of(processes))
-                _obs_metrics.collect_framework(self)
+            _obs_metrics.collect_framework(self)
         return self.env.now - start
 
     @property

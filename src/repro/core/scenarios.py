@@ -90,11 +90,11 @@ def _exec_backend(
 
     ``None`` lets each component fall back to the process default
     (``--backend`` / ``REPRO_BACKEND``), which keeps job config-hash
-    keys untouched for default runs.  An explicit name must be usable.
+    keys untouched for default runs.
     """
     if backend is None:
         return None
-    return make_backend(backend, registry=registry).require_available()
+    return make_backend(backend, registry=registry)
 
 
 def run_native_gpu(
@@ -104,6 +104,8 @@ def run_native_gpu(
     backend: Optional[str] = None,
 ) -> ScenarioResult:
     """CUDA executed natively on the host GPU (Table 1, row 1)."""
+    if functional:
+        spec.check_functional()
     env = Environment()
     registry = _registry(functional)
     exec_backend = _exec_backend(backend, registry)
@@ -146,6 +148,8 @@ def run_emulation(
     """
     if n_instances <= 0:
         raise ValueError(f"n_instances must be positive, got {n_instances}")
+    if functional:
+        spec.check_functional()
     env = Environment()
     registry = _registry(functional)
     exec_backend = _exec_backend(backend, registry)
@@ -224,6 +228,8 @@ def run_sigma_vp(
     """
     if n_vps <= 0:
         raise ValueError(f"n_vps must be positive, got {n_vps}")
+    if functional:
+        spec.check_functional()
     if sched is None:
         sched = SchedulerConfig.from_names(policy, placement, backend=backend)
     elif policy is not None or placement is not None or backend is not None:

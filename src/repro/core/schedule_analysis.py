@@ -131,7 +131,7 @@ def analyze(jobs: Sequence[Job], duration_fn: DurationFn) -> ScheduleAnalysis:
     engine_load: Dict[str, float] = {}
     for node, data in dag.nodes(data=True):
         if data["engine"] == "host":
-            continue  # host bookkeeping does not occupy a hardware engine
+            continue  # host bookkeeping does not use a hardware engine
         engine_load[data["engine"]] = (
             engine_load.get(data["engine"], 0.0) + data["duration"]
         )

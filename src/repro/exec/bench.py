@@ -32,27 +32,10 @@ Two observability additions ride on the same harness:
   must match for the comparison to be meaningful; otherwise it is
   skipped with a note).
 
-``cold=True`` (``repro bench --cold``) appends two more sections: the
-persistent **disk-cache** cold-start proof (memory-cold processes served
-from a shared on-disk artifact store, including corruption and
-whole-job-result modes) and the **batched-execution** proof (coalesced
-identical kernels dispatched as single stacked numpy calls, digest-equal
-to the per-VP fallback).  See :func:`_disk_section` and
-:func:`_batched_section`.
-
-Every bench also records a **timing** section
-(:func:`_timing_section`): the suite warm-serial with the vectorized
-batched timing engine (:mod:`repro.gpu.vectimes`) versus the scalar
-reference walk, digest-equal, with the ``exec.vectimes_*`` counters
-proving the array engine actually served launches.
-
-And a **backend** section (:func:`_backend_section`): the functional
-suite once per *available* registered execution backend
-(``repro backends``), digest-equal across all of them — backends are
-interchangeable run mechanics — with the ``exec.backend_*`` counters
-proving each backend actually served the launches, and unavailable
-backends (e.g. ``cupy`` without the package) recorded as skipped, never
-as errors.
+``cold=True`` (``repro bench --cold``) appends the persistent
+**disk-cache** cold-start proof: memory-cold processes served from a
+shared on-disk artifact store, including corruption and
+whole-job-result modes.  See :func:`_disk_section`.
 """
 
 from __future__ import annotations
@@ -66,7 +49,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import cache as _cache
 from ..caching import cache_scope, clear_all_caches
-from ..kernels.functional import batching_scope
 from ..obs import farm_merged_metrics, farm_trace_sources, to_chrome_trace
 from ..obs.export import git_commit as _git_commit
 from .farm import (
@@ -118,21 +100,6 @@ QUICK_SUITE: List[FarmJob] = [
     FarmJob(fn="repro.exec.jobs:scenario_summary", label="vectorAdd8",
             kwargs={"app": "vectorAdd", "n_vps": 8,
                     "scale_elements": 8192, "scale_iterations": 4}),
-]
-
-
-#: Batched-execution proof suite: the same fig10/fig11 shapes as the
-#: pinned suite, run with ``functional=True`` so the registered numpy
-#: kernels actually execute and coalesced launches can vectorize.  The
-#: digests here are only compared batched-vs-fallback *within* the
-#: section (functional jobs are distinct jobs from timing-only ones).
-BATCHED_SUITE: List[FarmJob] = [
-    FarmJob(fn="repro.exec.jobs:fig10a_point", label="batched:fig10a:b8",
-            kwargs={"batch": 8, "n_programs": 32, "functional": True}),
-    FarmJob(fn="repro.exec.jobs:fig11_point", label="batched:fig11:BlackScholes",
-            kwargs={"app": "BlackScholes", "n_vps": 8, "functional": True}),
-    FarmJob(fn="repro.exec.jobs:scenario_summary", label="batched:vectorAdd8",
-            kwargs={"app": "vectorAdd", "n_vps": 8, "functional": True}),
 ]
 
 
@@ -211,10 +178,6 @@ class BenchDiskCacheError(AssertionError):
 
 class BenchShardError(AssertionError):
     """The domain-sharding section missed a speedup acceptance bound."""
-
-
-class BenchBackendError(AssertionError):
-    """The execution-backend section found a backend not doing its job."""
 
 
 #: Maximum allowed slowdown of the tracing-disabled serial-warm mode
@@ -358,10 +321,6 @@ def _run_mode(
     return best
 
 
-def _counter_total(totals: Dict[str, Any], name: str) -> int:
-    return int(totals.get(name, {}).get("value", 0))
-
-
 def _disk_section(
     suite: Sequence[FarmJob],
     workers: int,
@@ -458,192 +417,6 @@ def _disk_section(
             f"fully-warm serial time (limit {DISK_WARM_LIMIT:.1f}x)"
         )
     return section
-
-
-def _batched_section(suite: Sequence[FarmJob] = BATCHED_SUITE) -> Dict[str, Any]:
-    """Batched-execution section: vectorized coalesced launches.
-
-    Runs the functional fig10/fig11 suite twice — batching on (stacked
-    ``(N, …)`` single-dispatch numpy calls) and forced per-VP fallback —
-    under observability capture, and requires (a) a bit-identical digest
-    and (b) a non-zero ``exec.batched_launches`` count in the batched
-    run.  Capture also disables the job-result layer, so both runs truly
-    execute.
-    """
-    clear_all_caches()
-    batched = _run_mode(
-        ScenarioFarm(workers=1, warmup=False, capture_obs=True), suite
-    )
-    batched_totals = farm_merged_metrics(batched["results"])["totals"]
-    clear_all_caches()
-    with batching_scope(False):
-        fallback = _run_mode(
-            ScenarioFarm(workers=1, warmup=False, capture_obs=True), suite
-        )
-    fallback_totals = farm_merged_metrics(fallback["results"])["totals"]
-    if batched["digest"] != fallback["digest"]:
-        raise BenchDigestError(
-            "batched execution changed simulation results: "
-            f"{batched['digest'][:12]} != {fallback['digest'][:12]}"
-        )
-    counts = {
-        "batched_launches": _counter_total(batched_totals, "exec.batched_launches"),
-        "batched_members": _counter_total(batched_totals, "exec.batched_members"),
-        "fallback_launches":
-            _counter_total(fallback_totals, "exec.fallback_launches"),
-    }
-    if counts["batched_launches"] <= 0:
-        raise BenchDiskCacheError(
-            "batched-execution section dispatched zero batched launches"
-        )
-    return {
-        "jobs": [j.label for j in suite],
-        "counts": counts,
-        "modes": {
-            "batched": {k: v for k, v in batched.items() if k != "results"},
-            "fallback": {k: v for k, v in fallback.items() if k != "results"},
-        },
-        "identical_results": True,
-    }
-
-
-def _backend_section(
-    suite: Optional[Sequence[FarmJob]] = None, quick: bool = False
-) -> Dict[str, Any]:
-    """Execution-backend section: every available backend, one digest.
-
-    Runs the functional suite once per *available* registered execution
-    backend under ``backend_scope`` — scoping (not job kwargs) keeps the
-    config-hash keys identical, so the digests are directly comparable —
-    with the in-memory memos cleared between backends so each run truly
-    executes.  Requires (a) bit-identical digests across every available
-    backend (they are interchangeable run mechanics by contract), and
-    (b) non-zero ``exec.backend_*`` counters proving each backend served
-    the launches itself: batched launches for ``supports_batched``
-    backends, per-member launches otherwise.  Unavailable backends
-    (``cupy`` without the package) are recorded under ``skipped`` with
-    their reason — never an error.
-    """
-    from ..backend import available_backends, backend_scope, make_backend
-
-    if suite is None:
-        suite = [BATCHED_SUITE[0], BATCHED_SUITE[2]] if quick else BATCHED_SUITE
-    modes: Dict[str, Dict[str, Any]] = {}
-    counters: Dict[str, Dict[str, int]] = {}
-    skipped: List[Dict[str, str]] = []
-    batched_capable: Dict[str, bool] = {}
-    for name, _description in available_backends():
-        probe = make_backend(name)
-        if not probe.available():
-            skipped.append(
-                {"name": name, "reason": probe.unavailable_reason() or ""}
-            )
-            continue
-        batched_capable[name] = probe.supports_batched
-        clear_all_caches()
-        with backend_scope(name):
-            mode = _run_mode(
-                ScenarioFarm(workers=1, warmup=False, capture_obs=True), suite
-            )
-        totals = farm_merged_metrics(mode["results"])["totals"]
-        counters[name] = {
-            counter: _counter_total(totals, f"exec.backend_{counter}")
-            for counter in (
-                "launches", "batched_launches", "batched_members", "h2d", "d2h"
-            )
-        }
-        modes[name] = mode
-    digests = {name: mode["digest"] for name, mode in modes.items()}
-    if len(set(digests.values())) != 1:
-        raise BenchDigestError(
-            "execution backends disagree on simulation results: "
-            + ", ".join(f"{k}={v[:12]}" for k, v in digests.items())
-        )
-    for name, counts in counters.items():
-        served = (
-            counts["batched_launches"] if batched_capable[name]
-            else counts["launches"]
-        )
-        if served <= 0:
-            kind = "batched" if batched_capable[name] else "per-member"
-            raise BenchBackendError(
-                f"backend {name!r} served zero {kind} launches — the "
-                f"functional suite never exercised it"
-            )
-    return {
-        "jobs": [job.label for job in suite],
-        "modes": {
-            name: {k: v for k, v in mode.items() if k != "results"}
-            for name, mode in modes.items()
-        },
-        "counters": counters,
-        "skipped": skipped,
-        "identical_results": True,
-        "digest": next(iter(digests.values())),
-    }
-
-
-def _timing_section(
-    suite: Sequence[FarmJob], reference_digest: str
-) -> Dict[str, Any]:
-    """Timing-engine section: scalar vs. vectorized warm-serial cost.
-
-    Runs the suite warm-serial twice — vectorized batched timing on
-    (:mod:`repro.gpu.vectimes`) and off (the scalar reference walk) —
-    requires both digests bit-identical to the main modes, then reruns
-    the vectorized mode once under observability capture to prove the
-    array engine actually priced launches (non-zero
-    ``exec.vectimes_*`` counters).  The timed runs stay capture-free so
-    their wall/CPU numbers measure the timing engines, not the
-    instrumentation.
-    """
-    from ..gpu import vectimes as _vectimes
-
-    clear_all_caches()
-    with _vectimes.vectimes_scope(True):
-        vectorized = _run_mode(
-            ScenarioFarm(workers=1, warmup=True), suite, rounds=3
-        )
-    clear_all_caches()
-    with _vectimes.vectimes_scope(False):
-        scalar = _run_mode(
-            ScenarioFarm(workers=1, warmup=True), suite, rounds=3
-        )
-    clear_all_caches()
-    with _vectimes.vectimes_scope(True):
-        captured = _run_mode(
-            ScenarioFarm(workers=1, warmup=False, capture_obs=True), suite
-        )
-    for name, mode in (
-        ("vectorized", vectorized), ("scalar", scalar), ("captured", captured)
-    ):
-        if mode["digest"] != reference_digest:
-            raise BenchDigestError(
-                f"timing mode {name!r} changed simulation results: "
-                f"{mode['digest'][:12]} != {reference_digest[:12]}"
-            )
-    totals = farm_merged_metrics(captured["results"])["totals"]
-    counts = {
-        name: _counter_total(totals, f"exec.vectimes_{name}")
-        for name in ("batches", "launches", "profile_reuse", "estimates")
-    }
-    if counts["launches"] <= 0:
-        raise BenchDiskCacheError(
-            "timing section priced zero launches through the vectorized "
-            "engine"
-        )
-    return {
-        "modes": {
-            "vectorized": {k: v for k, v in vectorized.items() if k != "results"},
-            "scalar": {k: v for k, v in scalar.items() if k != "results"},
-        },
-        "counts": counts,
-        "identical_results": True,
-        "speedup": {
-            "wall": scalar["wall_s"] / vectorized["wall_s"],
-            "cpu": scalar["cpu_s"] / vectorized["cpu_s"],
-        },
-    }
 
 
 def _time_interleaved(
@@ -845,21 +618,14 @@ def run_bench(
     verdict under ``report["trajectory_compare"]``.
 
     ``cold=True`` adds the persistent disk-cache cold-start section
-    (:func:`_disk_section`, against a private temporary store) and the
-    batched-execution section (:func:`_batched_section`) under
-    ``report["disk_cache"]`` and ``report["batched_execution"]``.  The
-    three standard modes always run with the disk tier *off* so their
+    (:func:`_disk_section`, against a private temporary store) under
+    ``report["disk_cache"]``.  The three standard modes always run with the disk tier *off* so their
     wall times keep measuring the in-memory paths of prior baselines.
 
     ``policy``/``placement`` thread registered scheduling stages through
     every sched-aware suite job (:func:`with_sched_stages`); the
     overhead guard is only meaningful against a like-for-like baseline,
     so it is skipped for non-default stages.
-
-    Every run also records the execution-backend section
-    (:func:`_backend_section`) under ``report["backend"]``: the
-    functional suite once per available registered backend, digest-equal
-    across all of them.
 
     ``shard=True`` (the default) appends the domain-sharding section
     (:func:`_shard_section`): the ``sharded`` (in-process domain
@@ -949,9 +715,6 @@ def run_bench(
             "untraced_wall_s": parallel["wall_s"],
             "ratio": traced["wall_s"] / parallel["wall_s"],
         }
-    with _cache.disk_scope(False):
-        report["timing"] = _timing_section(suite, cold_mode["digest"])
-        report["backend"] = _backend_section(quick=quick)
     if shard:
         # Quick (CI smoke) runs record the section but skip the speedup
         # bounds: the small smoke scenario's margin is noise-sized.
@@ -964,8 +727,6 @@ def run_bench(
         report["disk_cache"] = _disk_section(
             suite, workers, cold_mode["digest"], warm["wall_s"]
         )
-        with _cache.disk_scope(False):
-            report["batched_execution"] = _batched_section()
     if overhead_guard:
         if baseline is None:
             baseline = resolve_baseline(
@@ -1026,46 +787,6 @@ def render_report(report: Dict[str, Any]) -> str:
             f"disk cache cold-start speedup: "
             f"{ratios['cold_start_speedup']:.2f}x; "
             f"job-result layer: {ratios['job_warm_speedup']:.0f}x"
-        )
-    timing = report.get("timing")
-    if timing:
-        t_modes = timing["modes"]
-        t_counts = timing["counts"]
-        lines.append(
-            f"timing engine (warm serial): scalar "
-            f"{t_modes['scalar']['cpu_s']:.2f}s CPU -> vectorized "
-            f"{t_modes['vectorized']['cpu_s']:.2f}s CPU "
-            f"({timing['speedup']['cpu']:.2f}x); "
-            f"{t_counts['launches']} launches in {t_counts['batches']} "
-            f"batches, {t_counts['profile_reuse']} profile reuses; "
-            f"digests identical: {timing['identical_results']}"
-        )
-    backend_section = report.get("backend")
-    if backend_section:
-        for name, mode in backend_section["modes"].items():
-            counts = backend_section["counters"][name]
-            lines.append(
-                f"  backend:{name:<16} {mode['wall_s']:8.2f} s "
-                f"({counts['launches']} launches, "
-                f"{counts['batched_launches']} batched covering "
-                f"{counts['batched_members']} members)"
-            )
-        for skip in backend_section["skipped"]:
-            lines.append(
-                f"  backend:{skip['name']:<16} skipped: {skip['reason']}"
-            )
-        lines.append(
-            f"backend digests identical: "
-            f"{backend_section['identical_results']}"
-        )
-    batched = report.get("batched_execution")
-    if batched:
-        counts = batched["counts"]
-        lines.append(
-            f"batched execution: {counts['batched_launches']} vectorized "
-            f"launches covering {counts['batched_members']} coalesced members "
-            f"(fallback run: {counts['fallback_launches']} per-VP groups); "
-            f"digests identical: {batched['identical_results']}"
         )
     sharding = report.get("sharding")
     if sharding:

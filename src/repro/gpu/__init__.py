@@ -15,12 +15,6 @@ from .engines import ComputeEngine, CopyEngine, Engine, EngineOp, TimelineEntry
 from .memory import DeviceBuffer, DeviceMemoryAllocator, OutOfDeviceMemory
 from .stream import GPUStream
 from .timing import ExecutionProfile, KernelTimingModel
-from .vectimes import (
-    compute_profiles,
-    set_vectimes_enabled,
-    vectimes_enabled,
-    vectimes_scope,
-)
 
 __all__ = [
     "CATALOG",
@@ -42,11 +36,7 @@ __all__ = [
     "QUADRO_4000",
     "TEGRA_K1",
     "TimelineEntry",
-    "compute_profiles",
     "get_architecture",
     "hit_probability",
     "predict_behavior",
-    "set_vectimes_enabled",
-    "vectimes_enabled",
-    "vectimes_scope",
 ]

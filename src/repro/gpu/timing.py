@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .. import cache as _disk_cache
 from ..caching import caches_enabled
@@ -42,7 +42,6 @@ from ..obs import metrics as _obs_metrics
 from ..kernels.ir import ALL_TYPES, InstructionMix, InstructionType, MEMORY_TYPES
 from ..kernels.launch import LaunchConfig
 from . import cache as cache_model
-from . import vectimes as _vectimes
 from .arch import GPUArchitecture
 
 #: Fraction of ideal issue cycles lost to miscellaneous (non-data) stalls:
@@ -143,8 +142,6 @@ class KernelTimingModel:
         # disk cache proves digest-safe.  The coalescer mints fresh merged
         # KernelIR objects every round, so the id-keyed first tier misses
         # on structurally-identical launches; this tier catches them.
-        # Only consulted while vectorized timing is enabled, so disabling
-        # vectimes restores the exact legacy lookup behavior.
         self._content_cache: "OrderedDict[str, ExecutionProfile]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -246,73 +243,6 @@ class KernelTimingModel:
         self._remember(key, compiled, profile, content_key, memo_on)
         return profile
 
-    def execute_batch(
-        self, items: Sequence[Tuple[CompiledKernel, LaunchConfig]]
-    ) -> List[ExecutionProfile]:
-        """Profiles for N launches, timing the memo misses as one batch.
-
-        Lookup tiers, counters, and stored artifacts mirror calling
-        :meth:`execute` item by item; with vectorized timing enabled, the
-        profiles no cache can serve are computed by a single
-        :func:`repro.gpu.vectimes.compute_profiles` array pass instead of
-        N scalar walks.  With it disabled this *is* an ``execute`` loop —
-        the scalar reference path behind the common interface.
-        """
-        if not _vectimes.vectimes_enabled():
-            return [self.execute(compiled, launch) for compiled, launch in items]
-        results: List[Optional[ExecutionProfile]] = [None] * len(items)
-        pending: "OrderedDict[Tuple[int, LaunchConfig], List[int]]" = OrderedDict()
-        pending_keys: Dict[Tuple[int, LaunchConfig], Optional[str]] = {}
-        registry = _obs_metrics.REGISTRY
-        memo_on = caches_enabled()
-        for i, (compiled, launch) in enumerate(items):
-            self._check_arch(compiled)
-            key = (id(compiled), launch)
-            if memo_on:
-                entry = self._profile_cache.get(key)
-                if entry is not None and entry[0] is compiled:
-                    self.cache_hits += 1
-                    if registry is not None:
-                        registry.counter("cache.profile.hits").inc()
-                    self._profile_cache.move_to_end(key)
-                    results[i] = entry[1]
-                    continue
-            self.cache_misses += 1
-            if registry is not None:
-                registry.counter("cache.profile.misses").inc()
-            slot = pending.get(key)
-            if slot is not None and items[slot[0]][0] is compiled:
-                # Duplicate within the batch: one compute serves both.
-                slot.append(i)
-                continue
-            profile, content_key, store = self._miss_lookup(compiled, launch, memo_on)
-            if profile is not None:
-                self._remember(key, compiled, profile, content_key, memo_on)
-                results[i] = profile
-                continue
-            pending[key] = [i]
-            pending_keys[key] = content_key
-        if pending:
-            batch = [
-                (items[slots[0]][0], items[slots[0]][1])
-                for slots in pending.values()
-            ]
-            profiles = _vectimes.compute_profiles(self.arch, batch)
-            store = _disk_cache.disk_cache()
-            for (key, slots), profile in zip(pending.items(), profiles):
-                compiled = items[slots[0]][0]
-                content_key = pending_keys[key]
-                if store is not None and content_key is not None:
-                    store.put(content_key, profile)
-                self._remember(key, compiled, profile, content_key, memo_on)
-                for i in slots:
-                    results[i] = profile
-        out: List[ExecutionProfile] = []
-        for profile_out in results:
-            assert profile_out is not None
-            out.append(profile_out)
-        return out
-
     def profile_cached(self, compiled: CompiledKernel, launch: LaunchConfig) -> bool:
         """Whether the id-keyed memo holds this launch (a silent peek)."""
         entry = self._profile_cache.get((id(compiled), launch))
@@ -332,7 +262,7 @@ class KernelTimingModel:
     ) -> Tuple[
         Optional[ExecutionProfile], Optional[str], Optional[_disk_cache.DiskCache]
     ]:
-        """Content-memo and disk probes shared by execute/execute_batch.
+        """Content-memo and disk probes behind an id-keyed memo miss.
 
         The profile is a pure function of the encoded content key, so a
         stored entry (in either tier) is bit-identical to recomputation;
@@ -340,17 +270,16 @@ class KernelTimingModel:
         ``(profile or None, content key or None, disk store)``.
         """
         store = _disk_cache.disk_cache()
-        use_content = memo_on and _vectimes.vectimes_enabled()
         content_key: Optional[str] = None
-        if use_content or store is not None:
+        if memo_on or store is not None:
             content_key = _disk_cache.profile_key(compiled, launch)
-        if use_content and content_key is not None:
+        if memo_on and content_key is not None:
             cached = self._content_cache.get(content_key)
             if cached is not None:
                 self._content_cache.move_to_end(content_key)
                 registry = _obs_metrics.REGISTRY
                 if registry is not None:
-                    registry.counter("exec.vectimes_profile_reuse").inc()
+                    registry.counter("cache.profile.content_hits").inc()
                 return cached, content_key, store
         if store is not None and content_key is not None:
             payload = store.get(content_key)
@@ -371,7 +300,7 @@ class KernelTimingModel:
         self._profile_cache[key] = (compiled, profile)
         if len(self._profile_cache) > self.profile_cache_size:
             self._profile_cache.popitem(last=False)
-        if content_key is not None and _vectimes.vectimes_enabled():
+        if content_key is not None:
             self._content_cache[content_key] = profile
             if len(self._content_cache) > self.profile_cache_size:
                 self._content_cache.popitem(last=False)

@@ -13,8 +13,7 @@ launch can apply the one registered function to the merged data set.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -94,55 +93,6 @@ def functional_kernel(
         return fn
 
     return decorate
-
-
-# -- batched (stacked) execution --------------------------------------------
-
-#: Global switch for the dispatcher's batched coalesced execution; the
-#: bench harness turns it off to prove digest equality with the per-VP
-#: fallback on identical inputs.
-_BATCHING = True
-
-
-def batching_enabled() -> bool:
-    return _BATCHING
-
-
-def set_batching_enabled(enabled: bool) -> bool:
-    """Switch batched coalesced execution on/off; returns previous state."""
-    global _BATCHING
-    previous = _BATCHING
-    _BATCHING = bool(enabled)
-    return previous
-
-
-@contextmanager
-def batching_scope(enabled: bool):
-    """Temporarily force batched execution on or off."""
-    previous = set_batching_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_batching_enabled(previous)
-
-
-def run_batched(
-    fn: KernelFunction,
-    inputs_list: Sequence[Tuple[np.ndarray, ...]],
-    params: Dict[str, Any],
-) -> Optional[List[np.ndarray]]:
-    """Execute N member calls as ONE call over ``(N, ...)`` stacked inputs.
-
-    Back-compat shim: the stacking logic now lives with the execution
-    backends (:func:`repro.backend.numpy_backend.stacked_rows`), where
-    the dispatcher reaches it through ``launch_batched``.  Returns the
-    per-member output rows, or ``None`` when the preconditions for a
-    well-defined batch do not hold — callers treat ``None`` as "fall
-    back to per-VP execution".
-    """
-    from ..backend.numpy_backend import stacked_rows
-
-    return stacked_rows(fn, [tuple(inputs) for inputs in inputs_list], dict(params))
 
 
 # ---------------------------------------------------------------------------

@@ -62,11 +62,6 @@ class SchedulerConfig:
     #: Turn backlog-accounting mismatches into hard assertion errors
     #: (also switchable globally via ``REPRO_SCHED_DEBUG=1``).
     debug: bool = False
-    #: Vectorized batched timing (:mod:`repro.gpu.vectimes`): ``True``
-    #: forces it on, ``False`` forces it off for this run, ``None``
-    #: inherits the process-wide setting (``REPRO_VECTIMES`` env var,
-    #: default on).  Timing results are bit-identical either way.
-    vectimes: Optional[bool] = None
     #: Execution backend for functional kernel work: a
     #: :class:`~repro.backend.BackendConfig`, a bare registry name
     #: (coerced in ``__post_init__``), or ``None`` to inherit the

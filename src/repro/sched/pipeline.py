@@ -95,8 +95,7 @@ class HoldStage:
         """Merge ready coalescing groups before scanning heads.
 
         Returns the merged jobs minted this pass (empty without a
-        coalescer) so callers can react to them — e.g. batch-prewarm
-        their timing profiles in one vectorized sweep.
+        coalescer).
         """
         if self.coalescer is None:
             return []

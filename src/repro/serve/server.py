@@ -362,15 +362,20 @@ class ServeDaemon:
                 proc.terminate()
                 proc.join(timeout=5.0)
                 break
-            if conn.poll(_REAP_POLL_S):
+            ready = conn.poll(_REAP_POLL_S)
+            if not ready and not proc.is_alive():
+                # The worker may have sent its result and exited just
+                # after the poll timed out: drain the pipe once more
+                # before declaring it dead on a signal/oom.
+                ready = conn.poll(0)
+                if not ready:
+                    break
+            if ready:
                 try:
                     outcome = conn.recv()
                 except EOFError:
                     outcome = None
                 proc.join(timeout=5.0)
-                break
-            if not proc.is_alive():
-                # Exited without reporting: died on a signal/oom.
                 break
             if self._stop.is_set() and not self._drain:
                 # stop() owns termination + requeue from here.

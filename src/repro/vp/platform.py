@@ -78,7 +78,7 @@ class VirtualPlatform:
         yield self.env.timeout(duration)
 
     def execute_ms(self, duration_ms: float):
-        """Generator: occupy the guest CPU for a precomputed duration."""
+        """Generator: keep the guest CPU busy for a precomputed duration."""
         if duration_ms < 0:
             raise ValueError(f"negative duration {duration_ms}")
         yield from self.gate()

@@ -123,6 +123,23 @@ class WorkloadSpec:
             description=self.description,
         )
 
+    def check_functional(self) -> None:
+        """Raise ``ValueError`` if the functional kernel cannot run here.
+
+        Called before a functional simulation starts, so a geometry the
+        registered numpy implementation cannot reshape fails with the
+        constraint named instead of deep inside a device engine.  Kernels
+        taking a ``vectors`` parameter split each input into that many
+        equal rows.
+        """
+        vectors = self.params.get("vectors")
+        if vectors and self.elements % vectors:
+            raise ValueError(
+                f"{self.name}: functional execution splits each input into "
+                f"{vectors} vectors, so elements ({self.elements}) must be a "
+                f"multiple of {vectors}"
+            )
+
     def build_inputs(self, seed: int = 0) -> List[np.ndarray]:
         rng = np.random.default_rng(seed)
         return [self.input_factory(rng, i, self) for i in range(self.input_arrays)]

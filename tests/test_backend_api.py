@@ -1,10 +1,10 @@
-"""The execution-backend seam: registry, capabilities, accounting.
+"""The execution-backend seam: registry, selection, accounting.
 
 Covers the CLUDA-style contract of :mod:`repro.backend`: name-keyed
 registration and listing, process-default selection (env var, setter,
-scope), graceful degradation of registered-but-unavailable backends
-(cupy without the package), the zero-copy read-only H2D guarantee, the
-allocation ledger, and the ``exec.backend_*`` observability counters.
+scope), the zero-copy read-only H2D guarantee, stacked batching and its
+per-VP fallback, the allocation ledger, and the ``exec.backend_*``
+observability counters.
 """
 
 import numpy as np
@@ -13,11 +13,9 @@ import pytest
 from repro import obs
 from repro.backend import (
     BackendConfig,
-    BackendUnavailableError,
     ExecutionBackend,
     available_backends,
     backend_scope,
-    backend_status,
     default_backend,
     default_backend_name,
     make_backend,
@@ -26,13 +24,13 @@ from repro.backend import (
 from repro.backend.registry import BACKEND_ENV_VAR, DEFAULT_BACKEND_NAME
 from repro.kernels.functional import REGISTRY, FunctionalRegistry
 from repro.sched.config import SchedulerConfig
+from tests.backend_doubles import PER_LAUNCH
 
 
 class TestRegistry:
-    def test_at_least_three_backends_registered(self):
+    def test_numpy_and_injected_doubles_registered(self):
         names = [name for name, _ in available_backends()]
-        assert len(names) >= 3
-        assert {"numpy", "numpy-batched", "cupy"} <= set(names)
+        assert {"numpy", PER_LAUNCH} <= set(names)
 
     def test_listing_is_sorted_with_descriptions(self):
         listing = available_backends()
@@ -40,43 +38,27 @@ class TestRegistry:
         assert all(desc for _, desc in listing)
 
     def test_unknown_name_raises_with_known_list(self):
-        with pytest.raises(ValueError, match="numpy-batched"):
+        with pytest.raises(ValueError, match="numpy"):
             make_backend("no-such-backend")
-
-    def test_status_probes_without_requiring_availability(self):
-        status = {row["name"]: row for row in backend_status()}
-        assert status["numpy"]["available"] is True
-        assert status["numpy"]["reason"] is None
-        assert status["numpy-batched"]["supports_batched"] is True
-        assert status["numpy"]["supports_batched"] is False
-        assert status["numpy"]["zero_copy"] is True
-
-    def test_capability_flags(self):
-        numpy_backend = make_backend("numpy")
-        batched = make_backend("numpy-batched")
-        assert numpy_backend.capabilities() == {
-            "supports_batched": False, "zero_copy": True, "available": True,
-        }
-        assert batched.capabilities()["supports_batched"] is True
 
 
 class TestDefaultSelection:
     def test_builtin_default(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert default_backend_name() == DEFAULT_BACKEND_NAME == "numpy-batched"
+        assert default_backend_name() == DEFAULT_BACKEND_NAME == "numpy"
 
     def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert default_backend_name() == "numpy"
+        monkeypatch.setenv(BACKEND_ENV_VAR, PER_LAUNCH)
+        assert default_backend_name() == PER_LAUNCH
 
     def test_setter_overrides_env_and_restores(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy-batched")
+        monkeypatch.setenv(BACKEND_ENV_VAR, PER_LAUNCH)
         previous = set_default_backend("numpy")
         try:
             assert default_backend_name() == "numpy"
         finally:
             set_default_backend(previous)
-        assert default_backend_name() == "numpy-batched"
+        assert default_backend_name() == PER_LAUNCH
 
     def test_setter_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
@@ -104,30 +86,12 @@ class TestDefaultSelection:
         assert bare.registry is REGISTRY
 
 
-class TestUnavailableBackend:
-    def test_cupy_registered_but_unavailable(self):
-        cupy = make_backend("cupy")
-        assert cupy.available() is False
-        assert "cupy" in (cupy.unavailable_reason() or "")
-
-    def test_require_available_raises_with_reason(self):
-        with pytest.raises(BackendUnavailableError, match="not installed"):
-            make_backend("cupy").require_available()
-
-    def test_operations_raise_until_available(self):
-        cupy = make_backend("cupy")
-        with pytest.raises(BackendUnavailableError):
-            cupy.h2d(np.zeros(4))
-        with pytest.raises(BackendUnavailableError):
-            cupy.allocate(128)
-        with pytest.raises(BackendUnavailableError):
-            cupy.launch("vectorAdd", [np.zeros(4), np.zeros(4)])
-
-    def test_unregistered_signature_short_circuits_before_probe(self):
-        # Timing-only runs launch unregistered signatures constantly;
-        # the None return must not depend on backend availability.
-        cupy = make_backend("cupy", registry=FunctionalRegistry())
-        assert cupy.launch("vectorAdd", [np.zeros(4)]) is None
+def test_unregistered_signature_launches_nothing():
+    # Timing-only runs launch unregistered signatures constantly; both
+    # launch paths must answer None without touching the inputs.
+    backend = make_backend("numpy", registry=FunctionalRegistry())
+    assert backend.launch("vectorAdd", [np.zeros(4)]) is None
+    assert backend.launch_batched("vectorAdd", [(np.zeros(4),)] * 2) is None
 
 
 class TestZeroCopyH2D:
@@ -167,17 +131,18 @@ class TestLaunch:
         np.testing.assert_array_equal(out, a + b)
 
     def test_launch_batched_requires_capability(self):
-        rows_plain = make_backend("numpy").launch_batched(
-            "vectorAdd", [(np.ones(4), np.ones(4))] * 3
-        )
-        assert rows_plain is None
-        rows = make_backend("numpy-batched").launch_batched(
+        rows = make_backend("numpy").launch_batched(
             "vectorAdd", [(np.ones(4), np.ones(4))] * 3
         )
         assert rows is not None and len(rows) == 3
+        # The capability is a _launch_batched implementation; a backend
+        # without one always takes the per-VP fallback.
+        assert make_backend(PER_LAUNCH).launch_batched(
+            "vectorAdd", [(np.ones(4), np.ones(4))] * 3
+        ) is None
 
     def test_launch_batched_empty_batch_is_fallback(self):
-        assert make_backend("numpy-batched").launch_batched(
+        assert make_backend("numpy").launch_batched(
             "vectorAdd", []
         ) is None
 
@@ -208,7 +173,7 @@ class TestAllocationLedger:
 
 class TestObservabilityCounters:
     def test_backend_counters_under_capture(self):
-        backend = make_backend("numpy-batched")
+        backend = make_backend("numpy")
         a = np.arange(8, dtype=np.float32)
         with obs.capture() as cap:
             token = backend.allocate(a.nbytes)

@@ -1,13 +1,16 @@
 """Cross-backend conformance: every backend computes the same thing.
 
-Property-based, reikna ``test_cluda_basics`` style: every *available*
-registered execution backend, over the reference kernel suite, across
-random dtypes and shapes, must produce outputs bit-identical to a direct
-call of the registered numpy implementation — and ``launch_batched``
-must return exactly the per-launch outputs, row for row.  The capstone
-is digest interchangeability: a pinned scenario simulated under
-``backend_scope("numpy")`` and ``backend_scope("numpy-batched")``
-produces byte-identical summaries.
+Property-based, reikna ``test_cluda_basics`` style: every registered
+execution backend, over the reference kernel suite, across random
+dtypes and shapes, must produce outputs bit-identical to a direct call
+of the registered numpy implementation — and ``launch_batched`` must
+return exactly the per-launch outputs, row for row, or ``None``.  The
+registered backends are ``numpy`` and the two test doubles of
+:mod:`tests.backend_doubles`: one refuses every batch, the other runs
+every launch as a stacked batch of one.  The capstone is digest
+interchangeability: a pinned scenario simulated under
+``backend_scope("numpy")`` (stacked batches) and under each double
+(per-VP fallback, all-stacked) produces byte-identical summaries.
 
 Comparisons use ``np.array_equal`` / ``tobytes()``, never ``approx``:
 scenario digests are pinned on exact float results, so approximate
@@ -25,15 +28,15 @@ from repro.backend import (
 )
 from repro.exec.farm import FarmJob, ScenarioFarm, results_digest
 from repro.kernels.functional import REGISTRY
+from tests.backend_doubles import PER_LAUNCH, STACKED
 
-#: (name, backend) for every backend usable in this environment — the
-#: conformance property is universally quantified over this list (cupy
-#: joins automatically wherever the package exists).
-AVAILABLE = [
-    (name, make_backend(name))
-    for name, _ in available_backends()
-    if make_backend(name).available()
-]
+#: (name, backend) for every registered backend — the conformance
+#: property is universally quantified over this list.
+AVAILABLE = [(name, make_backend(name)) for name, _ in available_backends()]
+
+#: Backends that serve stacked batches; every other one must answer
+#: ``launch_batched`` with ``None`` (the per-VP fallback).
+STACKING = {"numpy", STACKED}
 
 DTYPES = (np.float32, np.float64, np.int32, np.int64)
 
@@ -121,7 +124,7 @@ class TestBatchedConformance:
             for inputs in inputs_list
         ]
         if rows is None:
-            assert not backend.supports_batched or members == 0
+            assert name not in STACKING
             return
         assert len(rows) == members
         for row, expected in zip(rows, per_launch):
@@ -134,7 +137,7 @@ class TestBatchedConformance:
     def test_single_element_batch(self, name, backend):
         a = np.arange(16, dtype=np.float32)
         rows = backend.launch_batched("vectorAdd", [(a, a)])
-        if backend.supports_batched:
+        if name in STACKING:
             assert rows is not None and len(rows) == 1
             assert np.asarray(backend.d2h(rows[0])).tobytes() == (a + a).tobytes()
         else:
@@ -177,11 +180,12 @@ def _digest_under(backend_name):
 
 
 def test_scenario_digests_interchangeable_across_backends():
-    """The acceptance bar: one digest, whatever available backend ran."""
+    """The acceptance bar: one digest, whatever registered backend ran."""
     digests = {}
     values = {}
     for name, _ in AVAILABLE:
         digests[name], values[name] = _digest_under(name)
+    assert {"numpy", PER_LAUNCH, STACKED} <= set(digests)
     assert len(set(digests.values())) == 1, digests
     # The values themselves are equal too (the digest is not a collision).
     reference = values[AVAILABLE[0][0]]

@@ -6,21 +6,18 @@ members as ONE call over ``(N, ...)`` stacked inputs.  The contract is
 strict bit-identity: for every flagged kernel, the stacked rows must
 equal N independent calls element for element and dtype for dtype, and
 an end-to-end run must produce the same simulation summary and numeric
-outputs whether batching is on or forced off.
+outputs under the ``numpy`` backend (stacked batches) and under the
+per-launch test double of :mod:`tests.backend_doubles` (per-VP fallback).
 """
 
 import numpy as np
 import pytest
 
+from repro.backend import backend_scope, stacked_rows
 from repro.core.scenarios import run_sigma_vp
-from repro.kernels.functional import (
-    REGISTRY,
-    batching_enabled,
-    batching_scope,
-    run_batched,
-    set_batching_enabled,
-)
+from repro.kernels.functional import REGISTRY
 from repro.workloads import SUITE, get_workload
+from tests.backend_doubles import PER_LAUNCH
 
 N_MEMBERS = 3
 
@@ -64,7 +61,7 @@ def test_every_registered_kernel_batches_or_is_excluded(signature):
         return
     members, params = _member_inputs(signature)
     expected = [fn(*inputs, **params) for inputs in members]
-    rows = run_batched(fn, members, params)
+    rows = stacked_rows(fn, members, params)
     assert rows is not None, f"{signature}: flagged batched but refused to batch"
     assert len(rows) == N_MEMBERS
     for row, reference in zip(rows, expected):
@@ -73,40 +70,30 @@ def test_every_registered_kernel_batches_or_is_excluded(signature):
         np.testing.assert_array_equal(row, reference)
 
 
-# -- run_batched preconditions (fallback triggers) ---------------------------
+# -- stacked_rows preconditions (fallback triggers) --------------------------
 
 
-def test_run_batched_rejects_empty_and_argless():
-    assert run_batched(np.add, [], {}) is None
-    assert run_batched(lambda: np.zeros(3), [(), (), ()], {}) is None
+def test_stacked_rows_rejects_empty_and_argless():
+    assert stacked_rows(np.add, [], {}) is None
+    assert stacked_rows(lambda: np.zeros(3), [(), (), ()], {}) is None
 
 
-def test_run_batched_rejects_nonuniform_shapes():
+def test_stacked_rows_rejects_nonuniform_shapes():
     a, b = np.zeros(4), np.zeros(4)
     odd = np.zeros(5)
-    assert run_batched(np.add, [(a, b), (odd, odd)], {}) is None
+    assert stacked_rows(np.add, [(a, b), (odd, odd)], {}) is None
 
 
-def test_run_batched_rejects_nonuniform_dtypes():
+def test_stacked_rows_rejects_nonuniform_dtypes():
     f32 = np.zeros(4, dtype=np.float32)
     f64 = np.zeros(4, dtype=np.float64)
-    assert run_batched(np.add, [(f32, f32), (f64, f64)], {}) is None
+    assert stacked_rows(np.add, [(f32, f32), (f64, f64)], {}) is None
 
 
-def test_run_batched_rejects_leading_axis_loss():
+def test_stacked_rows_rejects_leading_axis_loss():
     # A reduction collapses the member axis: the helper must notice the
     # output no longer has one row per member and refuse.
-    assert run_batched(lambda x: np.sum(x), [(np.ones(4),), (np.ones(4),)], {}) is None
-
-
-def test_batching_scope_restores_state():
-    assert batching_enabled()
-    with batching_scope(False):
-        assert not batching_enabled()
-        previous = set_batching_enabled(True)
-        assert previous is False
-        set_batching_enabled(False)
-    assert batching_enabled()
+    assert stacked_rows(lambda x: np.sum(x), [(np.ones(4),), (np.ones(4),)], {}) is None
 
 
 # -- end-to-end: dispatcher batch path vs per-VP fallback ---------------------
@@ -122,7 +109,7 @@ def test_sigma_vp_batched_matches_fallback(app):
     assert stats.batched_members >= 2 * stats.batched_launches
     assert stats.fallback_launches == 0
 
-    with batching_scope(False):
+    with backend_scope(PER_LAUNCH):
         fallback = run_sigma_vp(spec, n_vps=8, coalescing=True, functional=True)
     fb_stats = fallback.extras["framework"].dispatcher.stats
     assert fb_stats.batched_launches == 0

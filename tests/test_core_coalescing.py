@@ -324,3 +324,33 @@ def test_functional_and_timing_totals_agree():
         get_workload("vectorAdd"), n_vps=2, functional=True
     )
     assert functional.total_ms == pytest.approx(timing.total_ms)
+
+
+def test_coalesced_outputs_match_uncoalesced_across_iterations():
+    """Regression: a second-iteration merged kernel must wait for the
+    first merge's group H2D copy of its members' inputs.  With the shm
+    transport that copy was still queued when the next merge formed, and
+    the merged kernel swept unwritten (``None``) input buffers."""
+    import numpy as np
+
+    from repro.core.ipc import SHARED_MEMORY
+    from repro.core.scenarios import run_sigma_vp
+    from repro.workloads import get_workload
+
+    spec = get_workload("BlackScholes").scaled_to(65536, iterations=2)
+
+    def outputs(coalescing):
+        result = run_sigma_vp(
+            spec, n_vps=8, coalescing=coalescing, functional=True,
+            transport=SHARED_MEMORY, max_batch=8,
+        )
+        framework = result.extras["framework"]
+        return [
+            framework.session(name).processes[0].value
+            for name in sorted(framework.sessions)
+        ]
+
+    coalesced, reference = outputs(True), outputs(False)
+    assert len(coalesced) == len(reference) == 8
+    for got, want in zip(coalesced, reference):
+        np.testing.assert_array_equal(got, want)

@@ -13,7 +13,7 @@ from repro.core.dispatcher import (
 from repro.core.handles import HandleTable
 from repro.core.jobs import Job, JobKind, JobQueue
 from repro.core.profiler import Profiler
-from repro.core.rescheduler import FIFOPolicy, InterleavingPolicy
+from repro.sched import FIFOPolicy, InterleavingPolicy
 from repro.gpu import HostGPU, QUADRO_4000
 from repro.gpu.memory import OutOfDeviceMemory
 from repro.kernels import LaunchConfig, MemoryFootprint, uniform_kernel

@@ -8,7 +8,7 @@ from repro.core.ipc import IPCManager, SHARED_MEMORY
 from repro.core.jobs import JobQueue
 from repro.core.dispatcher import JobDispatcher, ServiceMode
 from repro.core.profiler import Profiler
-from repro.core.rescheduler import FIFOPolicy
+from repro.sched import FIFOPolicy
 from repro.gpu import HostGPU, QUADRO_4000
 from repro.kernels import LaunchConfig, MemoryFootprint, uniform_kernel
 from repro.kernels.functional import FunctionalRegistry

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import SHARED_MEMORY, SigmaVP
 from repro.core.dispatcher import ServiceMode
-from repro.core.rescheduler import FIFOPolicy, InterleavingPolicy
+from repro.sched import FIFOPolicy, InterleavingPolicy
 from repro.gpu import GRID_K520
 from repro.workloads.linalg import make_vectoradd_spec
 

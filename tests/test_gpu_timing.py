@@ -3,13 +3,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.gpu import GRID_K520, QUADRO_4000, TEGRA_K1
-from repro.gpu.timing import KernelTimingModel
+from repro.gpu.timing import ExecutionProfile, KernelTimingModel
 from repro.kernels import (
+    InstructionMix,
     InstructionType,
     KernelCompiler,
+    KernelIR,
     LaunchConfig,
     MemoryFootprint,
+    ProgramBlock,
     uniform_kernel,
 )
 
@@ -207,3 +211,126 @@ def test_profile_invariants(fp32, loads):
         TEGRA_K1.cycles_to_ms(profile.elapsed_cycles)
     )
     assert profile.cache_hits >= 0 and profile.cache_misses >= 0
+
+
+# -- profile memo tiers --------------------------------------------------------
+
+
+def _multiblock_kernel():
+    """Multi-block kernel with a launch-dependent (callable) trip count."""
+    return KernelIR(
+        name="multiblock",
+        blocks=(
+            ProgramBlock(
+                name="body",
+                mix=InstructionMix(
+                    {
+                        InstructionType.FP32: 6.0,
+                        InstructionType.INT: 2.0,
+                        InstructionType.LOAD: 2.0,
+                        InstructionType.STORE: 1.0,
+                    }
+                ),
+                trips=lambda ctx: ctx.elements_per_thread,
+            ),
+            ProgramBlock(
+                name="tail",
+                mix=InstructionMix(
+                    {InstructionType.BRANCH: 1.0, InstructionType.BIT: 2.0}
+                ),
+                trips=3.0,
+            ),
+        ),
+        footprint=MemoryFootprint(
+            bytes_in=256 * 1024,
+            bytes_out=128 * 1024,
+            working_set_bytes=256 * 1024,
+            locality=0.5,
+        ),
+        elements_per_thread=8.0,
+    )
+
+
+def test_profile_cached_peeks_without_side_effects():
+    compiled = COMPILER.compile(_multiblock_kernel(), QUADRO_4000)
+    launch = LaunchConfig(grid_size=4, block_size=256, elements=4 * 256 * 8)
+    model = KernelTimingModel(QUADRO_4000)
+    assert not model.profile_cached(compiled, launch)
+    assert model.cache_hits == 0 and model.cache_misses == 0
+    model.execute(compiled, launch)
+    assert model.profile_cached(compiled, launch)
+
+
+def test_content_tier_shares_profiles_across_compiles():
+    """Structurally identical compiles (fresh ids) reuse one profile.
+
+    This is the coalescer's shape: every merge pass mints a brand-new
+    merged ``KernelIR``, so the id-keyed memo always misses even though
+    the launch is structurally identical to last round's.
+    """
+    kernel = _multiblock_kernel()
+    launch = LaunchConfig(grid_size=9, block_size=512, elements=9 * 512 * 8)
+    first = KernelCompiler().compile(kernel, QUADRO_4000)
+    second = KernelCompiler().compile(kernel, QUADRO_4000)
+    assert first is not second
+    model = KernelTimingModel(QUADRO_4000)
+    with obs.capture() as cap:
+        p1 = model.execute(first, launch)
+        p2 = model.execute(second, launch)
+    assert p2 is p1
+    snap = cap.registry.snapshot()
+    assert snap["cache.profile.misses"]["value"] == 2
+    assert snap["cache.profile.content_hits"]["value"] == 1
+
+
+def test_component_methods_match_profile_fields():
+    kernel = _multiblock_kernel()
+    for arch in (QUADRO_4000, GRID_K520, TEGRA_K1):
+        compiled = COMPILER.compile(kernel, arch)
+        launch = LaunchConfig(grid_size=17, block_size=256, elements=17 * 256 * 8)
+        model = KernelTimingModel(arch)
+        profile = model.execute(compiled, launch)
+        assert model.issue_cycles(compiled, launch) == profile.issue_cycles
+        assert model.memory_cycles(compiled, launch) == profile.memory_cycles
+        assert (
+            model.data_stall_cycles(compiled, launch)
+            == profile.data_stall_cycles
+        )
+
+
+# -- degenerate-elapsed handling -----------------------------------------------
+
+
+def _degenerate_profile(elapsed):
+    return ExecutionProfile(
+        kernel_name="degenerate",
+        arch_name="Quadro 4000",
+        launch=LaunchConfig(grid_size=1, block_size=1, elements=0),
+        sigma={t: 0.0 for t in InstructionType},
+        issue_cycles=0.0,
+        memory_cycles=0.0,
+        data_stall_cycles=5.0,
+        other_stall_cycles=5.0,
+        elapsed_cycles=elapsed,
+        time_ms=0.0,
+        cache_hits=0.0,
+        cache_misses=0.0,
+        cache_hit_probability=0.0,
+        waves=0,
+        occupancy=0.0,
+    )
+
+
+@pytest.mark.parametrize("elapsed", [0.0, -1.0])
+def test_stall_views_agree_on_degenerate_launches(elapsed):
+    """``stall_breakdown`` and ``stall_fraction`` share the ``<= 0`` guard."""
+    profile = _degenerate_profile(elapsed)
+    assert profile.stall_fraction == 0.0
+    assert profile.stall_breakdown() == {"data_dependency": 0.0, "other": 0.0}
+
+
+def test_stall_views_consistent_when_positive():
+    profile = _degenerate_profile(20.0)
+    breakdown = profile.stall_breakdown()
+    assert breakdown == {"data_dependency": 25.0, "other": 25.0}
+    assert profile.stall_fraction == 0.5

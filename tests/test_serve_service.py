@@ -356,3 +356,72 @@ def test_watch_streams_transitions_to_terminal(state_dir):
         assert states == sorted(
             states, key=["queued", "running", "done"].index
         )
+
+
+# -- reaper interleavings ----------------------------------------------------------
+
+
+class _ExitsAfterPollConn:
+    """A result pipe whose worker reports just after the timed poll.
+
+    The first ``poll(timeout)`` times out empty; the worker then sends
+    its result and exits, so the pipe holds the outcome by the time the
+    reaper sees the process dead.
+    """
+
+    def __init__(self, outcome, proc):
+        self._outcome = outcome
+        self._proc = proc
+        self._sent = False
+
+    def poll(self, timeout=0.0):
+        if not self._sent:
+            self._sent = True
+            self._proc.alive = False
+            return False
+        return self._outcome is not None
+
+    def recv(self):
+        outcome, self._outcome = self._outcome, None
+        if outcome is None:
+            raise EOFError
+        return outcome
+
+    def close(self):
+        pass
+
+
+class _FakeProc:
+    alive = True
+    exitcode = 0
+
+    def is_alive(self):
+        return self.alive
+
+    def join(self, timeout=None):
+        pass
+
+    def terminate(self):
+        self.alive = False
+
+
+def test_reaper_keeps_result_sent_just_before_worker_exit(state_dir):
+    daemon = _daemon(state_dir)
+    job = _service_job(1)
+    daemon._jobs[job.job_id] = job
+    proc = _FakeProc()
+    outcome = {"ok": True, "value": {"total_ms": 1.0}, "digest": "abc123"}
+    daemon._reap(job, proc, _ExitsAfterPollConn(outcome, proc))
+    assert job.state is JobState.DONE, job.error
+    assert job.digest == "abc123"
+
+
+def test_reaper_reports_worker_died_when_pipe_is_empty(state_dir):
+    daemon = _daemon(state_dir)
+    job = _service_job(1)
+    daemon._jobs[job.job_id] = job
+    proc = _FakeProc()
+    proc.exitcode = -9
+    daemon._reap(job, proc, _ExitsAfterPollConn(None, proc))
+    assert job.state is JobState.FAILED
+    assert job.error["code"] == "worker-died"

@@ -196,3 +196,16 @@ def test_calibrated_kernel_hits_target():
 def test_calibration_clamps_at_zero():
     nbytes = copy_bytes_for_ms(4.0)
     assert calibrate_fp32_count(0.0, nbytes) == 0.0
+
+
+def test_functional_scalarprod_rejects_partial_vectors_before_simulating():
+    from repro.api import RunRequest, run
+
+    request = RunRequest(app="scalarProd", n_vps=2, functional=True,
+                         scale_elements=1000)
+    with pytest.raises(ValueError, match="multiple of 256"):
+        run(request)
+    # Timing-only runs never reshape, so any element count still works.
+    assert run(request.with_overrides(functional=False)).value["total_ms"] > 0
+    # A whole number of vectors runs functionally.
+    assert run(request.with_overrides(scale_elements=1024)).value["total_ms"] > 0
