@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .core.scenarios import ScenarioResult
@@ -50,10 +50,11 @@ __all__ = [
 ]
 
 #: Version of the :class:`RunRequest` wire schema.  Bump on any change
-#: that alters field meaning; additions of defaulted fields keep the
-#: version (old daemons reject unknown fields with a structured error,
-#: which is the compatibility signal clients act on).
-SCHEMA_VERSION = 1
+#: that alters field meaning or removes a field; additions of defaulted
+#: fields keep the version (old daemons reject unknown fields with a
+#: structured error, which is the compatibility signal clients act on).
+#: Schema 2 dropped ``shards``.
+SCHEMA_VERSION = 2
 
 #: Transports a request may name (the farm's resolve_transport accepts
 #: the same spellings).
@@ -70,7 +71,7 @@ _ALWAYS_KEYS = (
 #: rule, now in one place).
 _OPTIONAL_KEYS = (
     "max_batch", "scale_elements", "scale_iterations", "functional",
-    "policy", "placement", "shards", "backend",
+    "policy", "placement", "backend",
 )
 
 #: Service-routing fields excluded from scenario identity.
@@ -124,9 +125,6 @@ class RunRequest:
     #: policies``); ``None`` keeps the legacy derived defaults.
     policy: Optional[str] = None
     placement: Optional[str] = None
-    #: Partitioned event loop: a domain count, ``"per-gpu"`` or
-    #: ``"per-vp-group"`` (digest-identical to serial by construction).
-    shards: Optional[Union[int, str]] = None
     #: Registered execution backend name (``repro backends``).
     backend: Optional[str] = None
     #: Service routing (never part of scenario identity): the tenant a
@@ -165,16 +163,6 @@ class RunRequest:
                 raise RequestError(
                     "bad-value", f"{name} must be None or an int >= 1, got {value!r}"
                 )
-        if self.shards is not None and not (
-            (isinstance(self.shards, int) and not isinstance(self.shards, bool)
-             and self.shards >= 1)
-            or self.shards in ("per-gpu", "per-vp-group")
-        ):
-            raise RequestError(
-                "bad-value",
-                "shards must be None, a positive domain count, 'per-gpu' "
-                f"or 'per-vp-group', got {self.shards!r}",
-            )
         if not self.tenant or not isinstance(self.tenant, str) or "\n" in self.tenant:
             raise RequestError(
                 "bad-value", f"tenant must be a non-empty line, got {self.tenant!r}"
@@ -260,9 +248,6 @@ class RunRequest:
             )
         if "app" not in payload:
             raise RequestError("bad-field", "RunRequest requires 'app'")
-        shards = payload.get("shards")
-        if isinstance(shards, float) and shards.is_integer():
-            payload = dict(payload, shards=int(shards))
         try:
             return cls(**payload)
         except TypeError as exc:  # non-keyword-able payload shapes
@@ -271,20 +256,6 @@ class RunRequest:
     def with_overrides(self, **overrides: Any) -> "RunRequest":
         """A copy with the given fields replaced (validation re-runs)."""
         return dataclasses.replace(self, **overrides)
-
-
-def _coerce_shards(value: Any) -> Optional[Union[int, str]]:
-    """Narrow a loosely-typed ``shards`` value to the request's type.
-
-    Callers with ``object``-typed plumbing (the farm-job surface) route
-    through this; full validation still happens in ``__post_init__``.
-    """
-    if value is None or isinstance(value, (int, str)):
-        return value
-    raise RequestError(
-        "bad-value",
-        f"shards must be None, a domain count or a plan name, got {value!r}",
-    )
 
 
 def _field_defaults() -> Dict[str, Any]:
@@ -361,7 +332,6 @@ def scenario(request: RunRequest) -> "ScenarioResult":
         functional=request.functional,
         policy=request.policy,
         placement=request.placement,
-        shards=request.shards,
         backend=request.backend,
     )
 

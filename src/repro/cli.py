@@ -81,20 +81,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _shards_value(text: str) -> object:
-    """argparse type for ``--shards``: a domain count or a plan name."""
-    value = text.strip().lower()
-    if value in ("", "none", "0", "1"):
-        return None
-    if value.isdigit():
-        return int(value)
-    if value in ("per-gpu", "per-vp-group"):
-        return value
-    raise ValueError(
-        f"need a domain count, 'per-gpu' or 'per-vp-group', got {text!r}"
-    )
-
-
 def _sched_options(parser_: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """Attach the scheduling-stage overrides (see ``repro policies``)."""
     parser_.add_argument("--policy", default=None, metavar="NAME",
@@ -138,11 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--transport", choices=("socket", "shm"), default="socket")
     run.add_argument("--functional", action="store_true",
                      help="execute kernels numerically (numpy)")
-    run.add_argument("--shards", type=_shards_value, default=None,
-                     metavar="N|per-gpu|per-vp-group",
-                     help="partition the event loop into time-decoupled "
-                          "simulation domains (results are bit-identical "
-                          "to the serial engine)")
     run.add_argument("--gantt", action="store_true",
                      help="print the engine timeline")
     run.add_argument("--account", action="store_true",
@@ -179,9 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CI smoke subset of the pinned suite")
     bench.add_argument("-o", "--output", default="BENCH_PR8.json",
                        help="JSON report path (use '-' to skip writing)")
-    bench.add_argument("--no-shard", action="store_true",
-                       help="skip the domain-sharding section "
-                            "(sharded / sharded_mp modes)")
     bench.add_argument("--trace", action="store_true",
                        help="add a traced parallel mode and write one "
                             "merged multi-worker trace")
@@ -298,10 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     ))
     submit.add_argument("--functional", action="store_true",
                         help="execute kernels numerically (numpy)")
-    submit.add_argument("--shards", type=_shards_value, default=None,
-                        metavar="N|per-gpu|per-vp-group",
-                        help="partition the event loop into "
-                             "time-decoupled simulation domains")
     submit.add_argument("--tenant", default="default",
                         help="tenant to account this job to")
     submit.add_argument("--qos", type=int, default=None,
@@ -394,7 +368,6 @@ def _scenario_request(args: argparse.Namespace, n_vps: Optional[int] = None):
         functional=getattr(args, "functional", False),
         policy=getattr(args, "policy", None),
         placement=getattr(args, "placement", None),
-        shards=getattr(args, "shards", None),
         backend=getattr(args, "backend", None),
         tenant=getattr(args, "tenant", None) or "default",
         qos=getattr(args, "qos", None),
@@ -454,13 +427,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
         print(f"coalescer: {stats.merges} merges covering "
               f"{stats.kernels_coalesced} kernels")
     print(f"kernels profiled: {len(framework.profiler)}")
-    stats_fn = getattr(framework.env, "domain_stats", None)
-    if callable(stats_fn):
-        stats = stats_fn()
-        print(f"domains: {stats['domains']} (plan {stats['plan']}), "
-              f"lookahead {stats['lookahead_ms']:.3f} ms, "
-              f"{stats['epochs']} epochs, "
-              f"{stats['switches']} domain switches")
     if args.gantt:
         print()
         print(render_gantt(collect_timeline(framework)))
@@ -835,7 +801,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             policy=args.policy,
             placement=args.placement,
             compare=args.compare,
-            shard=not args.no_shard,
         )
         print(render_report(report))
         if args.output != "-":

@@ -30,7 +30,7 @@ merges when the group is complete or the window expires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..caching import caches_enabled
 from ..gpu.device import HostGPU
@@ -137,18 +137,9 @@ class KernelCoalescer:
         self._triples_version = -1
         self._triples_queue: Optional[JobQueue] = None
         self._triples_cache: Dict[tuple, List[Triple]] = {}
-
-    def declare_domain_edges(self, plan) -> None:
-        """Declare coalescing-window edges for a sharded simulation plan.
-
-        A merge joins requests from several VP domains; the soonest a new
-        arrival can alter an open group's fate is the settle window after
-        the previous arrival, so the settle period bounds cross-domain
-        reaction time at the coalescing boundary.
-        """
-        plan.declare_edge(
-            "vp:*", "dispatcher:host", self.settle_ms, kind="coalesce-window"
-        )
+        #: ``job_id`` -> the group its triple belongs to, built with the
+        #: triple cache; a job sits in at most one VP's head triple.
+        self._group_of: Dict[int, List[Triple]] = {}
 
     # -- triple discovery --------------------------------------------------
 
@@ -169,6 +160,12 @@ class KernelCoalescer:
         self._triples_queue = queue
         self._triples_version = queue.version
         self._triples_cache = groups
+        self._group_of = {
+            job.job_id: triples
+            for triples in groups.values()
+            for triple in triples
+            for job in triple.jobs
+        }
         return groups
 
     def _scan_triples(self, queue: JobQueue) -> Dict[tuple, List[Triple]]:
@@ -239,15 +236,12 @@ class KernelCoalescer:
         not part of a coalescible group, or its group is ready to merge
         right now (the merge happens in the same dispatcher pass).
         """
-        for triples in self.find_triples(queue).values():
-            group_jobs = {j.job_id for t in triples for j in t.jobs}
-            if job.job_id not in group_jobs:
-                continue
-            ready, deadline = self._group_state(triples)
-            if ready:
-                return None
-            return deadline
-        return None
+        self.find_triples(queue)
+        triples = self._group_of.get(job.job_id)
+        if triples is None:
+            return None
+        ready, deadline = self._group_state(triples)
+        return None if ready else deadline
 
     # -- the merge -----------------------------------------------------------
 

@@ -214,8 +214,7 @@ class JobDispatcher:
                 registry.histogram(
                     "jobqueue.depth_at_dispatch", _obs_metrics.DEPTH_BUCKETS
                 ).observe(len(self.queue))
-            # Labeled by bound device so sharded environments keep a
-            # job's execution events on its device's domain heap.
+            # Labeled by bound device and job so a failure names both.
             execution = self.env.process(
                 self._execute(job, expected),
                 label=f"gpu:{job.device}/execute({job.vp}#{job.seq})",

@@ -19,7 +19,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..backend.registry import make_backend
 from ..gpu.arch import GPUArchitecture, QUADRO_4000, TEGRA_K1
@@ -151,18 +151,6 @@ class SigmaVP:
             # Triples merge only within one device's VPs.
             coalescer.gpus = self.gpus
             coalescer.device_of = self.dispatcher.device_index_for
-
-        # Sharded environments carry a DomainPlan; components declare
-        # their cross-domain edges so the conservative lookahead derives
-        # from real latencies (IPC transport, coalescing settle window).
-        plan = getattr(self.env, "plan", None)
-        if plan is not None:
-            self.ipc.declare_domain_edges(plan)
-            if coalescer is not None:
-                coalescer.declare_domain_edges(plan)
-            refresh = getattr(self.env, "refresh_lookahead", None)
-            if callable(refresh):
-                refresh()
 
         self.sessions: Dict[str, VPSession] = {}
         self._vp_cpu = vp_cpu

@@ -157,18 +157,6 @@ class IPCManager:
             f"messages={self.messages_sent}>"
         )
 
-    def declare_domain_edges(self, plan) -> None:
-        """Declare guest↔host edges for a sharded simulation plan.
-
-        Every message between a VP domain and the host domain pays at
-        least the transport's fixed latency, in both directions — the
-        dominant lookahead source of a ΣVP scenario (0.55 ms for the
-        socket transport, 0.03 ms for shared memory).
-        """
-        latency = self.transport.latency_ms
-        plan.declare_edge("vp:*", "dispatcher:host", latency, kind="ipc-submit")
-        plan.declare_edge("dispatcher:host", "vp:*", latency, kind="ipc-respond")
-
     def submit(self, job: Job, payload_bytes: int = 0):
         """Generator: deliver ``job`` to the host queue over the transport.
 

@@ -49,14 +49,16 @@ _job_ids = itertools.count()
 _KEY_UNSET = object()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Job:
     """One GPU request from a VP, as seen by the host.
 
     ``slots=True``: jobs are allocated per CUDA call across every VP, so
     they are among the hottest objects of a simulation; slots cut both
     the per-instance memory and the attribute-access cost the dispatcher
-    and coalescer pay on every scheduling decision.
+    and coalescer pay on every scheduling decision.  ``eq=False``: a job
+    is an identity, so queue lookups (``list.index``/``list.remove``)
+    compare by ``is`` instead of field by field.
     """
 
     vp: str
@@ -94,7 +96,7 @@ class Job:
     completed_at_ms: Optional[float] = None
     # Memoized coalesce key (kernel and launch are fixed at creation).
     _coalesce_key: Any = field(
-        default=_KEY_UNSET, init=False, repr=False, compare=False
+        default=_KEY_UNSET, init=False, repr=False
     )
 
     def __repr__(self) -> str:

@@ -23,8 +23,7 @@ from ..gpu.arch import GPUArchitecture, QUADRO_4000
 from ..gpu.device import HostGPU
 from ..kernels.functional import REGISTRY, FunctionalRegistry
 from ..sched.config import SchedulerConfig
-from ..sim import Environment, ShardedEnvironment
-from ..sim.domains import scenario_plan
+from ..sim import Environment
 from ..vp.cpu import CPUModel, HOST_XEON, QEMU_ARM_VP
 from ..vp.cuda_runtime import CudaRuntime, EmulationBackend, NativeGPUBackend
 from ..vp.platform import VirtualPlatform
@@ -206,7 +205,6 @@ def run_sigma_vp(
     policy: Optional[str] = None,
     placement: Optional[str] = None,
     sched: Optional[SchedulerConfig] = None,
-    shards: Optional[object] = None,
     backend: Optional[str] = None,
 ) -> ScenarioResult:
     """The SigmaVP pipeline (Table 1 row 4; Fig. 11 speedup lines).
@@ -218,13 +216,9 @@ def run_sigma_vp(
     ``interleaving``, placement is round-robin) and the scenario label —
     part of the digest wire format — is unchanged.
 
-    ``shards`` selects the partitioned in-process event loop (an int
-    domain count, ``"per-gpu"``, or ``"per-vp-group"``; see
-    :mod:`repro.sim.domains`).  Sharding is a run mechanic, not part of
-    the scenario identity: results are digest-identical to the serial
-    engine by construction, so the label is unchanged.  ``backend``
-    (an execution-backend name) is likewise a run mechanic: registered
-    backends are digest-interchangeable, so it never enters the label.
+    ``backend`` (an execution-backend name) is a run mechanic, not part
+    of the scenario identity: registered backends are
+    digest-interchangeable, so it never enters the label.
     """
     if n_vps <= 0:
         raise ValueError(f"n_vps must be positive, got {n_vps}")
@@ -236,18 +230,7 @@ def run_sigma_vp(
         raise ValueError(
             "pass either sched= or policy=/placement=/backend=, not both"
         )
-    env: Optional[Environment] = None
-    if shards is not None:
-        plan = scenario_plan(
-            shards,
-            n_vps,
-            n_host_gpus,
-            default_placement=sched.placement == "round-robin",
-        )
-        if plan is not None:
-            env = ShardedEnvironment(plan)
     framework = SigmaVP(
-        env=env,
         host_arch=host_arch,
         transport=transport,
         interleaving=interleaving,

@@ -35,7 +35,6 @@ from .farm import (
     results_digest,
     seed_for,
 )
-from .shard import mp_eligible, run_sharded_inproc, run_sharded_mp
 from .trajectory import (
     TrajectoryError,
     TrajectoryPoint,
@@ -59,9 +58,6 @@ __all__ = [
     "FarmJob",
     "FarmResult",
     "ScenarioFarm",
-    "mp_eligible",
-    "run_sharded_inproc",
-    "run_sharded_mp",
     "canonical_json",
     "config_key",
     "results_digest",

@@ -40,22 +40,19 @@ whole-job-result modes.  See :func:`_disk_section`.
 
 from __future__ import annotations
 
-import gc
 import json
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .. import cache as _cache
 from ..caching import cache_scope, clear_all_caches
-from ..obs import farm_merged_metrics, farm_trace_sources, to_chrome_trace
+from ..obs import farm_merged_metrics, farm_trace_sources
 from ..obs.export import git_commit as _git_commit
 from .farm import (
     FarmJob,
-    FarmResult,
     ScenarioFarm,
-    canonical_json,
     results_digest,
 )
 
@@ -100,30 +97,6 @@ QUICK_SUITE: List[FarmJob] = [
     FarmJob(fn="repro.exec.jobs:scenario_summary", label="vectorAdd8",
             kwargs={"app": "vectorAdd", "n_vps": 8,
                     "scale_elements": 8192, "scale_iterations": 4}),
-]
-
-
-#: Domain-sharding proof scenarios (``report["sharding"]``): multi-GPU,
-#: many-VP shapes where partitioned event heaps pay off.  The FIRST
-#: entry is the headline — the largest multi-GPU scenario — and the one
-#: the in-process speedup gate is enforced on.  Shapes are **event
-#: bound** (``scale_elements`` shrinks input generation the same way
-#: the farm suite scales numpy-bound jobs down) so the section measures
-#: the event loop and the scheduling machinery, not ``np.random``.
-SHARD_SCENARIOS: List[Dict[str, Any]] = [
-    {"label": "vectorAdd48x2",
-     "kwargs": {"app": "vectorAdd", "n_vps": 48, "n_host_gpus": 2,
-                "scale_elements": 1024, "scale_iterations": 24}},
-    {"label": "BlackScholes24x2",
-     "kwargs": {"app": "BlackScholes", "n_vps": 24, "n_host_gpus": 2,
-                "scale_elements": 1024, "scale_iterations": 24}},
-]
-
-#: CI smoke subset of the sharding section: one smaller two-GPU shape.
-QUICK_SHARD_SCENARIOS: List[Dict[str, Any]] = [
-    {"label": "vectorAdd12x2",
-     "kwargs": {"app": "vectorAdd", "n_vps": 12, "n_host_gpus": 2,
-                "scale_elements": 1024, "scale_iterations": 8}},
 ]
 
 
@@ -174,10 +147,6 @@ class BenchOverheadError(AssertionError):
 
 class BenchDiskCacheError(AssertionError):
     """The disk-cache cold-start section missed an acceptance bound."""
-
-
-class BenchShardError(AssertionError):
-    """The domain-sharding section missed a speedup acceptance bound."""
 
 
 #: Maximum allowed slowdown of the tracing-disabled serial-warm mode
@@ -419,170 +388,6 @@ def _disk_section(
     return section
 
 
-def _time_interleaved(
-    fns: Sequence[Tuple[str, Callable[[], Any]]],
-    rounds: int,
-) -> Dict[str, Tuple[Any, Dict[str, Any]]]:
-    """Best-of-``rounds`` timing with the modes interleaved per round.
-
-    Timing modes back-to-back (all rounds of A, then all rounds of B)
-    lets a single background-CPU spike inflate one mode and flip an A/B
-    ratio; interleaving lands any disturbance on every mode near
-    symmetrically, and best-of then discards it.  The collector is
-    paused around each timed window so one mode's allocator debt is not
-    paid inside another's measurement.  Every round of one mode must
-    return an equal value or the measurement fails.
-    """
-    best: Dict[str, Dict[str, Any]] = {
-        name: {"wall_s": float("inf"), "cpu_s": float("inf")} for name, _ in fns
-    }
-    values: Dict[str, Any] = {}
-    for index in range(max(1, rounds)):
-        for name, fn in fns:
-            gc_was_enabled = gc.isenabled()
-            gc.collect()
-            gc.disable()
-            try:
-                cpu0 = time.process_time()
-                wall0 = time.perf_counter()
-                result = fn()
-                wall = time.perf_counter() - wall0
-                cpu = time.process_time() - cpu0
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-            entry = best[name]
-            entry["wall_s"] = min(entry["wall_s"], wall)
-            entry["cpu_s"] = min(entry["cpu_s"], cpu)
-            if index > 0 and result != values[name]:
-                raise BenchDigestError("repeated rounds of one mode disagree")
-            values[name] = result
-    return {
-        name: (values[name], {**best[name], "rounds": max(1, rounds)})
-        for name, _ in fns
-    }
-
-
-def _shard_section(
-    scenarios: Sequence[Dict[str, Any]],
-    rounds: int = 5,
-    enforce: bool = True,
-) -> Dict[str, Any]:
-    """Domain-sharding section: ``sharded`` and ``sharded_mp`` modes.
-
-    For each scenario, runs four modes best-of-``rounds``, interleaved
-    (see :func:`_time_interleaved`):
-
-    * ``serial_warm`` — the single-heap engine, the baseline;
-    * ``sharded`` — the in-process domain scheduler
-      (:func:`repro.exec.shard.run_sharded_inproc`): each edge-free
-      per-GPU domain runs to completion in turn, shrinking the
-      superlinear scheduling state to one device group's size;
-    * ``sharded_merge`` — the exact n-way-merge engine
-      (``shards="per-gpu"``: per-domain event heaps, one process,
-      event-by-event global order) — the general-case fallback, timed
-      for the record but expected to track serial closely;
-    * ``sharded_mp`` — the multiprocessing domain executor (per-GPU
-      sub-simulations on a persistent farm pool).
-
-    All summaries must be **equal** — sharding is a run mechanic, never
-    a result change.
-
-    ``enforce=True`` applies the acceptance bounds: the in-process
-    domain scheduler must be at least break-even (CPU time, the
-    steal-immune metric) on the headline scenario (``scenarios[0]``),
-    and the multiprocessing executor must beat warm serial wall time on
-    at least one scenario.
-    """
-    import hashlib as _hashlib
-
-    from .jobs import scenario_shard_stats, scenario_summary
-    from .shard import run_sharded_inproc, run_sharded_mp
-
-    out: List[Dict[str, Any]] = []
-    for entry in scenarios:
-        kwargs = dict(entry["kwargs"])
-        clear_all_caches()
-        # Untimed warm pass; doubles as the engine-statistics probe.
-        stats_bundle = scenario_shard_stats(shards="per-gpu", **kwargs)
-
-        with ScenarioFarm(
-            workers=kwargs.get("n_host_gpus", 1), persistent=True
-        ) as farm:
-            run_sharded_mp(farm=farm, **kwargs)  # pool start + worker warm
-            timed = _time_interleaved(
-                [
-                    ("serial", lambda: scenario_summary(**kwargs)),
-                    ("sharded", lambda: run_sharded_inproc(**kwargs)),
-                    ("merge",
-                     lambda: scenario_summary(shards="per-gpu", **kwargs)),
-                    ("mp", lambda: run_sharded_mp(farm=farm, **kwargs)),
-                ],
-                rounds,
-            )
-        serial_value, serial_t = timed["serial"]
-        sharded_value, sharded_t = timed["sharded"]
-        merge_value, merge_t = timed["merge"]
-        mp_value, mp_t = timed["mp"]
-
-        for name, value in (
-            ("sharded", sharded_value),
-            ("sharded_merge", merge_value),
-            ("sharded_mp", mp_value),
-            ("warm-pass", stats_bundle["summary"]),
-        ):
-            if value != serial_value:
-                raise BenchDigestError(
-                    f"shard mode {name!r} changed simulation results for "
-                    f"{entry['label']}"
-                )
-        digest = _hashlib.sha256(
-            canonical_json(serial_value).encode()
-        ).hexdigest()
-        out.append({
-            "label": entry["label"],
-            "kwargs": kwargs,
-            "digest": digest,
-            "domain_stats": stats_bundle["domain_stats"],
-            "modes": {
-                "serial_warm": serial_t,
-                "sharded": sharded_t,
-                "sharded_merge": merge_t,
-                "sharded_mp": mp_t,
-            },
-            "speedups": {
-                "sharded_vs_serial_cpu": serial_t["cpu_s"] / sharded_t["cpu_s"],
-                "sharded_vs_serial_wall":
-                    serial_t["wall_s"] / sharded_t["wall_s"],
-                "merge_vs_serial_cpu": serial_t["cpu_s"] / merge_t["cpu_s"],
-                "mp_vs_serial_wall": serial_t["wall_s"] / mp_t["wall_s"],
-            },
-        })
-
-    section = {
-        "scenarios": out,
-        "identical_results": True,
-        "enforced": enforce,
-    }
-    if enforce:
-        headline = out[0]
-        ratio = headline["speedups"]["sharded_vs_serial_cpu"]
-        if ratio < 1.0:
-            raise BenchShardError(
-                f"in-process domain scheduler is slower than warm serial on "
-                f"the headline scenario {headline['label']}: "
-                f"{ratio:.2f}x (need >= 1.0x)"
-            )
-        if not any(
-            s["speedups"]["mp_vs_serial_wall"] > 1.0 for s in out
-        ):
-            raise BenchShardError(
-                "multiprocessing domain executor beat warm serial wall "
-                "time on no scenario"
-            )
-    return section
-
-
 def run_bench(
     workers: int = 4,
     quick: bool = False,
@@ -596,7 +401,6 @@ def run_bench(
     policy: Optional[str] = None,
     placement: Optional[str] = None,
     compare: bool = False,
-    shard: bool = True,
 ) -> Dict[str, Any]:
     """Run the pinned suite serial-cold, serial-warm, and parallel-warm.
 
@@ -626,13 +430,6 @@ def run_bench(
     every sched-aware suite job (:func:`with_sched_stages`); the
     overhead guard is only meaningful against a like-for-like baseline,
     so it is skipped for non-default stages.
-
-    ``shard=True`` (the default) appends the domain-sharding section
-    (:func:`_shard_section`): the ``sharded`` (in-process domain
-    scheduler), ``sharded_merge`` (partitioned exact-merge event loop)
-    and ``sharded_mp`` (per-GPU worker processes) modes over the
-    multi-GPU proof scenarios, digest-equal to warm serial and — on
-    full runs — held to their speedup bounds.
     """
     suite = list(jobs) if jobs is not None else (QUICK_SUITE if quick else FULL_SUITE)
     if policy is not None or placement is not None:
@@ -715,14 +512,6 @@ def run_bench(
             "untraced_wall_s": parallel["wall_s"],
             "ratio": traced["wall_s"] / parallel["wall_s"],
         }
-    if shard:
-        # Quick (CI smoke) runs record the section but skip the speedup
-        # bounds: the small smoke scenario's margin is noise-sized.
-        with _cache.disk_scope(False):
-            report["sharding"] = _shard_section(
-                QUICK_SHARD_SCENARIOS if quick else SHARD_SCENARIOS,
-                enforce=not quick,
-            )
     if cold:
         report["disk_cache"] = _disk_section(
             suite, workers, cold_mode["digest"], warm["wall_s"]
@@ -787,27 +576,6 @@ def render_report(report: Dict[str, Any]) -> str:
             f"disk cache cold-start speedup: "
             f"{ratios['cold_start_speedup']:.2f}x; "
             f"job-result layer: {ratios['job_warm_speedup']:.0f}x"
-        )
-    sharding = report.get("sharding")
-    if sharding:
-        for scenario in sharding["scenarios"]:
-            speed = scenario["speedups"]
-            stats = scenario.get("domain_stats") or {}
-            merge_ratio = speed.get("merge_vs_serial_cpu")
-            merge_part = (
-                f"merge {merge_ratio:.2f}x cpu, " if merge_ratio else ""
-            )
-            lines.append(
-                f"  shard:{scenario['label']:<18} "
-                f"sharded {speed['sharded_vs_serial_cpu']:.2f}x cpu, "
-                f"{merge_part}"
-                f"mp {speed['mp_vs_serial_wall']:.2f}x wall "
-                f"({stats.get('domains', '?')} domains, "
-                f"{stats.get('epochs', '?')} epochs, "
-                f"lookahead {stats.get('lookahead_ms', '?')}ms)"
-            )
-        lines.append(
-            f"sharding digests identical: {sharding['identical_results']}"
         )
     tracing = report.get("tracing_overhead")
     if tracing:

@@ -69,7 +69,6 @@ def scenario_summary(
     functional: bool = False,
     policy: Optional[str] = None,
     placement: Optional[str] = None,
-    shards: Optional[object] = None,
     backend: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One SigmaVP route for a catalogued app, summarized JSON-ably.
@@ -77,11 +76,10 @@ def scenario_summary(
     ``functional=True`` additionally executes the registered functional
     kernels (the bench's batched-execution proof point uses this); the
     default stays timing-only.  ``policy``/``placement`` name registered
-    scheduling stages (``repro policies`` lists them).  ``shards``
-    selects the partitioned in-process event loop (digest-identical to
-    serial by construction).  ``backend`` names a registered execution
-    backend (``repro backends`` lists them; digest-interchangeable by
-    contract).  All are defaulted kwargs, so they leave the config-hash
+    scheduling stages (``repro policies`` lists them).  ``backend`` names
+    a registered execution backend (``repro backends`` lists them;
+    digest-interchangeable by contract).  All are defaulted kwargs, so
+    they leave the config-hash
     keys of all existing jobs untouched — an explicit ``backend`` enters
     the job key, distinguishing cached results per backend.
 
@@ -90,7 +88,7 @@ def scenario_summary(
     :func:`repro.api.scenario` projection, so the farm, the CLI and the
     ``repro serve`` daemon all execute one code path.
     """
-    from ..api import RunRequest, _coerce_shards, scenario
+    from ..api import RunRequest, scenario
 
     request = RunRequest(
         app=app,
@@ -105,52 +103,9 @@ def scenario_summary(
         functional=functional,
         policy=policy,
         placement=placement,
-        shards=_coerce_shards(shards),
         backend=backend,
     )
     return scenario(request).summary()
-
-
-def scenario_shard_stats(
-    app: str,
-    n_vps: int = 8,
-    interleaving: bool = True,
-    coalescing: bool = True,
-    transport: str = "socket",
-    max_batch: int = 64,
-    n_host_gpus: int = 1,
-    scale_elements: Optional[int] = None,
-    scale_iterations: Optional[int] = None,
-    functional: bool = False,
-    shards: Optional[object] = "per-gpu",
-) -> Dict[str, Any]:
-    """Summary **plus** partitioned-engine statistics for one sharded run.
-
-    Same scenario surface as :func:`scenario_summary`, but runs with the
-    sharded engine and also returns its ``domain_stats()`` — epochs,
-    domain switches, boundary events, per-domain event counts, the
-    derived lookahead — which the plain summary (the digest wire format)
-    deliberately excludes.
-    """
-    from ..core.scenarios import run_sigma_vp
-
-    result = run_sigma_vp(
-        _spec(app, scale_elements, scale_iterations),
-        n_vps=n_vps,
-        interleaving=interleaving,
-        coalescing=coalescing,
-        transport=resolve_transport(transport),
-        max_batch=max_batch,
-        n_host_gpus=n_host_gpus,
-        functional=functional,
-        shards=shards,
-    )
-    framework = result.extras["framework"]
-    stats_fn = getattr(framework.env, "domain_stats", None)
-    return {
-        "summary": result.summary(),
-        "domain_stats": stats_fn() if callable(stats_fn) else None,
-    }
 
 
 def emulation_summary(

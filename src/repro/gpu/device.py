@@ -68,8 +68,7 @@ class HostGPU:
         # device and device-to-host transfers overlap with each other and
         # with compute, the three-stage pipeline Kernel Interleaving
         # exploits (paper Eq. 7).  Engine serving processes are labeled by
-        # device index so a sharded environment can place each device's
-        # service events on its own domain heap.
+        # device index so a failure names the engine that raised.
         self.h2d_engine = CopyEngine(
             env, name=f"{arch.name}/copy-h2d", plabel=f"gpu:{index}/copy-h2d"
         )

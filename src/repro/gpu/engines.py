@@ -66,7 +66,7 @@ class Engine:
         self.timeline: List[TimelineEntry] = []
         self.busy_ms = 0.0
         # ``plabel`` identifies the serving process for error reporting
-        # and domain routing (e.g. ``"gpu:1/compute"``); the engine name
+        # (e.g. ``"gpu:1/compute"``); the engine name
         # itself stays arch-scoped for trace lanes.
         self._process = env.process(self._serve(), label=plabel or f"engine:{name}")
 

@@ -13,20 +13,30 @@ examples/tests can check numerical results end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+import bisect
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from ..backend.api import ExecutionBackend
+
+
+_address = attrgetter("address")
 
 
 class OutOfDeviceMemory(Exception):
     """Raised when an allocation cannot be satisfied."""
 
 
-@dataclass
+@dataclass(eq=False)
 class DeviceBuffer:
-    """A contiguous region of device memory."""
+    """A contiguous region of device memory.
+
+    Compared by identity: a buffer is a live allocation, not a value, so
+    an equal-looking copy never stands in for it (see
+    :meth:`DeviceMemoryAllocator.free`).
+    """
 
     address: int
     size: int
@@ -87,11 +97,12 @@ class DeviceMemoryAllocator:
             gaps.append((cursor, self.capacity - cursor))
         return gaps
 
+    def _position(self, address: int) -> int:
+        """Index of the first buffer at or above ``address``."""
+        return bisect.bisect_left(self._buffers, address, key=_address)
+
     def _insert(self, buffer: DeviceBuffer) -> None:
-        index = 0
-        while index < len(self._buffers) and self._buffers[index].address < buffer.address:
-            index += 1
-        self._buffers.insert(index, buffer)
+        self._buffers.insert(self._position(buffer.address), buffer)
 
     def allocate(self, size: int, owner: str = "") -> DeviceBuffer:
         """First-fit allocation of ``size`` bytes."""
@@ -145,10 +156,10 @@ class DeviceMemoryAllocator:
     def free(self, buffer: DeviceBuffer) -> None:
         if buffer.freed:
             raise RuntimeError(f"double free of {buffer!r}")
-        try:
-            self._buffers.remove(buffer)
-        except ValueError:
-            raise RuntimeError(f"{buffer!r} was not allocated here") from None
+        index = self._position(buffer.address)
+        if index == len(self._buffers) or self._buffers[index] is not buffer:
+            raise RuntimeError(f"{buffer!r} was not allocated here")
+        del self._buffers[index]
         buffer.freed = True
         buffer.payload = None
         if self.backend is not None and buffer.backend_token is not None:

@@ -258,19 +258,6 @@ def collect_framework(framework: Any, registry: Optional[MetricsRegistry] = None
     registry.gauge("sim.horizon_ms").set(env_now)
     registry.gauge("sim.pending_events").set(framework.env.pending)
 
-    # Sharded environments additionally report their domain/epoch stats
-    # (duck-typed: absent on the serial engine).
-    domain_stats = getattr(framework.env, "domain_stats", None)
-    if callable(domain_stats):
-        stats = domain_stats()
-        registry.gauge("sim.domains").set(stats["domains"])
-        registry.gauge("sim.lookahead_ms").set(stats["lookahead_ms"])
-        registry.counter("sim.epochs").inc(stats["epochs"])
-        registry.counter("sim.domain_switches").inc(stats["switches"])
-        registry.counter("sim.boundary_events").inc(stats["boundary_events"])
-        for domain, count in enumerate(stats["events_per_domain"]):
-            registry.counter(f"sim.domain.{domain}.events").inc(count)
-
     gpus = list(getattr(framework, "gpus", ()))
     for index, gpu in enumerate(gpus):
         prefix = f"gpu{index}"

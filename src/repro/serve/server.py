@@ -169,6 +169,7 @@ class ServeDaemon:
         records, stats = replay_journal(self.journal_path)
         faulted = 0
         resumed = 0
+        unreadable = 0
         for record in records:
             job_id = record["job_id"]
             number = _job_number(job_id)
@@ -177,7 +178,10 @@ class ServeDaemon:
             try:
                 request = RunRequest.from_dict(record["request"])
             except RequestError:
-                continue  # journaled under an older schema; unrecoverable
+                # Journaled under an older schema: neither resumed nor
+                # served, but counted so the loss is visible.
+                unreadable += 1
+                continue
             job = ServiceJob(
                 job_id=job_id,
                 request=request,
@@ -205,6 +209,7 @@ class ServeDaemon:
         self.recovery = {
             "resumed": resumed,
             "faulted": faulted,
+            "unreadable": unreadable,
             "replayed": stats["records"],
             "torn": stats["torn"],
         }
@@ -383,6 +388,14 @@ class ServeDaemon:
                 return
         conn.close()
         with self._lock:
+            if self._stop.is_set() and not self._drain:
+                # stop() terminates and requeues running jobs.  If it
+                # already claimed this one, or killed the worker while
+                # this thread sat in poll() (the EOF is its kill, not a
+                # crash), the job is stop()'s to requeue.
+                claimed = job.job_id not in self._procs
+                if claimed or (outcome is None and not job.cancel_requested):
+                    return
             self._procs.pop(job.job_id, None)
             self.queue.mark_finished(job)
             if job.cancel_requested and outcome is None:

@@ -6,7 +6,6 @@ framework orchestration all run as coroutine processes in one
 :class:`~repro.sim.engine.Environment`.
 """
 
-from .domains import DomainEdge, DomainPlan, ShardedEnvironment
 from .engine import EmptySchedule, Environment, StopSimulation
 from .events import (
     AllOf,
@@ -23,12 +22,9 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "DomainEdge",
-    "DomainPlan",
     "EmptySchedule",
     "Environment",
     "Event",
-    "ShardedEnvironment",
     "Interrupt",
     "PriorityItem",
     "PriorityStore",

@@ -80,15 +80,6 @@ class Environment:
     ) -> Process:
         return Process(self, generator, label=label)
 
-    def domain_of(self, label: Optional[str]) -> int:
-        """Simulation domain for a new process (see ``repro.sim.domains``).
-
-        The serial engine runs everything in domain 0; a sharded
-        environment overrides this to place labeled components on their
-        partition's event heap.
-        """
-        return 0
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
@@ -145,19 +136,6 @@ class Environment:
             exc = event._value
             raise exc
 
-    def _run_loop(self, stop_at: float) -> None:
-        """Drain all events strictly before ``stop_at``.
-
-        ``peek() == inf`` doubles as the exhaustion check.  Subclasses
-        with partitioned heaps may override this hot loop (the sharded
-        environment inlines an n-way-merge drain) but must preserve its
-        contract exactly: events fire in ``(time, priority, sequence)``
-        order, :class:`StopSimulation` propagates to :meth:`run`, and the
-        loop returns once the next event is at or past ``stop_at``.
-        """
-        while self.peek() < stop_at:
-            self.step()
-
     def run(self, until: Any = None) -> Any:
         """Run until ``until`` (an event, a time, or exhaustion).
 
@@ -184,7 +162,9 @@ class Environment:
                     )
 
         try:
-            self._run_loop(stop_at)
+            # ``peek() == inf`` doubles as the exhaustion check.
+            while self.peek() < stop_at:
+                self.step()
         except StopSimulation:
             assert stop_event is not None
             if not stop_event._ok:

@@ -171,7 +171,7 @@ class Process(Event):
     other processes directly (``yield env.process(...)``).
     """
 
-    __slots__ = ("_generator", "_target", "_label", "_domain")
+    __slots__ = ("_generator", "_target", "_label")
 
     def __init__(
         self,
@@ -184,10 +184,8 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self._target: Optional[Event] = None
-        # Component identity for error reporting and domain routing; both
-        # must be in place before Initialize schedules the first resume.
+        # Component identity for error reporting.
         self._label = label
-        self._domain = env.domain_of(label)
         Initialize(env, self)
 
     @property
@@ -199,11 +197,6 @@ class Process(Event):
     def label(self) -> Optional[str]:
         """Component label for error reporting (e.g. ``"vp:vp3/app"``)."""
         return self._label
-
-    @property
-    def domain(self) -> int:
-        """Simulation domain this process's events are routed to."""
-        return self._domain
 
     def _describe(self) -> str:
         if self._label is not None:

@@ -48,8 +48,8 @@ def test_defaults_are_the_legacy_defaults():
         ({"transport": "carrier-pigeon"}, "bad-value"),
         ({"scale_elements": 0}, "bad-value"),
         ({"scale_iterations": -1}, "bad-value"),
-        ({"shards": 0}, "bad-value"),
-        ({"shards": "per-moon"}, "bad-value"),
+        ({"max_batch": "8"}, "bad-value"),
+        ({"scale_iterations": True}, "bad-value"),
         ({"tenant": ""}, "bad-value"),
         ({"tenant": "a\nb"}, "bad-value"),
         ({"qos": -1}, "bad-value"),
@@ -61,11 +61,6 @@ def test_validation_rejects_with_structured_code(overrides, code):
     with pytest.raises(RequestError) as excinfo:
         RunRequest(**kwargs)
     assert excinfo.value.code == code
-
-
-def test_valid_shards_spellings():
-    for shards in (2, "per-gpu", "per-vp-group", None):
-        assert RunRequest(app="vectorAdd", shards=shards).shards == shards
 
 
 def test_frozen():
@@ -84,8 +79,7 @@ def test_round_trip_preserves_every_field():
         app="mergeSort", n_vps=4, interleaving=False, coalescing=False,
         transport="shm", n_host_gpus=2, max_batch=8, scale_elements=1024,
         scale_iterations=3, functional=True, policy="fair-share",
-        placement="least-backlog", shards="per-gpu", backend="numpy",
-        tenant="acme", qos=2,
+        placement="least-backlog", backend="numpy", tenant="acme", qos=2,
     )
     assert RunRequest.from_dict(request.to_dict()) == request
 
@@ -109,10 +103,13 @@ def test_from_dict_rejects_wrong_schema_and_non_dict():
     assert excinfo.value.code == "bad-field"
 
 
-def test_from_dict_defaults_schema_and_coerces_json_float_shards():
-    request = RunRequest.from_dict({"app": "vectorAdd", "shards": 2.0})
-    assert request.schema == SCHEMA_VERSION
-    assert request.shards == 2
+def test_from_dict_defaults_schema_and_rejects_retired_shards():
+    assert RunRequest.from_dict({"app": "vectorAdd"}).schema == SCHEMA_VERSION
+    # Schema 2 dropped the ``shards`` field: it is now an unknown field.
+    with pytest.raises(RequestError) as excinfo:
+        RunRequest.from_dict({"app": "vectorAdd", "shards": 2})
+    assert excinfo.value.code == "bad-field"
+    assert "shards" in str(excinfo.value)
 
 
 def test_with_overrides_revalidates():
@@ -157,12 +154,12 @@ def test_non_default_tuning_enters_kwargs_exactly_like_legacy():
     legacy = _legacy_job(
         "mergeSort", 4, interleaving=False, transport="shm", n_host_gpus=2,
         policy="priority-deadline", placement="least-backlog",
-        shards="per-gpu", backend="numpy", functional=True,
+        backend="numpy", functional=True,
     )
     job = RunRequest(
         app="mergeSort", n_vps=4, interleaving=False, transport="shm",
         n_host_gpus=2, policy="priority-deadline", placement="least-backlog",
-        shards="per-gpu", backend="numpy", functional=True,
+        backend="numpy", functional=True,
     ).to_farm_job()
     assert job.kwargs == legacy.kwargs
     assert job.key == legacy.key
@@ -171,7 +168,7 @@ def test_non_default_tuning_enters_kwargs_exactly_like_legacy():
 def test_default_tuning_stays_out_of_kwargs():
     kwargs = RunRequest(app="vectorAdd").job_kwargs()
     for absent in ("max_batch", "functional", "policy", "placement",
-                   "shards", "backend", "scale_elements", "scale_iterations"):
+                   "backend", "scale_elements", "scale_iterations"):
         assert absent not in kwargs
     for present in ("app", "n_vps", "interleaving", "coalescing",
                     "transport", "n_host_gpus"):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.gpu import DeviceMemoryAllocator, OutOfDeviceMemory
+from repro.gpu import DeviceBuffer, DeviceMemoryAllocator, OutOfDeviceMemory
 
 
 def test_allocate_basics():
@@ -56,6 +56,17 @@ def test_free_foreign_buffer_rejected():
     buf = mem_a.allocate(10)
     with pytest.raises(RuntimeError):
         mem_b.free(buf)
+
+
+def test_free_of_an_equal_looking_copy_rejected():
+    mem = DeviceMemoryAllocator(1 << 20)
+    live = mem.allocate(4096, owner="vp0")
+    impostor = DeviceBuffer(address=live.address, size=live.size, owner="vp0")
+    with pytest.raises(RuntimeError, match="not allocated here"):
+        mem.free(impostor)
+    # The live buffer still owns its range: the next allocation lands after it.
+    assert not live.freed
+    assert mem.allocate(4096).address == live.end
 
 
 def test_first_fit_reuses_gap():

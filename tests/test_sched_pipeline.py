@@ -71,6 +71,35 @@ PINNED_SCENARIOS = [
              functional=True),
         "2c87a50ff360ea26f224071e7be7df14dee03db185cc1a9161849c1437a04a65",
     ),
+    # Two-GPU placement, coalescing off, and FIFO service at 5-12 VPs.
+    (
+        dict(app="vectorAdd", n_vps=8, n_host_gpus=2),
+        "8b39bf1111d08bb6313b45b8051299877b8f2b07fa0b8009cfed094259f2aef3",
+    ),
+    (
+        dict(app="BlackScholes", n_vps=12, n_host_gpus=2),
+        "7c46d5cbe2ca1fe4c8763eaba52f0955e7fb46d77d4ef9e6b8b4cde240a5bf5a",
+    ),
+    (
+        dict(app="mergeSort", n_vps=5, interleaving=False),
+        "999f37c2f85cfe4a3802009db45d0ffcc5a57fb8ffbcd0db3ad275e5c94acb18",
+    ),
+    (
+        dict(app="vectorAdd", n_vps=6, n_host_gpus=2, coalescing=False),
+        "9f076d24c1518fd00372edd58aaa3329d80f14c8d3ffc3564130e267c9b077a4",
+    ),
+    # Many-VP two-GPU fleets, where the scheduler's per-decision scans
+    # dominate (event-bound: inputs scaled down).
+    (
+        dict(app="vectorAdd", n_vps=48, n_host_gpus=2,
+             scale_elements=1024, scale_iterations=24),
+        "62d0b80910329d624efcb1d050a240ac4d690fdbadbf72b1bc41dfe73b89a13a",
+    ),
+    (
+        dict(app="BlackScholes", n_vps=24, n_host_gpus=2,
+             scale_elements=1024, scale_iterations=24),
+        "34a735234bfb2912da5652d476875e016ccf51b64d43f3fefd1ff70a7be37023",
+    ),
 ]
 
 PINNED_PHASE = (

@@ -325,3 +325,27 @@ def test_peek_reports_next_event_time():
 def test_peek_empty_is_infinite():
     env = Environment()
     assert env.peek() == float("inf")
+
+
+def _crasher(env):
+    yield env.timeout(1.5)
+    raise RuntimeError("boom")
+
+
+def test_run_names_the_process_that_raised():
+    env = Environment()
+    env.process(_crasher(env), label="vp:a/app")
+    with pytest.raises(RuntimeError, match="boom") as excinfo:
+        env.run()
+    notes = "\n".join(getattr(excinfo.value, "__notes__", []))
+    assert "vp:a/app" in notes
+    assert "t=1.5ms" in notes
+
+
+def test_unlabeled_processes_fall_back_to_the_generator_name():
+    env = Environment()
+    env.process(_crasher(env))
+    with pytest.raises(RuntimeError, match="boom") as excinfo:
+        env.run()
+    notes = "\n".join(getattr(excinfo.value, "__notes__", []))
+    assert "_crasher" in notes
