@@ -181,8 +181,8 @@ class RunRequest:
 
         Scenario-shaping fields always appear; tuning fields appear only
         when non-default (the legacy ``_sched_kwargs`` rule), so default
-        runs keep the config-hash keys every committed BENCH_*.json and
-        disk-cache entry was recorded under.
+        runs keep the config-hash keys every pinned digest and disk-cache
+        entry was recorded under.
         """
         kwargs: Dict[str, Any] = {key: getattr(self, key) for key in _ALWAYS_KEYS}
         defaults = _field_defaults()

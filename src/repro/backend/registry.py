@@ -122,9 +122,9 @@ def set_default_backend(name: Optional[str]) -> Optional[str]:
 def backend_scope(name: Optional[str]) -> Iterator[None]:
     """Temporarily override the process-default backend.
 
-    Used by bench comparison modes: scoping (rather than passing
-    ``backend=`` into job kwargs) keeps job config-hash keys identical,
-    so result digests stay directly comparable across backends.
+    Scoping (rather than passing ``backend=`` into job kwargs) keeps job
+    config-hash keys identical, so result digests stay directly
+    comparable across backends.
     """
     previous = set_default_backend(name)
     try:

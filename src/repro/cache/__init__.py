@@ -10,8 +10,7 @@ tier below them:
 * :mod:`~repro.cache.keys` — exact content keys for compiles, profiles,
   and whole farm-job results;
 * this module — process-wide configuration: where the store lives,
-  whether it is consulted, and the scoped overrides the bench harness
-  and tests use.
+  whether it is consulted, and the scoped overrides the tests use.
 
 Resolution order for the two knobs:
 
@@ -23,12 +22,11 @@ Resolution order for the two knobs:
   ``REPRO_DISK_CACHE`` (``0``/``false``/``off`` disables), else on.
 
 The disk layer is deliberately independent of
-:func:`repro.caching.caches_enabled`: that switch measures the cold
-*in-memory* path, and the headline of this PR is precisely that a
-memory-cold process with a warm disk cache stays fast.  Callers that
-need a true seed-path cold run disable both
-(``cache_scope(False)`` + ``disk_scope(False)``), which is exactly what
-``repro bench``'s standard modes do.
+:func:`repro.caching.caches_enabled`: that switch turns off the
+*in-memory* memos, while a memory-cold process with a warm disk cache
+is exactly what this layer exists to serve.  Callers that need a fully
+uncached run disable both (``cache_scope(False)`` +
+``disk_scope(False)``).
 """
 
 from __future__ import annotations

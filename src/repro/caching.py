@@ -5,9 +5,9 @@ kernels (:mod:`repro.kernels.compiler`), execution profiles
 (:mod:`repro.gpu.timing`), and version-keyed Job Queue scans
 (:mod:`repro.core.jobs`).  Every cache returns values bit-identical to a
 fresh computation, so caching is purely a wall-clock optimisation and
-can be switched off globally — the ``repro bench`` regression harness
-uses that switch to measure the cold ("seed-path") baseline against the
-warm cached path on identical inputs.
+can be switched off globally.  The switch stays for the tests: the
+uncached path is their oracle, and a scenario run under
+``cache_scope(False)`` must give the same digest as the cached run.
 
 The module sits below every other package (no repro imports) so any
 layer may depend on it without cycles.
@@ -33,7 +33,7 @@ def set_caches_enabled(enabled: bool) -> bool:
     """Switch all memoization layers on/off; returns the previous state.
 
     Disabling also clears every registered cache so a later re-enable
-    starts cold — the bench harness relies on that for its cold runs.
+    starts cold, exactly as a fresh process would.
     """
     global _enabled
     previous = _enabled
@@ -45,7 +45,7 @@ def set_caches_enabled(enabled: bool) -> bool:
 
 @contextmanager
 def cache_scope(enabled: bool):
-    """Temporarily force caches on or off (used by the bench harness)."""
+    """Temporarily force caches on or off (the tests' uncached oracle)."""
     previous = set_caches_enabled(enabled)
     try:
         yield
@@ -64,9 +64,8 @@ def clear_all_caches(disk: bool = False) -> None:
 
     ``disk=True`` additionally purges the persistent on-disk artifact
     store (:mod:`repro.cache`).  The default leaves it alone: the
-    in-memory clear models a fresh *process* (which still sees the
-    shared disk tier), and the bench harness depends on clearing memory
-    while keeping the disk warm.  ``repro cache clear`` passes ``True``.
+    in-memory clear models a fresh *process*, which still sees the
+    shared disk tier.  ``repro cache clear`` passes ``True``.
     """
     for clearer in _clearers:
         clearer()

@@ -17,8 +17,6 @@ Commands:
                                    (``--prom`` for Prometheus text)
 * ``account APP``                — run one scenario, print the per-VP
                                    accounting table (``account.*``)
-* ``trajectory``                 — build/gate the BENCH_*.json
-                                   performance trajectory
 * ``serve [options]``            — run the multi-tenant simulation
                                    daemon on a local Unix socket
                                    (docs/SERVICE.md)
@@ -31,7 +29,7 @@ Commands:
 * ``cache stats|clear``          — inspect / purge the persistent
                                    cross-process artifact cache
 
-``run``, ``trace``, ``metrics``, and ``bench`` accept ``--policy`` /
+``run``, ``trace``, and ``metrics`` accept ``--policy`` /
 ``--placement`` to swap the scheduling pipeline's select/place stages
 (see ``repro policies`` and ``docs/SCHEDULING.md``).
 
@@ -149,37 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     with_workers(sub.add_parser(
         "fig13", help="regenerate Fig 13 (power estimation)"))
 
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark-regression harness: pinned suite, serial cold/warm "
-             "vs parallel, bit-identical results asserted",
-    )
-    bench.add_argument("--workers", type=_positive_int, default=4,
-                       help="farm worker processes for the parallel mode")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke subset of the pinned suite")
-    bench.add_argument("-o", "--output", default="BENCH_PR8.json",
-                       help="JSON report path (use '-' to skip writing)")
-    bench.add_argument("--trace", action="store_true",
-                       help="add a traced parallel mode and write one "
-                            "merged multi-worker trace")
-    bench.add_argument("--trace-out", default="bench_trace.json",
-                       help="merged Chrome/Perfetto trace path (--trace)")
-    bench.add_argument("--metrics-out", default="bench_metrics.json",
-                       help="merged metrics snapshot path (--trace)")
-    bench.add_argument("--no-overhead-guard", action="store_true",
-                       help="skip the disabled-mode overhead check "
-                            "against the newest committed BENCH_*.json")
-    bench.add_argument("--compare", action="store_true",
-                       help="gate this run's per-job warm-serial times "
-                            "against the newest committed BENCH_*.json "
-                            "with the trajectory sign test")
-    bench.add_argument("--cold", action="store_true",
-                       help="add the disk-cache cold-start and "
-                            "batched-execution sections (private "
-                            "temporary store; slower)")
-    _sched_options(bench)
-
     sub.add_parser(
         "policies",
         help="list registered scheduling policies and placement strategies",
@@ -287,22 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--detach", action="store_true",
                         help="return after the job is accepted instead "
                              "of waiting for its result")
-
-    trajectory = sub.add_parser(
-        "trajectory",
-        help="build the BENCH_*.json performance trajectory and apply "
-             "the statistical regression gate",
-    )
-    trajectory.add_argument("-o", "--output", default="TRAJECTORY.json",
-                            help="trajectory JSON path ('-' to skip writing)")
-    trajectory.add_argument("--tolerance", type=float, default=None,
-                            help="relative per-job change treated as a tie "
-                                 "(default 0.10)")
-    trajectory.add_argument("--alpha", type=float, default=None,
-                            help="sign-test significance level (default 0.05)")
-    trajectory.add_argument("--no-gate", action="store_true",
-                            help="report only; never exit non-zero on a "
-                                 "flagged regression")
 
     estimate = sub.add_parser("estimate", help="target time/power for one app")
     estimate.add_argument("app")
@@ -651,7 +602,7 @@ def _cmd_policies() -> None:
         title="Placement strategies (place stage)",
     ))
     print()
-    print("Use with: repro run/trace/metrics/bench --policy NAME "
+    print("Use with: repro run/trace/metrics --policy NAME "
           "--placement NAME")
 
 
@@ -786,66 +737,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         _cmd_fig12(args.workers)
     elif args.command == "fig13":
         _cmd_fig13(args.workers)
-    elif args.command == "bench":
-        from pathlib import Path
-
-        from .exec.bench import render_report, run_bench
-
-        report = run_bench(
-            workers=args.workers,
-            quick=args.quick,
-            output=None if args.output == "-" else Path(args.output),
-            trace=args.trace,
-            overhead_guard=not args.no_overhead_guard,
-            cold=args.cold,
-            policy=args.policy,
-            placement=args.placement,
-            compare=args.compare,
-        )
-        print(render_report(report))
-        if args.output != "-":
-            print(f"report written to {args.output}")
-        if args.trace:
-            from .obs import run_stamp, write_metrics, write_trace
-
-            stamp = run_stamp(
-                "repro.exec.bench:run_bench",
-                {"suite": report["suite"], "workers": report["workers"]},
-                label=f"bench:{report['suite']}",
-            )
-            artifacts = report["artifacts"]
-            tpath = write_trace(
-                Path(args.trace_out), artifacts["trace_sources"], stamp
-            )
-            mpath = write_metrics(
-                Path(args.metrics_out), artifacts["metrics"]["totals"], stamp
-            )
-            print(f"merged trace written to {tpath} "
-                  f"({len(artifacts['trace_sources'])} jobs)")
-            print(f"merged metrics written to {mpath}")
     elif args.command == "trace":
         _cmd_trace(args)
     elif args.command == "metrics":
         _cmd_metrics(args)
     elif args.command == "account":
         _cmd_account(args)
-    elif args.command == "trajectory":
-        from pathlib import Path
-
-        from .exec import trajectory as trajectory_mod
-
-        kwargs = {}
-        if args.tolerance is not None:
-            kwargs["tolerance"] = args.tolerance
-        if args.alpha is not None:
-            kwargs["alpha"] = args.alpha
-        report = trajectory_mod.build(**kwargs)
-        print(trajectory_mod.render_trajectory(report))
-        if args.output != "-":
-            path = trajectory_mod.write_trajectory(Path(args.output), report)
-            print(f"trajectory written to {path}")
-        if report["regressions"] and not args.no_gate:
-            return 1
     elif args.command == "estimate":
         _cmd_estimate(args)
     elif args.command == "report":

@@ -59,8 +59,8 @@ class ScenarioResult:
         This is the wire format of the scenario farm: everything a
         cross-process caller can consume (``extras`` holds live objects
         like the framework itself, which stay behind), and exactly what
-        the bench harness hashes when asserting that serial, parallel,
-        cold and warm runs simulate identical outcomes.
+        the tests hash when asserting that serial, parallel, cached and
+        uncached runs simulate identical outcomes.
         """
         out: Dict[str, object] = {
             "scenario": self.scenario,

@@ -5,9 +5,12 @@ Every figure, table, and sweep of this reproduction is a collection of
 instances that share no state.  This package fans those scenario points
 out over a process pool (:class:`ScenarioFarm`), gives every job a
 config-hash identity and a deterministic seed (:class:`FarmJob`), and
-provides the pinned benchmark-regression harness (``repro bench``,
-:mod:`repro.exec.bench`) that tracks the wall-clock trajectory of the
-whole stack in ``BENCH_*.json`` files.
+names the scenario points those jobs run (:mod:`repro.exec.jobs`).
+Results are compared by digest (:func:`results_digest`), which is how
+the tests check that serial and parallel runs agree bit for bit.
+
+Host speed is not measured here: the benchmark of record lives outside
+the package, in ``bench/`` (``python3 bench/run.py``).
 
 Cache control for the hot-path memoization the farm leans on lives in
 :mod:`repro.caching` (re-exported here for convenience).
@@ -20,12 +23,6 @@ from ..caching import (
     register_cache_clearer,
     set_caches_enabled,
 )
-from .bench import (
-    BenchDigestError,
-    BenchOverheadError,
-    render_report,
-    run_bench,
-)
 from .farm import (
     FarmJob,
     FarmResult,
@@ -35,26 +32,8 @@ from .farm import (
     results_digest,
     seed_for,
 )
-from .trajectory import (
-    TrajectoryError,
-    TrajectoryPoint,
-    TrajectoryRegressionError,
-    render_trajectory,
-    write_trajectory,
-)
-from .trajectory import build as build_trajectory
 
 __all__ = [
-    "BenchDigestError",
-    "BenchOverheadError",
-    "TrajectoryError",
-    "TrajectoryPoint",
-    "TrajectoryRegressionError",
-    "build_trajectory",
-    "render_trajectory",
-    "write_trajectory",
-    "render_report",
-    "run_bench",
     "FarmJob",
     "FarmResult",
     "ScenarioFarm",

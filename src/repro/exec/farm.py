@@ -54,8 +54,6 @@ __all__ = [
     "FarmJob",
     "FarmResult",
     "run_job",
-    "run_job_by_index",
-    "set_pool_jobs",
     "warm_worker",
     "results_digest",
     "ScenarioFarm",
@@ -213,24 +211,6 @@ def run_job(job: FarmJob) -> FarmResult:
     )
 
 
-#: Static job list registered with a persistent pool.  Shipped **once**
-#: through the pool initializer; every later round submits bare indices
-#: (:func:`run_job_by_index`) instead of re-pickling each job
-#: description per ``map()`` call.
-_POOL_JOBS: List[FarmJob] = []
-
-
-def set_pool_jobs(jobs: Sequence[FarmJob]) -> None:
-    """Install the static job list for index-based submission."""
-    global _POOL_JOBS
-    _POOL_JOBS = list(jobs)
-
-
-def run_job_by_index(index: int) -> FarmResult:
-    """Run the ``index``-th registered job (persistent-pool fast path)."""
-    return run_job(_POOL_JOBS[index])
-
-
 def warm_worker(capture_obs: bool = False) -> None:
     """Pool initializer: pre-compile the workload catalog's kernels.
 
@@ -256,7 +236,6 @@ def _init_worker(
     warm: bool = True,
     disk_config: Optional[Dict[str, Any]] = None,
     sample_interval_ms: Optional[float] = None,
-    pool_jobs: Optional[Sequence[FarmJob]] = None,
     backend: Optional[str] = None,
 ) -> None:
     """Pool initializer: disk-cache config, optional warm-up, capture.
@@ -266,12 +245,10 @@ def _init_worker(
     writes the *same* shared store even on start methods that do not
     copy parent state.  Warming runs after the store is configured —
     warm-up compiles then populate/hit the shared disk tier too.
-    ``pool_jobs`` is the persistent-pool static job list: registering it
-    here means each round's submissions are plain integers.  ``backend``
-    is the parent's *resolved* execution-backend default, so jobs that
-    leave the backend implicit select the same backend in workers as in
-    serial mode — a ``backend_scope(...)`` around ``map()`` applies
-    inside the pool too.
+    ``backend`` is the parent's *resolved* execution-backend default, so
+    jobs that leave the backend implicit select the same backend in
+    workers as in serial mode — a ``backend_scope(...)`` around ``map()``
+    applies inside the pool too.
     """
     if disk_config is not None:
         _cache.configure(
@@ -283,8 +260,6 @@ def _init_worker(
         warm_worker()
     if capture_obs:
         set_capture(True, sample_interval_ms=sample_interval_ms)
-    if pool_jobs is not None:
-        set_pool_jobs(pool_jobs)
 
 
 def results_digest(results: Sequence[FarmResult]) -> str:
@@ -302,13 +277,10 @@ class ScenarioFarm:
     degrades gracefully to in-process serial execution of the identical
     job code path.  Results always come back in submission order.
 
-    ``persistent=True`` keeps the worker pool alive across ``map()``
-    calls: workers fork, configure and warm **once**, and the static job
-    list ships once through the pool initializer, so repeat rounds of
-    the same suite submit bare indices to already-warm processes.  The
-    pool is rebuilt transparently when the job list (by config-hash key)
-    or the needed worker count changes, and released by :meth:`close`
-    (the farm is also a context manager).
+    Each parallel :meth:`map` call forks its own pool, which is shut down
+    before the call returns: workers are configured and warmed by the
+    pool initializer, so a farm object holds no processes between calls
+    and needs no closing.
     """
 
     def __init__(
@@ -318,7 +290,6 @@ class ScenarioFarm:
         chunk_size: Optional[int] = None,
         capture_obs: bool = False,
         sample_interval_ms: Optional[float] = None,
-        persistent: bool = False,
     ):
         requested = os.cpu_count() or 1 if workers is None else workers
         if requested < 1:
@@ -330,10 +301,6 @@ class ScenarioFarm:
         self.capture_obs = capture_obs
         #: Per-job time-series sampling interval under capture (None = off).
         self.sample_interval_ms = sample_interval_ms
-        self.persistent = persistent
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_keys: Optional[tuple] = None
-        self._pool_size = 0
 
     @staticmethod
     def _can_fork() -> bool:
@@ -342,27 +309,7 @@ class ScenarioFarm:
     def __repr__(self) -> str:
         return f"<ScenarioFarm workers={self.workers}>"
 
-    def __enter__(self) -> "ScenarioFarm":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def close(self) -> None:
-        """Shut down the persistent pool (no-op without one)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-            self._pool_keys = None
-            self._pool_size = 0
-
-    def _initargs(self, pool_jobs: Optional[Sequence[FarmJob]] = None) -> tuple:
+    def _initargs(self) -> tuple:
         disk_config = {
             "root": _cache.default_root(),
             "enabled": _cache.disk_enabled(),
@@ -372,41 +319,7 @@ class ScenarioFarm:
             self.warmup,
             disk_config,
             self.sample_interval_ms,
-            list(pool_jobs) if pool_jobs is not None else None,
             default_backend_name(),
-        )
-
-    def _map_persistent(
-        self, jobs: List[FarmJob], chunk: int
-    ) -> List[FarmResult]:
-        """Index-based submission over a pool that outlives the call.
-
-        The job list rides to the workers exactly once (initializer);
-        every round after that pickles ``range(len(jobs))`` — integers —
-        instead of the full job descriptions.  A changed job list or a
-        larger worker requirement rebuilds the pool.
-        """
-        # The effective backend rides in the rebuild key: workers fix
-        # their default at initialization, so a parent-side change (e.g.
-        # a new backend_scope) must fork a fresh pool.
-        keys = (default_backend_name(), *(job.key for job in jobs))
-        size = min(self.workers, len(jobs))
-        if (
-            self._pool is None
-            or self._pool_keys != keys
-            or self._pool_size < size
-        ):
-            self.close()
-            self._pool = ProcessPoolExecutor(
-                max_workers=size,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=self._initargs(pool_jobs=jobs),
-            )
-            self._pool_keys = keys
-            self._pool_size = size
-        return list(
-            self._pool.map(run_job_by_index, range(len(jobs)), chunksize=chunk)
         )
 
     def map(self, jobs: Sequence[FarmJob]) -> List[FarmResult]:
@@ -430,14 +343,10 @@ class ScenarioFarm:
         # Chunked submission: a few chunks per worker balances scheduling
         # freedom (uneven job durations) against per-submission IPC.
         chunk = self.chunk_size or max(1, len(jobs) // (self.workers * 4))
-        if self.persistent:
-            return self._map_persistent(jobs, chunk)
-        context = multiprocessing.get_context("fork")
-        initializer: Optional[Callable] = _init_worker
         with ProcessPoolExecutor(
             max_workers=min(self.workers, len(jobs)),
-            mp_context=context,
-            initializer=initializer,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
             initargs=self._initargs(),
         ) as pool:
             return list(pool.map(run_job, jobs, chunksize=chunk))

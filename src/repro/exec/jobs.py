@@ -52,7 +52,7 @@ def _spec(app: str, scale_elements: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
-# Scenario points (``repro run``, ablations, the bench suite)
+# Scenario points (``repro run``, ablations, ``repro.api``)
 # ---------------------------------------------------------------------------
 
 
@@ -74,7 +74,7 @@ def scenario_summary(
     """One SigmaVP route for a catalogued app, summarized JSON-ably.
 
     ``functional=True`` additionally executes the registered functional
-    kernels (the bench's batched-execution proof point uses this); the
+    kernels (the ``functional-batched`` benchmark workload uses this); the
     default stays timing-only.  ``policy``/``placement`` name registered
     scheduling stages (``repro policies`` lists them).  ``backend`` names
     a registered execution backend (``repro backends`` lists them;

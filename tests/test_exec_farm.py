@@ -16,6 +16,7 @@ from repro.exec import (
     FarmJob,
     FarmResult,
     ScenarioFarm,
+    cache_scope,
     canonical_json,
     results_digest,
 )
@@ -120,82 +121,6 @@ class TestScenarioFarm:
         assert any(r.worker_pid != os.getpid() for r in results)
 
 
-class TestPersistentPool:
-    """`persistent=True` keeps one warm pool across map() rounds."""
-
-    @staticmethod
-    def _jobs(n=4, tag=0):
-        return [
-            FarmJob(fn="tests.test_exec_farm:_seeded",
-                    kwargs={"value": i, "seed": tag})
-            for i in range(n)
-        ]
-
-    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
-    def test_pool_survives_between_rounds(self):
-        with ScenarioFarm(workers=2, warmup=False, persistent=True) as farm:
-            first = farm.map(self._jobs())
-            pool = farm._pool
-            assert pool is not None
-            second = farm.map(self._jobs())
-            # Same executor object and the same forked workers served
-            # both rounds: nothing re-forked, re-warmed, or re-shipped.
-            assert farm._pool is pool
-            assert {r.worker_pid for r in second} <= {r.worker_pid for r in first} | {
-                r.worker_pid for r in second
-            }
-            assert [r.value for r in first] == [r.value for r in second]
-
-    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
-    def test_changed_job_list_rebuilds_the_pool(self):
-        with ScenarioFarm(workers=2, warmup=False, persistent=True) as farm:
-            farm.map(self._jobs(tag=0))
-            pool = farm._pool
-            farm.map(self._jobs(tag=1))  # different config-hash keys
-            assert farm._pool is not pool
-
-    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
-    def test_close_releases_and_map_recovers(self):
-        farm = ScenarioFarm(workers=2, warmup=False, persistent=True)
-        try:
-            farm.map(self._jobs())
-            farm.close()
-            assert farm._pool is None
-            assert [r.value for r in farm.map(self._jobs())] == [
-                {"value": i, "seed": 0} for i in range(4)
-            ]
-        finally:
-            farm.close()
-
-    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
-    def test_context_manager_shuts_the_pool_down(self):
-        with ScenarioFarm(workers=2, warmup=False, persistent=True) as farm:
-            farm.map(self._jobs())
-            assert farm._pool is not None
-        assert farm._pool is None
-
-    def test_serial_persistent_farm_never_builds_a_pool(self):
-        with ScenarioFarm(workers=1, warmup=False, persistent=True) as farm:
-            assert farm.map_values(self._jobs(2)) == [
-                {"value": 0, "seed": 0},
-                {"value": 1, "seed": 0},
-            ]
-            assert farm._pool is None
-
-    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
-    def test_persistent_digest_matches_one_shot(self):
-        jobs = [
-            FarmJob(fn="repro.exec.jobs:scenario_summary", label="vectorAdd2",
-                    kwargs={"app": "vectorAdd", "n_vps": 2, "transport": "shm"}),
-            FarmJob(fn="repro.exec.jobs:fig9b_point", label="fig9b:n2",
-                    kwargs={"n_programs": 2}),
-        ]
-        one_shot = ScenarioFarm(workers=2).map(jobs)
-        with ScenarioFarm(workers=2, persistent=True) as farm:
-            persistent = farm.map(jobs)
-        assert results_digest(persistent) == results_digest(one_shot)
-
-
 #: A small cross-section of real simulation jobs: a scenario route, an
 #: interleaving point, a coalescing point, and a Table-1 route.
 DETERMINISM_JOBS = [
@@ -207,6 +132,15 @@ DETERMINISM_JOBS = [
             kwargs={"batch": 4, "n_programs": 8}),
     FarmJob(fn="repro.exec.jobs:table1_route", label="table1:native",
             kwargs={"route": "CUDA / GPU", "app": "matrixMul"}),
+]
+
+#: Coalescing-heavy shapes the cross-section above lacks: 32 programs
+#: merged 8 at a time, and an 8-VP suite app.
+CACHE_ORACLE_JOBS = [
+    FarmJob(fn="repro.exec.jobs:fig10a_point", label="fig10a:b8/32vp",
+            kwargs={"batch": 8, "n_programs": 32}),
+    FarmJob(fn="repro.exec.jobs:scenario_summary", label="mergeSort8",
+            kwargs={"app": "mergeSort", "n_vps": 8}),
 ]
 
 
@@ -228,79 +162,25 @@ class TestFarmDeterminism:
         second = results_digest(farm.map(DETERMINISM_JOBS[:2]))
         assert first == second
 
+    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+    @pytest.mark.parametrize(
+        "job", DETERMINISM_JOBS + CACHE_ORACLE_JOBS, ids=lambda job: job.label
+    )
+    def test_cache_off_cache_on_and_farm_digests_agree(self, job):
+        # The memo caches must be invisible on whole many-VP scenarios,
+        # not just per layer: the uncached run is the oracle.
+        with cache_scope(False):
+            uncached = ScenarioFarm(workers=1, warmup=False).map([job])
+        cached = ScenarioFarm(workers=1, warmup=False).map([job])
+        # A one-job map runs in-process, so submit the job twice to make
+        # the farm fork two workers.
+        farmed = ScenarioFarm(workers=2).map([job, job])
+        oracle = results_digest(uncached)
+        assert results_digest(cached) == oracle
+        assert [results_digest([r]) for r in farmed] == [oracle, oracle]
+
     def test_values_are_json_clean(self):
         for result in ScenarioFarm(workers=1).map(DETERMINISM_JOBS):
             # round-trips through strict JSON (no NaN/inf/objects)
             text = canonical_json(result.value)
             assert json.loads(text) == json.loads(text)
-
-
-class TestOverheadGuard:
-    """`check_overhead` compares serial-warm cost against a baseline file."""
-
-    @staticmethod
-    def _report(wall=5.0, cpu=None, suite="full", workers=4):
-        mode = {"wall_s": wall}
-        if cpu is not None:
-            mode["cpu_s"] = cpu
-        return {"suite": suite, "workers": workers,
-                "modes": {"serial_warm": mode}}
-
-    def _baseline(self, tmp_path, **kwargs):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps(self._report(**kwargs)))
-        return path
-
-    def test_within_limit_passes(self, tmp_path):
-        from repro.exec.bench import check_overhead
-        base = self._baseline(tmp_path, wall=5.0)
-        section = check_overhead(self._report(wall=5.05), baseline_path=base)
-        assert section["checked"] and section["metric"] == "wall"
-        assert section["overhead"] == pytest.approx(0.01)
-
-    def test_regression_raises(self, tmp_path):
-        from repro.exec.bench import BenchOverheadError, check_overhead
-        base = self._baseline(tmp_path, wall=5.0)
-        with pytest.raises(BenchOverheadError, match="wall time regressed"):
-            check_overhead(self._report(wall=6.0), baseline_path=base)
-
-    def test_prefers_cpu_time_when_both_sides_have_it(self, tmp_path):
-        from repro.exec.bench import check_overhead
-        # Wall regressed 40% (steal noise) but CPU time is flat: the
-        # steal-immune metric must win, so the guard passes.
-        base = self._baseline(tmp_path, wall=5.0, cpu=4.0)
-        section = check_overhead(
-            self._report(wall=7.0, cpu=4.02), baseline_path=base
-        )
-        assert section["checked"] and section["metric"] == "cpu"
-        assert section["overhead"] == pytest.approx(0.005)
-
-    def test_falls_back_to_wall_for_old_baselines(self, tmp_path):
-        from repro.exec.bench import check_overhead
-        base = self._baseline(tmp_path, wall=5.0)  # no cpu_s recorded
-        section = check_overhead(
-            self._report(wall=5.0, cpu=4.0), baseline_path=base
-        )
-        assert section["metric"] == "wall"
-
-    def test_suite_mismatch_skips(self, tmp_path):
-        from repro.exec.bench import check_overhead
-        base = self._baseline(tmp_path, suite="quick")
-        section = check_overhead(self._report(wall=50.0), baseline_path=base)
-        assert not section["checked"]
-        assert "suite mismatch" in section["note"]
-
-    def test_worker_mismatch_skips(self, tmp_path):
-        from repro.exec.bench import check_overhead
-        base = self._baseline(tmp_path, workers=2)
-        section = check_overhead(self._report(wall=50.0), baseline_path=base)
-        assert not section["checked"]
-        assert "worker-count mismatch" in section["note"]
-
-    def test_missing_baseline_skips(self, tmp_path):
-        from repro.exec.bench import check_overhead
-        section = check_overhead(
-            self._report(), baseline_path=tmp_path / "nope.json"
-        )
-        assert not section["checked"]
-        assert "baseline unavailable" in section["note"]

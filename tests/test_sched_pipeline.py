@@ -350,33 +350,6 @@ def test_least_backlog_placement_avoids_loaded_device():
     assert placement.device_for("vp1", 2, backlog) == 1
 
 
-# -- bench threading ---------------------------------------------------------
-
-
-def test_with_sched_stages_is_identity_when_unset():
-    from repro.exec.bench import QUICK_SUITE, with_sched_stages
-
-    assert with_sched_stages(QUICK_SUITE) == list(QUICK_SUITE)
-
-
-def test_with_sched_stages_rewrites_only_sched_aware_jobs():
-    from repro.exec.bench import QUICK_SUITE, SCHED_AWARE_FNS, with_sched_stages
-
-    suite = QUICK_SUITE
-    rewritten = with_sched_stages(suite, policy="sjf", placement="least-backlog")
-    assert len(rewritten) == len(suite)
-    touched = 0
-    for before, after in zip(suite, rewritten):
-        assert after.fn == before.fn
-        if before.fn in SCHED_AWARE_FNS:
-            assert after.kwargs["policy"] == "sjf"
-            assert after.kwargs["placement"] == "least-backlog"
-            touched += 1
-        else:
-            assert after == before
-    assert touched > 0
-
-
 # -- CLI ---------------------------------------------------------------------
 
 
