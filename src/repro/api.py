@@ -20,11 +20,11 @@ a projection of it:
 **Identity contract.**  :meth:`RunRequest.to_farm_job` emits exactly
 the keyword arguments the legacy CLI plumbing emitted: scenario-shaping
 fields always, tuning fields only when they differ from their defaults.
-Config-hash keys — and therefore disk-cache entries, deterministic
-seeds, and results digests — are byte-identical to every previously
-recorded run.  ``tenant`` and ``qos`` are service-level routing, not
-scenario identity: two tenants submitting the same scenario share one
-config hash, one cache entry, and one digest.
+Config-hash keys — and therefore deterministic seeds and results
+digests — are byte-identical to every previously recorded run.
+``tenant`` and ``qos`` are service-level routing, not scenario
+identity: two tenants submitting the same scenario share one config
+hash and one digest.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ class RunRequest:
 
         Scenario-shaping fields always appear; tuning fields appear only
         when non-default (the legacy ``_sched_kwargs`` rule), so default
-        runs keep the config-hash keys every pinned digest and disk-cache
-        entry was recorded under.
+        runs keep the config-hash keys every pinned digest was recorded
+        under.
         """
         kwargs: Dict[str, Any] = {key: getattr(self, key) for key in _ALWAYS_KEYS}
         defaults = _field_defaults()
@@ -289,9 +289,9 @@ def run(request: RunRequest) -> RunResult:
     """Execute a request locally through the farm's ``run_job`` path.
 
     This is the exact code path a farm worker and the ``repro serve``
-    daemon execute — same config-hash key, same deterministic seed, same
-    disk-cache layers — so the returned digest is bit-identical to a
-    daemon-produced one for the same request.
+    daemon execute — same config-hash key, same deterministic seed — so
+    the returned digest is bit-identical to a daemon-produced one for
+    the same request.
     """
     from .exec.farm import results_digest, run_job, warm_worker
 

@@ -9,6 +9,10 @@ can be switched off globally.  The switch stays for the tests: the
 uncached path is their oracle, and a scenario run under
 ``cache_scope(False)`` must give the same digest as the cached run.
 
+These memos are the only cache tier.  They live and die with the
+process: nothing is persisted, so a fresh process always recomputes
+from the current model and can never be served a stale value.
+
 The module sits below every other package (no repro imports) so any
 layer may depend on it without cycles.
 """
@@ -59,17 +63,7 @@ def register_cache_clearer(clearer: Callable[[], None]) -> Callable[[], None]:
     return clearer
 
 
-def clear_all_caches(disk: bool = False) -> None:
-    """Empty every registered cache (cold-start state).
-
-    ``disk=True`` additionally purges the persistent on-disk artifact
-    store (:mod:`repro.cache`).  The default leaves it alone: the
-    in-memory clear models a fresh *process*, which still sees the
-    shared disk tier.  ``repro cache clear`` passes ``True``.
-    """
+def clear_all_caches() -> None:
+    """Empty every registered cache (cold-start state)."""
     for clearer in _clearers:
         clearer()
-    if disk:
-        from .cache import clear_disk  # runtime import: caching sits below
-
-        clear_disk()

@@ -26,17 +26,15 @@ Commands:
 * ``policies``                   — list registered scheduling policies
                                    and placement strategies
 * ``backends``                   — list registered execution backends
-* ``cache stats|clear``          — inspect / purge the persistent
-                                   cross-process artifact cache
 
 ``run``, ``trace``, and ``metrics`` accept ``--policy`` /
 ``--placement`` to swap the scheduling pipeline's select/place stages
 (see ``repro policies`` and ``docs/SCHEDULING.md``).
 
-``--no-disk-cache`` (before the subcommand) disables the persistent
-disk tier for the invocation; ``REPRO_DISK_CACHE=0`` does the same via
-the environment and ``REPRO_CACHE_DIR`` relocates the store.
-``--backend NAME`` (also before the subcommand) selects the execution
+Nothing is cached across invocations: every command recomputes from
+the current model (the in-process memos of :mod:`repro.caching` are the
+only cache tier).
+``--backend NAME`` (before the subcommand) selects the execution
 backend for functional kernel work — ``REPRO_BACKEND`` is the
 environment equivalent; see ``repro backends`` and ``docs/BACKENDS.md``.
 """
@@ -96,10 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="SigmaVP reproduction: host-GPU multiplexing for "
                     "simulating embedded GPUs (DAC 2015).",
     )
-    parser.add_argument("--no-disk-cache", action="store_true",
-                        help="disable the persistent on-disk artifact cache "
-                             "for this invocation (equivalent to "
-                             "REPRO_DISK_CACHE=0)")
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help="execution backend for functional kernel "
                              "work (equivalent to REPRO_BACKEND; see "
@@ -157,15 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered execution backends",
     )
 
-    cache = sub.add_parser(
-        "cache",
-        help="inspect or purge the persistent cross-process artifact cache",
-    )
-    cache.add_argument("action", choices=("stats", "clear"),
-                       help="'stats' prints the store location, entry "
-                            "count, size, and hit counters as JSON; "
-                            "'clear' removes every entry")
-
     def scenario_options(parser_):
         parser_.add_argument("app", help="workload name (see `repro list`)")
         parser_.add_argument("--vps", type=_positive_int, default=8,
@@ -219,9 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--socket", default=None, metavar="PATH",
                        help="Unix socket path (default: "
                             "$REPRO_SERVE_SOCKET or "
-                            "<cache-root>/serve/serve.sock)")
+                            "$REPRO_CACHE_DIR/serve/serve.sock or "
+                            "~/.cache/repro-sigmavp/serve/serve.sock)")
     serve.add_argument("--state-dir", default=None, metavar="DIR",
-                       help="journal directory (default: <cache-root>/serve)")
+                       help="journal directory (default: "
+                            "$REPRO_CACHE_DIR/serve or "
+                            "~/.cache/repro-sigmavp/serve)")
     serve.add_argument("--max-depth", type=_positive_int, default=None,
                        help="queue bound; submissions past it are "
                             "rejected with 'queue-full' (default 64)")
@@ -693,27 +681,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_cache(action: str) -> None:
-    import json
-
-    from . import cache as repro_cache
-
-    if action == "clear":
-        stats = repro_cache.cache_stats()
-        repro_cache.clear_disk()
-        print(f"cleared {stats['entries']} entries "
-              f"({stats['total_bytes']} bytes) from {stats['root']}")
-        return
-    print(json.dumps(repro_cache.cache_stats(), indent=2))
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.no_disk_cache:
-        from . import cache as repro_cache
-
-        repro_cache.set_disk_enabled(False)
     if args.backend is not None:
         from .backend import set_default_backend
 
@@ -760,8 +730,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_serve(args)
     elif args.command == "submit":
         return _cmd_submit(args)
-    elif args.command == "cache":
-        _cmd_cache(args.action)
     elif args.command == "validate":
         return _cmd_validate(args.apps)
     return 0

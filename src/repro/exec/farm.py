@@ -40,9 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 # The config-hash / seed algorithm lives in repro.obs.export so exported
 # trace and metrics stamps are byte-identical to farm job identities
 # (one source of truth); re-exported here for backward compatibility.
-from .. import cache as _cache
 from ..backend.registry import default_backend_name, set_default_backend
-from ..caching import caches_enabled
 from ..obs import capture as _obs_capture
 from ..obs import metrics as _obs_metrics
 from ..obs.export import canonical_json, config_key, seed_for
@@ -163,30 +161,6 @@ def run_job(job: FarmJob) -> FarmResult:
     metrics_payload: Optional[Dict[str, Any]] = None
     timeseries_payload: Optional[Dict[str, Any]] = None
     started = time.perf_counter()
-    # Whole-job result layer: a job's value is a pure function of its
-    # config-hash identity, so a disk entry short-circuits the entire
-    # simulation.  Skipped under observability capture (traces need real
-    # execution) and when caching is globally off.
-    store = result_key = None
-    if not _CAPTURE_OBS and caches_enabled() and _cache.job_results_enabled():
-        store = _cache.disk_cache()
-    if store is not None:
-        result_key = _cache.job_result_key(job.key)
-        cached = store.get(result_key)
-        registry = _obs_metrics.REGISTRY
-        if cached is not _cache.MISS:
-            if registry is not None:
-                registry.counter("cache.disk.job_hits").inc()
-            return FarmResult(
-                job_key=job.key,
-                fn=job.fn,
-                label=job.label or job.fn.rpartition(":")[2],
-                value=cached,
-                duration_s=time.perf_counter() - started,
-                worker_pid=os.getpid(),
-            )
-        if registry is not None:
-            registry.counter("cache.disk.job_misses").inc()
     if _CAPTURE_OBS:
         with _obs_capture(sample_interval_ms=_CAPTURE_SAMPLE_MS) as window:
             with _obs_metrics.timed("farm.run_job"):
@@ -196,8 +170,6 @@ def run_job(job: FarmJob) -> FarmResult:
         timeseries_payload = window.timeseries_payload()
     else:
         value = fn(**kwargs)
-    if store is not None:
-        store.put(result_key, value)
     return FarmResult(
         job_key=job.key,
         fn=job.fn,
@@ -234,26 +206,16 @@ def warm_worker(capture_obs: bool = False) -> None:
 def _init_worker(
     capture_obs: bool = False,
     warm: bool = True,
-    disk_config: Optional[Dict[str, Any]] = None,
     sample_interval_ms: Optional[float] = None,
     backend: Optional[str] = None,
 ) -> None:
-    """Pool initializer: disk-cache config, optional warm-up, capture.
+    """Pool initializer: backend selection, optional warm-up, capture.
 
-    The parent ships its resolved disk-cache configuration explicitly
-    (rather than relying on inherited globals) so every worker reads and
-    writes the *same* shared store even on start methods that do not
-    copy parent state.  Warming runs after the store is configured —
-    warm-up compiles then populate/hit the shared disk tier too.
     ``backend`` is the parent's *resolved* execution-backend default, so
     jobs that leave the backend implicit select the same backend in
     workers as in serial mode — a ``backend_scope(...)`` around ``map()``
     applies inside the pool too.
     """
-    if disk_config is not None:
-        _cache.configure(
-            root=disk_config["root"], enabled=disk_config["enabled"]
-        )
     if backend is not None:
         set_default_backend(backend)
     if warm:
@@ -310,14 +272,9 @@ class ScenarioFarm:
         return f"<ScenarioFarm workers={self.workers}>"
 
     def _initargs(self) -> tuple:
-        disk_config = {
-            "root": _cache.default_root(),
-            "enabled": _cache.disk_enabled(),
-        }
         return (
             self.capture_obs,
             self.warmup,
-            disk_config,
             self.sample_interval_ms,
             default_backend_name(),
         )

@@ -30,12 +30,12 @@ Elapsed cycles are **issue + data stalls + other stalls**:
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .. import cache as _disk_cache
 from ..caching import caches_enabled
 from ..kernels.compiler import CompiledKernel
 from ..obs import metrics as _obs_metrics
@@ -138,10 +138,10 @@ class KernelTimingModel:
         self._profile_cache: "OrderedDict[Tuple[int, LaunchConfig], Tuple[CompiledKernel, ExecutionProfile]]" = (
             OrderedDict()
         )
-        # Content-addressed second tier, keyed by the same encoded key the
-        # disk cache proves digest-safe.  The coalescer mints fresh merged
-        # KernelIR objects every round, so the id-keyed first tier misses
-        # on structurally-identical launches; this tier catches them.
+        # Content-addressed second tier, keyed by :func:`profile_key`.  The
+        # coalescer mints fresh merged KernelIR objects every round, so the
+        # id-keyed first tier misses on structurally-identical launches;
+        # this tier catches them.
         self._content_cache: "OrderedDict[str, ExecutionProfile]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -234,12 +234,9 @@ class KernelTimingModel:
         self.cache_misses += 1
         if registry is not None:
             registry.counter("cache.profile.misses").inc()
-        profile, content_key, store = self._miss_lookup(compiled, launch, memo_on)
-        computed = profile is None
+        profile, content_key = self._miss_lookup(compiled, launch, memo_on)
         if profile is None:
             profile = self._compute_profile(compiled, launch)
-        if store is not None and content_key is not None and computed:
-            store.put(content_key, profile)
         self._remember(key, compiled, profile, content_key, memo_on)
         return profile
 
@@ -259,33 +256,24 @@ class KernelTimingModel:
 
     def _miss_lookup(
         self, compiled: CompiledKernel, launch: LaunchConfig, memo_on: bool
-    ) -> Tuple[
-        Optional[ExecutionProfile], Optional[str], Optional[_disk_cache.DiskCache]
-    ]:
-        """Content-memo and disk probes behind an id-keyed memo miss.
+    ) -> Tuple[Optional[ExecutionProfile], Optional[str]]:
+        """Content-memo probe behind an id-keyed memo miss.
 
         The profile is a pure function of the encoded content key, so a
-        stored entry (in either tier) is bit-identical to recomputation;
-        any unusable disk payload falls through to a recompute.  Returns
-        ``(profile or None, content key or None, disk store)``.
+        content hit is bit-identical to recomputation.  Returns
+        ``(profile or None, content key or None)``; with the memos off
+        there is no key to compute.
         """
-        store = _disk_cache.disk_cache()
-        content_key: Optional[str] = None
-        if memo_on or store is not None:
-            content_key = _disk_cache.profile_key(compiled, launch)
-        if memo_on and content_key is not None:
-            cached = self._content_cache.get(content_key)
-            if cached is not None:
-                self._content_cache.move_to_end(content_key)
-                registry = _obs_metrics.REGISTRY
-                if registry is not None:
-                    registry.counter("cache.profile.content_hits").inc()
-                return cached, content_key, store
-        if store is not None and content_key is not None:
-            payload = store.get(content_key)
-            if isinstance(payload, ExecutionProfile):
-                return payload, content_key, store
-        return None, content_key, store
+        if not memo_on:
+            return None, None
+        content_key = profile_key(compiled, launch)
+        cached = self._content_cache.get(content_key)
+        if cached is not None:
+            self._content_cache.move_to_end(content_key)
+            registry = _obs_metrics.REGISTRY
+            if registry is not None:
+                registry.counter("cache.profile.content_hits").inc()
+        return cached, content_key
 
     def _remember(
         self,
@@ -395,3 +383,97 @@ class KernelTimingModel:
 def _accesses_from_mix(per_thread: InstructionMix, threads: int) -> float:
     """Total memory accesses of a launch from its per-thread mix."""
     return sum(per_thread[t] for t in MEMORY_TYPES) * threads
+
+
+# -- content keys ------------------------------------------------------------
+#
+# Every key is the sha256 of an *exact* textual encoding of the inputs the
+# keyed computation reads, so two launches share a content-memo entry if
+# and only if their profiles are bit-identical.  Floats are encoded with
+# :func:`repr` (shortest round-trip form): keys never collide on "close"
+# values and never split on equal ones.
+
+#: Field separator inside key encodings (never appears in float reprs).
+_SEP = "\x1f"
+
+
+def _digest(parts: List[str]) -> str:
+    return hashlib.sha256(_SEP.join(parts).encode()).hexdigest()
+
+
+def _mix_token(mix: InstructionMix) -> str:
+    return ",".join(repr(mix[t]) for t in ALL_TYPES)
+
+
+def _mapping_token(mapping: Mapping[InstructionType, float]) -> str:
+    return ",".join(repr(float(mapping.get(t, 1.0))) for t in ALL_TYPES)
+
+
+#: Strong-ref memo of per-architecture hashes.  Architectures are a
+#: handful of frozen module-level constants, so the map stays tiny.
+_ARCH_HASHES: Dict[int, Tuple[GPUArchitecture, str]] = {}
+
+
+def arch_config_hash(arch: GPUArchitecture) -> str:
+    """sha256 over every architectural parameter the models consume."""
+    cached = _ARCH_HASHES.get(id(arch))
+    if cached is not None and cached[0] is arch:
+        return cached[1]
+    cache = arch.cache
+    parts = [
+        arch.name,
+        str(arch.sm_count),
+        str(arch.cores_per_sm),
+        str(arch.schedulers_per_sm),
+        repr(arch.clock_mhz),
+        str(arch.max_threads_per_sm),
+        str(arch.max_blocks_per_sm),
+        str(arch.warp_size),
+        _mapping_token(arch.warp_issue_cycles),
+        str(cache.size_kb),
+        str(cache.line_bytes),
+        str(cache.associativity),
+        repr(cache.miss_penalty_cycles),
+        repr(arch.memory_bandwidth_gbps),
+        repr(arch.copy_bandwidth_gbps),
+        repr(arch.copy_latency_ms),
+        repr(arch.kernel_launch_overhead_ms),
+        repr(arch.static_power_w),
+        _mapping_token(arch.instruction_energy_nj),
+        repr(arch.dram_access_energy_nj),
+        _mapping_token(arch.compile_expansion),
+    ]
+    value = _digest(parts)
+    _ARCH_HASHES[id(arch)] = (arch, value)
+    return value
+
+
+def profile_key(compiled: CompiledKernel, launch: LaunchConfig) -> str:
+    """Content key for one execution profile.
+
+    Encodes the full closure of :meth:`KernelTimingModel._compute_profile`:
+    the compiled per-block mixes, each block's trip count evaluated at this
+    launch's actual context (trip rules may be closures, so they are
+    evaluated, not named), the launch geometry, the memory footprint, and
+    the complete architecture hash.
+    """
+    ctx = launch.context()
+    footprint = compiled.ir.footprint
+    parts = [
+        "profile",
+        compiled.ir.name,
+        arch_config_hash(compiled.arch),
+        str(launch.grid_size),
+        str(launch.block_size),
+        str(launch.elements),
+        repr(launch.problem_size),
+        str(footprint.bytes_in),
+        str(footprint.bytes_out),
+        str(footprint.working_set_bytes),
+        repr(footprint.locality),
+        repr(footprint.coalesced_fraction),
+    ]
+    for block in compiled.blocks:
+        parts.append(_mix_token(block.mix))
+        parts.append(repr(block.source.trip_count(ctx)))
+    return _digest(parts)

@@ -16,7 +16,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
-from .. import cache as _disk_cache
 from ..backend.registry import default_backend_name
 from ..caching import caches_enabled, register_cache_clearer
 from ..obs import metrics as _obs_metrics
@@ -104,9 +103,7 @@ class KernelCompiler:
     that differ in footprint or trip rules — e.g. the coalescer's merged
     variants — never collide or evict each other.  The execution-backend
     name rides in the memo key so backends that lower kernels
-    differently can never serve each other's artifacts; the *disk* tier
-    stays backend-invariant (static instruction counts depend only on
-    kernel and architecture), so warm disk caches remain shared.
+    differently can never serve each other's artifacts.
     """
 
     def __init__(self, cache_size: int = DEFAULT_COMPILE_CACHE_SIZE):
@@ -133,55 +130,16 @@ class KernelCompiler:
         self.misses += 1
         if registry is not None:
             registry.counter("cache.compile.misses").inc()
-        blocks = None
-        store = _disk_cache.disk_cache()
-        disk_key = None
-        if store is not None:
-            disk_key = _disk_cache.compile_key(kernel, arch)
-            blocks = self._blocks_from_disk(store.get(disk_key), kernel)
-        from_disk = blocks is not None
-        if blocks is None:
-            blocks = tuple(
-                CompiledBlock(
-                    source=block, mix=block.mix.expanded(arch.compile_expansion)
-                )
-                for block in kernel.blocks
-            )
+        blocks = tuple(
+            CompiledBlock(source=block, mix=block.mix.expanded(arch.compile_expansion))
+            for block in kernel.blocks
+        )
         compiled = CompiledKernel(ir=kernel, arch=arch, blocks=blocks)
-        if store is not None and not from_disk:
-            # Stored as plain per-block count lists: a KernelIR may hold
-            # closure trip rules that do not pickle, so the entry carries
-            # only the expanded mixes and is re-attached to the live
-            # kernel's blocks on a hit.
-            store.put(
-                disk_key,
-                [[block.mix[t] for t in ALL_TYPES] for block in compiled.blocks],
-            )
         if caches_enabled():
             self._cache[key] = compiled
             if len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
         return compiled
-
-    @staticmethod
-    def _blocks_from_disk(payload, kernel: KernelIR):
-        """Rebuild compiled blocks from a disk entry; ``None`` if unusable."""
-        if payload is _disk_cache.MISS:
-            return None
-        try:
-            if len(payload) != len(kernel.blocks):
-                return None
-            if any(len(counts) != len(ALL_TYPES) for counts in payload):
-                return None
-            return tuple(
-                CompiledBlock(
-                    source=block,
-                    mix=InstructionMix(dict(zip(ALL_TYPES, counts))),
-                )
-                for block, counts in zip(kernel.blocks, payload)
-            )
-        except Exception:
-            return None
 
     def clear(self) -> None:
         self._cache.clear()

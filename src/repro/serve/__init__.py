@@ -10,11 +10,11 @@ priority-deadline QoS), executes each job through the scenario farm's
 ``run_job`` path in a cancellable worker process
 (:mod:`repro.serve.server`), and streams status/result events back.
 
-Every state transition is journaled append-only under the disk-cache
+Every state transition is journaled append-only under the state
 directory (:mod:`repro.serve.journal`), so a restarted daemon resumes
 queued jobs and deterministically faults the ones that were mid-run at
 a crash.  Because execution is the farm's ``run_job`` — same
-config-hash key, same deterministic seed, same disk-cache layers — a
+config-hash key, same deterministic seed, same in-process memos — a
 daemon-produced result digest is bit-identical to ``repro.api.run()``
 and to the legacy ``repro run`` CLI path for the same request.
 """
@@ -65,15 +65,16 @@ ENV_SOCKET = "REPRO_SERVE_SOCKET"
 
 
 def default_state_dir() -> Path:
-    """Where the daemon journals its state: ``<disk-cache-root>/serve``.
+    """Where the daemon journals its state.
 
-    Sharing the disk-cache root means one knob (``REPRO_CACHE_DIR``)
-    relocates *all* persistent state, and the journal rides the same
-    crash-safe directory the whole-job result cache already lives in.
+    ``$REPRO_CACHE_DIR/serve`` when that variable is set, else
+    ``~/.cache/repro-sigmavp/serve`` — the location every earlier
+    release used, so an existing daemon still finds its journal.
     """
-    from .. import cache as repro_cache
-
-    return Path(repro_cache.default_root()) / "serve"
+    root = os.environ.get("REPRO_CACHE_DIR")
+    if root:
+        return Path(root) / "serve"
+    return Path.home() / ".cache" / "repro-sigmavp" / "serve"
 
 
 def default_socket_path(explicit: Optional[Union[str, Path]] = None) -> Path:

@@ -1,4 +1,4 @@
-"""The crash-safe job journal: append-only JSONL under the cache dir.
+"""The crash-safe job journal: append-only JSONL under the state dir.
 
 Every job state transition is one appended record, flushed (and
 fsync'd) before the transition is acknowledged anywhere else.  The

@@ -16,8 +16,8 @@ running job:
   another).
 
 Execution inside the worker is :func:`repro.api.run` — the farm's
-``run_job`` with its config-hash key, deterministic seed and disk-cache
-layers — so a daemon-produced digest is bit-identical to the local
+``run_job`` with its config-hash key and deterministic seed — so a
+daemon-produced digest is bit-identical to the local
 path.  The daemon pre-warms the kernel compiler *before* forking; with
 the ``fork`` start method every worker inherits the warm caches and
 skips cold-compile cost, the service-shaped analog of the farm's pool

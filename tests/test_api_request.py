@@ -2,9 +2,8 @@
 
 The api_redesign contract: one frozen request object whose farm-job
 projection emits byte-identical kwargs to the legacy CLI plumbing, so
-config-hash keys (and everything derived from them — disk-cache entries,
-deterministic seeds, results digests) are unchanged for every previously
-recorded run.
+config-hash keys (and everything derived from them — deterministic
+seeds, results digests) are unchanged for every previously recorded run.
 """
 
 from __future__ import annotations

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -81,3 +87,31 @@ def test_validate_command(capsys):
     out = capsys.readouterr().out
     assert "functional validation" in out
     assert "OK" in out
+
+
+def test_run_writes_no_files(tmp_path):
+    """A run persists nothing, so it can never serve a stale result.
+
+    Every value is recomputed from the current model in each process; a
+    cross-process store keyed by the job's arguments would keep
+    returning old numbers after a model constant changed.
+    """
+    home, cache_dir = tmp_path / "home", tmp_path / "cache"
+    home.mkdir()
+    cache_dir.mkdir()
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, HOME=str(home), REPRO_CACHE_DIR=str(cache_dir))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "vectorAdd", "--vps", "2,4"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "vectorAdd" in proc.stdout
+    assert sorted(home.rglob("*")) == []
+    assert sorted(cache_dir.rglob("*")) == []

@@ -20,7 +20,13 @@ from pathlib import Path
 import pytest
 
 from repro.api import RunRequest, run
-from repro.serve import ServeDaemon, ServeClient, ServeError
+from repro.serve import (
+    ServeClient,
+    ServeDaemon,
+    ServeError,
+    default_socket_path,
+    default_state_dir,
+)
 from repro.serve.journal import Journal, replay_journal
 from repro.serve.protocol import JobState
 from repro.serve.queue import (
@@ -225,6 +231,40 @@ def test_malformed_and_unknown_frames_get_structured_errors(state_dir):
         with pytest.raises(ServeError) as excinfo:
             client.status("job-999999")
         assert excinfo.value.code == "unknown-job"
+
+
+# -- default paths ---------------------------------------------------------------
+
+
+_ROOT_ENV = {"REPRO_SERVE_SOCKET": "env.sock", "REPRO_CACHE_DIR": "root"}
+
+
+@pytest.mark.parametrize(
+    "explicit, env, state, socket",
+    [
+        ("given.sock", _ROOT_ENV, "root/serve", "given.sock"),
+        (None, _ROOT_ENV, "root/serve", "env.sock"),
+        (None, {"REPRO_CACHE_DIR": "root"}, "root/serve", "root/serve/serve.sock"),
+        (
+            None,
+            {},
+            "home/.cache/repro-sigmavp/serve",
+            "home/.cache/repro-sigmavp/serve/serve.sock",
+        ),
+    ],
+    ids=["explicit", "socket-env", "cache-dir-env", "home"],
+)
+def test_default_paths_resolve_explicit_then_env_then_home(
+    tmp_path, monkeypatch, explicit, env, state, socket
+):
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    for name in ("REPRO_SERVE_SOCKET", "REPRO_CACHE_DIR"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, str(tmp_path / value))
+    given = None if explicit is None else tmp_path / explicit
+    assert default_state_dir() == tmp_path / state
+    assert default_socket_path(given) == tmp_path / socket
 
 
 # -- queue unit behavior ---------------------------------------------------------
