@@ -29,10 +29,10 @@ merges when the group is complete or the window expires.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..caching import caches_enabled
 from ..gpu.device import HostGPU
 from ..obs import metrics as _obs_metrics
 from ..obs import tracer as _obs_trace
@@ -72,6 +72,10 @@ class Triple:
     @property
     def jobs(self) -> List[Job]:
         return [*self.h2d, self.kernel, *self.d2h]
+
+    def __lt__(self, other: "Triple") -> bool:
+        # A coalescing group keeps its triples sorted by VP (one per VP).
+        return self.vp < other.vp
 
 
 @dataclass
@@ -129,57 +133,73 @@ class KernelCoalescer:
         #: in-flight slot nor its queue shows it; a later merged kernel
         #: reading those inputs must wait for it explicitly.
         self._group_inputs: Dict[str, Job] = {}
-        # Version-keyed triple cache: the dispatcher asks for the triple
-        # grouping on every scheduling decision (``hold_deadline`` per
-        # candidate plus one ``coalesce_pass`` per loop), but the answer
-        # only changes when the queue does.  The ``JobQueue.version``
-        # counter exists for exactly this observer pattern.
-        self._triples_version = -1
-        self._triples_queue: Optional[JobQueue] = None
-        self._triples_cache: Dict[tuple, List[Triple]] = {}
-        #: ``job_id`` -> the group its triple belongs to, built with the
-        #: triple cache; a job sits in at most one VP's head triple.
+        # The triple index, kept current for the VPs the queue reports
+        # touched (:meth:`JobQueue.watch`): the dispatcher asks for the
+        # grouping on every scheduling decision, but a queue change only
+        # moves the head triples of the VPs it touched.
+        self._queue: Optional[JobQueue] = None
+        self._dirty: Set[str] = set()
+        #: VP -> (group key, its head triple), for VPs in a group.
+        self._triple_of: Dict[str, Tuple[tuple, Triple]] = {}
+        self._groups: Dict[tuple, List[Triple]] = {}
+        #: ``job_id`` -> the group its triple belongs to; a job sits in
+        #: at most one VP's head triple.
         self._group_of: Dict[int, List[Triple]] = {}
+        #: Bumped whenever the index is updated.
+        self._generation = 0
+        #: ``_group_state`` per group (by ``id``), valid for one
+        #: ``(now, goal batch, generation)`` stamp.
+        self._states: Dict[int, Tuple[bool, Optional[float]]] = {}
+        self._states_stamp: Optional[Tuple[float, int, int]] = None
 
     # -- triple discovery --------------------------------------------------
 
     def find_triples(self, queue: JobQueue) -> Dict[tuple, List[Triple]]:
         """Group each VP's head triple by coalesce key.
 
-        The grouping is pure in the queue contents, so it is cached
-        against :attr:`JobQueue.version` and recomputed only after a
-        structural change (treat the result as read-only).
+        Within a group, triples are in sorted VP order.  Only the VPs the
+        queue changed since the last call are re-parsed, in sorted order,
+        so ``device_of`` binds first-seen VPs in the same order a full
+        scan would (treat the result as read-only).
         """
-        if (
-            caches_enabled()
-            and self._triples_queue is queue
-            and self._triples_version == queue.version
-        ):
-            return self._triples_cache
-        groups = self._scan_triples(queue)
-        self._triples_queue = queue
-        self._triples_version = queue.version
-        self._triples_cache = groups
-        self._group_of = {
-            job.job_id: triples
-            for triples in groups.values()
-            for triple in triples
-            for job in triple.jobs
-        }
-        return groups
+        if queue is not self._queue:
+            self._queue = queue
+            self._dirty = queue.watch()
+            self._triple_of = {}
+            self._groups = {}
+            self._group_of = {}
+        if self._dirty:
+            self._update(queue)
+        return self._groups
 
-    def _scan_triples(self, queue: JobQueue) -> Dict[tuple, List[Triple]]:
-        groups: Dict[tuple, List[Triple]] = {}
-        vps = {job.vp for job in queue}
-        for vp in sorted(vps):
+    def _update(self, queue: JobQueue) -> None:
+        """Re-parse the head triple of every VP the queue touched."""
+        dirty = sorted(self._dirty)
+        self._dirty.clear()
+        self._generation += 1
+        groups = self._groups
+        group_of = self._group_of
+        for vp in dirty:
+            old = self._triple_of.pop(vp, None)
+            if old is not None:
+                key, triple = old
+                group = groups[key]
+                del group[bisect_left(group, triple)]
+                if not group:
+                    del groups[key]
+                for job in triple.jobs:
+                    del group_of[job.job_id]
             triple = self._head_triple(queue.pending_for(vp))
             if triple is None or triple.key is None:
                 continue
-            if triple.kernel.members or any(j.members for j in triple.jobs):
+            if any(j.members for j in triple.jobs):
                 continue  # already a merged triple: never re-coalesce
-            device = self.device_of(vp)
-            groups.setdefault((*triple.key, device), []).append(triple)
-        return groups
+            key = (*triple.key, self.device_of(vp))
+            group = groups.setdefault(key, [])
+            insort(group, triple)
+            self._triple_of[vp] = (key, triple)
+            for job in triple.jobs:
+                group_of[job.job_id] = group
 
     @staticmethod
     def _head_triple(pending: Sequence[Job]) -> Optional[Triple]:
@@ -206,7 +226,7 @@ class KernelCoalescer:
             return min(self.target_batch, self.max_batch)
         return self.max_batch
 
-    def _group_state(self, triples: List[Triple]):
+    def _group_state(self, triples: List[Triple]) -> Tuple[bool, Optional[float]]:
         """(ready_to_merge, wake_deadline_or_None) for one key's group.
 
         A group merges when (a) it has reached the goal batch size *and*
@@ -240,8 +260,23 @@ class KernelCoalescer:
         triples = self._group_of.get(job.job_id)
         if triples is None:
             return None
-        ready, deadline = self._group_state(triples)
+        ready, deadline = self._state(triples)
         return None if ready else deadline
+
+    def _state(self, triples: List[Triple]) -> Tuple[bool, Optional[float]]:
+        """:meth:`_group_state`, computed once per group per decision.
+
+        The state is pure in the clock, the goal batch and the group's
+        triples, and the index generation moves whenever a group does.
+        """
+        stamp = (self.env.now, self._goal_batch(), self._generation)
+        if stamp != self._states_stamp:
+            self._states_stamp = stamp
+            self._states = {}
+        state = self._states.get(id(triples))
+        if state is None:
+            state = self._states[id(triples)] = self._group_state(triples)
+        return state
 
     # -- the merge -----------------------------------------------------------
 
@@ -255,7 +290,7 @@ class KernelCoalescer:
     def _coalesce_pass(self, queue: JobQueue) -> List[Job]:
         merged_jobs: List[Job] = []
         for _key, triples in sorted(self.find_triples(queue).items()):
-            ready, _deadline = self._group_state(triples)
+            ready, _deadline = self._state(triples)
             if not ready:
                 continue
             while len(triples) >= self.min_batch:

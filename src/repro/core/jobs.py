@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..caching import caches_enabled
 from ..kernels.ir import KernelIR
 from ..kernels.launch import LaunchConfig
 from ..obs import metrics as _obs_metrics
@@ -35,6 +36,11 @@ class JobKind(enum.Enum):
     KERNEL = "kernel"
     EVENT = "event"  # cudaEventRecord marker: timestamps stream progress
 
+    # Members are singletons compared by identity, so hash by identity
+    # too: the scheduler keys per-decision tables by kind, and Enum's own
+    # ``__hash__`` is a Python-level call.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:
         return f"JobKind.{self.name}"
 
@@ -47,6 +53,8 @@ _job_ids = itertools.count()
 #: Sentinel marking a job's coalesce key as not yet computed (``None``
 #: is a valid key value, meaning "not coalescible").
 _KEY_UNSET = object()
+
+_seq = attrgetter("seq")
 
 
 @dataclass(slots=True, eq=False)
@@ -139,6 +147,13 @@ class JobQueue:
     Plain-list storage (not a heap) because the Re-scheduler's whole
     purpose is to inspect and reorder it.  Consumers wait on
     :meth:`wait_for_job` events that fire whenever new work arrives.
+
+    The dispatcher and coalescer consult the per-VP view (heads, pending
+    lists) on every scheduling decision, so it is kept as indexes that
+    :meth:`put`, :meth:`remove` and :meth:`replace` update for the VPs
+    they touch only.  The indexes are exact: they always equal a scan of
+    :attr:`jobs` (``tests/test_core_coalescing.py`` holds that scan as
+    the oracle).
     """
 
     def __init__(self, env: Environment):
@@ -147,17 +162,22 @@ class JobQueue:
         self._arrival_waiters: List[Event] = []
         self._barriers: Dict[str, tuple] = {}
         self.total_enqueued = 0
-        #: Bumped on every structural change; lets observers cache scans.
-        self.version = 0
-        # Version-keyed scan caches: the dispatcher and coalescer consult
-        # heads/pending sets on every scheduling decision, usually many
-        # times between structural changes.  Rebuilt lazily when
-        # ``version`` moves (or on every call when caching is disabled).
-        self._scan_version = -1
-        self._heads: Dict[str, Job] = {}
+        #: Queue-order rank of every pending job: ``put`` hands out
+        #: increasing ranks and a merged job takes its earliest member's,
+        #: so sorting by rank gives queue order.
+        self._rank: Dict[Job, int] = {}
+        self._next_rank = 0
+        #: Each VP's pending jobs in queue order (VPs with none absent).
         self._by_vp: Dict[str, List[Job]] = {}
-        self._key_version = -1
-        self._by_key: Dict[tuple, List[Job]] = {}
+        #: Each VP's earliest job by ``seq`` (first in queue order on ties).
+        self._head: Dict[str, Job] = {}
+        #: ``(rank of the VP's first queued job, VP)``, sorted: the order
+        #: :meth:`heads_per_vp` iterates VPs in.
+        self._order: List[Tuple[int, str]] = []
+        #: The :meth:`heads_per_vp` mapping, rebuilt after a head moves.
+        self._heads: Optional[Dict[str, Job]] = None
+        #: Sets handed out by :meth:`watch`.
+        self._watchers: List[Set[str]] = []
 
     def __len__(self) -> int:
         return len(self._jobs)
@@ -173,8 +193,22 @@ class JobQueue:
     def put(self, job: Job) -> None:
         job.submitted_at_ms = self.env.now
         self._jobs.append(job)
+        rank = self._rank[job] = self._next_rank
+        self._next_rank += 1
+        vp = job.vp
+        pending = self._by_vp.get(vp)
+        if pending is None:
+            self._by_vp[vp] = [job]
+            self._head[vp] = job
+            self._order.append((rank, vp))  # the highest rank: stays sorted
+            self._heads = None
+        else:
+            pending.append(job)
+            if job.seq < self._head[vp].seq:
+                self._head[vp] = job
+                self._heads = None
+        self._changed(vp)
         self.total_enqueued += 1
-        self.version += 1
         registry = _obs_metrics.REGISTRY
         if registry is not None:
             registry.histogram(
@@ -195,7 +229,12 @@ class JobQueue:
             self._jobs.remove(job)
         except ValueError:
             raise RuntimeError(f"{job!r} is not in the queue") from None
-        self.version += 1
+        pending = self._by_vp[job.vp]
+        first = self._rank[pending[0]]
+        pending.remove(job)
+        del self._rank[job]
+        self._reindex(job.vp, first)
+        self._changed(job.vp)
 
     def replace(self, members: Sequence[Job], merged: Job) -> None:
         """Swap ``members`` for one ``merged`` job at the earliest slot.
@@ -210,7 +249,58 @@ class JobQueue:
         for member in members:
             self._jobs.remove(member)
         self._jobs.insert(min(insert_at, len(self._jobs)), merged)
-        self.version += 1
+
+        touched = {merged.vp, *(m.vp for m in members)}
+        first = {
+            vp: self._rank[self._by_vp[vp][0]]
+            for vp in touched
+            if vp in self._by_vp
+        }
+        rank = min(self._rank[m] for m in members)
+        for member in members:
+            self._by_vp[member.vp].remove(member)
+            del self._rank[member]
+        self._rank[merged] = rank
+        pending = self._by_vp.setdefault(merged.vp, [])
+        pending.insert(bisect_left([self._rank[j] for j in pending], rank), merged)
+        for vp in touched:
+            self._reindex(vp, first.get(vp))
+            self._changed(vp)
+
+    def _reindex(self, vp: str, old_first: Optional[int]) -> None:
+        """Refresh ``vp``'s head and order entry after its list changed.
+
+        ``old_first`` is the rank of the VP's first job before the change
+        (``None`` if it had none).
+        """
+        pending = self._by_vp[vp]
+        if pending:
+            self._head[vp] = min(pending, key=_seq)
+            new_first: Optional[int] = self._rank[pending[0]]
+        else:
+            del self._by_vp[vp], self._head[vp]
+            new_first = None
+        if new_first != old_first:
+            if old_first is not None:
+                del self._order[bisect_left(self._order, (old_first, vp))]
+            if new_first is not None:
+                insort(self._order, (new_first, vp))
+        self._heads = None
+
+    def _changed(self, vp: str) -> None:
+        for touched in self._watchers:
+            touched.add(vp)
+
+    def watch(self) -> Set[str]:
+        """A set the queue adds every VP whose pending jobs change to.
+
+        It starts with every VP that has pending jobs.  The caller
+        empties it (in place) once it has caught up: this is how the
+        coalescer re-parses only the VPs a change touched.
+        """
+        touched = set(self._by_vp)
+        self._watchers.append(touched)
+        return touched
 
     def set_barrier(self, vp: str, until: Event, exempt_below_seq: int = 0) -> None:
         """Block dispatching ``vp``'s jobs until ``until`` fires.
@@ -236,50 +326,23 @@ class JobQueue:
             return False
         return True
 
-    def _refresh_scan(self) -> None:
-        """Rebuild the per-VP scan caches for the current queue version."""
-        heads: Dict[str, Job] = {}
-        by_vp: Dict[str, List[Job]] = {}
-        for job in self._jobs:
-            by_vp.setdefault(job.vp, []).append(job)
-            head = heads.get(job.vp)
-            if head is None or job.seq < head.seq:
-                heads[job.vp] = job
-        self._heads = heads
-        self._by_vp = by_vp
-        self._scan_version = self.version
-
     def heads_per_vp(self) -> Dict[str, Job]:
         """The earliest pending job of each VP — the dispatchable set.
 
         Dispatching only per-VP heads preserves the per-VP partial order
-        by construction, whatever cross-VP order a policy picks.
+        by construction, whatever cross-VP order a policy picks.  VPs
+        iterate in the queue order of each VP's first pending job: the
+        dispatcher binds VPs to devices on first use in this order.
 
-        The returned mapping is a version-keyed cache shared between
-        calls at the same queue version; treat it as read-only.
+        The mapping is shared between calls until a head moves; treat it
+        as read-only.
         """
-        if self._scan_version != self.version or not caches_enabled():
-            self._refresh_scan()
-        return self._heads
+        heads = self._heads
+        if heads is None:
+            head = self._head
+            heads = self._heads = {vp: head[vp] for _, vp in self._order}
+        return heads
 
     def pending_for(self, vp: str) -> List[Job]:
-        """``vp``'s pending jobs in queue order (read-only cached list)."""
-        if self._scan_version != self.version or not caches_enabled():
-            self._refresh_scan()
+        """``vp``'s pending jobs in queue order (a live, read-only list)."""
         return self._by_vp.get(vp, [])
-
-    def kernels_matching(self, key: tuple) -> List[Job]:
-        """Pending kernel jobs with the given coalesce key."""
-        if key is None:
-            # Not a coalescible identity; the grouped cache below indexes
-            # only real keys, so answer with the direct (seed) scan.
-            return [job for job in self._jobs if job.coalesce_key is None]
-        if self._key_version != self.version or not caches_enabled():
-            by_key: Dict[tuple, List[Job]] = {}
-            for job in self._jobs:
-                job_key = job.coalesce_key
-                if job_key is not None:
-                    by_key.setdefault(job_key, []).append(job)
-            self._by_key = by_key
-            self._key_version = self.version
-        return self._by_key.get(key, [])

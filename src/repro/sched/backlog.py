@@ -19,7 +19,7 @@ obs counter, plus a hard assertion in debug mode).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..core.jobs import Job, JobKind
 from ..obs import metrics as _obs_metrics
@@ -29,23 +29,36 @@ from ..obs import metrics as _obs_metrics
 DRIFT_TOLERANCE_MS = 1e-6
 
 
+_ENGINES = {
+    JobKind.COPY_H2D: "h2d",
+    JobKind.COPY_D2H: "d2h",
+    JobKind.KERNEL: "compute",
+}
+
+#: ``(kind, device)`` -> role name, filled on first use of each pair.
+_ROLES: Dict[Tuple[JobKind, int], str] = {}
+
+
 def engine_role(job: Job) -> str:
     """Which hardware engine a job occupies.
 
     On a multi-GPU host the role is qualified by the device the job is
     bound to (``job.device``), so each GPU's engines are balanced
-    independently.
+    independently.  Policies rank every candidate by its role's backlog,
+    so the names come from a table rather than being built per call.
     """
-    if job.kind is JobKind.COPY_H2D:
-        role = "h2d"
-    elif job.kind is JobKind.COPY_D2H:
-        role = "d2h"
-    elif job.kind is JobKind.KERNEL:
-        role = "compute"
+    try:
+        return _ROLES[job.kind, job.device]
+    except KeyError:
+        pass
+    engine = _ENGINES.get(job.kind)
+    if engine is None:
+        role = "host"  # malloc/free: host-side bookkeeping, no engine
+    elif job.device:
+        role = f"{engine}@{job.device}"
     else:
-        return "host"  # malloc/free: host-side bookkeeping, no engine
-    if job.device:
-        return f"{role}@{job.device}"
+        role = engine
+    _ROLES[job.kind, job.device] = role
     return role
 
 

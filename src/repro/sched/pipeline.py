@@ -27,9 +27,9 @@ pre-refactor dispatcher (proven by ``tests/test_sched_pipeline.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Protocol
+from typing import Callable, Dict, List, Mapping, Optional, Protocol, Tuple
 
-from ..core.jobs import Job, JobQueue
+from ..core.jobs import Job, JobKind, JobQueue
 from ..obs import metrics as _obs_metrics
 from ..obs import tracer as _obs_trace
 from .backlog import EngineBacklog
@@ -76,12 +76,16 @@ class AdmissionStage:
             return False
         if queue.barred(job.vp, job.seq):
             return False
-        if any(not dep.processed for dep in job.depends_on):
+        if job.depends_on and any(not dep.processed for dep in job.depends_on):
             return False
         return True
 
     def has_room(self, job: Job) -> bool:
-        """Post-placement check: the bound device's engine has room."""
+        """Post-placement check: the bound device's engine has room.
+
+        A function of the job's ``(device, kind)`` only: a decision asks
+        once per engine.
+        """
         return self._engine_has_room(job)
 
 
@@ -188,20 +192,31 @@ class SchedulerPipeline:
             candidates: List[Job] = []
             deadlines: List[float] = []
             rejected = 0
+            # Engine room depends only on the bound engine, and nothing in
+            # one pass changes an engine: ask once per (device, kind).
+            room: Dict[Tuple[int, JobKind], bool] = {}
+            eligible = self.admission.eligible
+            bind = self.placer.bind
+            hold_deadline = self.hold.hold_deadline
+            backlog = self.backlog
             for job in heads.values():
-                if not self.admission.eligible(job, queue, inflight):
+                if not eligible(job, queue, inflight):
                     rejected += 1
                     continue
-                self.placer.bind(job, self.backlog)
-                if not self.admission.has_room(job):
+                bind(job, backlog)
+                engine = (job.device, job.kind)
+                fits = room.get(engine)
+                if fits is None:
+                    fits = room[engine] = self.admission.has_room(job)
+                if not fits:
                     rejected += 1
                     continue
-                deadline = self.hold.hold_deadline(queue, job)
+                deadline = hold_deadline(queue, job)
                 if deadline is not None:
                     deadlines.append(deadline)
                     continue
                 candidates.append(job)
-            choice = self.selector.choose(candidates, self.backlog)
+            choice = self.selector.choose(candidates, backlog)
         self._observe(choice, candidates, deadlines, rejected, now)
         return Decision(
             job=choice,

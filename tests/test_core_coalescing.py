@@ -1,6 +1,7 @@
 """Tests for Kernel Coalescing: triples, groups, merges, barriers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.coalescing import KernelCoalescer
 from repro.core.handles import HandleTable
@@ -103,6 +104,150 @@ def test_find_triples_never_recoalesces_merged():
     merged = coalescer.coalesce_pass(queue)
     assert merged
     assert coalescer.find_triples(queue) == {}
+
+
+# -- the incremental indexes against a full rescan ---------------------------------
+
+
+def _scan_queue(jobs):
+    """Per-VP heads and pending lists by one walk over the queue: the
+    rescan the queue's incremental indexes replace, kept as their oracle."""
+    heads, by_vp = {}, {}
+    for job in jobs:
+        by_vp.setdefault(job.vp, []).append(job)
+        head = heads.get(job.vp)
+        if head is None or job.seq < head.seq:
+            heads[job.vp] = job
+    return heads, by_vp
+
+
+def _scan_triples(coalescer, jobs):
+    """Every VP's head triple grouped by key, parsed from scratch: the
+    rescan the coalescer's triple index replaces."""
+    groups = {}
+    _, by_vp = _scan_queue(jobs)
+    for vp in sorted(by_vp):
+        triple = coalescer._head_triple(by_vp[vp])
+        if triple is None or triple.key is None:
+            continue
+        if triple.kernel.members or any(j.members for j in triple.jobs):
+            continue
+        device = coalescer.device_of(vp)
+        groups.setdefault((*triple.key, device), []).append(triple)
+    return groups
+
+
+#: A VP's put cycles through this program, so triples form and grow.
+_PROGRAM = (JobKind.COPY_H2D, JobKind.KERNEL, JobKind.COPY_D2H, JobKind.MALLOC)
+
+_PUT = st.tuples(st.just("put"), st.integers(0, 3), st.booleans(),
+                 st.sampled_from(("x", "x", "y", None)), st.integers(0, 3))
+_OPS = st.one_of(
+    _PUT, _PUT, _PUT,
+    st.tuples(st.just("remove"), st.integers(0, 63)),
+    st.tuples(st.just("replace"), st.lists(st.integers(0, 63), min_size=1,
+                                           max_size=4, unique=True),
+              st.integers(0, 4)),
+    st.tuples(st.just("coalesce"), st.sampled_from((0.0, 0.05, 3.0))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_OPS, min_size=10, max_size=60))
+def test_indexes_equal_a_full_rescan(ops):
+    """After any sequence of puts, removes, replaces and real merges, the
+    incremental indexes equal a from-scratch scan of ``queue.jobs``: heads
+    (values and iteration order), pending lists, triple groups, and the
+    memoised hold deadlines."""
+    env, gpu, handles, coalescer = _setup(target_batch=3)
+    coalescer.device_of = lambda vp: int(vp[-1]) // 3
+    queue = JobQueue(env)
+    launch = LaunchConfig(grid_size=2, block_size=256, elements=512)
+    kernels = {sig: _kernel(sig) for sig in ("x", "y")}
+    kernels[None] = _kernel("z", coalescible=False)
+    seen = set()
+    step = {}
+
+    for op in ops:
+        jobs = queue.jobs
+        if op[0] == "put":
+            # ``skip`` jumps a program stage; ``lag`` repeats or lowers
+            # the seq, so heads by seq differ from queue order.
+            _, vp_index, skip, signature, lag = op
+            vp = f"vp{vp_index}"
+            step[vp] = step.get(vp, -1) + 1 + skip
+            kind = _PROGRAM[step[vp] % len(_PROGRAM)]
+            fields = dict(vp=vp, seq=step[vp] - lag, kind=kind,
+                          completion=env.event(), nbytes=4096, size=64)
+            if kind is JobKind.KERNEL:
+                fields.update(kernel=kernels[signature], launch=launch)
+            queue.put(Job(**fields))
+        elif op[0] == "remove" and jobs:
+            queue.remove(jobs[op[1] % len(jobs)])
+        elif op[0] == "replace" and jobs:
+            members = list({id(j): j for j in (jobs[i % len(jobs)] for i in op[1])}
+                           .values())
+            # Into a fresh group VP, or into one that already has jobs.
+            vp = f"vp{op[2]}" if op[2] < 4 else f"group{len(seen)}"
+            merged = Job(vp=vp, seq=0, kind=JobKind.KERNEL,
+                         completion=env.event(), kernel=kernels["x"],
+                         launch=launch)
+            merged.members = members
+            queue.replace(members, merged)
+        elif op[0] == "coalesce":
+            if op[1]:
+                env.run(until=env.now + op[1])
+            coalescer.coalesce_pass(queue)
+
+        jobs = queue.jobs
+        seen.update(job.vp for job in jobs)
+        heads, by_vp = _scan_queue(jobs)
+        assert list(queue.heads_per_vp().items()) == list(heads.items())
+        for vp in seen:
+            assert queue.pending_for(vp) == by_vp.get(vp, [])
+        groups = _scan_triples(coalescer, jobs)
+        assert coalescer.find_triples(queue) == groups
+        group_of = {id(j): ts for ts in groups.values() for t in ts for j in t.jobs}
+        for job in heads.values():
+            triples = group_of.get(id(job))
+            want = None
+            if triples is not None:
+                ready, deadline = coalescer._group_state(triples)
+                want = None if ready else deadline
+            assert coalescer.hold_deadline(queue, job) == want
+
+
+def test_retouched_triple_keeps_sorted_vp_order():
+    """Re-parsing one VP's triple keeps its group in sorted VP order."""
+    env, gpu, handles, coalescer = _setup(target_batch=3)
+    queue = JobQueue(env)
+    for vp in ("a", "b"):
+        for job in _triple_jobs(env, vp, with_d2h=False):
+            queue.put(job)
+    coalescer.find_triples(queue)
+    queue.put(Job(vp="a", seq=2, kind=JobKind.COPY_D2H,
+                  completion=env.event(), nbytes=4096))
+    (triples,) = coalescer.find_triples(queue).values()
+    assert [t.vp for t in triples] == ["a", "b"]
+    assert [len(t.d2h) for t in triples] == [1, 0]
+
+
+def test_hold_deadline_follows_a_group_change_at_one_instant():
+    """The memoised group state is dropped when the group changes, even
+    with the clock standing still."""
+    env, gpu, handles, coalescer = _setup(target_batch=3)
+    queue = JobQueue(env)
+    firsts = []
+    for vp in ("a", "b", "c"):
+        jobs = _triple_jobs(env, vp, with_d2h=False)
+        for job in jobs:
+            queue.put(job)
+        firsts.append(coalescer.hold_deadline(queue, jobs[0]))
+    # Short of the goal the group waits out the hold window; at the goal
+    # it waits only for the members' D2H copies to settle.
+    window, settle = coalescer.hold_window_ms, coalescer.settle_ms
+    assert firsts == [pytest.approx(window), pytest.approx(window),
+                      pytest.approx(settle)]
 
 
 # -- merging -----------------------------------------------------------------------

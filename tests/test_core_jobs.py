@@ -146,16 +146,23 @@ def test_replace_requires_members():
         queue.replace([], _job(env))
 
 
-def test_version_bumps_on_changes():
+def test_watch_reports_touched_vps():
+    """A watcher starts with every VP present and collects each VP whose
+    pending jobs a put, remove or replace changes."""
     env = Environment()
     queue = JobQueue(env)
-    v0 = queue.version
-    job = _job(env)
-    queue.put(job)
-    v1 = queue.version
-    queue.remove(job)
-    v2 = queue.version
-    assert v0 < v1 < v2
+    a = _job(env, vp="a")
+    queue.put(a)
+    touched = queue.watch()
+    assert touched == {"a"}
+    touched.clear()
+    b = _job(env, vp="b")
+    queue.put(b)
+    queue.remove(a)
+    assert touched == {"a", "b"}
+    touched.clear()
+    queue.replace([b], _job(env, vp="merged"))
+    assert touched == {"b", "merged"}
 
 
 def test_barrier_blocks_until_event():
@@ -191,20 +198,6 @@ def test_pending_for_filters_by_vp():
     for job in (a, b, a2):
         queue.put(job)
     assert queue.pending_for("a") == [a, a2]
-
-
-def test_kernels_matching_key():
-    env = Environment()
-    queue = JobQueue(env)
-    k1 = _job(env, vp="a")
-    copy = _job(env, vp="b", kind=JobKind.COPY_H2D)
-    k2 = _job(env, vp="c")
-    for job in (k1, copy, k2):
-        queue.put(job)
-    from repro.core.kernel_match import kernel_digest
-
-    matches = queue.kernels_matching((kernel_digest(k1.kernel), 256))
-    assert matches == [k1, k2]
 
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 100)), max_size=40))

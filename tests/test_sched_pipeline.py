@@ -100,6 +100,39 @@ PINNED_SCENARIOS = [
              scale_elements=1024, scale_iterations=24),
         "34a735234bfb2912da5652d476875e016ccf51b64d43f3fefd1ff70a7be37023",
     ),
+    # Coalesced two-GPU fleets under every registered policy x placement:
+    # the hold/room checks and the coalescer's first-use device binds
+    # all run on these paths.
+    *(
+        (
+            dict(app="vectorAdd", n_vps=12, n_host_gpus=2, coalescing=True,
+                 scale_elements=1024, scale_iterations=4,
+                 policy=policy, placement=placement),
+            digest,
+        )
+        for policy, placement, digest in (
+            ("fifo", "round-robin",
+             "f287fe44b9f22fc2f4f46d23e941b091d575d5a00ea56f689ca926cce199ea54"),
+            ("fifo", "least-backlog",
+             "9874453d1e03323b0a88df69eec0c4426752de9ed1ff1ee0efbce05fdc1c8ac9"),
+            ("interleaving", "round-robin",
+             "6e79f1f3a8402b81065250a67d8100954c3c174e3ac08826316a3a6f8a64ab23"),
+            ("interleaving", "least-backlog",
+             "440109cfb64495a9af46c13a9d4d89e6e66ea3ac38132a2ce0ae39aefaf6fc72"),
+            ("sjf", "round-robin",
+             "f71afd2eb5bca090cd72aef75b7ae3ab89af8f7446d682f507a5148cc10d3721"),
+            ("sjf", "least-backlog",
+             "379e498ca5efc00eba74f2917f5d35e3d0c062d95b4dbc51a1521b4890fae5b0"),
+            ("fair-share", "round-robin",
+             "387e410aca1b940c862998daf92ab1fc0c6aa71fac9892458a0e43cda221ba18"),
+            ("fair-share", "least-backlog",
+             "9cf394e82d41030be5820ecf885d235b923bd66bee51c1d16315145edfc1051a"),
+            ("priority-deadline", "round-robin",
+             "402621672c62c8ae312eb4ad70ef74c46a8364ea9505bf71e6084c313b730e51"),
+            ("priority-deadline", "least-backlog",
+             "0177ed3301b56ea0a933ee9a83d50830418d0cb2abb89b399ca2fba82cfac62b"),
+        )
+    ),
 ]
 
 PINNED_PHASE = (
