@@ -147,6 +147,8 @@ class KernelCoalescer:
         self._group_of: Dict[int, List[Triple]] = {}
         #: Bumped whenever the index is updated.
         self._generation = 0
+        #: Sets handed out by :meth:`watch`.
+        self._watchers: List[Set[str]] = []
         #: ``_group_state`` per group (by ``id``), valid for one
         #: ``(now, goal batch, generation)`` stamp.
         self._states: Dict[int, Tuple[bool, Optional[float]]] = {}
@@ -179,14 +181,19 @@ class KernelCoalescer:
         self._generation += 1
         groups = self._groups
         group_of = self._group_of
+        # Groups that lost or gained a triple, by ``id``.
+        changed: Dict[int, List[Triple]] = {}
         for vp in dirty:
             old = self._triple_of.pop(vp, None)
             if old is not None:
                 key, triple = old
                 group = groups[key]
                 del group[bisect_left(group, triple)]
-                if not group:
+                if group:
+                    changed[id(group)] = group
+                else:
                     del groups[key]
+                    changed.pop(id(group), None)
                 for job in triple.jobs:
                     del group_of[job.job_id]
             triple = self._head_triple(queue.pending_for(vp))
@@ -197,9 +204,27 @@ class KernelCoalescer:
             key = (*triple.key, self.device_of(vp))
             group = groups.setdefault(key, [])
             insort(group, triple)
+            changed[id(group)] = group
             self._triple_of[vp] = (key, triple)
             for job in triple.jobs:
                 group_of[job.job_id] = group
+        if self._watchers and changed:
+            members = [t.vp for group in changed.values() for t in group]
+            for touched in self._watchers:
+                touched.update(members)
+
+    def watch(self) -> Set[str]:
+        """A set the coalescer adds every VP of a changed group to.
+
+        A group changes when :meth:`find_triples` brings a triple in or
+        out of it; every VP still in the group is added, because a held
+        head's :meth:`hold_deadline` depends on the whole group.  The
+        set starts with every VP in a group, and the caller empties it
+        (in place) once it has caught up.
+        """
+        touched = set(self._triple_of)
+        self._watchers.append(touched)
+        return touched
 
     @staticmethod
     def _head_triple(pending: Sequence[Job]) -> Optional[Triple]:

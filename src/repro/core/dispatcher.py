@@ -22,8 +22,8 @@ stream-pump semantics of a per-VP CUDA stream).
 
 Scheduling decisions themselves live in :mod:`repro.sched`: the
 dispatcher is a thin engine-facing executor that consults a
-:class:`~repro.sched.SchedulerPipeline` (admission → hold/merge →
-select → place) for *what* to run next and then runs it.
+:class:`~repro.sched.SchedulerPipeline` (admission → hold → select,
+with placement) for *what* to run next and then runs it.
 """
 
 from __future__ import annotations
@@ -128,8 +128,8 @@ class JobDispatcher:
         self.profiler = profiler
         self.config = config if config is not None else SchedulerConfig()
         self.backlog = EngineBacklog(debug=self.config.debug_enabled)
-        #: The four-stage dispatch pipeline this executor consults
-        #: (admission → hold/merge → select → place).
+        #: The dispatch pipeline this executor consults (admission →
+        #: hold → select, with placement).
         self.pipeline = SchedulerPipeline(
             policy,
             placement if placement is not None else RoundRobinPlacement(),
@@ -193,7 +193,8 @@ class JobDispatcher:
 
     def _run(self):
         while True:
-            self.pipeline.hold.merge(self.queue)
+            if self.coalescer is not None:
+                self.coalescer.coalesce_pass(self.queue)
 
             decision = self.pipeline.decide(
                 self.queue, self._inflight, self.env.now

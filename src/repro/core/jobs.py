@@ -16,7 +16,7 @@ import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -342,6 +342,15 @@ class JobQueue:
             head = self._head
             heads = self._heads = {vp: head[vp] for _, vp in self._order}
         return heads
+
+    def heads_of(self, vps: Iterable[str]) -> List[Job]:
+        """The heads of ``vps`` (those with pending jobs), in the order
+        :meth:`heads_per_vp` iterates them."""
+        by_vp = self._by_vp
+        rank = self._rank
+        order = sorted((rank[by_vp[vp][0]], vp) for vp in vps if vp in by_vp)
+        head = self._head
+        return [head[vp] for _, vp in order]
 
     def pending_for(self, vp: str) -> List[Job]:
         """``vp``'s pending jobs in queue order (a live, read-only list)."""

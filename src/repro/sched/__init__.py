@@ -3,14 +3,14 @@
 The paper's Re-scheduler and Kernel Coalescing decisions used to be
 smeared across the dispatcher, the rescheduler module, and the framework
 wiring.  This package decomposes every dispatch decision into four
-explicit, independently pluggable stages (see ``docs/SCHEDULING.md``):
+explicit stages (see ``docs/SCHEDULING.md``):
 
 * **admission** — which per-VP queue heads are dispatchable right now
   (VP not in flight, not behind a coalescing barrier, dependencies met,
   target engine has room);
-* **hold/merge** — Kernel Coalescing as a stage: merge ready groups and
-  hold coalescible jobs until their group completes or the window
-  expires;
+* **hold** — Kernel Coalescing's window: hold coalescible jobs until
+  their group completes or the window expires (the coalescer merges
+  ready groups before each decision);
 * **select** — the :class:`SchedulingPolicy` choosing among candidates
   (FIFO, interleaving, SJF, fair-share, priority/deadline, or any
   registered plugin);
@@ -34,10 +34,8 @@ from .config import SchedulerConfig
 from .pipeline import (
     AdmissionStage,
     Decision,
-    HoldStage,
     PlacementStage,
     SchedulerPipeline,
-    SelectStage,
 )
 from .placement import (
     LeastBacklogPlacement,
@@ -45,6 +43,7 @@ from .placement import (
     RoundRobinPlacement,
 )
 from .policies import (
+    CandidateIndex,
     FairSharePolicy,
     FIFOPolicy,
     InterleavingPolicy,
@@ -63,11 +62,11 @@ from .registry import (
 
 __all__ = [
     "AdmissionStage",
+    "CandidateIndex",
     "Decision",
     "EngineBacklog",
     "FIFOPolicy",
     "FairSharePolicy",
-    "HoldStage",
     "InterleavingPolicy",
     "LeastBacklogPlacement",
     "PlacementStage",
@@ -77,7 +76,6 @@ __all__ = [
     "SchedulerConfig",
     "SchedulerPipeline",
     "SchedulingPolicy",
-    "SelectStage",
     "ShortestJobFirstPolicy",
     "available_placements",
     "available_policies",

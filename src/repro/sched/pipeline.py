@@ -1,49 +1,66 @@
-"""The dispatch pipeline: admission → hold/merge → select → place.
+"""The dispatch pipeline: admission → hold → select, with placement.
 
-One dispatch decision used to be a single opaque scan inside
-``JobDispatcher._choose``; this module decomposes it into four explicit
-stages, each independently pluggable:
+One dispatch decision picks among the per-VP queue heads:
 
-* :class:`AdmissionStage` — which per-VP queue heads are dispatchable
-  *right now*: the VP has nothing in flight (stream-pump semantics of a
-  per-VP CUDA stream), the head is not behind a coalescing barrier, its
+* :class:`AdmissionStage` — which heads are dispatchable *right now*:
+  the VP has nothing in flight (stream-pump semantics of a per-VP CUDA
+  stream), the head is not behind a coalescing barrier, its
   dependencies are processed, and its target engine has room (engine
   queues stay shallow so the policy re-decides at every slot);
-* :class:`HoldStage` — Kernel Coalescing as a stage: merge ready groups
-  and hold coalescible heads until their group completes or the
-  coalescing window expires;
-* :class:`SelectStage` — the :class:`SchedulingPolicy` picking among
-  the admitted candidates;
+* **hold** — Kernel Coalescing's window: the coalescer's
+  ``hold_deadline`` keeps a coalescible head back until its group
+  completes or the window expires (the dispatcher runs the merges
+  themselves through ``coalesce_pass`` before each decision);
+* **select** — the :class:`SchedulingPolicy` picking among the
+  admitted candidates;
 * :class:`PlacementStage` — the :class:`PlacementStrategy` binding each
-  VP to a host GPU on first use (sticky thereafter: a VP's buffers live
-  on its device).
+  VP to a host GPU on first use, between the dependency and engine-room
+  checks (sticky thereafter: a VP's buffers live on its device).
 
-The stage order preserves the legacy scan exactly — same head iteration
-order, same per-job check order, same device-binding side effects — so
-FIFO/interleaving scenario digests stay bit-identical to the
-pre-refactor dispatcher (proven by ``tests/test_sched_pipeline.py``).
+Decisions come in *bursts*: the dispatcher loops decide → dispatch
+without yielding, so every decision of a burst runs between the same
+two processed events (one value of :attr:`Environment.steps`).  Within
+a burst:
+
+* a head's status — rejected, held (with its deadline) or candidate —
+  changes only when the queue touches its VP (:meth:`JobQueue.watch`)
+  or the coalescer changes its group (``Coalescer.watch``).  Everything
+  else it depends on — other VPs' in-flight slots, barriers,
+  dependencies, engine room, the clock — moves only when an event is
+  processed;
+* engine room is asked once per ``(device, kind)``;
+* a keyed policy's order keys stay put (the key contract of
+  :class:`SchedulingPolicy`), so candidates stay sorted in a
+  :class:`CandidateIndex`.
+
+The first decision of a burst therefore walks every head, and each later
+one re-examines only the VPs a change touched, in head order, so
+first-use placement binds happen in the order a full walk makes them.
+``tests/test_sched_pipeline.py`` keeps the full walk as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Protocol, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Protocol, Set, Tuple
 
 from ..core.jobs import Job, JobKind, JobQueue
 from ..obs import metrics as _obs_metrics
 from ..obs import tracer as _obs_trace
 from .backlog import EngineBacklog
 from .placement import PlacementStrategy
-from .policies import ExpectedMs, SchedulingPolicy
+from .policies import CandidateIndex, ExpectedMs, SchedulingPolicy
 
 
 class Coalescer(Protocol):
-    """The queue-scan surface the hold/merge stage needs (duck-typed to
+    """The group-index surface the hold stage needs (duck-typed to
     :class:`repro.core.coalescing.KernelCoalescer`)."""
 
-    def coalesce_pass(self, queue: JobQueue) -> List[Job]: ...
+    def find_triples(self, queue: JobQueue) -> object: ...
 
     def hold_deadline(self, queue: JobQueue, job: Job) -> Optional[float]: ...
+
+    def watch(self) -> Set[str]: ...
 
 
 @dataclass(frozen=True)
@@ -83,45 +100,10 @@ class AdmissionStage:
     def has_room(self, job: Job) -> bool:
         """Post-placement check: the bound device's engine has room.
 
-        A function of the job's ``(device, kind)`` only: a decision asks
-        once per engine.
+        A function of the job's ``(device, kind)`` only, and it changes
+        only when an event is processed: a burst asks once per engine.
         """
         return self._engine_has_room(job)
-
-
-class HoldStage:
-    """Kernel Coalescing as a pipeline stage (no-op without a coalescer)."""
-
-    def __init__(self, coalescer: Optional[Coalescer]) -> None:
-        self.coalescer = coalescer
-
-    def merge(self, queue: JobQueue) -> List[Job]:
-        """Merge ready coalescing groups before scanning heads.
-
-        Returns the merged jobs minted this pass (empty without a
-        coalescer).
-        """
-        if self.coalescer is None:
-            return []
-        return self.coalescer.coalesce_pass(queue)
-
-    def hold_deadline(self, queue: JobQueue, job: Job) -> Optional[float]:
-        """Deadline to hold a coalescible head until, or None to pass."""
-        if self.coalescer is None:
-            return None
-        return self.coalescer.hold_deadline(queue, job)
-
-
-class SelectStage:
-    """Wraps the scheduling policy choosing among admitted candidates."""
-
-    def __init__(self, policy: SchedulingPolicy) -> None:
-        self.policy = policy
-
-    def choose(
-        self, candidates: List[Job], backlog: EngineBacklog
-    ) -> Optional[Job]:
-        return self.policy.select(candidates, backlog)
 
 
 class PlacementStage:
@@ -147,7 +129,7 @@ class PlacementStage:
 
 
 class SchedulerPipeline:
-    """Runs the four stages over the Job Queue for one dispatch decision."""
+    """Admission, hold, select and placement for each dispatch decision."""
 
     def __init__(
         self,
@@ -161,16 +143,25 @@ class SchedulerPipeline:
         expected_ms: Optional[ExpectedMs] = None,
     ) -> None:
         self.backlog = backlog
+        self.policy = policy
+        self.coalescer = coalescer
         self.admission = AdmissionStage(engine_has_room)
-        self.hold = HoldStage(coalescer)
-        self.selector = SelectStage(policy)
         self.placer = PlacementStage(placement, n_devices)
         if expected_ms is not None:
             policy.attach(expected_ms)
-
-    @property
-    def policy(self) -> SchedulingPolicy:
-        return self.selector.policy
+        # The burst memo: what the previous decision found, valid while
+        # the queue, the in-flight map and the event count stay put.
+        self._burst: Tuple[Optional[JobQueue], Optional[Mapping[str, Job]], int] = (
+            None, None, -1,
+        )
+        self._touched: Set[str] = set()
+        self._group_touched: Set[str] = (
+            coalescer.watch() if coalescer is not None else set()
+        )
+        self._rejected: Set[str] = set()
+        self._held: Dict[str, float] = {}
+        self._candidates = CandidateIndex(policy)
+        self._room: Dict[Tuple[int, JobKind], bool] = {}
 
     @property
     def placement(self) -> PlacementStrategy:
@@ -179,62 +170,102 @@ class SchedulerPipeline:
     def decide(
         self, queue: JobQueue, inflight: Mapping[str, Job], now: float
     ) -> Decision:
-        """One pass: admit heads, hold coalescibles, select, and report.
+        """One decision: admit heads, hold coalescibles, select, report.
 
-        Mirrors the legacy ``JobDispatcher._choose`` scan bit-for-bit:
-        heads are visited in ``heads_per_vp`` order, device binding
-        happens between the dependency and engine-room checks (so
-        first-use placement order is unchanged), and the engine-room
-        check runs against the bound device.
+        The first decision of a burst (a new ``queue.env.steps``, queue
+        or in-flight map) walks every head in ``heads_per_vp`` order.  A
+        later one re-examines only the VPs the queue touched or whose
+        coalescing group changed since the previous decision, also in
+        head order; every other head keeps its status.  Either way the
+        candidates, held deadlines, rejected count and pick equal a full
+        walk's.
         """
         with _obs_metrics.timed("sched.decide"):
-            heads = queue.heads_per_vp()
-            candidates: List[Job] = []
-            deadlines: List[float] = []
-            rejected = 0
-            # Engine room depends only on the bound engine, and nothing in
-            # one pass changes an engine: ask once per (device, kind).
-            room: Dict[Tuple[int, JobKind], bool] = {}
-            eligible = self.admission.eligible
-            bind = self.placer.bind
-            hold_deadline = self.hold.hold_deadline
-            backlog = self.backlog
-            for job in heads.values():
-                if not eligible(job, queue, inflight):
-                    rejected += 1
-                    continue
-                bind(job, backlog)
-                engine = (job.device, job.kind)
-                fits = room.get(engine)
-                if fits is None:
-                    fits = room[engine] = self.admission.has_room(job)
-                if not fits:
-                    rejected += 1
-                    continue
-                deadline = hold_deadline(queue, job)
-                if deadline is not None:
-                    deadlines.append(deadline)
-                    continue
-                candidates.append(job)
-            choice = self.selector.choose(candidates, backlog)
-        self._observe(choice, candidates, deadlines, rejected, now)
+            coalescer = self.coalescer
+            if coalescer is not None:
+                # Bring the group index up to date so its watch set holds
+                # every group that changed since the previous decision.
+                coalescer.find_triples(queue)
+            burst = self._burst
+            steps = queue.env.steps
+            rejected = self._rejected
+            held = self._held
+            candidates = self._candidates
+            if burst[0] is not queue or burst[1] is not inflight or burst[2] != steps:
+                if burst[0] is not queue:
+                    self._touched = queue.watch()
+                self._burst = (queue, inflight, steps)
+                self._touched.clear()
+                self._group_touched.clear()
+                self._room.clear()
+                rejected.clear()
+                held.clear()
+                candidates.clear()
+                heads: Iterable[Job] = queue.heads_per_vp().values()
+            else:
+                dirty = self._touched | self._group_touched
+                self._touched.clear()
+                self._group_touched.clear()
+                for vp in dirty:
+                    rejected.discard(vp)
+                    held.pop(vp, None)
+                    candidates.discard(vp)
+                heads = queue.heads_of(dirty)
+            self._examine(heads, queue, inflight)
+            if candidates.keyed:
+                choice = candidates.pick(self.backlog)
+            else:
+                choice = self.policy.select(
+                    queue.heads_of(candidates.jobs), self.backlog
+                )
+        self._observe(choice, now)
         return Decision(
             job=choice,
-            hold_deadline=min(deadlines) if deadlines else None,
+            hold_deadline=min(held.values()) if held else None,
             n_candidates=len(candidates),
-            n_held=len(deadlines),
-            n_rejected=rejected,
+            n_held=len(held),
+            n_rejected=len(rejected),
         )
 
-    def _observe(
-        self,
-        choice: Optional[Job],
-        candidates: List[Job],
-        deadlines: List[float],
-        rejected: int,
-        now: float,
+    def _examine(
+        self, heads: Iterable[Job], queue: JobQueue, inflight: Mapping[str, Job]
     ) -> None:
+        """Sort each head into rejected, held or candidate."""
+        eligible = self.admission.eligible
+        bind = self.placer.bind
+        backlog = self.backlog
+        room = self._room
+        rejected = self._rejected
+        held = self._held
+        admit = self._candidates.add
+        hold_deadline = (
+            self.coalescer.hold_deadline if self.coalescer is not None else None
+        )
+        for job in heads:
+            if not eligible(job, queue, inflight):
+                rejected.add(job.vp)
+                continue
+            bind(job, backlog)
+            engine = (job.device, job.kind)
+            fits = room.get(engine)
+            if fits is None:
+                fits = room[engine] = self.admission.has_room(job)
+            if not fits:
+                rejected.add(job.vp)
+                continue
+            if hold_deadline is not None:
+                deadline = hold_deadline(queue, job)
+                if deadline is not None:
+                    held[job.vp] = deadline
+                    continue
+            admit(job)
+
+    def _observe(self, choice: Optional[Job], now: float) -> None:
         tracer = _obs_trace.TRACER
+        registry = _obs_metrics.REGISTRY
+        if tracer is None and registry is None:
+            return
+        candidates = list(self._candidates.jobs.values())
         if tracer is not None and choice is not None:
             # A pick is a *reorder* when the policy passed over an older
             # job — the observable act of Kernel Interleaving.
@@ -251,7 +282,6 @@ class SchedulerPipeline:
                     "candidates": len(candidates),
                 },
             )
-        registry = _obs_metrics.REGISTRY
         if registry is None:
             return
         if choice is not None:
@@ -267,9 +297,9 @@ class SchedulerPipeline:
             registry.histogram(
                 "sched.queue_delay_ms", _obs_metrics.MS_BUCKETS
             ).observe(max(0.0, now - choice.submitted_at_ms))
-        if rejected:
-            registry.counter("sched.admission.rejected").inc(rejected)
-        if deadlines:
-            registry.counter("sched.hold.held").inc(len(deadlines))
+        if self._rejected:
+            registry.counter("sched.admission.rejected").inc(len(self._rejected))
+        if self._held:
+            registry.counter("sched.hold.held").inc(len(self._held))
         if choice is None:
             registry.counter("sched.select.idle").inc()

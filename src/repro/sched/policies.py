@@ -12,15 +12,22 @@ Every policy here is registered by name (see :mod:`repro.sched.registry`)
 and must hold the conformance invariants checked by
 ``tests/test_sched_conformance.py``: pick only from the candidates it
 was given (or ``None``), deterministically under a fixed seed.
+
+Most policies rank by a per-job *order key* (:meth:`SchedulingPolicy.order_key`)
+and inherit the reference :meth:`~SchedulingPolicy.select` built from it;
+the pipeline then keeps candidates sorted by that key in a
+:class:`CandidateIndex` across a dispatch burst instead of re-ranking
+every head on every decision.  A policy that ranks some other way
+(fair-share) overrides ``select`` and is handed the candidate list.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from bisect import bisect_left, insort
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.jobs import Job, JobKind
-from .backlog import EngineBacklog
+from .backlog import EngineBacklog, engine_role
 from .config import DEFAULT_HOST_CALL_MS, DEFAULT_PROFILING_OVERHEAD_MS
 from .registry import register_policy
 
@@ -28,21 +35,65 @@ from .registry import register_policy
 #: duration-aware policies via :meth:`SchedulingPolicy.attach`.
 ExpectedMs = Callable[[Job], float]
 
+#: A job's rank under a keyed policy: the smallest dispatches first.
+OrderKey = Tuple[Any, ...]
 
-class SchedulingPolicy(abc.ABC):
+
+class SchedulingPolicy:
     """Chooses the next job to dispatch among the dispatchable heads."""
 
     name: str = "abstract"
     description: str = ""
+
+    #: Rank candidates by their engine's expected backlog ahead of the
+    #: order key (Kernel Interleaving feeds the starving engine first).
+    backlog_first: bool = False
 
     #: Expected-duration oracle, attached by the pipeline.  ``None``
     #: until attached; duration-aware policies fall back to a crude
     #: static estimate so they stay usable (and deterministic) alone.
     _expected_ms: Optional[ExpectedMs] = None
 
-    @abc.abstractmethod
+    def order_key(self, job: Job) -> OrderKey:
+        """The job's rank among candidates: the smallest goes first.
+
+        The key contract: the key ends in ``job_id`` (no two candidates
+        tie), and a job's key changes only when the policy picks a job
+        of the same VP (:meth:`picked`).  A picked VP is in flight until
+        the next event, so within one dispatch burst every candidate's
+        key stays put and the pipeline can keep candidates sorted.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} defines neither order_key nor select"
+        )
+
+    def picked(self, job: Job) -> None:
+        """Record that ``job`` was chosen (the one place state may move)."""
+
     def select(self, dispatchable: List[Job], backlog: EngineBacklog) -> Optional[Job]:
-        """Pick the next job, or None to dispatch nothing right now."""
+        """Pick the next job, or None to dispatch nothing right now.
+
+        The reference ranking: the smallest :meth:`order_key`, after the
+        job's engine backlog when :attr:`backlog_first`.  A policy that
+        overrides this gets the full candidate list on every decision.
+        """
+        if not dispatchable:
+            return None
+        if self.backlog_first:
+            choice = min(
+                dispatchable,
+                key=lambda job: (backlog.for_job(job), self.order_key(job)),
+            )
+        else:
+            choice = min(dispatchable, key=self.order_key)
+        self.picked(choice)
+        return choice
+
+    @property
+    def keyed(self) -> bool:
+        """Whether :meth:`select` is the key-ranked reference, so a
+        :class:`CandidateIndex` may pick in its place."""
+        return type(self).select is SchedulingPolicy.select
 
     def attach(self, expected_ms: ExpectedMs) -> None:
         """Give the policy the dispatcher's expected-duration oracle."""
@@ -67,6 +118,74 @@ class SchedulingPolicy(abc.ABC):
         return f"<{self.__class__.__name__}>"
 
 
+class CandidateIndex:
+    """One candidate per VP, sorted by a keyed policy's order key.
+
+    Candidates are kept per engine role, so :meth:`pick` compares one
+    head per role: the smallest ``(backlog, key)`` for a backlog-first
+    policy, else the smallest key.  Under the key contract that is what
+    ``select`` over the same candidates returns.
+    """
+
+    def __init__(self, policy: SchedulingPolicy) -> None:
+        self.policy = policy
+        #: Whether to rank at all (an unkeyed policy only needs :attr:`jobs`).
+        self.keyed = policy.keyed
+        #: VP -> its candidate, in insertion order.
+        self.jobs: Dict[str, Job] = {}
+        #: Role -> ``(key, vp)`` entries, sorted (no empty lists).
+        self._ranked: Dict[str, List[Tuple[OrderKey, str]]] = {}
+        #: VP -> where its entry sits: ``(role, key)``.
+        self._entry: Dict[str, Tuple[str, OrderKey]] = {}
+
+    def __len__(self) -> int:
+        return len(self.jobs)
+
+    def add(self, job: Job) -> None:
+        """Admit ``job`` as its VP's candidate (the VP must have none)."""
+        self.jobs[job.vp] = job
+        if not self.keyed:
+            return
+        role = engine_role(job)
+        key = self.policy.order_key(job)
+        self._entry[job.vp] = (role, key)
+        insort(self._ranked.setdefault(role, []), (key, job.vp))
+
+    def discard(self, vp: str) -> None:
+        """Drop ``vp``'s candidate, if it has one."""
+        self.jobs.pop(vp, None)
+        entry = self._entry.pop(vp, None)
+        if entry is None:
+            return
+        role, key = entry
+        ranked = self._ranked[role]
+        del ranked[bisect_left(ranked, (key, vp))]
+        if not ranked:
+            del self._ranked[role]
+
+    def clear(self) -> None:
+        self.jobs.clear()
+        self._ranked.clear()
+        self._entry.clear()
+
+    def pick(self, backlog: EngineBacklog) -> Optional[Job]:
+        """The keyed policy's choice among the candidates, or None."""
+        best: Optional[str] = None
+        best_rank: Optional[OrderKey] = None
+        backlog_first = self.policy.backlog_first
+        per_engine = backlog.per_engine
+        for role, ranked in self._ranked.items():
+            key, vp = ranked[0]
+            rank: OrderKey = (per_engine.get(role, 0.0), key) if backlog_first else key
+            if best_rank is None or rank < best_rank:
+                best, best_rank = vp, rank
+        if best is None:
+            return None
+        choice = self.jobs[best]
+        self.policy.picked(choice)
+        return choice
+
+
 @register_policy
 class FIFOPolicy(SchedulingPolicy):
     """Arrival order — the unoptimized baseline (paper Fig. 3a)."""
@@ -74,10 +193,8 @@ class FIFOPolicy(SchedulingPolicy):
     name = "fifo"
     description = "arrival order; the unoptimized baseline (paper Fig. 3a)"
 
-    def select(self, dispatchable: List[Job], backlog: EngineBacklog) -> Optional[Job]:
-        if not dispatchable:
-            return None
-        return min(dispatchable, key=lambda job: job.job_id)
+    def order_key(self, job: Job) -> OrderKey:
+        return (job.job_id,)
 
 
 @register_policy
@@ -98,26 +215,18 @@ class InterleavingPolicy(SchedulingPolicy):
         "feed the engine with the smallest expected backlog, rotating "
         "across VPs (paper Fig. 3b)"
     )
+    backlog_first = True
 
     def __init__(self) -> None:
         self._last_served: Dict[str, int] = {}
         self._serve_counter = 0
 
-    def select(self, dispatchable: List[Job], backlog: EngineBacklog) -> Optional[Job]:
-        if not dispatchable:
-            return None
+    def order_key(self, job: Job) -> OrderKey:
+        return (self._last_served.get(job.vp, -1), job.job_id)
 
-        def rank(job: Job):
-            return (
-                backlog.for_job(job),
-                self._last_served.get(job.vp, -1),
-                job.job_id,
-            )
-
-        choice = min(dispatchable, key=rank)
+    def picked(self, job: Job) -> None:
         self._serve_counter += 1
-        self._last_served[choice.vp] = self._serve_counter
-        return choice
+        self._last_served[job.vp] = self._serve_counter
 
 
 @register_policy
@@ -133,12 +242,8 @@ class ShortestJobFirstPolicy(SchedulingPolicy):
     name = "sjf"
     description = "shortest expected job first (minimize mean wait)"
 
-    def select(self, dispatchable: List[Job], backlog: EngineBacklog) -> Optional[Job]:
-        if not dispatchable:
-            return None
-        return min(
-            dispatchable, key=lambda job: (self.expected_ms(job), job.job_id)
-        )
+    def order_key(self, job: Job) -> OrderKey:
+        return (self.expected_ms(job), job.job_id)
 
 
 @register_policy
@@ -149,7 +254,8 @@ class FairSharePolicy(SchedulingPolicy):
     decision round; dispatching charges the job's expected duration to
     its VP.  The VP deepest in credit goes next, so a VP issuing long
     kernels is throttled while ones issuing short copies catch up —
-    classic DRR applied to the ΣVP job queue.
+    classic DRR applied to the ΣVP job queue.  Credit moves for every
+    candidate on every decision, so this policy has no order key.
     """
 
     name = "fair-share"
@@ -204,13 +310,7 @@ class PriorityDeadlinePolicy(SchedulingPolicy):
         tier = self.tiers.get(vp, self.default_tier)
         return max(0, min(tier, len(self.budgets_ms) - 1))
 
-    def select(self, dispatchable: List[Job], backlog: EngineBacklog) -> Optional[Job]:
-        if not dispatchable:
-            return None
-
-        def rank(job: Job):
-            tier = self._tier(job.vp)
-            deadline = job.submitted_at_ms + self.budgets_ms[tier]
-            return (deadline, tier, job.job_id)
-
-        return min(dispatchable, key=rank)
+    def order_key(self, job: Job) -> OrderKey:
+        tier = self._tier(job.vp)
+        deadline = job.submitted_at_ms + self.budgets_ms[tier]
+        return (deadline, tier, job.job_id)

@@ -49,6 +49,7 @@ class Environment:
         # the hottest call of the simulation.
         self._next_eid = count().__next__
         self._active_process: Optional[Process] = None
+        self._steps = 0
 
     def __repr__(self) -> str:
         return f"<Environment now={self._now} pending={len(self._queue)}>"
@@ -57,6 +58,17 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in milliseconds."""
         return self._now
+
+    @property
+    def steps(self) -> int:
+        """Number of events processed so far (read-only).
+
+        The counter moves exactly when :meth:`step` takes an event, so two
+        reads that see the same value bracket no event processing: state
+        that only events change is the same at both (the scheduler keys
+        its per-burst memo on this).
+        """
+        return self._steps
 
     @property
     def pending(self) -> int:
@@ -112,6 +124,7 @@ class Environment:
                 f"event scheduled in the past: {when} < {self._now}"
             )
         self._now = when
+        self._steps += 1
 
         # Event-loop observability: one module-attribute check when the
         # registry is disabled (the loop is the simulation's hottest path).

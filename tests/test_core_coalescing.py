@@ -205,6 +205,10 @@ def test_indexes_equal_a_full_rescan(ops):
         assert list(queue.heads_per_vp().items()) == list(heads.items())
         for vp in seen:
             assert queue.pending_for(vp) == by_vp.get(vp, [])
+        some = sorted(seen)[::2]
+        assert queue.heads_of(some) == [
+            job for vp, job in heads.items() if vp in some
+        ]
         groups = _scan_triples(coalescer, jobs)
         assert coalescer.find_triples(queue) == groups
         group_of = {id(j): ts for ts in groups.values() for t in ts for j in t.jobs}

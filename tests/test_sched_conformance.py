@@ -25,6 +25,7 @@ scenario (including a 2-GPU host) and must complete with a quiesced
 backlog.
 """
 
+import copy
 from typing import Dict, List, Tuple
 
 import pytest
@@ -32,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.jobs import Job, JobKind
 from repro.sched import (
+    CandidateIndex,
     EngineBacklog,
     available_placements,
     available_policies,
@@ -41,6 +43,8 @@ from repro.sched import (
 from repro.sim import Environment
 
 POLICY_NAMES = [name for name, _ in available_policies()]
+#: Policies that rank by an order key (``select`` not overridden).
+KEYED_POLICY_NAMES = [name for name in POLICY_NAMES if make_policy(name).keyed]
 PLACEMENT_NAMES = [name for name, _ in available_placements()]
 
 #: (vp index, job kind index, expected duration in ms) triples; the
@@ -146,6 +150,53 @@ def test_policy_deterministic(policy_name, table):
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
 def test_policy_empty_returns_none(policy_name):
     assert make_policy(policy_name).select([], EngineBacklog()) is None
+
+
+@pytest.mark.parametrize("policy_name", KEYED_POLICY_NAMES)
+@settings(max_examples=30, deadline=None)
+@given(table=JOB_TABLES,
+       devices=st.lists(st.integers(min_value=0, max_value=1),
+                        min_size=4, max_size=4))
+def test_indexed_pick_equals_select(policy_name, table, devices):
+    """A :class:`CandidateIndex` fed one head per VP picks what ``select``
+    over the same heads picks, decision after decision.
+
+    Only a picked VP's head is replaced between picks, as in a dispatch
+    burst, while the engine backlog moves under the standing candidates.
+    """
+    env = Environment()
+    policy = make_policy(policy_name)
+    index = CandidateIndex(policy)
+    backlog = EngineBacklog()
+    streams = _build_jobs(env, table)
+    for vp, stream in streams.items():
+        for job, expected_ms in stream:
+            job.device = devices[int(vp[2:])]
+            job.submitted_at_ms = expected_ms  # spreads deadlines too
+    cursors = {vp: 0 for vp in streams}
+    expected_of = {
+        id(job): ms for stream in streams.values() for job, ms in stream
+    }
+    for vp in sorted(streams):
+        index.add(streams[vp][0][0])
+    inflight: List[Job] = []
+    while len(index):
+        reference = copy.deepcopy(policy).select(
+            list(index.jobs.values()), backlog
+        )
+        choice = index.pick(backlog)
+        assert choice is reference
+        index.discard(choice.vp)
+        backlog.add(choice, expected_of[id(choice)])
+        inflight.append(choice)
+        if len(inflight) > 1:
+            done = inflight.pop(0)
+            backlog.retire(done, expected_of[id(done)])
+        cursors[choice.vp] += 1
+        stream = streams[choice.vp]
+        if cursors[choice.vp] < len(stream):
+            index.add(stream[cursors[choice.vp]][0])
+    assert all(cursors[vp] == len(streams[vp]) for vp in streams)
 
 
 VP_SEQUENCES = st.lists(

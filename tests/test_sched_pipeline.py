@@ -7,9 +7,12 @@ were produced by the seed code before :mod:`repro.sched` existed, and
 every scenario summary must still hash to exactly those values.
 """
 
+import copy
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.jobs import Job, JobKind
 from repro.obs import metrics as obs_metrics
@@ -17,6 +20,7 @@ from repro.obs.export import canonical_json
 from repro.sched import (
     EngineBacklog,
     FairSharePolicy,
+    InterleavingPolicy,
     PriorityDeadlinePolicy,
     SchedulerConfig,
     ShortestJobFirstPolicy,
@@ -154,6 +158,354 @@ def test_phase_point_digest_bit_identical():
 
     kwargs, expected = PINNED_PHASE
     assert _digest(phase_point(**kwargs)) == expected
+
+
+#: ``sched.*``/``dispatch.*`` obs counters, computed with the full-walk
+#: decision.  No scenario digest covers them, and ``n_rejected``/``n_held``
+#: are bookkeeping the pipeline keeps across a dispatch burst.
+PINNED_COUNTERS = [
+    *(
+        (
+            dict(app="vectorAdd", n_vps=12, n_host_gpus=2, coalescing=True,
+                 scale_elements=1024, scale_iterations=4,
+                 policy=policy, placement=placement),
+            (309, 204, 50, 82, 31 if policy == "fair-share" else 0),
+        )
+        for policy in ("fifo", "interleaving", "sjf", "fair-share",
+                       "priority-deadline")
+        for placement in ("round-robin", "least-backlog")
+    ),
+    (
+        dict(app="vectorAdd", n_vps=48, n_host_gpus=2,
+             scale_elements=1024, scale_iterations=24),
+        (8775, 5328, 340, 570, 92),
+    ),
+]
+
+COUNTER_NAMES = (
+    "sched.admission.rejected",
+    "sched.hold.held",
+    "sched.select.idle",
+    "dispatch.decisions",
+    "dispatch.reorders",
+)
+
+
+@pytest.mark.parametrize(
+    "kwargs, expected", PINNED_COUNTERS,
+    ids=[f"{kw.get('policy', 'default')}-{kw.get('placement', 'round-robin')}"
+         f"-{kw['n_vps']}vp" for kw, _ in PINNED_COUNTERS],
+)
+def test_sched_counters_pinned(kwargs, expected):
+    from repro.exec.jobs import scenario_summary
+
+    registry = obs_metrics.enable()
+    try:
+        scenario_summary(**kwargs)
+    finally:
+        obs_metrics.disable()
+    counts = tuple(registry.counter(name).value for name in COUNTER_NAMES)
+    assert counts == expected
+
+
+# -- incremental decisions: bursts at one instant ---------------------------
+
+
+def _same_instant_log(n_vps):
+    """A fleet whose events pile up at shared instants.
+
+    Host calls cost nothing and event records are zero-time, so many
+    events fire at one simulated instant and a dispatch burst can start
+    at a time the previous burst already saw.
+    """
+    from repro.core.dispatcher import JobDispatcher
+    from repro.core.handles import HandleTable
+    from repro.core.ipc import SHARED_MEMORY, IPCManager
+    from repro.core.jobs import JobQueue
+    from repro.gpu import QUADRO_4000, HostGPU
+    from repro.kernels import LaunchConfig, MemoryFootprint, uniform_kernel
+    from repro.kernels.functional import FunctionalRegistry
+    from repro.vp import CudaRuntime, SigmaVPBackend, VirtualPlatform
+
+    env = Environment()
+    gpu = HostGPU(env, QUADRO_4000)
+    queue = JobQueue(env)
+    handles = HandleTable()
+    ipc = IPCManager(env, queue, transport=SHARED_MEMORY)
+    dispatcher = JobDispatcher(
+        env, gpu, queue, handles, policy=InterleavingPolicy(),
+        registry=FunctionalRegistry(),
+        config=SchedulerConfig(host_call_ms=0.0),
+    )
+    kernel = uniform_kernel(
+        "burst", {"fp32": 8, "load": 1, "store": 1},
+        MemoryFootprint(bytes_in=4096, bytes_out=4096, working_set_bytes=4096),
+    )
+
+    def app(api):
+        def run():
+            handle = yield from api.malloc(4096)
+            data = np.zeros(1024, dtype=np.float32)
+            done = None
+            for i in range(3):
+                start = yield from api.event_create()
+                yield from api.event_record(start)
+                yield from api.memcpy_h2d(handle, data, sync=False)
+                launch = LaunchConfig(grid_size=8 + i, block_size=256,
+                                      elements=1024)
+                yield from api.launch_kernel(kernel, launch, args=[handle],
+                                             out=handle, sync=False)
+                done = yield from api.event_create()
+                yield from api.event_record(done)
+            yield from api.free(handle)
+            yield from api.event_synchronize(done)
+        return run
+
+    processes = []
+    for index in range(n_vps):
+        vp = VirtualPlatform(env, f"vp{index}")
+        api = CudaRuntime(SigmaVPBackend(env, vp, ipc, handles))
+        processes.append(vp.run_app(app(api)))
+    env.run(env.all_of(processes))
+    return [
+        [job.vp, job.seq, job.kind.name, job.dispatched_at_ms,
+         job.completed_at_ms]
+        for job in dispatcher.completed_log
+    ]
+
+
+@pytest.mark.parametrize("n_vps, expected", [
+    (4, "37602b884ae727843de13364f207c2c6e38dd3452010ee8dc717d44438542948"),
+    (8, "68c0b7aaa42517023baa785e4040979da07dcdfbf7b9eb3f7c1a57d4f5c646cd"),
+])
+def test_same_instant_bursts_keep_the_completed_log(n_vps, expected):
+    """A burst is bounded by processed events, not by the clock.
+
+    Many events share one instant here; a decision memo that outlived an
+    event because the clock did not move would miss a freed stream and
+    stall the fleet.
+    """
+    log = _same_instant_log(n_vps)
+    assert len(log) == 14 * n_vps
+    assert _digest(log) == expected
+
+
+# -- incremental decisions: the full walk as the oracle ---------------------
+
+
+def _reference_walk(pipeline, queue, inflight):
+    """The full-walk decision: every head, every check, in head order.
+
+    This is the pipeline's pre-incremental ``decide`` body (without the
+    pick): returns the candidates in head order, each held VP's
+    deadline, and the rejected count.
+    """
+    candidates = []
+    deadlines = {}
+    rejected = 0
+    room = {}
+    for job in queue.heads_per_vp().values():
+        if not pipeline.admission.eligible(job, queue, inflight):
+            rejected += 1
+            continue
+        pipeline.placer.bind(job, pipeline.backlog)
+        engine = (job.device, job.kind)
+        if engine not in room:
+            room[engine] = pipeline.admission.has_room(job)
+        if not room[engine]:
+            rejected += 1
+            continue
+        if pipeline.coalescer is not None:
+            deadline = pipeline.coalescer.hold_deadline(queue, job)
+            if deadline is not None:
+                deadlines[job.vp] = deadline
+                continue
+        candidates.append(job)
+    return candidates, deadlines, rejected
+
+
+def _oracle_checked(pipeline, checks):
+    """Wrap ``pipeline.decide`` to compare every decision to the oracle."""
+    decide = pipeline.decide
+    policy = pipeline.policy
+
+    def checked(queue, inflight, now):
+        # The reference pick runs on a copy of the policy as it was
+        # before this decision (picks move policy state); the expected-
+        # duration oracle is shared, not copied.
+        oracle = policy._expected_ms
+        memo = {} if oracle is None else {id(oracle): oracle}
+        reference_policy = copy.deepcopy(policy, memo)
+        decision = decide(queue, inflight, now)
+        candidates, deadlines, rejected = _reference_walk(
+            pipeline, queue, inflight
+        )
+        assert set(map(id, pipeline._candidates.jobs.values())) == set(
+            map(id, candidates)
+        )
+        assert decision.n_candidates == len(candidates)
+        assert pipeline._held == deadlines
+        assert decision.n_held == len(deadlines)
+        assert decision.hold_deadline == (
+            min(deadlines.values()) if deadlines else None
+        )
+        assert decision.n_rejected == rejected
+        assert decision.job is reference_policy.select(
+            candidates, pipeline.backlog
+        )
+        checks.append(decision)
+        return decision
+
+    pipeline.decide = checked
+
+
+def test_a_group_change_reexamines_every_member():
+    """A held head is re-examined when its coalescing group changes, even
+    if the queue did not touch the head's own VP."""
+    from repro.core.jobs import JobQueue
+    from repro.sched import FIFOPolicy, RoundRobinPlacement, SchedulerPipeline
+    from tests.test_core_coalescing import _setup, _triple_jobs
+
+    env, _gpu, _handles, coalescer = _setup(target_batch=3)
+    queue = JobQueue(env)
+    pipeline = SchedulerPipeline(FIFOPolicy(), RoundRobinPlacement(),
+                                 EngineBacklog(), coalescer=coalescer)
+    inflight = {}
+    for vp in ("a", "b"):
+        for job in _triple_jobs(env, vp):
+            queue.put(job)
+    first = pipeline.decide(queue, inflight, env.now)
+    assert (first.n_held, first.n_candidates) == (2, 0)
+    # At the same instant a third triple completes the group: every
+    # member is ready now, not only the VP the queue touched.
+    for job in _triple_jobs(env, "c"):
+        queue.put(job)
+    second = pipeline.decide(queue, inflight, env.now)
+    assert (second.n_held, second.n_candidates) == (0, 3)
+    candidates, deadlines, rejected = _reference_walk(pipeline, queue, inflight)
+    assert (len(candidates), deadlines, rejected) == (3, {}, 0)
+
+
+def test_unkeyed_policies_see_candidates_in_head_order():
+    """A policy that overrides ``select`` gets the candidates in
+    ``heads_per_vp`` order on every decision of a burst."""
+    from repro.core.jobs import JobQueue
+    from repro.sched import RoundRobinPlacement, SchedulerPipeline
+
+    class Recording(SchedulingPolicy):
+        name = "recording"
+
+        def __init__(self):
+            self.seen = []
+
+        def select(self, dispatchable, backlog):
+            self.seen.append([job.vp for job in dispatchable])
+            return dispatchable[0] if dispatchable else None
+
+    env = Environment()
+    queue = JobQueue(env)
+    policy = Recording()
+    assert not policy.keyed
+    pipeline = SchedulerPipeline(policy, RoundRobinPlacement(), EngineBacklog())
+    for seq in range(2):
+        for vp in ("c", "a", "b"):
+            queue.put(_job(env, vp=vp, seq=seq, kind=JobKind.MALLOC))
+    inflight = {}
+    for _ in range(3):
+        choice = pipeline.decide(queue, inflight, env.now).job
+        queue.remove(choice)
+        inflight[choice.vp] = choice
+    assert policy.seen == [["c", "a", "b"], ["a", "b"], ["b"]]
+
+
+def _fleet_kernel():
+    from repro.kernels import MemoryFootprint, uniform_kernel
+
+    return uniform_kernel(
+        "oracle-k",
+        {"fp32": 4, "load": 2, "store": 1, "int": 2},
+        MemoryFootprint(bytes_in=4096, bytes_out=4096, working_set_bytes=8192),
+        signature="oracle-k",
+    )
+
+
+def _fleet_app(api, program):
+    from repro.kernels import LaunchConfig
+
+    def app():
+        handle = yield from api.malloc(4096)
+        out = yield from api.malloc(4096)
+        data = np.zeros(1024, dtype=np.float32)
+        kernel = _fleet_kernel()
+        for op, sync in program:
+            if op == "h2d":
+                yield from api.memcpy_h2d(handle, data, sync=sync)
+            elif op == "kernel":
+                launch = LaunchConfig(grid_size=2, block_size=256,
+                                      elements=512)
+                yield from api.launch_kernel(kernel, launch, args=[handle],
+                                             out=out, sync=sync)
+            elif op == "d2h":
+                yield from api.memcpy_d2h(out, nbytes=4096, sync=sync)
+            elif op == "event":
+                marker = yield from api.event_create()
+                yield from api.event_record(marker)
+            else:
+                yield from api.cpu_work(1e4)
+        yield from api.free(handle)
+        yield from api.synchronize()
+
+    return app
+
+
+_oracle_program = st.lists(
+    st.tuples(st.sampled_from(["h2d", "kernel", "d2h", "event", "cpu"]),
+              st.booleans()),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    policy=st.sampled_from(["fifo", "interleaving", "sjf", "fair-share",
+                            "priority-deadline"]),
+    placement=st.sampled_from(["round-robin", "least-backlog"]),
+    coalescing=st.booleans(),
+    n_host_gpus=st.integers(min_value=1, max_value=2),
+    n_vps=st.integers(min_value=2, max_value=16),
+    programs=st.lists(_oracle_program, min_size=1, max_size=3),
+    host_call_ms=st.sampled_from([0.0, 0.002]),
+)
+def test_incremental_decisions_equal_the_full_walk(
+    policy, placement, coalescing, n_host_gpus, n_vps, programs, host_call_ms
+):
+    """Every decision's candidates, holds, rejections and pick equal a
+    from-scratch walk of the heads, across policies and placements."""
+    from repro.core import SHARED_MEMORY, SigmaVP
+    from repro.kernels.functional import FunctionalRegistry
+
+    framework = SigmaVP(
+        coalescing=coalescing,
+        transport=SHARED_MEMORY,
+        registry=FunctionalRegistry(),
+        hold_window_ms=0.5,
+        n_host_gpus=n_host_gpus,
+        sched=SchedulerConfig(policy=policy, placement=placement,
+                              host_call_ms=host_call_ms),
+    )
+    checks = []
+    _oracle_checked(framework.dispatcher.pipeline, checks)
+    processes = []
+    for index in range(n_vps):
+        session = framework.add_vp()
+        app = _fleet_app(session.runtime, programs[index % len(programs)])
+        process = session.vp.run_app(app)
+        session.processes.append(process)
+        processes.append(process)
+    framework.run_until(processes)
+    assert len(framework.queue) == 0
+    assert any(decision.job is not None for decision in checks)
 
 
 def test_default_stages_keep_scenario_label():
