@@ -53,8 +53,8 @@ __all__ = [
 #: that alters field meaning or removes a field; additions of defaulted
 #: fields keep the version (old daemons reject unknown fields with a
 #: structured error, which is the compatibility signal clients act on).
-#: Schema 2 dropped ``shards``.
-SCHEMA_VERSION = 2
+#: Schema 2 dropped ``shards``; schema 3 dropped ``backend``.
+SCHEMA_VERSION = 3
 
 #: Transports a request may name (the farm's resolve_transport accepts
 #: the same spellings).
@@ -71,7 +71,7 @@ _ALWAYS_KEYS = (
 #: rule, now in one place).
 _OPTIONAL_KEYS = (
     "max_batch", "scale_elements", "scale_iterations", "functional",
-    "policy", "placement", "backend",
+    "policy", "placement",
 )
 
 #: Service-routing fields excluded from scenario identity.
@@ -125,8 +125,6 @@ class RunRequest:
     #: policies``); ``None`` keeps the legacy derived defaults.
     policy: Optional[str] = None
     placement: Optional[str] = None
-    #: Registered execution backend name (``repro backends``).
-    backend: Optional[str] = None
     #: Service routing (never part of scenario identity): the tenant a
     #: daemon accounts this job to, and its QoS tier (0 = most urgent).
     tenant: str = "default"
@@ -332,7 +330,6 @@ def scenario(request: RunRequest) -> "ScenarioResult":
         functional=request.functional,
         policy=request.policy,
         placement=request.placement,
-        backend=request.backend,
     )
 
 

@@ -49,10 +49,8 @@ class ExecutionBackend(abc.ABC):
     every backend.
     """
 
-    #: Registry key; subclasses must override with a concrete name.
+    #: Short name for reprs and error messages.
     name: ClassVar[str] = "abstract"
-    #: One-line description for ``repro backends``.
-    description: ClassVar[str] = ""
 
     def __init__(self, registry: Optional[FunctionalRegistry] = None) -> None:
         self.registry = REGISTRY if registry is None else registry

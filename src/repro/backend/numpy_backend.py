@@ -14,7 +14,6 @@ import numpy as np
 
 from ..kernels.functional import KernelFunction
 from .api import ExecutionBackend
-from .registry import register_backend
 
 
 def stacked_rows(
@@ -57,12 +56,10 @@ def stacked_rows(
     return [out[i] for i in range(n_members)]
 
 
-@register_backend
 class NumpyBackend(ExecutionBackend):
     """Host numpy execution: zero-copy H2D views, stacked batches."""
 
     name = "numpy"
-    description = "host numpy execution with stacked (N, ...) batching"
 
     def asarray(self, host: Any) -> np.ndarray:
         return np.asarray(host)

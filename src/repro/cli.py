@@ -8,7 +8,8 @@ Commands:
 * ``fig9`` / ``fig10`` / ``fig11 [apps...]`` / ``fig12`` / ``fig13``
                                  — regenerate the paper's figures
 * ``estimate APP``               — target time/power estimates (Sec. 4)
-* ``validate [apps...]``         — cross-backend functional equivalence
+* ``validate [apps...]``         — functional equivalence across the
+                                   emulation, native and SigmaVP routes
 * ``report [-o FILE] [--quick]`` — the full paper-vs-measured record
 * ``trace APP [-o FILE]``        — record one scenario into a
                                    Chrome/Perfetto trace (+ metrics);
@@ -25,7 +26,6 @@ Commands:
                                    its result
 * ``policies``                   — list registered scheduling policies
                                    and placement strategies
-* ``backends``                   — list registered execution backends
 
 ``run``, ``trace``, and ``metrics`` accept ``--policy`` /
 ``--placement`` to swap the scheduling pipeline's select/place stages
@@ -34,9 +34,6 @@ Commands:
 Nothing is cached across invocations: every command recomputes from
 the current model (the in-process memos of :mod:`repro.caching` are the
 only cache tier).
-``--backend NAME`` (before the subcommand) selects the execution
-backend for functional kernel work — ``REPRO_BACKEND`` is the
-environment equivalent; see ``repro backends`` and ``docs/BACKENDS.md``.
 """
 
 from __future__ import annotations
@@ -94,11 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="SigmaVP reproduction: host-GPU multiplexing for "
                     "simulating embedded GPUs (DAC 2015).",
     )
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="execution backend for functional kernel "
-                             "work (equivalent to REPRO_BACKEND; see "
-                             "`repro backends`; results are "
-                             "bit-identical across backends)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list the workload catalog")
@@ -144,11 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "policies",
         help="list registered scheduling policies and placement strategies",
-    )
-
-    sub.add_parser(
-        "backends",
-        help="list registered execution backends",
     )
 
     def scenario_options(parser_):
@@ -291,9 +278,7 @@ def _scenario_request(args: argparse.Namespace, n_vps: Optional[int] = None):
     One construction shared by ``run``, ``trace``, ``metrics``,
     ``account``, and ``submit``; the request's non-default-only kwargs
     rule keeps every default invocation on its pre-existing config-hash
-    key.  An explicit ``--backend`` *does* enter the job key (it names
-    how the run was produced), even though results are digest-identical
-    across backends by contract.
+    key.
     """
     from .api import RunRequest
 
@@ -307,7 +292,6 @@ def _scenario_request(args: argparse.Namespace, n_vps: Optional[int] = None):
         functional=getattr(args, "functional", False),
         policy=getattr(args, "policy", None),
         placement=getattr(args, "placement", None),
-        backend=getattr(args, "backend", None),
         tenant=getattr(args, "tenant", None) or "default",
         qos=getattr(args, "qos", None),
     )
@@ -594,24 +578,6 @@ def _cmd_policies() -> None:
           "--placement NAME")
 
 
-def _cmd_backends() -> None:
-    from .backend import available_backends, default_backend_name
-
-    default = default_backend_name()
-    rows = [
-        (name + (" *" if name == default else ""), description)
-        for name, description in available_backends()
-    ]
-    print(render_table(
-        ["Backend", "Description"],
-        rows,
-        title="Execution backends (* = process default)",
-    ))
-    print()
-    print("Select with: repro --backend NAME <command>, REPRO_BACKEND=NAME, "
-          "or backend= in SchedulerConfig")
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
@@ -684,13 +650,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        from .backend import set_default_backend
-
-        try:
-            set_default_backend(args.backend)
-        except ValueError as exc:
-            parser.error(str(exc))
     if args.command == "list":
         _cmd_list()
     elif args.command == "run":
@@ -724,8 +683,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"report written to {path}")
     elif args.command == "policies":
         _cmd_policies()
-    elif args.command == "backends":
-        _cmd_backends()
     elif args.command == "serve":
         return _cmd_serve(args)
     elif args.command == "submit":

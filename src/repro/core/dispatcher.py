@@ -32,8 +32,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..backend.api import ExecutionBackend
-from ..backend.registry import default_backend
+from ..backend import ExecutionBackend, NumpyBackend
 from ..gpu.device import HostGPU
 from ..gpu.engines import Engine
 from ..kernels.functional import REGISTRY, FunctionalRegistry
@@ -124,7 +123,7 @@ class JobDispatcher:
         self.registry = registry
         #: The execution backend every functional effect routes through
         #: (launches, batched launches, H2D/D2H payload movement).
-        self.backend = backend if backend is not None else default_backend(registry)
+        self.backend = backend if backend is not None else NumpyBackend(registry)
         self.profiler = profiler
         self.config = config if config is not None else SchedulerConfig()
         self.backlog = EngineBacklog(debug=self.config.debug_enabled)

@@ -19,9 +19,9 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Type
 
-from ..backend.registry import make_backend
+from ..backend import ExecutionBackend, NumpyBackend
 from ..gpu.arch import GPUArchitecture, QUADRO_4000, TEGRA_K1
 from ..gpu.device import HostGPU
 from ..kernels.functional import REGISTRY, FunctionalRegistry
@@ -69,19 +69,16 @@ class SigmaVP:
         vp_cpu: CPUModel = QEMU_ARM_VP,
         n_host_gpus: int = 1,
         sched: Optional[SchedulerConfig] = None,
+        backend: Type[ExecutionBackend] = NumpyBackend,
     ):
         if n_host_gpus < 1:
             raise ValueError(f"n_host_gpus must be >= 1, got {n_host_gpus}")
         self.env = env or Environment()
-        # The scheduler config names the pluggable stages and the
-        # execution backend; resolved here, before any component that
-        # routes functional work through the backend seam is built.
         self.sched = sched if sched is not None else SchedulerConfig()
-        self.backend = make_backend(
-            self.sched.resolve_backend(),
-            registry=registry,
-            **self.sched.backend_options(),
-        )
+        # One execution backend serves every GPU, the dispatcher and every
+        # VP runtime; ``backend`` is the class, so tests can substitute a
+        # subclass of the numpy backend.
+        self.backend = backend(registry)
         # "SigmaVP multiplexes the host GPUs": one or more devices (the
         # Grid K520 board, for instance, carries two GK104 GPUs).  All
         # devices share one kernel compiler so compilation caches once.

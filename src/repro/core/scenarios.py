@@ -15,10 +15,9 @@ fresh simulation environment and returns a :class:`ScenarioResult`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Type
 
-from ..backend.api import ExecutionBackend
-from ..backend.registry import make_backend
+from ..backend import ExecutionBackend, NumpyBackend
 from ..gpu.arch import GPUArchitecture, QUADRO_4000
 from ..gpu.device import HostGPU
 from ..kernels.functional import REGISTRY, FunctionalRegistry
@@ -82,32 +81,18 @@ def _registry(functional: bool) -> FunctionalRegistry:
     return REGISTRY if functional else NULL_REGISTRY
 
 
-def _exec_backend(
-    backend: Optional[str], registry: FunctionalRegistry
-) -> Optional[ExecutionBackend]:
-    """Build the explicitly named execution backend, or ``None``.
-
-    ``None`` lets each component fall back to the process default
-    (``--backend`` / ``REPRO_BACKEND``), which keeps job config-hash
-    keys untouched for default runs.
-    """
-    if backend is None:
-        return None
-    return make_backend(backend, registry=registry)
-
-
 def run_native_gpu(
     spec: WorkloadSpec,
     functional: bool = False,
     host_arch: GPUArchitecture = QUADRO_4000,
-    backend: Optional[str] = None,
+    backend: Type[ExecutionBackend] = NumpyBackend,
 ) -> ScenarioResult:
     """CUDA executed natively on the host GPU (Table 1, row 1)."""
     if functional:
         spec.check_functional()
     env = Environment()
     registry = _registry(functional)
-    exec_backend = _exec_backend(backend, registry)
+    exec_backend = backend(registry)
     gpu = HostGPU(env, host_arch, backend=exec_backend)
     host = VirtualPlatform(env, "host", cpu=HOST_XEON)
     backend_ = NativeGPUBackend(
@@ -132,7 +117,7 @@ def run_emulation(
     cpu: CPUModel = QEMU_ARM_VP,
     functional: bool = False,
     concurrent: bool = False,
-    backend: Optional[str] = None,
+    backend: Type[ExecutionBackend] = NumpyBackend,
 ) -> ScenarioResult:
     """CUDA interpreted in software (Table 1 rows 2-3; Fig. 11 blue bars).
 
@@ -151,7 +136,7 @@ def run_emulation(
         spec.check_functional()
     env = Environment()
     registry = _registry(functional)
-    exec_backend = _exec_backend(backend, registry)
+    exec_backend = backend(registry)
     processes = []
     platforms = []
 
@@ -205,7 +190,7 @@ def run_sigma_vp(
     policy: Optional[str] = None,
     placement: Optional[str] = None,
     sched: Optional[SchedulerConfig] = None,
-    backend: Optional[str] = None,
+    backend: Type[ExecutionBackend] = NumpyBackend,
 ) -> ScenarioResult:
     """The SigmaVP pipeline (Table 1 row 4; Fig. 11 speedup lines).
 
@@ -216,20 +201,18 @@ def run_sigma_vp(
     ``interleaving``, placement is round-robin) and the scenario label —
     part of the digest wire format — is unchanged.
 
-    ``backend`` (an execution-backend name) is a run mechanic, not part
-    of the scenario identity: registered backends are
-    digest-interchangeable, so it never enters the label.
+    ``backend`` is the execution-backend class, a test-substitution
+    seam: backends are digest-interchangeable, so it never enters the
+    label.
     """
     if n_vps <= 0:
         raise ValueError(f"n_vps must be positive, got {n_vps}")
     if functional:
         spec.check_functional()
     if sched is None:
-        sched = SchedulerConfig.from_names(policy, placement, backend=backend)
-    elif policy is not None or placement is not None or backend is not None:
-        raise ValueError(
-            "pass either sched= or policy=/placement=/backend=, not both"
-        )
+        sched = SchedulerConfig.from_names(policy, placement)
+    elif policy is not None or placement is not None:
+        raise ValueError("pass either sched= or policy=/placement=, not both")
     framework = SigmaVP(
         host_arch=host_arch,
         transport=transport,
@@ -241,6 +224,7 @@ def run_sigma_vp(
         n_vps=n_vps,
         n_host_gpus=n_host_gpus,
         sched=sched,
+        backend=backend,
     )
     total = framework.run_workload(spec)
     sessions = [framework.session(n) for n in sorted(framework.sessions)]

@@ -40,7 +40,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 # The config-hash / seed algorithm lives in repro.obs.export so exported
 # trace and metrics stamps are byte-identical to farm job identities
 # (one source of truth); re-exported here for backward compatibility.
-from ..backend.registry import default_backend_name, set_default_backend
 from ..obs import capture as _obs_capture
 from ..obs import metrics as _obs_metrics
 from ..obs.export import canonical_json, config_key, seed_for
@@ -207,17 +206,8 @@ def _init_worker(
     capture_obs: bool = False,
     warm: bool = True,
     sample_interval_ms: Optional[float] = None,
-    backend: Optional[str] = None,
 ) -> None:
-    """Pool initializer: backend selection, optional warm-up, capture.
-
-    ``backend`` is the parent's *resolved* execution-backend default, so
-    jobs that leave the backend implicit select the same backend in
-    workers as in serial mode — a ``backend_scope(...)`` around ``map()``
-    applies inside the pool too.
-    """
-    if backend is not None:
-        set_default_backend(backend)
+    """Pool initializer: optional warm-up, then capture."""
     if warm:
         warm_worker()
     if capture_obs:
@@ -271,14 +261,6 @@ class ScenarioFarm:
     def __repr__(self) -> str:
         return f"<ScenarioFarm workers={self.workers}>"
 
-    def _initargs(self) -> tuple:
-        return (
-            self.capture_obs,
-            self.warmup,
-            self.sample_interval_ms,
-            default_backend_name(),
-        )
-
     def map(self, jobs: Sequence[FarmJob]) -> List[FarmResult]:
         """Run every job; results in submission order."""
         jobs = list(jobs)
@@ -304,7 +286,7 @@ class ScenarioFarm:
             max_workers=min(self.workers, len(jobs)),
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
-            initargs=self._initargs(),
+            initargs=(self.capture_obs, self.warmup, self.sample_interval_ms),
         ) as pool:
             return list(pool.map(run_job, jobs, chunksize=chunk))
 

@@ -69,19 +69,15 @@ def scenario_summary(
     functional: bool = False,
     policy: Optional[str] = None,
     placement: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One SigmaVP route for a catalogued app, summarized JSON-ably.
 
     ``functional=True`` additionally executes the registered functional
     kernels (the ``functional-batched`` benchmark workload uses this); the
     default stays timing-only.  ``policy``/``placement`` name registered
-    scheduling stages (``repro policies`` lists them).  ``backend`` names
-    a registered execution backend (``repro backends`` lists them;
-    digest-interchangeable by contract).  All are defaulted kwargs, so
-    they leave the config-hash
-    keys of all existing jobs untouched — an explicit ``backend`` enters
-    the job key, distinguishing cached results per backend.
+    scheduling stages (``repro policies`` lists them).  All are defaulted
+    kwargs, so they leave the config-hash keys of all existing jobs
+    untouched.
 
     The parameter list is the keyword surface of
     :class:`repro.api.RunRequest`; the body is just its
@@ -103,7 +99,6 @@ def scenario_summary(
         functional=functional,
         policy=policy,
         placement=placement,
-        backend=backend,
     )
     return scenario(request).summary()
 
@@ -138,7 +133,6 @@ def phase_point(
     transport: str = "shared-memory",
     policy: Optional[str] = None,
     placement: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> float:
     """Total ms for a synthetic phase-loop fleet (scaling/ablation benches)."""
     from ..core.framework import SigmaVP
@@ -154,7 +148,7 @@ def phase_point(
         interleaving=interleaving,
         coalescing=coalescing,
         transport=resolve_transport(transport),
-        sched=SchedulerConfig.from_names(policy, placement, backend=backend),
+        sched=SchedulerConfig.from_names(policy, placement),
     )
     return framework.run_workload(spec)
 
@@ -218,7 +212,6 @@ def fig10a_point(
     functional: bool = False,
     policy: Optional[str] = None,
     placement: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> float:
     """Fig. 10(a): total ms at one coalescing degree (1 = coalescing off)."""
     from ..core.scenarios import run_sigma_vp
@@ -238,7 +231,6 @@ def fig10a_point(
         functional=functional,
         policy=policy,
         placement=placement,
-        backend=backend,
     ).total_ms
 
 
@@ -246,19 +238,16 @@ def fig11_point(
     app: str,
     n_vps: int = 8,
     functional: bool = False,
-    backend: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One Fig. 11 application: emulation time plus SigmaVP speedups."""
     from ..core.scenarios import run_emulation, run_sigma_vp
 
     spec = get_workload(app)
-    emul = run_emulation(spec, n_instances=n_vps, backend=backend).total_ms
+    emul = run_emulation(spec, n_instances=n_vps).total_ms
     base = run_sigma_vp(spec, n_vps=n_vps, interleaving=False,
-                        coalescing=False, functional=functional,
-                        backend=backend).total_ms
+                        coalescing=False, functional=functional).total_ms
     opt = run_sigma_vp(spec, n_vps=n_vps, interleaving=True,
-                       coalescing=True, functional=functional,
-                       backend=backend).total_ms
+                       coalescing=True, functional=functional).total_ms
     return {
         "app": app,
         "emulation_ms": emul,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..backend.registry import default_backend
+from ..backend import NumpyBackend
 from ..kernels.compiler import CompiledKernel, KernelCompiler
 from ..kernels.ir import KernelIR
 from ..kernels.launch import LaunchConfig
@@ -60,8 +60,8 @@ class HostGPU:
         self.index = index
         self.timing = KernelTimingModel(arch)
         # All functional data movement and allocation accounting routes
-        # through the execution backend (process default when standalone).
-        self.backend = backend if backend is not None else default_backend()
+        # through the execution backend (a private numpy one when standalone).
+        self.backend = backend if backend is not None else NumpyBackend()
         self.memory = DeviceMemoryAllocator(memory_bytes, backend=self.backend)
         self.compiler = compiler or KernelCompiler()
         # Fermi-class Quadro boards advertise dual copy engines: host-to-

@@ -16,7 +16,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
-from ..backend.registry import default_backend_name
 from ..caching import caches_enabled, register_cache_clearer
 from ..obs import metrics as _obs_metrics
 
@@ -94,30 +93,28 @@ DEFAULT_COMPILE_CACHE_SIZE = 4096
 class KernelCompiler:
     """Lowers :class:`KernelIR` to per-architecture static counts.
 
-    Compilation results are memoized per **(kernel id, arch name,
-    backend name)** with LRU eviction: SigmaVP compiles each distinct
-    kernel object once per architecture and reuses the result across the
-    many launches that the multiplexed VPs submit.  Keying on the object
+    Compilation results are memoized per **(kernel id, arch name)**
+    with LRU eviction: SigmaVP compiles each distinct kernel object once
+    per architecture and reuses the result across the many launches
+    that the multiplexed VPs submit.  Keying on the object
     identity (the cache entry holds a strong reference, so the id cannot
     be recycled while the entry lives) means two same-signature kernels
     that differ in footprint or trip rules — e.g. the coalescer's merged
-    variants — never collide or evict each other.  The execution-backend
-    name rides in the memo key so backends that lower kernels
-    differently can never serve each other's artifacts.
+    variants — never collide or evict each other.
     """
 
     def __init__(self, cache_size: int = DEFAULT_COMPILE_CACHE_SIZE):
         if cache_size < 1:
             raise ValueError(f"cache_size must be positive, got {cache_size}")
         self.cache_size = cache_size
-        self._cache: "OrderedDict[Tuple[int, str, str], CompiledKernel]" = (
+        self._cache: "OrderedDict[Tuple[int, str], CompiledKernel]" = (
             OrderedDict()
         )
         self.hits = 0
         self.misses = 0
 
     def compile(self, kernel: KernelIR, arch: GPUArchitecture) -> CompiledKernel:
-        key = (id(kernel), arch.name, default_backend_name())
+        key = (id(kernel), arch.name)
         registry = _obs_metrics.REGISTRY
         if caches_enabled():
             cached = self._cache.get(key)

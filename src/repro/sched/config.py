@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
-
-from ..backend.config import BackendConfig
-from ..backend.registry import default_backend_name
+from typing import Any, Dict, Optional
 
 #: Host-side time to service a malloc/free request (driver bookkeeping).
 DEFAULT_HOST_CALL_MS = 0.002
@@ -62,16 +59,8 @@ class SchedulerConfig:
     #: Turn backlog-accounting mismatches into hard assertion errors
     #: (also switchable globally via ``REPRO_SCHED_DEBUG=1``).
     debug: bool = False
-    #: Execution backend for functional kernel work: a
-    #: :class:`~repro.backend.BackendConfig`, a bare registry name
-    #: (coerced in ``__post_init__``), or ``None`` to inherit the
-    #: process-wide default (``--backend`` / ``REPRO_BACKEND``).
-    backend: Optional[Union[str, BackendConfig]] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.backend, str):
-            # Frozen dataclass: coerce the shorthand in place.
-            object.__setattr__(self, "backend", BackendConfig(self.backend))
         if self.host_call_ms < 0.0:
             raise ValueError(
                 f"host_call_ms must be >= 0, got {self.host_call_ms}"
@@ -87,18 +76,6 @@ class SchedulerConfig:
         if self.policy is not None:
             return self.policy
         return "interleaving" if interleaving else "fifo"
-
-    def resolve_backend(self) -> str:
-        """The execution-backend name to instantiate."""
-        if isinstance(self.backend, BackendConfig):
-            return self.backend.name
-        return default_backend_name()
-
-    def backend_options(self) -> Dict[str, Any]:
-        """Factory options for the resolved execution backend."""
-        if isinstance(self.backend, BackendConfig):
-            return dict(self.backend.options)
-        return {}
 
     @property
     def debug_enabled(self) -> bool:
@@ -118,10 +95,9 @@ class SchedulerConfig:
         cls,
         policy: Optional[str] = None,
         placement: Optional[str] = None,
-        **overrides: Any,
     ) -> "SchedulerConfig":
         """Build a config from optional CLI/farm-style names."""
-        kwargs: Dict[str, Any] = dict(overrides)
+        kwargs: Dict[str, Any] = {}
         if policy is not None:
             kwargs["policy"] = policy
         if placement is not None:

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from ..backend.api import ExecutionBackend
-from ..backend.registry import default_backend
+from ..backend import ExecutionBackend, NumpyBackend
 from ..core.handles import HandleTable
 from ..core.ipc import IPCManager
 from ..core.jobs import Job, JobKind
@@ -234,7 +233,7 @@ class SigmaVPBackend(CudaBackend):
         # Guest-side host-data canonicalization (transfer sizing) uses
         # the same execution backend the host dispatcher runs on.
         self.exec_backend = (
-            exec_backend if exec_backend is not None else default_backend()
+            exec_backend if exec_backend is not None else NumpyBackend()
         )
         self.vgpu = VirtualEmbeddedGPU(vp, ipc)
         self.driver = VirtualGPUDriver(vp, self.vgpu)
@@ -362,7 +361,7 @@ class EmulationBackend(CudaBackend):
         self.emulator = emulator or GPUEmulator(platform.cpu)
         self.registry = registry
         self.exec_backend = (
-            exec_backend if exec_backend is not None else default_backend(registry)
+            exec_backend if exec_backend is not None else NumpyBackend(registry)
         )
         self._arrays: Dict[str, Optional["np.ndarray"]] = {}
         self._counter = 0
@@ -453,7 +452,7 @@ class NativeGPUBackend(CudaBackend):
         self.stream = stream or gpu.create_stream(f"native/{host.name}")
         self.registry = registry
         self.exec_backend = (
-            exec_backend if exec_backend is not None else default_backend(registry)
+            exec_backend if exec_backend is not None else NumpyBackend(registry)
         )
         self._buffers: Dict[str, Any] = {}
         self._counter = 0

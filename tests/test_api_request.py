@@ -78,7 +78,7 @@ def test_round_trip_preserves_every_field():
         app="mergeSort", n_vps=4, interleaving=False, coalescing=False,
         transport="shm", n_host_gpus=2, max_batch=8, scale_elements=1024,
         scale_iterations=3, functional=True, policy="fair-share",
-        placement="least-backlog", backend="numpy", tenant="acme", qos=2,
+        placement="least-backlog", tenant="acme", qos=2,
     )
     assert RunRequest.from_dict(request.to_dict()) == request
 
@@ -109,6 +109,20 @@ def test_from_dict_defaults_schema_and_rejects_retired_shards():
         RunRequest.from_dict({"app": "vectorAdd", "shards": 2})
     assert excinfo.value.code == "bad-field"
     assert "shards" in str(excinfo.value)
+
+
+def test_from_dict_rejects_retired_backend():
+    # Schema 3 dropped the ``backend`` field: it is now an unknown field.
+    with pytest.raises(RequestError) as excinfo:
+        RunRequest.from_dict({"app": "vectorAdd", "backend": "numpy"})
+    assert excinfo.value.code == "bad-field"
+    assert "backend" in str(excinfo.value)
+
+
+def test_from_dict_rejects_schema_2_payload():
+    with pytest.raises(RequestError) as excinfo:
+        RunRequest.from_dict({"app": "vectorAdd", "schema": 2})
+    assert excinfo.value.code == "bad-schema"
 
 
 def test_with_overrides_revalidates():
@@ -153,12 +167,12 @@ def test_non_default_tuning_enters_kwargs_exactly_like_legacy():
     legacy = _legacy_job(
         "mergeSort", 4, interleaving=False, transport="shm", n_host_gpus=2,
         policy="priority-deadline", placement="least-backlog",
-        backend="numpy", functional=True,
+        functional=True,
     )
     job = RunRequest(
         app="mergeSort", n_vps=4, interleaving=False, transport="shm",
         n_host_gpus=2, policy="priority-deadline", placement="least-backlog",
-        backend="numpy", functional=True,
+        functional=True,
     ).to_farm_job()
     assert job.kwargs == legacy.kwargs
     assert job.key == legacy.key
@@ -167,7 +181,7 @@ def test_non_default_tuning_enters_kwargs_exactly_like_legacy():
 def test_default_tuning_stays_out_of_kwargs():
     kwargs = RunRequest(app="vectorAdd").job_kwargs()
     for absent in ("max_batch", "functional", "policy", "placement",
-                   "backend", "scale_elements", "scale_iterations"):
+                   "scale_elements", "scale_iterations"):
         assert absent not in kwargs
     for present in ("app", "n_vps", "interleaving", "coalescing",
                     "transport", "n_host_gpus"):

@@ -1,16 +1,16 @@
 """Cross-backend conformance: every backend computes the same thing.
 
-Property-based, reikna ``test_cluda_basics`` style: every registered
-execution backend, over the reference kernel suite, across random
-dtypes and shapes, must produce outputs bit-identical to a direct call
-of the registered numpy implementation — and ``launch_batched`` must
-return exactly the per-launch outputs, row for row, or ``None``.  The
-registered backends are ``numpy`` and the two test doubles of
+Property-based, reikna ``test_cluda_basics`` style: every execution
+backend class, over the reference kernel suite, across random dtypes and
+shapes, must produce outputs bit-identical to a direct call of the
+registered numpy implementation — and ``launch_batched`` must return
+exactly the per-launch outputs, row for row, or ``None``.  The classes
+are :class:`~repro.backend.NumpyBackend` and the two test doubles of
 :mod:`tests.backend_doubles`: one refuses every batch, the other runs
 every launch as a stacked batch of one.  The capstone is digest
-interchangeability: a pinned scenario simulated under
-``backend_scope("numpy")`` (stacked batches) and under each double
-(per-VP fallback, all-stacked) produces byte-identical summaries.
+interchangeability: the pinned scenarios simulated with each class
+injected as ``run_sigma_vp(..., backend=cls)`` produce summaries equal
+to the farm's, which runs on the default ``NumpyBackend``.
 
 Comparisons use ``np.array_equal`` / ``tobytes()``, never ``approx``:
 scenario digests are pinned on exact float results, so approximate
@@ -21,28 +21,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import (
-    available_backends,
-    backend_scope,
-    make_backend,
-)
-from repro.exec.farm import FarmJob, ScenarioFarm, results_digest
+from repro.backend import NumpyBackend
+from repro.core.scenarios import run_sigma_vp
+from repro.exec.farm import FarmJob, ScenarioFarm
+from repro.exec.jobs import _spec
 from repro.kernels.functional import REGISTRY
-from tests.backend_doubles import PER_LAUNCH, STACKED
+from tests.backend_doubles import PerLaunchBackend, StackedLaunchBackend
 
-#: (name, backend) for every registered backend — the conformance
-#: property is universally quantified over this list.
-AVAILABLE = [(name, make_backend(name)) for name, _ in available_backends()]
+#: Every backend class; the conformance property is universally
+#: quantified over this list.
+BACKENDS = [NumpyBackend, PerLaunchBackend, StackedLaunchBackend]
 
 #: Backends that serve stacked batches; every other one must answer
 #: ``launch_batched`` with ``None`` (the per-VP fallback).
-STACKING = {"numpy", STACKED}
+STACKING = {NumpyBackend, StackedLaunchBackend}
+
+#: Parametrize a test over the backend classes, one id per class name.
+over_backends = pytest.mark.parametrize(
+    "cls", BACKENDS, ids=[cls.name for cls in BACKENDS]
+)
 
 DTYPES = (np.float32, np.float64, np.int32, np.int64)
-
-
-def _ids(pairs):
-    return [name for name, _ in pairs]
 
 
 def arrays(data, shape, dtype):
@@ -54,13 +53,14 @@ def arrays(data, shape, dtype):
     return rng.standard_normal(shape).astype(dtype)
 
 
-@pytest.mark.parametrize(("name", "backend"), AVAILABLE, ids=_ids(AVAILABLE))
+@over_backends
 class TestLaunchConformance:
     """backend.launch == the registered implementation, bit for bit."""
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_vector_add(self, name, backend, data):
+    def test_vector_add(self, cls, data):
+        backend = cls()
         dtype = data.draw(st.sampled_from(DTYPES))
         n = data.draw(st.integers(min_value=1, max_value=512))
         a, b = arrays(data, n, dtype), arrays(data, n, dtype)
@@ -73,7 +73,8 @@ class TestLaunchConformance:
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_saxpy_with_params(self, name, backend, data):
+    def test_saxpy_with_params(self, cls, data):
+        backend = cls()
         dtype = data.draw(st.sampled_from((np.float32, np.float64)))
         n = data.draw(st.integers(min_value=1, max_value=512))
         alpha = data.draw(st.floats(
@@ -88,7 +89,8 @@ class TestLaunchConformance:
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
-    def test_matrix_mul(self, name, backend, data):
+    def test_matrix_mul(self, cls, data):
+        backend = cls()
         dtype = data.draw(st.sampled_from((np.float32, np.float64)))
         d = data.draw(st.integers(min_value=1, max_value=24))
         a, b = arrays(data, (d, d), dtype), arrays(data, (d, d), dtype)
@@ -99,13 +101,14 @@ class TestLaunchConformance:
         assert np.asarray(out).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize(("name", "backend"), AVAILABLE, ids=_ids(AVAILABLE))
+@over_backends
 class TestBatchedConformance:
     """launch_batched rows == per-launch outputs, or None (fallback)."""
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_rows_match_per_launch(self, name, backend, data):
+    def test_rows_match_per_launch(self, cls, data):
+        backend = cls()
         signature = data.draw(st.sampled_from(("vectorAdd", "matrixMul")))
         dtype = data.draw(st.sampled_from(DTYPES))
         members = data.draw(st.integers(min_value=1, max_value=6))
@@ -124,33 +127,37 @@ class TestBatchedConformance:
             for inputs in inputs_list
         ]
         if rows is None:
-            assert name not in STACKING
+            assert cls not in STACKING
             return
         assert len(rows) == members
         for row, expected in zip(rows, per_launch):
             host_row = np.asarray(backend.d2h(row))
             assert host_row.tobytes() == np.asarray(expected).tobytes()
 
-    def test_empty_batch_is_fallback(self, name, backend):
+    def test_empty_batch_is_fallback(self, cls):
+        backend = cls()
         assert backend.launch_batched("vectorAdd", []) is None
 
-    def test_single_element_batch(self, name, backend):
+    def test_single_element_batch(self, cls):
+        backend = cls()
         a = np.arange(16, dtype=np.float32)
         rows = backend.launch_batched("vectorAdd", [(a, a)])
-        if name in STACKING:
+        if cls in STACKING:
             assert rows is not None and len(rows) == 1
             assert np.asarray(backend.d2h(rows[0])).tobytes() == (a + a).tobytes()
         else:
             assert rows is None
 
-    def test_mixed_shapes_fall_back(self, name, backend):
+    def test_mixed_shapes_fall_back(self, cls):
+        backend = cls()
         rows = backend.launch_batched("vectorAdd", [
             (np.ones(4, dtype=np.float32), np.ones(4, dtype=np.float32)),
             (np.ones(8, dtype=np.float32), np.ones(8, dtype=np.float32)),
         ])
         assert rows is None
 
-    def test_mixed_dtypes_fall_back(self, name, backend):
+    def test_mixed_dtypes_fall_back(self, cls):
+        backend = cls()
         rows = backend.launch_batched("vectorAdd", [
             (np.ones(4, dtype=np.float32), np.ones(4, dtype=np.float32)),
             (np.ones(4, dtype=np.float64), np.ones(4, dtype=np.float64)),
@@ -170,38 +177,22 @@ PINNED_JOBS = [
 ]
 
 
-def _digest_under(backend_name):
+def _summary_under(cls, kwargs):
     from repro.caching import clear_all_caches
 
     clear_all_caches()
-    with backend_scope(backend_name):
-        results = ScenarioFarm(workers=1, warmup=False).map(PINNED_JOBS)
-    return results_digest(results), [r.value for r in results]
+    spec = _spec(kwargs["app"], kwargs.get("scale_elements"),
+                 kwargs.get("scale_iterations"))
+    return run_sigma_vp(spec, n_vps=kwargs["n_vps"],
+                        functional=kwargs["functional"], backend=cls).summary()
 
 
 def test_scenario_digests_interchangeable_across_backends():
-    """The acceptance bar: one digest, whatever registered backend ran."""
-    digests = {}
-    values = {}
-    for name, _ in AVAILABLE:
-        digests[name], values[name] = _digest_under(name)
-    assert {"numpy", PER_LAUNCH, STACKED} <= set(digests)
-    assert len(set(digests.values())) == 1, digests
-    # The values themselves are equal too (the digest is not a collision).
-    reference = values[AVAILABLE[0][0]]
-    for name, _ in AVAILABLE[1:]:
-        assert values[name] == reference
-
-
-def test_explicit_backend_kwarg_matches_scoped_default():
-    """backend= in job kwargs and backend_scope agree on results."""
+    """The acceptance bar: one result, whatever backend class ran."""
     from repro.caching import clear_all_caches
-    from repro.exec.jobs import scenario_summary
 
-    kwargs = dict(PINNED_JOBS[0].kwargs)
     clear_all_caches()
-    explicit = scenario_summary(backend="numpy", **kwargs)
-    clear_all_caches()
-    with backend_scope("numpy"):
-        scoped = scenario_summary(**kwargs)
-    assert explicit == scoped
+    farm = ScenarioFarm(workers=1, warmup=False).map_values(PINNED_JOBS)
+    for cls in BACKENDS:
+        values = [_summary_under(cls, job.kwargs) for job in PINNED_JOBS]
+        assert values == farm, cls.name

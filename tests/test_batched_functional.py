@@ -6,18 +6,18 @@ members as ONE call over ``(N, ...)`` stacked inputs.  The contract is
 strict bit-identity: for every flagged kernel, the stacked rows must
 equal N independent calls element for element and dtype for dtype, and
 an end-to-end run must produce the same simulation summary and numeric
-outputs under the ``numpy`` backend (stacked batches) and under the
+outputs under ``NumpyBackend`` (stacked batches) and under the
 per-launch test double of :mod:`tests.backend_doubles` (per-VP fallback).
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import backend_scope, stacked_rows
+from repro.backend import stacked_rows
 from repro.core.scenarios import run_sigma_vp
 from repro.kernels.functional import REGISTRY
 from repro.workloads import SUITE, get_workload
-from tests.backend_doubles import PER_LAUNCH
+from tests.backend_doubles import PerLaunchBackend
 
 N_MEMBERS = 3
 
@@ -109,8 +109,8 @@ def test_sigma_vp_batched_matches_fallback(app):
     assert stats.batched_members >= 2 * stats.batched_launches
     assert stats.fallback_launches == 0
 
-    with backend_scope(PER_LAUNCH):
-        fallback = run_sigma_vp(spec, n_vps=8, coalescing=True, functional=True)
+    fallback = run_sigma_vp(spec, n_vps=8, coalescing=True, functional=True,
+                            backend=PerLaunchBackend)
     fb_stats = fallback.extras["framework"].dispatcher.stats
     assert fb_stats.batched_launches == 0
     assert fb_stats.fallback_launches > 0

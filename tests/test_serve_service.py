@@ -363,6 +363,22 @@ def test_replay_counts_jobs_journaled_under_an_older_schema(state_dir):
         assert client.wait("job-000002", timeout=60.0)["state"] == "done"
 
 
+def test_replay_counts_jobs_journaled_under_schema_2(state_dir):
+    # Schema 2 still carried ``backend``; schema 3 dropped it.
+    schema2 = dict(SMALL.to_dict(), schema=2, backend=None)
+    with Journal(state_dir / "journal.jsonl", fsync=False) as journal:
+        journal.append({
+            "type": "submit", "job_id": "job-000001", "request": schema2,
+            "tenant": "default", "qos": None, "seq": 0,
+        })
+        _journal_submit(journal, "job-000002", SMALL, 1)
+    with _daemon(state_dir) as daemon, _connect(daemon) as client:
+        assert daemon.recovery["unreadable"] == 1
+        assert daemon.recovery["resumed"] == 1
+        assert "job-000001" not in daemon._jobs
+        assert client.wait("job-000002", timeout=60.0)["state"] == "done"
+
+
 def test_replay_ignores_torn_tail(state_dir):
     path = state_dir / "journal.jsonl"
     with Journal(path, fsync=False) as journal:
