@@ -1,13 +1,5 @@
 """Experiment regeneration: the paper's tables and figures as code."""
 
-from .accounting import (
-    JobLatency,
-    VPAccount,
-    job_latencies,
-    kind_breakdown,
-    render_accounting,
-    vp_accounts,
-)
 from .critpath import (
     CritPathReport,
     DeviceAttribution,
@@ -59,17 +51,11 @@ __all__ = [
     "Timeline",
     "DesignPoint",
     "ValidationResult",
-    "JobLatency",
-    "VPAccount",
     "CritPathReport",
     "DeviceAttribution",
     "attribute",
     "render_critpath",
     "build_report",
-    "job_latencies",
-    "kind_breakdown",
-    "render_accounting",
-    "vp_accounts",
     "build_table1",
     "collect_timeline",
     "derive_architecture",

@@ -15,9 +15,8 @@ Commands:
                                    Chrome/Perfetto trace (+ metrics);
                                    ``--critpath`` prints what bounds it
 * ``metrics APP``                — run one scenario, print its metrics
-                                   (``--prom`` for Prometheus text)
 * ``account APP``                — run one scenario, print the per-VP
-                                   accounting table (``account.*``)
+                                   and per-kind accounting tables
 * ``serve [options]``            — run the multi-tenant simulation
                                    daemon on a local Unix socket
                                    (docs/SERVICE.md)
@@ -27,9 +26,9 @@ Commands:
 * ``policies``                   — list registered scheduling policies
                                    and placement strategies
 
-``run``, ``trace``, and ``metrics`` accept ``--policy`` /
-``--placement`` to swap the scheduling pipeline's select/place stages
-(see ``repro policies`` and ``docs/SCHEDULING.md``).
+``run``, ``trace``, ``metrics``, ``account``, and ``submit`` accept
+``--policy`` / ``--placement`` to swap the scheduling pipeline's
+select/place stages (see ``repro policies`` and ``docs/SCHEDULING.md``).
 
 Nothing is cached across invocations: every command recomputes from
 the current model (the in-process memos of :mod:`repro.caching` are the
@@ -110,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="execute kernels numerically (numpy)")
     run.add_argument("--gantt", action="store_true",
                      help="print the engine timeline")
-    run.add_argument("--account", action="store_true",
-                     help="print per-VP / per-kind latency accounting")
     _sched_options(run)
 
     def with_workers(parser_, default=1):
@@ -171,16 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one scenario with metrics on; print the registry",
     ))
     metrics.add_argument("-o", "--output", default=None,
-                         help="also write the snapshot JSON here "
-                              "(a .prom sibling is written alongside)")
-    metrics.add_argument("--prom", action="store_true",
-                         help="print Prometheus text exposition instead "
-                              "of the table")
+                         help="also write the snapshot JSON here")
 
     scenario_options(sub.add_parser(
         "account",
         help="run one scenario and print the per-VP accounting table "
-             "(busy/wait, coalesce share, fairness, deadlines)",
+             "(busy/wait, guest CPU, coalesce share, fairness, deadlines) "
+             "and the per-kind latency table",
     ))
 
     serve = sub.add_parser(
@@ -325,9 +319,9 @@ def _cmd_run_sweep(args: argparse.Namespace, vps_list: List[int]) -> None:
 def _cmd_run(args: argparse.Namespace) -> None:
     vps_list = args.vps
     if len(vps_list) > 1:
-        if args.functional or args.gantt or args.account:
+        if args.functional or args.gantt:
             raise SystemExit(
-                "repro run: error: --functional/--gantt/--account "
+                "repro run: error: --functional/--gantt "
                 "need a single --vps count"
             )
         _cmd_run_sweep(args, vps_list)
@@ -353,11 +347,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
     if args.gantt:
         print()
         print(render_gantt(collect_timeline(framework)))
-    if args.account:
-        from .analysis.accounting import render_accounting
-
-        print()
-        print(render_accounting(framework))
 
 
 def _cmd_table1(workers: int = 1) -> None:
@@ -493,25 +482,14 @@ def _cmd_trace(args: argparse.Namespace) -> None:
 def _cmd_metrics(args: argparse.Namespace) -> None:
     from pathlib import Path
 
-    from .obs import (
-        metrics_snapshot,
-        render_metrics,
-        run_stamp,
-        to_prometheus,
-        write_metrics,
-    )
+    from .obs import metrics_snapshot, render_metrics, run_stamp, write_metrics
 
     job, result = _captured_scenario(args)
     stamp = run_stamp(job.fn, job.kwargs, seed=job.seed, label=job.label)
-    snapshot = metrics_snapshot(result.metrics, stamp)
-    if args.prom:
-        print(to_prometheus(snapshot), end="")
-    else:
-        print(render_metrics(snapshot))
+    print(render_metrics(metrics_snapshot(result.metrics, stamp)))
     if args.output:
         path = write_metrics(Path(args.output), result.metrics, stamp)
-        print(f"metrics written to {path} "
-              f"(+ {Path(path).with_suffix('.prom').name})")
+        print(f"metrics written to {path}")
 
 
 def _cmd_account(args: argparse.Namespace) -> None:
@@ -574,7 +552,7 @@ def _cmd_policies() -> None:
         title="Placement strategies (place stage)",
     ))
     print()
-    print("Use with: repro run/trace/metrics --policy NAME "
+    print("Use with: repro run/trace/metrics/account/submit --policy NAME "
           "--placement NAME")
 
 

@@ -334,9 +334,9 @@ class JobDispatcher:
         self.completed_log.append(job)
         registry = _obs_metrics.REGISTRY
         if registry is not None:
-            # Live counters the time-series sampler can watch mid-run;
-            # the authoritative per-VP breakdown is derived from the
-            # completed log by ``repro.obs.account`` at collection time.
+            # Run-wide totals only; the per-VP breakdown is derived
+            # from the completed log by ``repro.obs.account`` at
+            # collection time.
             registry.counter("account.completed").inc()
             if job.members:
                 registry.counter(

@@ -94,11 +94,8 @@ class FarmResult:
     ``trace`` and ``metrics`` are populated only when the farm ran with
     observability capture on (``capture_obs=True``): the worker's trace
     buffer payload and metrics snapshot, serialized through the normal
-    result channel.  ``timeseries`` additionally requires a sampling
-    interval (``sample_interval_ms``) and carries the job's
-    :class:`~repro.obs.timeseries.Sampler` payload.  All three are
-    excluded from :func:`results_digest`, so capturing never perturbs
-    digest equality.
+    result channel.  Both are excluded from :func:`results_digest`, so
+    capturing never perturbs digest equality.
     """
 
     job_key: str
@@ -109,7 +106,6 @@ class FarmResult:
     worker_pid: int
     trace: Optional[Dict[str, Any]] = None
     metrics: Optional[Dict[str, Any]] = None
-    timeseries: Optional[Dict[str, Any]] = None
 
 
 #: Per-process memo of resolved job functions and their seed-awareness.
@@ -120,16 +116,11 @@ _fn_cache: Dict[str, tuple] = {}
 #: Set by the pool initializer in workers, or directly in serial mode.
 _CAPTURE_OBS = False
 
-#: Per-process time-series sampling interval (simulated ms) applied to
-#: each job's capture window; ``None`` keeps sampling off.
-_CAPTURE_SAMPLE_MS: Optional[float] = None
 
-
-def set_capture(on: bool, sample_interval_ms: Optional[float] = None) -> None:
+def set_capture(on: bool) -> None:
     """Turn per-job observability capture on/off in *this* process."""
-    global _CAPTURE_OBS, _CAPTURE_SAMPLE_MS
+    global _CAPTURE_OBS
     _CAPTURE_OBS = bool(on)
-    _CAPTURE_SAMPLE_MS = sample_interval_ms if on else None
 
 
 def _resolve(fn_ref: str) -> tuple:
@@ -158,15 +149,13 @@ def run_job(job: FarmJob) -> FarmResult:
         kwargs["seed"] = job.seed
     trace_payload: Optional[Dict[str, Any]] = None
     metrics_payload: Optional[Dict[str, Any]] = None
-    timeseries_payload: Optional[Dict[str, Any]] = None
     started = time.perf_counter()
     if _CAPTURE_OBS:
-        with _obs_capture(sample_interval_ms=_CAPTURE_SAMPLE_MS) as window:
+        with _obs_capture() as window:
             with _obs_metrics.timed("farm.run_job"):
                 value = fn(**kwargs)
         trace_payload = window.trace_payload()
         metrics_payload = window.metrics_payload()
-        timeseries_payload = window.timeseries_payload()
     else:
         value = fn(**kwargs)
     return FarmResult(
@@ -178,7 +167,6 @@ def run_job(job: FarmJob) -> FarmResult:
         worker_pid=os.getpid(),
         trace=trace_payload,
         metrics=metrics_payload,
-        timeseries=timeseries_payload,
     )
 
 
@@ -202,16 +190,12 @@ def warm_worker(capture_obs: bool = False) -> None:
         set_capture(True)
 
 
-def _init_worker(
-    capture_obs: bool = False,
-    warm: bool = True,
-    sample_interval_ms: Optional[float] = None,
-) -> None:
+def _init_worker(capture_obs: bool = False, warm: bool = True) -> None:
     """Pool initializer: optional warm-up, then capture."""
     if warm:
         warm_worker()
     if capture_obs:
-        set_capture(True, sample_interval_ms=sample_interval_ms)
+        set_capture(True)
 
 
 def results_digest(results: Sequence[FarmResult]) -> str:
@@ -241,7 +225,6 @@ class ScenarioFarm:
         warmup: bool = True,
         chunk_size: Optional[int] = None,
         capture_obs: bool = False,
-        sample_interval_ms: Optional[float] = None,
     ):
         requested = os.cpu_count() or 1 if workers is None else workers
         if requested < 1:
@@ -251,8 +234,6 @@ class ScenarioFarm:
         self.warmup = warmup
         self.chunk_size = chunk_size
         self.capture_obs = capture_obs
-        #: Per-job time-series sampling interval under capture (None = off).
-        self.sample_interval_ms = sample_interval_ms
 
     @staticmethod
     def _can_fork() -> bool:
@@ -273,12 +254,12 @@ class ScenarioFarm:
                 return [run_job(job) for job in jobs]
             # Serial capture goes through the identical flag + run_job
             # path as workers do, restoring the caller's state after.
-            previous = (_CAPTURE_OBS, _CAPTURE_SAMPLE_MS)
-            set_capture(True, sample_interval_ms=self.sample_interval_ms)
+            previous = _CAPTURE_OBS
+            set_capture(True)
             try:
                 return [run_job(job) for job in jobs]
             finally:
-                set_capture(previous[0], sample_interval_ms=previous[1])
+                set_capture(previous)
         # Chunked submission: a few chunks per worker balances scheduling
         # freedom (uneven job durations) against per-submission IPC.
         chunk = self.chunk_size or max(1, len(jobs) // (self.workers * 4))
@@ -286,7 +267,7 @@ class ScenarioFarm:
             max_workers=min(self.workers, len(jobs)),
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
-            initargs=(self.capture_obs, self.warmup, self.sample_interval_ms),
+            initargs=(self.capture_obs, self.warmup),
         ) as pool:
             return list(pool.map(run_job, jobs, chunksize=chunk))
 

@@ -1,4 +1,4 @@
-"""``repro.obs`` — end-to-end simulation tracing, metrics, and export.
+"""``repro.obs`` — end-to-end simulation tracing, metrics, accounting, export.
 
 The observability layer for the whole stack:
 
@@ -11,7 +11,10 @@ The observability layer for the whole stack:
   metrics snapshots (every artifact carries the run's config hash and
   seed);
 * :mod:`.aggregate` — merges trace/metric buffers that scenario-farm
-  workers ship back over the fork result channel.
+  workers ship back over the fork result channel;
+* :mod:`.account` — per-VP accounting (jobs, coalesced jobs, busy and
+  wait time, guest CPU, deadlines) read from a finished run's
+  completed log.
 
 Instrumented modules follow one convention::
 
@@ -30,7 +33,6 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from . import metrics as _metrics_mod
-from . import timeseries as _timeseries_mod
 from . import tracer as _tracer_mod
 from .account import VPUsage, collect_accounts, jain_index, render_accounts
 from .aggregate import (
@@ -46,12 +48,10 @@ from .export import (
     config_key,
     git_commit,
     metrics_snapshot,
-    prom_name,
     render_metrics,
     run_stamp,
     seed_for,
     to_chrome_trace,
-    to_prometheus,
     write_metrics,
     write_trace,
 )
@@ -63,7 +63,6 @@ from .metrics import (
     collect_framework,
     timed,
 )
-from .timeseries import RingBuffer, Sampler, counter_rate
 from .tracer import Tracer
 
 __all__ = [
@@ -72,15 +71,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "RingBuffer",
-    "Sampler",
     "Tracer",
     "VPUsage",
     "capture",
     "collect_accounts",
     "collect_framework",
     "config_key",
-    "counter_rate",
     "disable",
     "enable",
     "enabled",
@@ -91,7 +87,6 @@ __all__ = [
     "jain_index",
     "merge_metric_snapshots",
     "metrics_snapshot",
-    "prom_name",
     "rebase_payloads",
     "render_accounts",
     "render_metrics",
@@ -100,7 +95,6 @@ __all__ = [
     "span_counts_by_lane",
     "timed",
     "to_chrome_trace",
-    "to_prometheus",
     "validate_chrome_trace",
     "write_metrics",
     "write_trace",
@@ -124,40 +118,22 @@ def disable() -> None:
 
 
 class Capture:
-    """One observability collection window (tracer + metrics together).
+    """One observability collection window (tracer + metrics together)."""
 
-    ``sample_interval_ms`` additionally installs a time-series
-    :class:`~repro.obs.timeseries.Sampler` bound to this capture's
-    registry, recording counter/gauge series at simulated-time-aligned
-    points for the capture's duration (``None`` — the default — keeps
-    sampling off; the event-loop hook then costs nothing extra).
-    """
-
-    def __init__(self, sample_interval_ms: Optional[float] = None) -> None:
+    def __init__(self) -> None:
         self.tracer = Tracer()
         self.registry = MetricsRegistry()
-        self.sampler: Optional[Sampler] = (
-            Sampler(registry=self.registry, interval_ms=sample_interval_ms)
-            if sample_interval_ms is not None
-            else None
-        )
         self._previous: Optional[tuple] = None
 
     def start(self) -> "Capture":
-        self._previous = (
-            _tracer_mod.TRACER,
-            _metrics_mod.REGISTRY,
-            _timeseries_mod.SAMPLER,
-        )
+        self._previous = (_tracer_mod.TRACER, _metrics_mod.REGISTRY)
         _tracer_mod.enable(self.tracer)
         _metrics_mod.enable(self.registry)
-        if self.sampler is not None:
-            _timeseries_mod.enable(self.sampler)
         return self
 
     def stop(self) -> "Capture":
         if self._previous is not None:
-            previous_tracer, previous_registry, previous_sampler = self._previous
+            previous_tracer, previous_registry = self._previous
             self._previous = None
             if previous_tracer is None:
                 _tracer_mod.disable()
@@ -167,11 +143,6 @@ class Capture:
                 _metrics_mod.disable()
             else:
                 _metrics_mod.enable(previous_registry)
-            if self.sampler is not None or previous_sampler is not None:
-                if previous_sampler is None:
-                    _timeseries_mod.disable()
-                else:
-                    _timeseries_mod.enable(previous_sampler)
         return self
 
     def __enter__(self) -> "Capture":
@@ -188,10 +159,7 @@ class Capture:
     def metrics_payload(self) -> Dict[str, Any]:
         return self.registry.snapshot()
 
-    def timeseries_payload(self) -> Optional[Dict[str, Any]]:
-        return self.sampler.payload() if self.sampler is not None else None
 
-
-def capture(sample_interval_ms: Optional[float] = None) -> Capture:
+def capture() -> Capture:
     """``with capture() as cap:`` — trace + meter the enclosed block."""
-    return Capture(sample_interval_ms=sample_interval_ms)
+    return Capture()

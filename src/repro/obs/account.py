@@ -1,11 +1,12 @@
-"""Per-VP / per-tenant accounting: who used the host GPU, and how much.
+"""Per-VP accounting: who used the host GPU, and how much.
 
-The accounting substrate the ROADMAP's ``repro serve`` daemon will bill
-tenants with.  Everything here derives from state the simulation already
-records — job timestamps in the dispatcher's completed log, coalesce
-membership, the scheduling policy's QoS configuration — so accounting is
-a pure *read* of a finished run: enabling it cannot perturb scheduling,
-and scenario digests stay bit-identical with accounting on or off.
+The one walk over a finished run's completed log.  Everything here
+derives from state the simulation already records — job timestamps in
+the dispatcher's completed log, coalesce membership, the guest CPU time
+and elapsed time each virtual platform recorded, the scheduling
+policy's deadlines — so accounting is a pure *read* of a finished run:
+enabling it cannot perturb scheduling, and scenario digests stay
+bit-identical with accounting on or off.
 
 Emitted metric families (all prefixed ``account.``):
 
@@ -22,8 +23,12 @@ Emitted metric families (all prefixed ``account.``):
   monopolized the host GPU.  The natural scoreboard for the fair-share
   DRR policy.
 * ``account.deadline.hits`` / ``.misses`` (+ per-VP) — completion-time
-  deadline attainment when the active policy declares QoS budgets
-  (duck-typed on ``budgets_ms``, i.e. the priority-deadline policy).
+  deadline attainment when the active policy assigns deadlines
+  (duck-typed on ``deadline_ms(job)``, i.e. the priority-deadline
+  policy).
+
+:func:`render_accounts` (``repro account``) adds each VP's guest CPU
+and elapsed time, and a per-kind table of mean wait and busy time.
 
 Like everything in ``repro.obs``, this module is duck-typed against the
 framework (no import of ``repro.core``) and collection only runs when a
@@ -33,7 +38,7 @@ metrics registry is active.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
 
@@ -49,10 +54,32 @@ class VPUsage:
     wait_ms: float = 0.0
     deadline_hits: int = 0
     deadline_misses: int = 0
+    #: Guest-side CPU time the VP itself recorded.
+    guest_cpu_ms: float = 0.0
+    #: The VP's start-to-finish simulated time (``None`` if it never ran).
+    elapsed_ms: Optional[float] = None
 
     @property
     def total_ms(self) -> float:
         return self.busy_ms + self.wait_ms
+
+
+@dataclass
+class KindUsage:
+    """One job kind's totals over every VP's completed jobs."""
+
+    kind: str
+    jobs: int = 0
+    busy_ms: float = 0.0
+    wait_ms: float = 0.0
+
+    @property
+    def mean_busy_ms(self) -> float:
+        return self.busy_ms / self.jobs if self.jobs else 0.0
+
+    @property
+    def mean_wait_ms(self) -> float:
+        return self.wait_ms / self.jobs if self.jobs else 0.0
 
 
 def jain_index(values: List[float]) -> float:
@@ -71,44 +98,27 @@ def jain_index(values: List[float]) -> float:
     return (total * total) / (n * squares)
 
 
-def _deadline_for(policy: Any, job: Any) -> Optional[float]:
-    """The job's completion deadline under ``policy``, if it has QoS budgets.
-
-    Duck-typed on the priority-deadline policy's shape: ``budgets_ms``
-    (per-tier latency budgets) plus either ``_tier`` or
-    ``tiers``/``default_tier``.  Policies without budgets yield ``None``
-    (no deadline accounting).
-    """
-    budgets = getattr(policy, "budgets_ms", None)
-    if not budgets:
-        return None
-    tier_of = getattr(policy, "_tier", None)
-    if callable(tier_of):
-        tier = int(tier_of(job.vp))
-    else:
-        tiers = getattr(policy, "tiers", {})
-        tier = int(tiers.get(job.vp, getattr(policy, "default_tier", 0)))
-    tier = max(0, min(tier, len(budgets) - 1))
-    return float(job.submitted_at_ms) + float(budgets[tier])
-
-
-def compute_usage(framework: Any) -> Dict[str, VPUsage]:
-    """Per-VP usage accounts from the dispatcher's completed log.
+def _walk(framework: Any) -> Tuple[Dict[str, VPUsage], Dict[str, KindUsage]]:
+    """Per-VP and per-kind accounts from one pass over the completed log.
 
     Members of merged (coalesced) jobs inherit the merged job's dispatch
     and completion points — they were absorbed, not individually served —
     and are flagged as coalesced.  Synthetic merged-group rows (whose
-    ``vp`` names no attached session) are excluded, exactly like
-    :func:`repro.analysis.accounting.vp_accounts`.
+    ``vp`` names no attached session) are excluded, so every guest call
+    counts once, in both tables.
     """
     sessions = getattr(framework, "sessions", {})
-    usage: Dict[str, VPUsage] = {
-        name: VPUsage(vp=name) for name in sorted(sessions)
-    }
+    usage: Dict[str, VPUsage] = {}
+    for name in sorted(sessions):
+        vp = sessions[name].vp
+        usage[name] = VPUsage(
+            vp=name, guest_cpu_ms=vp.guest_cpu_ms, elapsed_ms=vp.elapsed_ms
+        )
+    kinds: Dict[str, KindUsage] = {}
     dispatcher = getattr(framework, "dispatcher", None)
     if dispatcher is None:
-        return usage
-    policy = getattr(dispatcher, "policy", None)
+        return usage, kinds
+    deadline_of = getattr(getattr(dispatcher, "policy", None), "deadline_ms", None)
 
     dispatch_point: Dict[int, float] = {}
     member_ids: set = set()
@@ -126,18 +136,35 @@ def compute_usage(framework: Any) -> Dict[str, VPUsage]:
         dispatched = dispatch_point.get(job.job_id)
         if dispatched is None or job.completed_at_ms is None:
             continue
+        wait = max(0.0, dispatched - job.submitted_at_ms)
+        busy = max(0.0, job.completed_at_ms - dispatched)
         account.jobs += 1
         if job.job_id in member_ids:
             account.coalesced_jobs += 1
-        account.wait_ms += max(0.0, dispatched - job.submitted_at_ms)
-        account.busy_ms += max(0.0, job.completed_at_ms - dispatched)
-        deadline = _deadline_for(policy, job) if policy is not None else None
-        if deadline is not None:
-            if job.completed_at_ms <= deadline:
+        account.wait_ms += wait
+        account.busy_ms += busy
+        kind = kinds.get(job.kind.name)
+        if kind is None:
+            kind = kinds[job.kind.name] = KindUsage(kind=job.kind.name)
+        kind.jobs += 1
+        kind.wait_ms += wait
+        kind.busy_ms += busy
+        if deadline_of is not None:
+            if job.completed_at_ms <= deadline_of(job):
                 account.deadline_hits += 1
             else:
                 account.deadline_misses += 1
-    return usage
+    return usage, kinds
+
+
+def compute_usage(framework: Any) -> Dict[str, VPUsage]:
+    """Per-VP usage accounts from the dispatcher's completed log."""
+    return _walk(framework)[0]
+
+
+def kind_breakdown(framework: Any) -> Dict[str, KindUsage]:
+    """Per-kind wait/busy totals (keyed by job-kind name) of the same walk."""
+    return _walk(framework)[1]
 
 
 def coalesce_share(usage: Dict[str, VPUsage]) -> float:
@@ -193,28 +220,41 @@ def collect_accounts(
 
 
 def render_accounts(framework: Any) -> str:
-    """Text report for ``repro account``: the tenant billing table."""
+    """Text report for ``repro account``: per-VP and per-kind tables."""
     from ..analysis.reporting import render_table  # local: avoid cycle
 
-    usage = compute_usage(framework)
+    usage, kinds = _walk(framework)
     share = coalesce_share(usage)
     jain = jain_index([u.busy_ms for u in usage.values()])
     has_deadlines = any(
         u.deadline_hits or u.deadline_misses for u in usage.values()
     )
-    headers = ["VP", "Jobs", "Coalesced", "Busy (ms)", "Wait (ms)"]
+    headers = ["VP", "Jobs", "Coalesced", "Busy (ms)", "Wait (ms)",
+               "Guest CPU (ms)", "Elapsed (ms)"]
     if has_deadlines:
         headers += ["DL hit", "DL miss"]
     rows: List[List[object]] = []
     for name in sorted(usage):
         u = usage[name]
-        row: List[object] = [u.vp, u.jobs, u.coalesced_jobs, u.busy_ms, u.wait_ms]
+        row: List[object] = [
+            u.vp, u.jobs, u.coalesced_jobs, u.busy_ms, u.wait_ms,
+            u.guest_cpu_ms, u.elapsed_ms if u.elapsed_ms is not None else "-",
+        ]
         if has_deadlines:
             row += [u.deadline_hits, u.deadline_misses]
         rows.append(row)
-    table = render_table(headers, rows, title="Per-VP accounting (account.*)")
-    footer = (
+    per_vp = render_table(headers, rows, title="Per-VP accounting (account.*)")
+    per_kind = render_table(
+        ["Kind", "Jobs", "Mean wait (ms)", "Mean busy (ms)"],
+        [
+            (k.kind, k.jobs, k.mean_wait_ms, k.mean_busy_ms)
+            for k in (kinds[name] for name in sorted(kinds))
+        ],
+        title="Per-kind latency",
+    )
+    return (
+        f"{per_vp}\n"
         f"\ncoalesce share: {share:.3f}"
         f"\nJain fairness (busy_ms): {jain:.4f}"
+        f"\n\n{per_kind}"
     )
-    return table + footer

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 import subprocess
 from functools import lru_cache
 from pathlib import Path
@@ -281,87 +280,11 @@ def write_metrics(
     path: Union[str, Path],
     registry: Union[MetricsRegistry, Dict[str, Any]],
     stamp: Optional[Dict[str, Any]] = None,
-    prom: bool = True,
 ) -> Path:
-    """Write a stamped metrics JSON snapshot (+ a ``.prom`` sibling).
-
-    The Prometheus sibling (same stem, ``.prom`` suffix) makes every
-    snapshot scrapeable by standard tooling without a converter; pass
-    ``prom=False`` to write only the JSON.
-    """
+    """Write a stamped metrics JSON snapshot; returns the path."""
     path = Path(path)
-    snapshot = metrics_snapshot(registry, stamp)
-    path.write_text(json.dumps(snapshot, indent=1) + "\n")
-    if prom:
-        path.with_suffix(".prom").write_text(to_prometheus(snapshot))
+    path.write_text(json.dumps(metrics_snapshot(registry, stamp), indent=1) + "\n")
     return path
-
-
-#: Characters legal in a Prometheus metric name (anything else becomes _).
-_PROM_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def prom_name(name: str, prefix: str = "repro_") -> str:
-    """Sanitize a dotted metric name into Prometheus form.
-
-    ``engine.gpu0/compute.busy_ms`` → ``repro_engine_gpu0_compute_busy_ms``.
-    """
-    sanitized = _PROM_NAME_RE.sub("_", name)
-    if sanitized and sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return prefix + sanitized
-
-
-def _prom_value(value: float) -> str:
-    """Render a sample value (integral floats print as integers)."""
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def to_prometheus(snapshot: Dict[str, Any], prefix: str = "repro_") -> str:
-    """Prometheus text-exposition rendering of a metrics snapshot.
-
-    Accepts either a stamped snapshot (:func:`metrics_snapshot` output)
-    or a bare ``name -> metric`` mapping.  Counters and gauges map
-    directly; histograms emit cumulative ``_bucket{le=...}`` series plus
-    ``_sum``/``_count``, per the exposition format.  The run stamp rides
-    along as comments and a ``<prefix>run_info`` gauge with
-    ``config_hash`` / ``git_commit`` labels, so one scrape is still
-    attributable to an exact configuration and revision.
-    """
-    metrics = snapshot.get("metrics", snapshot)
-    stamp = snapshot.get("stamp") or {}
-    lines: List[str] = []
-    if stamp:
-        label = stamp.get("label", "")
-        info_labels = (
-            f'label="{label}",'
-            f'config_hash="{stamp.get("config_hash", "")}",'
-            f'git_commit="{stamp.get("git_commit", "")}"'
-        )
-        lines.append(f"# repro.obs metrics export: {label}")
-        lines.append(f"# TYPE {prefix}run_info gauge")
-        lines.append(f"{prefix}run_info{{{info_labels}}} 1")
-    for name in sorted(metrics):
-        entry = metrics[name]
-        kind = entry.get("type")
-        pname = prom_name(name, prefix)
-        if kind in ("counter", "gauge"):
-            lines.append(f"# TYPE {pname} {kind}")
-            lines.append(f"{pname} {_prom_value(entry['value'])}")
-        elif kind == "histogram":
-            lines.append(f"# TYPE {pname} histogram")
-            cumulative = 0
-            for edge, count in zip(entry["edges"], entry["counts"]):
-                cumulative += count
-                lines.append(
-                    f'{pname}_bucket{{le="{_prom_value(edge)}"}} {cumulative}'
-                )
-            lines.append(f'{pname}_bucket{{le="+Inf"}} {entry["count"]}')
-            lines.append(f"{pname}_sum {_prom_value(entry['sum'])}")
-            lines.append(f"{pname}_count {entry['count']}")
-    return "\n".join(lines) + "\n"
 
 
 def render_metrics(snapshot: Dict[str, Any]) -> str:

@@ -310,7 +310,9 @@ class PriorityDeadlinePolicy(SchedulingPolicy):
         tier = self.tiers.get(vp, self.default_tier)
         return max(0, min(tier, len(self.budgets_ms) - 1))
 
+    def deadline_ms(self, job: Job) -> float:
+        """The job's completion deadline: submission plus its tier's budget."""
+        return job.submitted_at_ms + self.budgets_ms[self._tier(job.vp)]
+
     def order_key(self, job: Job) -> OrderKey:
-        tier = self._tier(job.vp)
-        deadline = job.submitted_at_ms + self.budgets_ms[tier]
-        return (deadline, tier, job.job_id)
+        return (self.deadline_ms(job), self._tier(job.vp), job.job_id)

@@ -20,7 +20,7 @@ wait      block until the job is terminal; answers with the record
 watch     stream one event frame per state transition, then close out
 cancel    cancel a queued or running job
 jobs      list job records (optionally filtered by ``tenant``)
-stats     queue/worker counters, metrics snapshot, Prometheus text
+stats     queue/worker counters and a metrics snapshot
 shutdown  graceful stop; ``drain`` finishes running jobs first
 ======== ============================================================
 

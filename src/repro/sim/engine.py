@@ -14,7 +14,6 @@ from itertools import count
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from ..obs import metrics as _obs_metrics
-from ..obs import timeseries as _obs_timeseries
 from .events import (
     NORMAL,
     AllOf,
@@ -131,13 +130,6 @@ class Environment:
         registry = _obs_metrics.REGISTRY
         if registry is not None:
             registry.counter("sim.events_processed").inc()
-            # Time-series sampling rides inside the registry guard so the
-            # telemetry-off loop stays a single attribute check; sampling
-            # reads metric values at simulated-time-aligned points and is
-            # therefore deterministic and digest-neutral.
-            sampler = _obs_timeseries.SAMPLER
-            if sampler is not None and self._now >= sampler.next_due_ms:
-                sampler.sample(self._now)
 
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is not None:

@@ -89,6 +89,41 @@ def test_validate_command(capsys):
     assert "OK" in out
 
 
+def test_account_command(capsys):
+    assert main(["account", "vectorAdd", "--vps", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "Per-VP accounting" in out
+    assert "Guest CPU (ms)" in out and "Elapsed (ms)" in out
+    assert "Per-kind latency" in out
+    assert "vp0" in out and "vp1" in out and "KERNEL" in out
+
+
+def test_metrics_command_writes_only_the_json(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    assert main(["metrics", "vectorAdd", "--vps", "2", "-o", str(path)]) == 0
+    assert "dispatch.decisions" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
+def test_trace_command_writes_trace_and_metrics(capsys, tmp_path):
+    trace, metrics = tmp_path / "t.json", tmp_path / "m.json"
+    assert main([
+        "trace", "vectorAdd", "--vps", "2",
+        "-o", str(trace), "--metrics-out", str(metrics),
+    ]) == 0
+    assert "trace written to" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "t.json"]
+
+
+def test_removed_telemetry_flags_are_usage_errors(capsys):
+    for argv in (["run", "vectorAdd", "--account"],
+                 ["metrics", "vectorAdd", "--prom"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_run_writes_no_files(tmp_path):
     """A run persists nothing, so it can never serve a stale result.
 

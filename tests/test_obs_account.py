@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 import repro.obs as obs
-from repro.core import SigmaVP
+from repro.core import SHARED_MEMORY, SigmaVP
 from repro.exec.jobs import scenario_summary
 from repro.kernels.functional import FunctionalRegistry
 from repro.obs.account import (
@@ -13,11 +13,13 @@ from repro.obs.account import (
     collect_accounts,
     compute_usage,
     jain_index,
+    kind_breakdown,
     render_accounts,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.sched import SchedulerConfig
 from repro.workloads import get_workload
+from repro.workloads.linalg import make_vectoradd_spec
 
 
 def _run_framework(n_vps=2, **kwargs):
@@ -131,6 +133,95 @@ class TestCollectAccounts:
             assert name in report
         assert "coalesce share" in report
         assert "Jain fairness" in report
+
+
+@pytest.fixture(scope="module")
+def finished_framework():
+    framework = SigmaVP(n_vps=2, transport=SHARED_MEMORY)
+    framework.run_workload(make_vectoradd_spec(elements=4096, iterations=3))
+    return framework
+
+
+def test_latencies_cover_all_completed_jobs(finished_framework):
+    usage = compute_usage(finished_framework)
+    kinds = kind_breakdown(finished_framework)
+    assert kinds
+    for account in [*usage.values(), *kinds.values()]:
+        assert account.wait_ms >= 0
+        assert account.busy_ms >= 0
+    for account in usage.values():
+        assert account.total_ms == pytest.approx(
+            account.wait_ms + account.busy_ms
+        )
+    # Both tables count every guest call exactly once.
+    assert sum(k.jobs for k in kinds.values()) == sum(
+        u.jobs for u in usage.values()
+    )
+
+
+def test_members_inherit_merge_dispatch_point(finished_framework):
+    """Merged members were never dispatched individually but are still
+    accounted, from their own submission to the merge's dispatch."""
+    log = finished_framework.dispatcher.completed_log
+    dispatched = {job.job_id: job.dispatched_at_ms for job in log}
+    for job in log:
+        for member in job.members:
+            assert member.dispatched_at_ms is None
+            dispatched[member.job_id] = job.dispatched_at_ms
+    expected = {}
+    for job in log:
+        if job.vp in finished_framework.sessions:
+            start = dispatched[job.job_id]
+            wait, busy = expected.get(job.vp, (0.0, 0.0))
+            expected[job.vp] = (
+                wait + max(0.0, start - job.submitted_at_ms),
+                busy + max(0.0, job.completed_at_ms - start),
+            )
+    usage = compute_usage(finished_framework)
+    assert set(expected) == {"vp0", "vp1"}
+    assert sum(u.coalesced_jobs for u in usage.values()) > 0
+    for vp, (wait, busy) in expected.items():
+        assert usage[vp].wait_ms == pytest.approx(wait)
+        assert usage[vp].busy_ms == pytest.approx(busy)
+
+
+def test_vp_accounts_structure(finished_framework):
+    usage = compute_usage(finished_framework)
+    assert set(usage) == {"vp0", "vp1"}
+    for account in usage.values():
+        assert account.jobs > 0
+        assert account.guest_cpu_ms > 0
+        assert account.elapsed_ms is not None
+        assert account.busy_ms > 0
+
+
+def test_kind_breakdown_means(finished_framework):
+    kinds = kind_breakdown(finished_framework)
+    assert "KERNEL" in kinds
+    assert "MALLOC" in kinds
+    # Mallocs are host bookkeeping: near-zero service.
+    assert kinds["MALLOC"].mean_busy_ms < 0.01
+    assert kinds["KERNEL"].mean_busy_ms > 0
+
+
+def test_render_accounting(finished_framework):
+    text = render_accounts(finished_framework)
+    assert "Per-VP accounting" in text
+    assert "Guest CPU (ms)" in text and "Elapsed (ms)" in text
+    assert "Per-kind latency" in text
+    assert "vp0" in text and "KERNEL" in text
+
+
+def test_service_time_matches_expected_for_serial_run():
+    """In serial mode, a lone copy's busy time equals its transfer time
+    (plus nothing: no contention)."""
+    framework = SigmaVP(n_vps=1, transport=SHARED_MEMORY,
+                        interleaving=False, coalescing=False)
+    framework.run_workload(make_vectoradd_spec(elements=65536, iterations=1))
+    copies = kind_breakdown(framework)["COPY_H2D"]
+    assert copies.jobs > 0
+    expected = framework.gpu.arch.copy_time_ms(65536 * 4)
+    assert copies.mean_busy_ms == pytest.approx(expected, rel=0.01)
 
 
 class TestDisabledCost:

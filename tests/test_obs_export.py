@@ -25,12 +25,10 @@ from repro.obs import (
     config_key,
     git_commit,
     metrics_snapshot,
-    prom_name,
     render_metrics,
     run_stamp,
     seed_for,
     to_chrome_trace,
-    to_prometheus,
     validate_chrome_trace,
     write_metrics,
     write_trace,
@@ -172,61 +170,14 @@ class TestMetricsExport:
         assert "dispatch.decisions" in text
         assert snap["stamp"]["config_hash"] in text
 
-    def test_write_metrics_emits_prom_sibling(self, captured, tmp_path):
+    def test_write_metrics_writes_only_the_json(self, captured, tmp_path):
         path = write_metrics(
             tmp_path / "m.json", captured.registry, run_stamp(FN, KWARGS)
         )
-        sibling = path.with_suffix(".prom")
-        assert sibling.is_file()
-        text = sibling.read_text()
-        assert "# TYPE repro_dispatch_decisions counter" in text
-        assert 'repro_run_info{label="scenario_summary",' in text
-
-    def test_write_metrics_can_skip_prom(self, captured, tmp_path):
-        path = write_metrics(
-            tmp_path / "no_prom.json",
-            captured.registry,
-            run_stamp(FN, KWARGS),
-            prom=False,
-        )
-        assert not path.with_suffix(".prom").exists()
-
-
-class TestPrometheusExposition:
-    def test_name_sanitization(self):
-        assert (
-            prom_name("engine.gpu0/compute.busy_ms")
-            == "repro_engine_gpu0_compute_busy_ms"
-        )
-        assert prom_name("0weird").startswith("repro__0weird")
-
-    def test_counter_gauge_and_histogram_shapes(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.counter("c").inc(3)
-        registry.gauge("g").set(0.5)
-        h = registry.histogram("h", (1.0, 10.0))
-        h.observe(0.5)
-        h.observe(5.0)
-        h.observe(100.0)
-        text = to_prometheus(registry.snapshot())
-        assert "# TYPE repro_c counter\nrepro_c 3" in text
-        assert "# TYPE repro_g gauge\nrepro_g 0.5" in text
-        # Cumulative buckets: le=1 -> 1, le=10 -> 2, +Inf -> 3.
-        assert 'repro_h_bucket{le="1"} 1' in text
-        assert 'repro_h_bucket{le="10"} 2' in text
-        assert 'repro_h_bucket{le="+Inf"} 3' in text
-        assert "repro_h_count 3" in text
-
-    def test_run_info_carries_identity_labels(self, captured):
-        stamp = run_stamp(FN, KWARGS, label="va2")
-        text = to_prometheus(metrics_snapshot(captured.registry, stamp))
-        assert (
-            f'repro_run_info{{label="va2",'
-            f'config_hash="{stamp["config_hash"]}",'
-            f'git_commit="{stamp["git_commit"]}"}} 1'
-        ) in text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+        loaded = json.loads(path.read_text())
+        assert loaded["schema"] == "repro.obs.metrics/1"
+        assert "dispatch.decisions" in loaded["metrics"]
 
 
 class TestTimelineFromTrace:
