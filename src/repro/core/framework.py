@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Type
 
+import numpy as np
+
 from ..backend import ExecutionBackend, NumpyBackend
 from ..gpu.arch import GPUArchitecture, QUADRO_4000, TEGRA_K1
 from ..gpu.device import HostGPU
@@ -197,8 +199,18 @@ class SigmaVP:
 
     # -- running applications -----------------------------------------------
 
-    def spawn(self, name: str, app_factory, seed: Optional[int] = None) -> Process:
-        """Start an application (from a WorkloadSpec) on one VP."""
+    def spawn(
+        self,
+        name: str,
+        app_factory,
+        seed: Optional[int] = None,
+        inputs: Optional[List[np.ndarray]] = None,
+    ) -> Process:
+        """Start an application (from a WorkloadSpec) on one VP.
+
+        ``inputs`` hands a spec's app a prebuilt input list instead of
+        one drawn from ``seed`` (see :meth:`run_workload`).
+        """
         from ..workloads.base import WorkloadSpec, build_app  # local: avoid cycle
 
         session = self.session(name)
@@ -207,6 +219,7 @@ class SigmaVP:
                 app_factory,
                 session.runtime,
                 seed=seed if seed is not None else len(session.processes),
+                inputs=inputs,
             )
         else:
             app = app_factory(session.runtime)
@@ -215,13 +228,22 @@ class SigmaVP:
         return process
 
     def run_workload(self, spec, seeds: Optional[List[int]] = None) -> float:
-        """Run ``spec`` on every attached VP concurrently; returns total ms."""
+        """Run ``spec`` on every attached VP concurrently; returns total ms.
+
+        A timing-only framework (empty registry) builds the spec's inputs
+        once and shares them across every VP.
+        """
+        from ..workloads.base import WorkloadSpec, shared_inputs  # local: avoid cycle
+
         if not self.sessions:
             raise RuntimeError("no VPs attached; call add_vp() first")
+        shared = None
+        if isinstance(spec, WorkloadSpec):
+            shared = shared_inputs(spec, self.backend.registry, seeds[0] if seeds else 0)
         processes = []
         for index, name in enumerate(sorted(self.sessions)):
             seed = seeds[index] if seeds else index
-            processes.append(self.spawn(name, spec, seed=seed))
+            processes.append(self.spawn(name, spec, seed=seed, inputs=shared))
         return self.run_until(processes)
 
     def run_until(self, processes: List[Process]) -> float:

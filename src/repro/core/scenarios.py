@@ -26,7 +26,7 @@ from ..sim import Environment
 from ..vp.cpu import CPUModel, HOST_XEON, QEMU_ARM_VP
 from ..vp.cuda_runtime import CudaRuntime, EmulationBackend, NativeGPUBackend
 from ..vp.platform import VirtualPlatform
-from ..workloads.base import WorkloadSpec, build_app
+from ..workloads.base import WorkloadSpec, build_app, shared_inputs
 from .framework import SigmaVP
 from .ipc import IPCTransport, SOCKET
 
@@ -137,6 +137,7 @@ def run_emulation(
     env = Environment()
     registry = _registry(functional)
     exec_backend = backend(registry)
+    inputs = shared_inputs(spec, registry)
     processes = []
     platforms = []
 
@@ -147,7 +148,9 @@ def run_emulation(
                 env, platform, registry=registry, exec_backend=exec_backend
             )
             runtime = CudaRuntime(emu)
-            process = platform.run_app(build_app(spec, runtime, seed=index))
+            process = platform.run_app(
+                build_app(spec, runtime, seed=index, inputs=inputs)
+            )
             platforms.append(platform)
             processes.append(process)
             yield process
@@ -159,7 +162,9 @@ def run_emulation(
                 env, platform, registry=registry, exec_backend=exec_backend
             )
             runtime = CudaRuntime(emu)
-            processes.append(platform.run_app(build_app(spec, runtime, seed=index)))
+            processes.append(
+                platform.run_app(build_app(spec, runtime, seed=index, inputs=inputs))
+            )
             platforms.append(platform)
         env.run(env.all_of(processes))
     else:

@@ -73,6 +73,9 @@ class DeviceMemoryAllocator:
         #: accounting); the address-space bookkeeping stays here.
         self.backend = backend
         self._buffers: List[DeviceBuffer] = []  # sorted by address
+        #: Free ``(address, size)`` gaps in address order, never empty-sized
+        #: and never adjacent: allocation splits one, ``free`` merges.
+        self._free_gaps: List[Tuple[int, int]] = [(0, capacity_bytes)]
 
     def __len__(self) -> int:
         return len(self._buffers)
@@ -85,18 +88,6 @@ class DeviceMemoryAllocator:
     def free_bytes(self) -> int:
         return self.capacity - self.used_bytes
 
-    def _gaps(self) -> List[Tuple[int, int]]:
-        """Free (address, size) gaps in address order."""
-        gaps = []
-        cursor = 0
-        for buf in self._buffers:
-            if buf.address > cursor:
-                gaps.append((cursor, buf.address - cursor))
-            cursor = max(cursor, buf.end)
-        if cursor < self.capacity:
-            gaps.append((cursor, self.capacity - cursor))
-        return gaps
-
     def _position(self, address: int) -> int:
         """Index of the first buffer at or above ``address``."""
         return bisect.bisect_left(self._buffers, address, key=_address)
@@ -104,21 +95,54 @@ class DeviceMemoryAllocator:
     def _insert(self, buffer: DeviceBuffer) -> None:
         self._buffers.insert(self._position(buffer.address), buffer)
 
+    def _take_first_fit(self, size: int) -> Optional[int]:
+        """Carve ``size`` bytes off the first gap that holds them.
+
+        Returns the carved address, or ``None`` when no gap is large
+        enough.
+        """
+        for index, (address, gap) in enumerate(self._free_gaps):
+            if gap >= size:
+                if gap == size:
+                    del self._free_gaps[index]
+                else:
+                    self._free_gaps[index] = (address + size, gap - size)
+                return address
+        return None
+
+    def _release(self, address: int, size: int) -> None:
+        """Return ``[address, address + size)`` to the gap list."""
+        gaps = self._free_gaps
+        index = bisect.bisect_left(gaps, (address,))
+        end = address + size
+        if index < len(gaps) and gaps[index][0] == end:
+            end += gaps[index][1]
+            del gaps[index]
+        if index > 0:
+            before, before_size = gaps[index - 1]
+            if before + before_size == address:
+                gaps[index - 1] = (before, end - before)
+                return
+        gaps.insert(index, (address, end - address))
+
+    def _new_buffer(self, address: int, size: int, owner: str) -> DeviceBuffer:
+        buffer = DeviceBuffer(address=address, size=size, owner=owner)
+        if self.backend is not None:
+            buffer.backend_token = self.backend.allocate(size, owner=owner)
+        self._insert(buffer)
+        return buffer
+
     def allocate(self, size: int, owner: str = "") -> DeviceBuffer:
         """First-fit allocation of ``size`` bytes."""
         if size <= 0:
             raise ValueError(f"allocation size must be positive, got {size}")
-        for address, gap in self._gaps():
-            if gap >= size:
-                buffer = DeviceBuffer(address=address, size=size, owner=owner)
-                if self.backend is not None:
-                    buffer.backend_token = self.backend.allocate(size, owner=owner)
-                self._insert(buffer)
-                return buffer
-        raise OutOfDeviceMemory(
-            f"cannot allocate {size} bytes (free={self.free_bytes}, "
-            f"largest gap={max((g for _, g in self._gaps()), default=0)})"
-        )
+        address = self._take_first_fit(size)
+        if address is None:
+            raise OutOfDeviceMemory(
+                f"cannot allocate {size} bytes (free={self.free_bytes}, "
+                f"largest gap={max((g for _, g in self._free_gaps), default=0)})"
+            )
+        return self._new_buffer(address, size, owner)
 
     def allocate_contiguous(
         self, sizes: Sequence[int], owner: str = ""
@@ -135,23 +159,16 @@ class DeviceMemoryAllocator:
             if size <= 0:
                 raise ValueError(f"allocation sizes must be positive, got {size}")
         total = sum(sizes)
-        for address, gap in self._gaps():
-            if gap >= total:
-                buffers = []
-                cursor = address
-                for size in sizes:
-                    buffer = DeviceBuffer(address=cursor, size=size, owner=owner)
-                    if self.backend is not None:
-                        buffer.backend_token = self.backend.allocate(
-                            size, owner=owner
-                        )
-                    self._insert(buffer)
-                    buffers.append(buffer)
-                    cursor += size
-                return buffers
-        raise OutOfDeviceMemory(
-            f"cannot allocate {total} contiguous bytes (free={self.free_bytes})"
-        )
+        cursor = self._take_first_fit(total)
+        if cursor is None:
+            raise OutOfDeviceMemory(
+                f"cannot allocate {total} contiguous bytes (free={self.free_bytes})"
+            )
+        buffers = []
+        for size in sizes:
+            buffers.append(self._new_buffer(cursor, size, owner))
+            cursor += size
+        return buffers
 
     def free(self, buffer: DeviceBuffer) -> None:
         if buffer.freed:
@@ -160,6 +177,7 @@ class DeviceMemoryAllocator:
         if index == len(self._buffers) or self._buffers[index] is not buffer:
             raise RuntimeError(f"{buffer!r} was not allocated here")
         del self._buffers[index]
+        self._release(buffer.address, buffer.size)
         buffer.freed = True
         buffer.payload = None
         if self.backend is not None and buffer.backend_token is not None:

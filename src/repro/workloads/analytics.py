@@ -79,6 +79,7 @@ STEREO_DISPARITY = WorkloadSpec(
     streaming=True,  # a fresh stereo pair per iteration
     sync_every=24,
     c_ops=_DISPARITY_W * _DISPARITY_H * 150.0 * 24,
+    params={"row_width": _DISPARITY_W},
     input_factory=lambda rng, i, spec: rng.integers(
         0, 256, spec.elements, dtype=np.int32
     ),
@@ -128,10 +129,16 @@ def merge_sort_fn(keys: np.ndarray) -> np.ndarray:
 
 
 @functional_kernel("stereoDisparity")
-def stereo_disparity_fn(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Reference disparity: best of a small shift search (simplified)."""
-    left = left.reshape(_DISPARITY_H, _DISPARITY_W)
-    right = right.reshape(_DISPARITY_H, _DISPARITY_W)
+def stereo_disparity_fn(
+    left: np.ndarray, right: np.ndarray, row_width: int = _DISPARITY_W
+) -> np.ndarray:
+    """Reference disparity: best of a small shift search (simplified).
+
+    The images are ``row_width`` pixels wide; a scaled spec keeps the
+    width and changes the number of rows.
+    """
+    left = left.reshape(-1, row_width)
+    right = right.reshape(-1, row_width)
     max_shift = 8
     best_cost = np.full(left.shape, np.iinfo(np.int64).max, dtype=np.int64)
     best_shift = np.zeros(left.shape, dtype=np.int32)

@@ -22,6 +22,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
+from ..kernels.functional import FunctionalRegistry
 from ..kernels.ir import KernelIR
 from ..kernels.launch import LaunchConfig, launch_for_elements
 from ..vp.cuda_runtime import CudaRuntime
@@ -130,7 +131,8 @@ class WorkloadSpec:
         registered numpy implementation cannot reshape fails with the
         constraint named instead of deep inside a device engine.  Kernels
         taking a ``vectors`` parameter split each input into that many
-        equal rows.
+        equal rows; kernels taking a ``row_width`` parameter fold each
+        input into rows of that many elements.
         """
         vectors = self.params.get("vectors")
         if vectors and self.elements % vectors:
@@ -138,6 +140,13 @@ class WorkloadSpec:
                 f"{self.name}: functional execution splits each input into "
                 f"{vectors} vectors, so elements ({self.elements}) must be a "
                 f"multiple of {vectors}"
+            )
+        row_width = self.params.get("row_width")
+        if row_width and self.elements % row_width:
+            raise ValueError(
+                f"{self.name}: functional execution folds each input into "
+                f"rows of {row_width}, so elements ({self.elements}) must be a "
+                f"multiple of {row_width}"
             )
 
     def build_inputs(self, seed: int = 0) -> List[np.ndarray]:
@@ -163,18 +172,47 @@ class WorkloadSpec:
         return self.kernel.coalescible
 
 
-def build_app(spec: WorkloadSpec, api: CudaRuntime, seed: int = 0):
+def shared_inputs(
+    spec: WorkloadSpec, registry: FunctionalRegistry, seed: int = 0
+) -> Optional[List[np.ndarray]]:
+    """The one input set every VP of a timing-only run shares, or ``None``.
+
+    A run whose functional registry is empty executes no kernel, so no
+    input value is ever read: the model sees only shapes, dtypes and
+    ``nbytes``, which every factory draws independently of the seed.
+    Such a run builds ``spec``'s inputs once, from the first VP's
+    ``seed``, and marks them read-only so a stray in-place write fails
+    loudly instead of leaking between VPs.  A run that can execute a
+    kernel gets ``None``: each VP draws ``build_inputs`` from its own
+    seed inside :func:`build_app`.
+    """
+    if len(registry):
+        return None
+    inputs = spec.build_inputs(seed)
+    for array in inputs:
+        array.flags.writeable = False
+    return inputs
+
+
+def build_app(
+    spec: WorkloadSpec,
+    api: CudaRuntime,
+    seed: int = 0,
+    inputs: Optional[List[np.ndarray]] = None,
+):
     """Compile a spec into an application generator for ``api``.
 
     The returned zero-argument callable yields the canonical CUDA loop:
     allocate, (copy in, launch, copy out) x iterations, synchronize, with
-    the spec's non-CUDA work split around the GPU phase.
+    the spec's non-CUDA work split around the GPU phase.  ``inputs`` is
+    a prebuilt input list (see :func:`shared_inputs`); without one the
+    app draws ``spec.build_inputs(seed)`` when it starts.
     """
 
     def app():
-        inputs = spec.build_inputs(seed)
+        app_inputs = spec.build_inputs(seed) if inputs is None else inputs
         in_handles: List[str] = []
-        for array in inputs:
+        for array in app_inputs:
             handle = yield from api.malloc(int(array.nbytes))
             in_handles.append(handle)
         if spec.feedback:
@@ -189,13 +227,13 @@ def build_app(spec: WorkloadSpec, api: CudaRuntime, seed: int = 0):
         launch = spec.launch_config()
         copies_in_loop = spec.streaming and not spec.readback_only
         if not copies_in_loop:
-            for handle, array in zip(in_handles, inputs):
+            for handle, array in zip(in_handles, app_inputs):
                 yield from api.memcpy_h2d(handle, array, sync=False)
 
         result = None
         for iteration in range(spec.iterations):
             if copies_in_loop:
-                for handle, array in zip(in_handles, inputs):
+                for handle, array in zip(in_handles, app_inputs):
                     yield from api.memcpy_h2d(handle, array, sync=False)
             yield from api.launch_kernel(
                 spec.kernel,

@@ -109,3 +109,89 @@ def test_total_time_property():
     spec = make_vectoradd_spec(elements=2048, iterations=1)
     framework.run_workload(spec)
     assert framework.total_time_ms == framework.env.now
+
+
+# -- timing-only runs share one read-only input set ---------------------------------
+
+_SHARED_APPS = ("vectorAdd", "physxParticles", "smokeParticles", "matrixMul")
+
+
+@pytest.fixture
+def per_vp_inputs(monkeypatch):
+    """Hand every app its own ``build_inputs(seed)``, explicitly through build_app."""
+    import repro.core.scenarios as scenarios
+    import repro.workloads.base as base
+
+    real_build_app = base.build_app
+
+    def per_vp_build_app(spec, api, seed=0, inputs=None):
+        return real_build_app(spec, api, seed=seed, inputs=spec.build_inputs(seed))
+
+    def install():
+        monkeypatch.setattr(base, "build_app", per_vp_build_app)
+        monkeypatch.setattr(scenarios, "build_app", per_vp_build_app)
+
+    return install
+
+
+@pytest.mark.parametrize("coalescing", [True, False])
+@pytest.mark.parametrize("app", _SHARED_APPS)
+def test_shared_inputs_leave_the_summary_unchanged(app, coalescing, per_vp_inputs):
+    from repro.core.scenarios import run_sigma_vp
+    from repro.workloads import get_workload
+
+    spec = get_workload(app)
+    shared = run_sigma_vp(spec, n_vps=3, coalescing=coalescing)
+    per_vp_inputs()
+    reference = run_sigma_vp(spec, n_vps=3, coalescing=coalescing)
+    assert shared.summary() == reference.summary()
+    np.testing.assert_array_equal(shared.extras["result"], reference.extras["result"])
+
+
+@pytest.mark.parametrize("concurrent", [True, False])
+@pytest.mark.parametrize("app", _SHARED_APPS)
+def test_shared_inputs_leave_emulation_unchanged(app, concurrent, per_vp_inputs):
+    from repro.core.scenarios import run_emulation
+    from repro.workloads import get_workload
+
+    spec = get_workload(app)
+    shared = run_emulation(spec, n_instances=3, concurrent=concurrent)
+    per_vp_inputs()
+    reference = run_emulation(spec, n_instances=3, concurrent=concurrent)
+    assert shared.summary() == reference.summary()
+
+
+@pytest.fixture
+def input_builds(monkeypatch):
+    """Every list ``WorkloadSpec.build_inputs`` returns, in call order."""
+    from repro.workloads import WorkloadSpec
+
+    builds = []
+    real_build_inputs = WorkloadSpec.build_inputs
+
+    def counting(self, seed=0):
+        inputs = real_build_inputs(self, seed)
+        builds.append(inputs)
+        return inputs
+
+    monkeypatch.setattr(WorkloadSpec, "build_inputs", counting)
+    return builds
+
+
+def test_timing_only_run_builds_inputs_once(input_builds):
+    from repro.core.scenarios import run_emulation, run_sigma_vp
+
+    spec = make_vectoradd_spec(elements=2048, iterations=2)
+    run_sigma_vp(spec, n_vps=4)
+    run_emulation(spec, n_instances=3, concurrent=True)
+    run_emulation(spec, n_instances=3)
+    assert len(input_builds) == 3
+    for inputs in input_builds:
+        assert all(array.flags.writeable is False for array in inputs)
+
+
+def test_functional_run_builds_inputs_per_vp(input_builds):
+    from repro.core.scenarios import run_sigma_vp
+
+    run_sigma_vp(make_vectoradd_spec(elements=2048), n_vps=4, functional=True)
+    assert len(input_builds) == 4

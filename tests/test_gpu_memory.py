@@ -168,3 +168,105 @@ def test_allocator_never_overlaps(ops):
     for left, right in zip(ordered, ordered[1:]):
         assert left.end <= right.address
     assert mem.used_bytes == sum(b.size for b in live)
+
+
+# -- oracle: the gap scan the free-gap index replaced ------------------------------
+
+
+class ScanAllocator:
+    """First fit by rescanning the live buffers on every call.
+
+    The allocator's original algorithm, kept as the reference its
+    free-gap index must agree with, address for address.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.live = []  # (address, size), address order
+
+    def gaps(self):
+        gaps, cursor = [], 0
+        for address, size in self.live:
+            if address > cursor:
+                gaps.append((cursor, address - cursor))
+            cursor = max(cursor, address + size)
+        if cursor < self.capacity:
+            gaps.append((cursor, self.capacity - cursor))
+        return gaps
+
+    @property
+    def free_bytes(self):
+        return self.capacity - sum(size for _, size in self.live)
+
+    def allocate_contiguous(self, sizes):
+        total = sum(sizes)
+        for address, gap in self.gaps():
+            if gap >= total:
+                cursor, addresses = address, []
+                for size in sizes:
+                    self.live.append((cursor, size))
+                    addresses.append(cursor)
+                    cursor += size
+                self.live.sort()
+                return addresses
+        return None
+
+    def oom_message(self, sizes, contiguous):
+        total = sum(sizes)
+        if contiguous:
+            return f"cannot allocate {total} contiguous bytes (free={self.free_bytes})"
+        largest = max((g for _, g in self.gaps()), default=0)
+        return (
+            f"cannot allocate {total} bytes (free={self.free_bytes}, "
+            f"largest gap={largest})"
+        )
+
+    def free(self, address, size):
+        self.live.remove((address, size))
+
+
+_SIZES = st.integers(min_value=1, max_value=96)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("alloc"), st.lists(_SIZES, min_size=1, max_size=1)),
+            st.tuples(st.just("contig"), st.lists(_SIZES, min_size=1, max_size=5)),
+            st.tuples(st.just("free"), st.integers(min_value=0, max_value=1 << 16)),
+        ),
+        min_size=1,
+        max_size=80,
+    )
+)
+def test_free_gap_index_matches_the_scan_oracle(ops):
+    """Same addresses, same OOM step and message, same gaps, every step."""
+    mem = DeviceMemoryAllocator(1024)
+    oracle = ScanAllocator(1024)
+    live = []
+    for kind, arg in ops:
+        if kind == "free":
+            if not live:
+                continue
+            buffer = live.pop(arg % len(live))
+            mem.free(buffer)
+            oracle.free(buffer.address, buffer.size)
+        else:
+            expected = oracle.allocate_contiguous(arg)
+            if expected is None:
+                message = oracle.oom_message(arg, contiguous=kind == "contig")
+                with pytest.raises(OutOfDeviceMemory) as raised:
+                    if kind == "contig":
+                        mem.allocate_contiguous(arg)
+                    else:
+                        mem.allocate(arg[0])
+                assert str(raised.value) == message
+                continue
+            if kind == "contig":
+                buffers = mem.allocate_contiguous(arg)
+            else:
+                buffers = [mem.allocate(arg[0])]
+            assert [b.address for b in buffers] == expected
+            live.extend(buffers)
+        assert mem._free_gaps == oracle.gaps()
+        assert mem.free_bytes == oracle.free_bytes

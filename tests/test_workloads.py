@@ -172,6 +172,72 @@ def test_mandelbrot_app_numerics():
     assert result.min() <= 2
 
 
+def test_stereo_disparity_functional_at_a_scaled_size():
+    from repro.api import RunRequest, scenario
+    from repro.core.scenarios import run_native_gpu
+    from repro.exec.jobs import _spec
+
+    request = RunRequest(app="stereoDisparity", functional=True, scale_elements=640 * 16)
+    result = scenario(request).extras["result"]
+    spec = _spec("stereoDisparity", 640 * 16)
+    expected = run_native_gpu(spec, functional=True).extras["result"]
+    assert result.shape == (640 * 16,)
+    np.testing.assert_array_equal(result, expected)
+
+
+def test_stereo_disparity_rejects_a_partial_row_up_front():
+    from repro.api import RunRequest, scenario
+
+    request = RunRequest(app="stereoDisparity", functional=True, scale_elements=65536)
+    with pytest.raises(ValueError, match="multiple of 640"):
+        scenario(request)
+
+
+def test_stereo_disparity_unscaled_output_unchanged():
+    """The SDK pair still folds into 533 rows of 640, as it always did."""
+    from repro.workloads.analytics import stereo_disparity_fn
+
+    spec = SUITE["stereoDisparity"]
+    left, right = spec.build_inputs(0)
+    shaped_left, shaped_right = left.reshape(533, 640), right.reshape(533, 640)
+    best_cost = np.full(shaped_left.shape, np.iinfo(np.int64).max, dtype=np.int64)
+    best_shift = np.zeros(shaped_left.shape, dtype=np.int32)
+    for shift in range(8):
+        cost = np.abs(shaped_left.astype(np.int64) - np.roll(shaped_right, shift, axis=1))
+        better = cost < best_cost
+        best_cost = np.where(better, cost, best_cost)
+        best_shift = np.where(better, shift, best_shift)
+    np.testing.assert_array_equal(
+        stereo_disparity_fn(left, right, **spec.params), best_shift.ravel()
+    )
+    np.testing.assert_array_equal(
+        _run_native(spec.scaled_to(spec.elements, iterations=1)), best_shift.ravel()
+    )
+
+
+# -- shared inputs for timing-only runs ----------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_input_geometry_is_seed_independent(name):
+    """Shapes and dtypes never depend on the seed: the premise of sharing."""
+    spec = SUITE[name]
+    first, second = spec.build_inputs(0), spec.build_inputs(7)
+    assert [(a.shape, a.dtype) for a in first] == [(a.shape, a.dtype) for a in second]
+
+
+def test_shared_inputs_only_for_an_empty_registry():
+    from repro.core.scenarios import NULL_REGISTRY
+    from repro.workloads.base import shared_inputs
+
+    spec = make_vectoradd_spec(elements=1024)
+    assert shared_inputs(spec, REGISTRY, seed=3) is None
+    inputs = shared_inputs(spec, NULL_REGISTRY, seed=3)
+    for built, expected in zip(inputs, spec.build_inputs(3)):
+        np.testing.assert_array_equal(built, expected)
+        assert built.flags.writeable is False
+
+
 # -- synthetic microbenchmarks -------------------------------------------------------
 
 
