@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..backend import ExecutionBackend, NumpyBackend
@@ -47,7 +48,7 @@ from ..sched.config import (
 from ..sched.pipeline import SchedulerPipeline
 from ..sched.placement import PlacementStrategy, RoundRobinPlacement
 from ..sched.policies import SchedulingPolicy
-from ..sim import Environment, Event
+from ..sim import Environment, Event, Initialize, annotate
 from .coalescing import KernelCoalescer
 from .handles import HandleTable
 from .jobs import Job, JobKind, JobQueue
@@ -214,13 +215,12 @@ class JobDispatcher:
                 registry.histogram(
                     "jobqueue.depth_at_dispatch", _obs_metrics.DEPTH_BUCKETS
                 ).observe(len(self.queue))
-            # Labeled by bound device and job so a failure names both.
-            execution = self.env.process(
-                self._execute(job, expected),
-                label=f"gpu:{job.device}/execute({job.vp}#{job.seq})",
-            )
-            if self.mode is ServiceMode.SERIAL:
-                yield execution
+            # The job starts in its own URGENT event: the rest of this
+            # step still reads the engine queues as they were.
+            finished = self.env.event() if self.mode is ServiceMode.SERIAL else None
+            Initialize(self.env, partial(self._start, job, expected, finished))
+            if finished is not None:
+                yield finished
 
     def _idle_event(self, hold_deadline: Optional[float]) -> Event:
         """Event that fires when dispatching might become possible again."""
@@ -250,52 +250,91 @@ class JobDispatcher:
             compiled, job.launch
         )
 
-    def _execute(self, job: Job, expected_ms: float):
+    def _start(
+        self, job: Job, expected_ms: float, finished: Optional[Event], _: Event
+    ) -> None:
+        """Start ``job``: a host call's timeout, or an op on its engine.
+
+        ``finished`` (serial mode only) is the event the dispatcher waits
+        on; it fires, or fails, right after the job's completion.
+        """
         job.dispatched_at_ms = self.env.now
         gpu = self._gpu_of(job)
         try:
-            if job.kind is JobKind.EVENT:
-                # A record point: deliver the stream timestamp.
-                yield self.env.timeout(0.0)
-                if job.sink is not None:
-                    job.sink(self.env.now)
-            elif job.kind is JobKind.MALLOC:
-                yield self.env.timeout(self.config.host_call_ms)
-                buffer = gpu.malloc(job.size, owner=job.vp)
-                self.handles.bind(job.handle, buffer)
-            elif job.kind is JobKind.FREE:
-                yield self.env.timeout(self.config.host_call_ms)
-                gpu.free(self.handles.release(job.handle))
-            elif job.kind is JobKind.COPY_H2D:
-                yield self._run_on_engine(
-                    gpu.h2d_engine, job, expected_ms, self._apply_h2d(job)
-                )
-                gpu.bytes_copied_h2d += job.nbytes
-            elif job.kind is JobKind.COPY_D2H:
-                yield self._run_on_engine(
-                    gpu.d2h_engine, job, expected_ms, self._apply_d2h(job)
-                )
-                gpu.bytes_copied_d2h += job.nbytes
-            elif job.kind is JobKind.KERNEL:
+            if job.kind is JobKind.KERNEL:
                 compiled = gpu.compiler.compile(job.kernel, gpu.arch)
                 profile = gpu.timing.execute(compiled, job.launch)
                 if self.profiler is not None:
                     self.profiler.record(job, profile)
-                yield self._run_on_engine(
+                done = self._run_on_engine(
                     gpu.compute_engine, job, expected_ms, self._apply_kernel(job)
                 )
-            else:  # pragma: no cover - enum is exhaustive
-                raise RuntimeError(f"unhandled job kind {job.kind}")
+            elif job.kind is JobKind.COPY_H2D:
+                done = self._run_on_engine(
+                    gpu.h2d_engine, job, expected_ms, self._apply_h2d(job)
+                )
+            elif job.kind is JobKind.COPY_D2H:
+                done = self._run_on_engine(
+                    gpu.d2h_engine, job, expected_ms, self._apply_d2h(job)
+                )
+            else:
+                # A record point (zero time) or a malloc/free host call.
+                done = self.env.timeout(
+                    0.0 if job.kind is JobKind.EVENT else self.config.host_call_ms
+                )
         except BaseException as exc:
-            # Surface the failure to the requesting VP (e.g. device OOM),
-            # mirroring a CUDA error return.
-            job.completion.fail(exc)
-            raise
-        finally:
-            self.backlog.retire(job, expected_ms)
-            self._inflight.pop(job.vp, None)
-            self._signal()
+            self._fail(job, expected_ms, finished, exc)
+            return
+        assert done.callbacks is not None
+        done.callbacks.append(partial(self._finish, job, expected_ms, finished))
+
+    def _finish(
+        self, job: Job, expected_ms: float, finished: Optional[Event], _: Event
+    ) -> None:
+        gpu = self._gpu_of(job)
+        try:
+            if job.kind is JobKind.EVENT:
+                # A record point: deliver the stream timestamp.
+                if job.sink is not None:
+                    job.sink(self.env.now)
+            elif job.kind is JobKind.MALLOC:
+                buffer = gpu.malloc(job.size, owner=job.vp)
+                self.handles.bind(job.handle, buffer)
+            elif job.kind is JobKind.FREE:
+                gpu.free(self.handles.release(job.handle))
+            elif job.kind is JobKind.COPY_H2D:
+                gpu.bytes_copied_h2d += job.nbytes
+            elif job.kind is JobKind.COPY_D2H:
+                gpu.bytes_copied_d2h += job.nbytes
+        except BaseException as exc:
+            self._fail(job, expected_ms, finished, exc)
+            return
+        self._retire(job, expected_ms)
         self._complete(job)
+        if finished is not None:
+            finished.succeed()
+
+    def _retire(self, job: Job, expected_ms: float) -> None:
+        self.backlog.retire(job, expected_ms)
+        self._inflight.pop(job.vp, None)
+        self._signal()
+
+    def _fail(
+        self,
+        job: Job,
+        expected_ms: float,
+        finished: Optional[Event],
+        exc: BaseException,
+    ) -> None:
+        """Surface a failure to the requesting VP (e.g. device OOM),
+        mirroring a CUDA error return; ``env.run()`` re-raises it from
+        one more event, named after the job."""
+        job.completion.fail(exc)
+        self._retire(job, expected_ms)
+        annotate(
+            exc, f"gpu:{job.device}/execute({job.vp}#{job.seq})", self.env.now
+        )
+        (finished if finished is not None else self.env.event()).fail(exc)
 
     def _run_on_engine(self, engine: Engine, job: Job, duration_ms: float, apply):
         metadata: dict = {"job_id": job.job_id}

@@ -157,17 +157,20 @@ class IPCManager:
             f"messages={self.messages_sent}>"
         )
 
-    def submit(self, job: Job, payload_bytes: int = 0):
+    def submit(self, job: Job, payload_bytes: int = 0, after_ms: float = 0.0):
         """Generator: deliver ``job`` to the host queue over the transport.
 
         H2D copies ship their payload across the IPC channel (the guest
-        has the data); other requests are small control messages.
+        has the data); other requests are small control messages.  The
+        send starts ``after_ms`` from now: a guest driver call folds its
+        own CPU time into the send's timeout, so one call is one heap
+        entry.
         """
         delay = self.transport.transfer_ms(payload_bytes)
         self.messages_sent += 1
         self.bytes_transferred += payload_bytes
-        started = self.env.now
-        yield self.env.timeout(delay)
+        started = self.env.now + after_ms
+        yield self.env.timeout_at(started + delay)
         tracer = _obs_trace.TRACER
         if tracer is not None:
             tracer.span(

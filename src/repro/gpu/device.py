@@ -67,8 +67,8 @@ class HostGPU:
         # Fermi-class Quadro boards advertise dual copy engines: host-to-
         # device and device-to-host transfers overlap with each other and
         # with compute, the three-stage pipeline Kernel Interleaving
-        # exploits (paper Eq. 7).  Engine serving processes are labeled by
-        # device index so a failure names the engine that raised.
+        # exploits (paper Eq. 7).  Engines are labeled by device index so a
+        # failure names the engine that raised.
         self.h2d_engine = CopyEngine(
             env, name=f"{arch.name}/copy-h2d", plabel=f"gpu:{index}/copy-h2d"
         )

@@ -13,12 +13,13 @@ and verify overlap (the mechanism behind Fig. 3's before/after diagrams).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from ..obs import metrics as _obs_metrics
 from ..obs import tracer as _obs_trace
-from ..sim import Environment, Event, Store
+from ..sim import Environment, Event, annotate
 
 
 @dataclass
@@ -55,27 +56,37 @@ class TimelineEntry:
 
 
 class Engine:
-    """A non-preemptive FIFO engine."""
+    """A non-preemptive FIFO engine.
+
+    The engine is a chain of scheduled callbacks, not a process: waiting
+    ops sit in a deque, an op the engine takes starts in its own NORMAL
+    event at that instant, and the op's completion timeout finishes it
+    and takes the next one.
+    """
 
     def __init__(
         self, env: Environment, name: str, plabel: Optional[str] = None
     ):
         self.env = env
         self.name = name
-        self._queue: Store = Store(env)
+        # ``label`` names the engine in failure notes (e.g.
+        # ``"gpu:1/compute"``); the engine name itself stays
+        # arch-scoped for trace lanes.
+        self.label = plabel or f"engine:{name}"
+        self._waiting: Deque[EngineOp] = deque()
+        #: The op the engine has taken (started or about to), if any.
+        self._current: Optional[EngineOp] = None
+        self._started_ms = 0.0
         self.timeline: List[TimelineEntry] = []
         self.busy_ms = 0.0
-        # ``plabel`` identifies the serving process for error reporting
-        # (e.g. ``"gpu:1/compute"``); the engine name
-        # itself stays arch-scoped for trace lanes.
-        self._process = env.process(self._serve(), label=plabel or f"engine:{name}")
 
     def __repr__(self) -> str:
-        return f"<Engine {self.name} queued={len(self._queue)} busy={self.busy_ms:.3f}ms>"
+        return f"<Engine {self.name} queued={self.queued} busy={self.busy_ms:.3f}ms>"
 
     @property
     def queued(self) -> int:
-        return len(self._queue)
+        """Ops submitted but not yet taken by the engine."""
+        return len(self._waiting)
 
     def submit(
         self,
@@ -92,29 +103,52 @@ class Engine:
             on_complete=on_complete,
             metadata=dict(metadata),
         )
-        self._queue.put(op)
+        if self._current is None:
+            self._take(op)
+        else:
+            self._waiting.append(op)
         return op
 
-    def _serve(self) -> Generator[Event, Any, None]:
-        while True:
-            op: EngineOp = yield self._queue.get()
-            start = self.env.now
-            yield self.env.timeout(op.duration_ms)
-            end = self.env.now
-            self.timeline.append(TimelineEntry(op.label, start, end))
-            self.busy_ms += end - start
-            tracer = _obs_trace.TRACER
-            if tracer is not None:
-                tracer.span(
-                    self.name, op.label, start, end,
-                    cat="engine", args=op.metadata,
-                )
-            registry = _obs_metrics.REGISTRY
-            if registry is not None:
-                registry.histogram("engine.op_ms").observe(end - start)
-            if op.on_complete is not None:
+    def _take(self, op: EngineOp) -> None:
+        self._current = op
+        start = self.env.event()
+        assert start.callbacks is not None
+        start.callbacks.append(self._start)
+        start.succeed()
+
+    def _start(self, _event: Event) -> None:
+        assert self._current is not None
+        self._started_ms = self.env.now
+        finish = self.env.timeout(self._current.duration_ms)
+        assert finish.callbacks is not None
+        finish.callbacks.append(self._finish)
+
+    def _finish(self, _event: Event) -> None:
+        op = self._current
+        assert op is not None
+        start, end = self._started_ms, self.env.now
+        self.timeline.append(TimelineEntry(op.label, start, end))
+        self.busy_ms += end - start
+        tracer = _obs_trace.TRACER
+        if tracer is not None:
+            tracer.span(
+                self.name, op.label, start, end,
+                cat="engine", args=op.metadata,
+            )
+        registry = _obs_metrics.REGISTRY
+        if registry is not None:
+            registry.histogram("engine.op_ms").observe(end - start)
+        if op.on_complete is not None:
+            try:
                 op.on_complete()
-            op.done.succeed(op)
+            except BaseException as exc:
+                annotate(exc, self.label, end)
+                raise
+        op.done.succeed(op)
+        if self._waiting:
+            self._take(self._waiting.popleft())
+        else:
+            self._current = None
 
     def utilization(self, until_ms: Optional[float] = None) -> float:
         """Busy fraction of the engine up to ``until_ms`` (default: now)."""

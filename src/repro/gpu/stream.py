@@ -10,10 +10,11 @@ between virtual platforms on the host GPU.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Deque, Optional
 
-from ..sim import Environment, Event, Store
+from ..sim import Environment, Event
 from .engines import Engine
 
 
@@ -30,16 +31,23 @@ class StreamCommand:
 
 
 class GPUStream:
-    """An in-order command queue bound to a device's engines."""
+    """An in-order command queue bound to a device's engines.
+
+    Like :class:`~repro.gpu.engines.Engine`, a stream is a chain of
+    scheduled callbacks: waiting commands sit in a deque, the command the
+    stream takes is submitted to its engine in its own NORMAL event, and
+    the engine op's ``done`` event completes it and takes the next one.
+    """
 
     def __init__(self, env: Environment, name: str):
         self.env = env
         self.name = name
-        self._commands: Store = Store(env)
+        self._waiting: Deque[StreamCommand] = deque()
+        #: The command on its engine (or about to be), if any.
+        self._current: Optional[StreamCommand] = None
         self._last_completion: Optional[Event] = None
         self.issued = 0
         self.completed = 0
-        env.process(self._pump(), label=f"stream:{name}/pump")
 
     def __repr__(self) -> str:
         return (
@@ -69,7 +77,10 @@ class GPUStream:
             on_complete=on_complete,
             metadata=dict(metadata),
         )
-        self._commands.put(command)
+        if self._current is None:
+            self._take(command)
+        else:
+            self._waiting.append(command)
         self._last_completion = completion
         self.issued += 1
         return completion
@@ -86,16 +97,32 @@ class GPUStream:
             return done
         return self._last_completion
 
-    def _pump(self) -> Generator[Event, Any, None]:
-        while True:
-            command: StreamCommand = yield self._commands.get()
-            op = command.engine.submit(
-                command.label,
-                command.duration_ms,
-                on_complete=command.on_complete,
-                stream=self.name,
-                **command.metadata,
-            )
-            yield op.done
-            self.completed += 1
-            command.completion.succeed(command.metadata)
+    def _take(self, command: StreamCommand) -> None:
+        self._current = command
+        start = self.env.event()
+        assert start.callbacks is not None
+        start.callbacks.append(self._submit)
+        start.succeed()
+
+    def _submit(self, _event: Event) -> None:
+        command = self._current
+        assert command is not None
+        op = command.engine.submit(
+            command.label,
+            command.duration_ms,
+            on_complete=command.on_complete,
+            stream=self.name,
+            **command.metadata,
+        )
+        assert op.done.callbacks is not None
+        op.done.callbacks.append(self._finish)
+
+    def _finish(self, _event: Event) -> None:
+        command = self._current
+        assert command is not None
+        self.completed += 1
+        command.completion.succeed(command.metadata)
+        if self._waiting:
+            self._take(self._waiting.popleft())
+        else:
+            self._current = None

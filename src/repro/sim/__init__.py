@@ -2,8 +2,9 @@
 
 This package is the substrate for every timed component of the SigmaVP
 reproduction: host GPU engines, IPC channels, virtual platforms, and the
-framework orchestration all run as coroutine processes in one
-:class:`~repro.sim.engine.Environment`.
+framework orchestration all run in one
+:class:`~repro.sim.engine.Environment`, as coroutine processes or as
+chains of scheduled callbacks.
 """
 
 from .engine import EmptySchedule, Environment, StopSimulation
@@ -12,11 +13,12 @@ from .events import (
     AnyOf,
     Condition,
     Event,
+    Initialize,
     Interrupt,
     Process,
     Timeout,
+    annotate,
 )
-from .resources import PriorityItem, PriorityStore, Request, Resource, Store
 
 __all__ = [
     "AllOf",
@@ -25,13 +27,10 @@ __all__ = [
     "EmptySchedule",
     "Environment",
     "Event",
+    "Initialize",
     "Interrupt",
-    "PriorityItem",
-    "PriorityStore",
     "Process",
-    "Request",
-    "Resource",
-    "Store",
     "StopSimulation",
     "Timeout",
+    "annotate",
 ]

@@ -2,9 +2,9 @@
 
 :class:`Environment` owns simulated time and the pending-event heap.  All
 timed components of the SigmaVP reproduction — host GPU engines, IPC
-channels, virtual platforms — are coroutine processes running inside one
-environment, so a single ``env.run()`` advances the entire simulated host
-machine deterministically.
+channels, virtual platforms — run inside one environment, as coroutine
+processes or as scheduled callbacks, so a single ``env.run()`` advances
+the entire simulated host machine deterministically.
 """
 
 from __future__ import annotations
@@ -85,6 +85,21 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """An event that fires at the absolute time ``when``.
+
+        ``timeout(a + b)`` fires at ``now + (a + b)``, which is not always
+        the float ``(now + a) + b`` that two back-to-back timeouts reach;
+        a caller folding two delays into one heap entry passes the sum it
+        means.
+        """
+        if when < self._now:
+            raise ValueError(f"time {when} is before now ({self._now})")
+        event = Event(self)
+        event._value = value
+        heapq.heappush(self._queue, (when, NORMAL, self._next_eid(), event))
+        return event
 
     def process(
         self, generator: Generator, label: Optional[str] = None

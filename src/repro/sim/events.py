@@ -18,15 +18,18 @@ if TYPE_CHECKING:
 PENDING = object()
 
 
-def _annotate(exc: BaseException, note: str) -> None:
-    """Attach ``note`` to ``exc`` when the runtime supports it (3.11+).
+def annotate(exc: BaseException, label: str, now: float) -> None:
+    """Note on ``exc`` that component ``label`` raised it at ``now`` (3.11+).
 
     Process crashes used to surface from :meth:`Environment.run` as a bare
     exception with no hint of *which* coroutine died; the note carries the
-    owning component label and the simulated time of death.
+    owning component label and the simulated time of death.  Components
+    that run as scheduled callbacks rather than processes (engines,
+    dispatched jobs) attach the same note.
     """
     add_note = getattr(exc, "add_note", None)
     if add_note is not None:
+        note = f"raised in simulation process {label!r} at t={now}ms"
         existing = getattr(exc, "__notes__", None) or []
         if note not in existing:
             add_note(note)
@@ -150,14 +153,20 @@ class Timeout(Event):
 
 
 class Initialize(Event):
-    """Internal event that kicks off a newly created process."""
+    """An URGENT event running ``callback`` at the current instant.
+
+    It kicks off a newly created process, and starts a dispatched job in
+    the same heap slot a process would take.
+    """
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", process: "Process"):
+    def __init__(
+        self, env: "Environment", callback: Callable[[Event], None]
+    ):
         super().__init__(env)
         assert self.callbacks is not None
-        self.callbacks.append(process._resume)
+        self.callbacks.append(callback)
         self._ok = True
         self._value = None
         env.schedule(self, priority=URGENT)
@@ -186,7 +195,7 @@ class Process(Event):
         self._target: Optional[Event] = None
         # Component identity for error reporting.
         self._label = label
-        Initialize(env, self)
+        Initialize(env, self._resume)
 
     @property
     def target(self) -> Optional[Event]:
@@ -242,11 +251,7 @@ class Process(Event):
                     self.env.schedule(self, priority=NORMAL)
                     break
                 except BaseException as exc:
-                    _annotate(
-                        exc,
-                        f"raised in simulation process {self._describe()!r} "
-                        f"at t={self.env.now}ms",
-                    )
+                    annotate(exc, self._describe(), self.env.now)
                     self._ok = False
                     self._value = exc
                     self.env.schedule(self, priority=NORMAL)
@@ -263,11 +268,7 @@ class Process(Event):
                     self.env.schedule(self, priority=NORMAL)
                     break
                 except BaseException as raised:
-                    _annotate(
-                        raised,
-                        f"raised in simulation process {self._describe()!r} "
-                        f"at t={self.env.now}ms",
-                    )
+                    annotate(raised, self._describe(), self.env.now)
                     self._ok = False
                     self._value = raised
                     self.env.schedule(self, priority=NORMAL)

@@ -277,7 +277,7 @@ class SigmaVPBackend(CudaBackend):
         yield from self.driver.submit(job, payload_bytes=int(data.nbytes))
         if sync:
             yield job.completion
-            yield from self.ipc.respond()
+            yield from self.ipc.respond(vp=self.vp.name)
         else:
             self._outstanding.append(job)
 
@@ -296,7 +296,7 @@ class SigmaVPBackend(CudaBackend):
         yield from self.driver.submit(job)
         if sync:
             yield job.completion
-            yield from self.ipc.respond(payload_bytes=job.nbytes)
+            yield from self.ipc.respond(payload_bytes=job.nbytes, vp=self.vp.name)
         else:
             self._outstanding.append(job)
         return result
@@ -314,7 +314,7 @@ class SigmaVPBackend(CudaBackend):
         yield from self.driver.submit(job)
         if sync:
             yield job.completion
-            yield from self.ipc.respond()
+            yield from self.ipc.respond(vp=self.vp.name)
         else:
             self._outstanding.append(job)
 
@@ -325,7 +325,7 @@ class SigmaVPBackend(CudaBackend):
             if not last.completion.processed:
                 yield last.completion
             self._outstanding.clear()
-            yield from self.ipc.respond()
+            yield from self.ipc.respond(vp=self.vp.name)
 
     def event_record(self, event):
         """Enqueue a record marker; per-VP order timestamps it after all
@@ -339,7 +339,7 @@ class SigmaVPBackend(CudaBackend):
             last = self._outstanding[-1]
             if not last.completion.processed:
                 yield last.completion
-            yield from self.ipc.respond()
+            yield from self.ipc.respond(vp=self.vp.name)
 
     def cpu_work(self, ops: float):
         yield from self.vp.execute_ops(ops)

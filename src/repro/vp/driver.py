@@ -37,8 +37,11 @@ class VirtualGPUDriver:
 
         Charges the guest-side path cost (user library + driver) on the
         VP's CPU, then hands the request to the virtual GPU hardware
-        model, which pushes it into the host Job Queue over IPC.
+        model, which pushes it into the host Job Queue over IPC.  The
+        guest time and the IPC send share one timeout: the send starts
+        when the guest path ends.
         """
         self.calls += 1
-        yield from self.vp.execute_ops(USER_LIBRARY_CALL_OPS + DRIVER_CALL_OPS)
-        yield from self.vgpu.push(job, payload_bytes=payload_bytes)
+        yield from self.vp.gate()
+        guest_ms = self.vp.charge_ops(USER_LIBRARY_CALL_OPS + DRIVER_CALL_OPS)
+        yield from self.vgpu.push(job, payload_bytes=payload_bytes, after_ms=guest_ms)

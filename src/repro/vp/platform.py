@@ -73,9 +73,17 @@ class VirtualPlatform:
         Honors stop/resume: a pause before the work begins delays it.
         """
         yield from self.gate()
+        yield self.env.timeout(self.charge_ops(ops))
+
+    def charge_ops(self, ops: float) -> float:
+        """Account ``ops`` guest operations; returns their duration (ms).
+
+        The caller owns the wait: :meth:`execute_ops` waits the duration
+        alone, the GPU driver folds it into the IPC send that follows.
+        """
         duration = self.cpu.time_for_ops(ops)
         self.guest_cpu_ms += duration
-        yield self.env.timeout(duration)
+        return duration
 
     def execute_ms(self, duration_ms: float):
         """Generator: keep the guest CPU busy for a precomputed duration."""

@@ -36,7 +36,11 @@ class VirtualEmbeddedGPU:
         self._seq += 1
         return seq
 
-    def push(self, job: "Job", payload_bytes: int = 0):
-        """Generator: send ``job`` to the host Job Queue over IPC."""
+    def push(self, job: "Job", payload_bytes: int = 0, after_ms: float = 0.0):
+        """Generator: send ``job`` to the host Job Queue over IPC.
+
+        The send starts ``after_ms`` from now (see
+        :meth:`~repro.core.ipc.IPCManager.submit`).
+        """
         self.jobs_pushed += 1
-        yield from self.ipc.submit(job, payload_bytes=payload_bytes)
+        yield from self.ipc.submit(job, payload_bytes=payload_bytes, after_ms=after_ms)

@@ -38,6 +38,23 @@ def test_engine_serves_fifo():
     assert engine.busy_ms == 5.0
 
 
+def test_engine_queued_counts_ops_not_yet_taken():
+    """An idle engine takes an op at once; later ones wait in its queue
+    until the op before them finishes (the dispatcher's room check)."""
+    env = Environment()
+    engine = Engine(env, "e")
+    engine.submit("a", 1.0)
+    assert engine.queued == 0
+    engine.submit("b", 1.0)
+    engine.submit("c", 1.0)
+    assert engine.queued == 2
+    env.run(until=1.5)
+    assert engine.queued == 1
+    env.run()
+    assert engine.queued == 0
+    assert [entry.label for entry in engine.timeline] == ["a", "b", "c"]
+
+
 def test_engine_rejects_negative_duration():
     env = Environment()
     engine = Engine(env, "e")

@@ -125,6 +125,14 @@ class TestCaptureWindow:
             assert tracer_mod.TRACER is outer.tracer
         assert tracer_mod.TRACER is None
 
+    def test_every_ipc_span_names_its_vp(self):
+        """Submits and responses both carry the VP they serve."""
+        with obs.capture() as cap:
+            _run_scenario()
+        ipc = [span for span in cap.tracer.spans if span[2] == "ipc"]
+        assert {span[3] for span in ipc} == {"submit", "respond"}
+        assert {span[6]["vp"] for span in ipc} == {"vp0", "vp1"}
+
     def test_capture_collects_expected_lanes(self):
         with obs.capture() as cap:
             _run_scenario()

@@ -20,9 +20,13 @@ from repro.sim import Environment
 from repro.workloads.linalg import make_vectoradd_spec
 
 
-def test_device_oom_reaches_the_application():
-    """cudaMalloc failure propagates into the requesting app cleanly."""
-    framework = SigmaVP(transport=SHARED_MEMORY)
+def _notes(excinfo) -> str:
+    return "\n".join(getattr(excinfo.value, "__notes__", []))
+
+
+def _oom_run(interleaving):
+    """A 4 GiB cudaMalloc on the 2 GiB device; returns (app value, notes)."""
+    framework = SigmaVP(transport=SHARED_MEMORY, interleaving=interleaving)
     session = framework.add_vp()
     api = session.runtime
 
@@ -35,9 +39,44 @@ def test_device_oom_reaches_the_application():
         return "no error"
 
     process = session.vp.run_app(greedy_app)
-    with pytest.raises(OutOfDeviceMemory):
+    with pytest.raises(OutOfDeviceMemory) as excinfo:
         framework.env.run()
-    assert process.value == "oom-handled"
+    return process.value, _notes(excinfo)
+
+
+def test_device_oom_reaches_the_application():
+    """cudaMalloc failure propagates into the requesting app cleanly, and
+    the error re-raised from the run names the job that failed."""
+    value, notes = _oom_run(interleaving=True)
+    assert value == "oom-handled"
+    assert "'gpu:0/execute(vp0#0)'" in notes
+    assert "t=" in notes
+
+
+def test_device_oom_reaches_the_application_in_serial_mode():
+    """The serial dispatcher waits on the failed job and re-raises it
+    with the same identity."""
+    value, notes = _oom_run(interleaving=False)
+    assert value == "oom-handled"
+    assert "'gpu:0/execute(vp0#0)'" in notes
+    assert "t=" in notes
+
+
+def test_engine_completion_failure_names_the_engine():
+    """An op whose functional effect raises stops the run, and the error
+    names the engine and the instant."""
+    env = Environment()
+    gpu = HostGPU(env, QUADRO_4000)
+
+    def apply():
+        raise ValueError("bad kernel effect")
+
+    gpu.compute_engine.submit("kernel", 2.5, on_complete=apply)
+    with pytest.raises(ValueError, match="bad kernel effect") as excinfo:
+        env.run()
+    notes = _notes(excinfo)
+    assert "'gpu:0/compute'" in notes
+    assert "t=2.5ms" in notes
 
 
 def test_coalescer_relayout_survives_fragmentation():

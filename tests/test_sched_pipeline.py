@@ -211,7 +211,7 @@ def test_sched_counters_pinned(kwargs, expected):
 # -- incremental decisions: bursts at one instant ---------------------------
 
 
-def _same_instant_log(n_vps):
+def _same_instant_fleet(n_vps):
     """A fleet whose events pile up at shared instants.
 
     Host calls cost nothing and event records are zero-time, so many
@@ -267,10 +267,15 @@ def _same_instant_log(n_vps):
         api = CudaRuntime(SigmaVPBackend(env, vp, ipc, handles))
         processes.append(vp.run_app(app(api)))
     env.run(env.all_of(processes))
+    return env, dispatcher.completed_log, [gpu]
+
+
+def _same_instant_log(n_vps):
+    _, completed, _ = _same_instant_fleet(n_vps)
     return [
         [job.vp, job.seq, job.kind.name, job.dispatched_at_ms,
          job.completed_at_ms]
-        for job in dispatcher.completed_log
+        for job in completed
     ]
 
 
@@ -288,6 +293,102 @@ def test_same_instant_bursts_keep_the_completed_log(n_vps, expected):
     log = _same_instant_log(n_vps)
     assert len(log) == 14 * n_vps
     assert _digest(log) == expected
+
+
+# -- the event loop: same-instant tie order and the event budget -----------
+
+
+def _tie_digest(completed, gpus):
+    """sha256 of the completed log and every engine timeline.
+
+    Times enter as ``repr`` so that a tie that fires in another order,
+    or a float summed in another order, moves the digest.
+    """
+    digest = hashlib.sha256()
+    for job in completed:
+        digest.update(repr((
+            job.vp, job.seq, job.kind.name, job.device,
+            job.dispatched_at_ms, job.completed_at_ms,
+        )).encode())
+    for gpu in gpus:
+        for engine in (gpu.h2d_engine, gpu.compute_engine, gpu.d2h_engine):
+            for entry in engine.timeline:
+                digest.update(
+                    repr((entry.label, entry.start_ms, entry.end_ms)).encode()
+                )
+    return digest.hexdigest()
+
+
+def _sigma_vp_run(**fields):
+    from repro.api import RunRequest, scenario
+
+    framework = scenario(RunRequest(**fields)).extras["framework"]
+    return framework.env, framework.dispatcher.completed_log, framework.gpus
+
+
+def _native_table1_run():
+    """Table 1's native route: matrixMul on the host GPU's streams."""
+    from repro.core.scenarios import NULL_REGISTRY
+    from repro.gpu import QUADRO_4000, HostGPU
+    from repro.vp import CudaRuntime, VirtualPlatform
+    from repro.vp.cpu import HOST_XEON
+    from repro.vp.cuda_runtime import NativeGPUBackend
+    from repro.workloads import get_workload
+    from repro.workloads.base import build_app
+
+    env = Environment()
+    gpu = HostGPU(env, QUADRO_4000)
+    host = VirtualPlatform(env, "host", cpu=HOST_XEON)
+    runtime = CudaRuntime(NativeGPUBackend(env, gpu, host, registry=NULL_REGISTRY))
+    env.run(host.run_app(build_app(get_workload("matrixMul"), runtime)))
+    return env, [], [gpu]
+
+
+#: (scenario, tie-order digest, ``Environment.steps``).  The digests were
+#: computed before dispatched jobs, engines and streams became callback
+#: chains and a guest call became one heap entry; they must never move.
+#: The step counts are the event budget after that change (the counts
+#: before it are in the comments): an event that creeps back fails here.
+TIE_ORDER_RUNS = {
+    "serial-vectorAdd-48x2": (
+        lambda: _sigma_vp_run(app="vectorAdd", n_vps=48, n_host_gpus=2,
+                              interleaving=False),
+        "7f9c4e34d85b71001b5815e51a1e2bacc3c992daf4a83bb70b1f6a38f504ab36",
+        12192,  # was 15200
+    ),
+    "coalesced-fleet-64": (
+        lambda: _sigma_vp_run(app="vectorAdd", n_vps=64,
+                              scale_elements=4096, scale_iterations=4),
+        "bce6b06ad557216cc72067d713363295ec471c81b3dcbe24b78dca964d0f697f",
+        7656,  # was 10375
+    ),
+    "interleave-4gpu-shm": (
+        lambda: _sigma_vp_run(app="vectorAdd", n_vps=16, n_host_gpus=4,
+                              coalescing=False, transport="shm"),
+        "da9f420643cbad37f1d7452b2f5f7632e202a32a65cf4a6de3356b3c4d3b0132",
+        4074,  # was 5718
+    ),
+    "zero-cost-same-instant-8": (
+        lambda: _same_instant_fleet(8),
+        "8337401ea1f26337debcf7e5f593117d0a75e7ede14f7baa9e9c834135a17e6f",
+        834,  # was 1109
+    ),
+    "native-table1-matrixMul": (
+        _native_table1_run,
+        "00a5cd37edb054e4d7fe78202f500fddef6e21664952982ba8b779b9d14fd1b1",
+        1823,  # was 2433
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_ORDER_RUNS))
+def test_event_loop_keeps_tie_order_within_its_event_budget(name):
+    """Same-instant ties fire in the pinned order, with the pinned number
+    of processed events."""
+    run, expected_digest, expected_steps = TIE_ORDER_RUNS[name]
+    env, completed, gpus = run()
+    assert _tie_digest(completed, gpus) == expected_digest
+    assert env.steps == expected_steps
 
 
 # -- incremental decisions: the full walk as the oracle ---------------------
