@@ -52,6 +52,10 @@ def test_fig11_blackscholes_is_the_best_case(suite_points):
     best = max(suite_points, key=lambda p: p.multiplexing_speedup)
     assert best.app in ("BlackScholes", "Mandelbrot", "matrixMul")
     assert by_app["BlackScholes"].multiplexing_speedup > 1000
+    # With both optimizations it is the best case outright (2290x, just
+    # ahead of Mandelbrot's 2273x).
+    best_optimized = max(suite_points, key=lambda p: p.optimized_speedup)
+    assert best_optimized.app == "BlackScholes"
 
 
 def test_fig11_fp_light_apps_trail(suite_points):
@@ -68,20 +72,23 @@ def test_fig11_fp_light_apps_trail(suite_points):
 def test_fig11_non_coalescible_apps_gain_little(suite_points):
     """'convolutionSeparable, dct8x8, SobelFilter, MonteCarlo, nbody, and
     smokeParticles have kernels that are not sped up by the two
-    optimizations.'"""
+    optimizations.'  The largest gain among them is convolutionSeparable's
+    1.063x."""
     by_app = {p.app: p for p in suite_points}
     for app in ("convolutionSeparable", "dct8x8", "SobelFilter",
                 "MonteCarlo", "nbody", "smokeParticles"):
         gain = by_app[app].optimized_speedup / by_app[app].multiplexing_speedup
-        assert gain < 1.25, app
+        assert gain < 1.07, app
 
 
 def test_fig11_benefiting_apps_gain(suite_points):
+    """The benefiting apps gain 1.2-2.6x (measured: simpleGL 1.34x to
+    bicubicTexture 2.48x)."""
     by_app = {p.app: p for p in suite_points}
     for app in ("bicubicTexture", "stereoDisparity", "recursiveGaussian",
                 "mergeSort", "simpleGL", "BlackScholes"):
         gain = by_app[app].optimized_speedup / by_app[app].multiplexing_speedup
-        assert gain > 1.15, app
+        assert 1.2 <= gain <= 2.6, app
 
 
 def test_fig11_covers_the_paper_suite(suite_points):

@@ -54,9 +54,10 @@ def test_fig9b_program_count_sweep(benchmark, record_result, farm_workers):
             x_label="N",
         ),
     )
+    # Within 2.5 % of Eq. (8) at every N (worst: 2.4 % at N = 32).
     for point in points:
         assert point.measured == pytest.approx(
-            balanced_speedup(int(point.x)), rel=0.08
+            balanced_speedup(int(point.x)), rel=0.025
         )
     # Monotone growth toward the 3x asymptote.
     speedups = [p.measured for p in points]

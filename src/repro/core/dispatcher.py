@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..backend import ExecutionBackend, NumpyBackend
 from ..gpu.device import HostGPU
@@ -150,8 +150,14 @@ class JobDispatcher:
             # still on an engine (its triple then has no queued H2D, so
             # queue-level ordering alone cannot protect it).
             coalescer.inflight_of = self.inflight_for
-        self._wake: Event = env.event()
-        self._process = env.process(self._run(), label="dispatcher:host/run")
+        #: Idle periods so far; idle with no wake scheduled yet; a poke
+        #: of this idle period has scheduled its relay.
+        self._generation = 0
+        self._idle = False
+        self._poked = False
+        queue.on_put = self._poke
+        # The first burst runs in the URGENT slot a process would start in.
+        Initialize(env, self._loop)
 
     def __repr__(self) -> str:
         return (
@@ -191,48 +197,84 @@ class JobDispatcher:
 
     # -- main loop -------------------------------------------------------------
 
-    def _run(self):
-        while True:
-            if self.coalescer is not None:
-                self.coalescer.coalesce_pass(self.queue)
+    def _loop(self, _: Event) -> None:
+        """One dispatch burst: coalesce, decide and dispatch until the
+        pipeline has nothing to run (serial mode: one job), then idle.
 
-            decision = self.pipeline.decide(
-                self.queue, self._inflight, self.env.now
-            )
-            job = decision.job
-            if job is None:
-                yield self._idle_event(decision.hold_deadline)
-                continue
+        The burst runs in the dispatcher's own event: its first
+        ``Initialize``, a wake, or (serial mode) the event the finished
+        job scheduled.  The jobs it dispatches start at its end, in
+        dispatch order, so every decision of the burst reads the engine
+        queues as they were when it began.
+        """
+        dispatched: List[Tuple[Job, float]] = []
+        try:
+            while True:
+                if self.coalescer is not None:
+                    self.coalescer.coalesce_pass(self.queue)
 
-            self.queue.remove(job)
-            expected = self._expected_ms(job)
-            self.backlog.add(job, expected)
-            self._inflight[job.vp] = job
-            self.stats.dispatched[job.kind] += 1
-            registry = _obs_metrics.REGISTRY
-            if registry is not None:
-                registry.counter(f"dispatch.kind.{job.kind.name}").inc()
-                registry.histogram(
-                    "jobqueue.depth_at_dispatch", _obs_metrics.DEPTH_BUCKETS
-                ).observe(len(self.queue))
-            # The job starts in its own URGENT event: the rest of this
-            # step still reads the engine queues as they were.
-            finished = self.env.event() if self.mode is ServiceMode.SERIAL else None
-            Initialize(self.env, partial(self._start, job, expected, finished))
-            if finished is not None:
-                yield finished
+                decision = self.pipeline.decide(
+                    self.queue, self._inflight, self.env.now
+                )
+                job = decision.job
+                if job is None:
+                    self._go_idle(decision.hold_deadline)
+                    break
 
-    def _idle_event(self, hold_deadline: Optional[float]) -> Event:
-        """Event that fires when dispatching might become possible again."""
+                self.queue.remove(job)
+                expected = self._expected_ms(job)
+                self.backlog.add(job, expected)
+                self._inflight[job.vp] = job
+                self.stats.dispatched[job.kind] += 1
+                registry = _obs_metrics.REGISTRY
+                if registry is not None:
+                    registry.counter(f"dispatch.kind.{job.kind.name}").inc()
+                    registry.histogram(
+                        "jobqueue.depth_at_dispatch", _obs_metrics.DEPTH_BUCKETS
+                    ).observe(len(self.queue))
+                dispatched.append((job, expected))
+                if self.mode is ServiceMode.SERIAL:
+                    break  # the job's finish runs the next burst
+        except BaseException as exc:
+            annotate(exc, "dispatcher:host/run", self.env.now)
+            raise
+        for job, expected in dispatched:
+            self._start(job, expected)
+
+    def _go_idle(self, hold_deadline: Optional[float]) -> None:
+        """Wait for a poke, or for the earliest hold deadline."""
         self.stats.busy_waits += 1
-        events = [self.queue.arrival_event(), self._wake]
+        self._generation += 1
+        self._idle = True
+        self._poked = False
         if hold_deadline is not None and hold_deadline > self.env.now:
-            events.append(self.env.timeout(hold_deadline - self.env.now))
-        return self.env.any_of(events)
+            deadline = self.env.timeout(hold_deadline - self.env.now)
+            assert deadline.callbacks is not None
+            deadline.callbacks.append(partial(self._wake, self._generation))
 
-    def _signal(self) -> None:
-        wake, self._wake = self._wake, self.env.event()
-        wake.succeed()
+    def _poke(self, *_: object) -> None:
+        """Work may have become dispatchable (an arrival, a retired job).
+
+        The first poke of an idle period schedules a relay event, and the
+        relay the burst.  Two events, not one: their heap slots keep the
+        same-instant tie order that ``tests/test_sched_pipeline.py`` pins.
+        """
+        if self._idle and not self._poked:
+            self._poked = True
+            self._soon(partial(self._wake, self._generation))
+
+    def _wake(self, generation: int, _: Event) -> None:
+        # A relay or deadline of an earlier idle period is stale.
+        if self._idle and generation == self._generation:
+            self._idle = False
+            self._soon(self._loop)
+
+    def _soon(self, callback: Callable[[Event], None]) -> None:
+        """Run ``callback`` in a NORMAL event at this instant."""
+        event = self.env.event()
+        assert event.callbacks is not None
+        event.callbacks.append(callback)
+        event.succeed()
 
     # -- job execution -------------------------------------------------------------
 
@@ -250,14 +292,8 @@ class JobDispatcher:
             compiled, job.launch
         )
 
-    def _start(
-        self, job: Job, expected_ms: float, finished: Optional[Event], _: Event
-    ) -> None:
-        """Start ``job``: a host call's timeout, or an op on its engine.
-
-        ``finished`` (serial mode only) is the event the dispatcher waits
-        on; it fires, or fails, right after the job's completion.
-        """
+    def _start(self, job: Job, expected_ms: float) -> None:
+        """Start ``job``: a host call's timeout, or an op on its engine."""
         job.dispatched_at_ms = self.env.now
         gpu = self._gpu_of(job)
         try:
@@ -283,14 +319,13 @@ class JobDispatcher:
                     0.0 if job.kind is JobKind.EVENT else self.config.host_call_ms
                 )
         except BaseException as exc:
-            self._fail(job, expected_ms, finished, exc)
+            self._fail(job, expected_ms, exc)
             return
         assert done.callbacks is not None
-        done.callbacks.append(partial(self._finish, job, expected_ms, finished))
+        done.callbacks.append(partial(self._finish, job, expected_ms))
 
-    def _finish(
-        self, job: Job, expected_ms: float, finished: Optional[Event], _: Event
-    ) -> None:
+    def _finish(self, job: Job, expected_ms: float, _: Event) -> None:
+        """Complete ``job``; in serial mode, schedule the next burst."""
         gpu = self._gpu_of(job)
         try:
             if job.kind is JobKind.EVENT:
@@ -307,34 +342,28 @@ class JobDispatcher:
             elif job.kind is JobKind.COPY_D2H:
                 gpu.bytes_copied_d2h += job.nbytes
         except BaseException as exc:
-            self._fail(job, expected_ms, finished, exc)
+            self._fail(job, expected_ms, exc)
             return
         self._retire(job, expected_ms)
         self._complete(job)
-        if finished is not None:
-            finished.succeed()
+        if self.mode is ServiceMode.SERIAL:
+            self._soon(self._loop)
 
     def _retire(self, job: Job, expected_ms: float) -> None:
         self.backlog.retire(job, expected_ms)
         self._inflight.pop(job.vp, None)
-        self._signal()
+        self._poke()
 
-    def _fail(
-        self,
-        job: Job,
-        expected_ms: float,
-        finished: Optional[Event],
-        exc: BaseException,
-    ) -> None:
+    def _fail(self, job: Job, expected_ms: float, exc: BaseException) -> None:
         """Surface a failure to the requesting VP (e.g. device OOM),
         mirroring a CUDA error return; ``env.run()`` re-raises it from
-        one more event, named after the job."""
+        one more event, named after the job.  A serial dispatcher stops."""
         job.completion.fail(exc)
         self._retire(job, expected_ms)
         annotate(
             exc, f"gpu:{job.device}/execute({job.vp}#{job.seq})", self.env.now
         )
-        (finished if finished is not None else self.env.event()).fail(exc)
+        self.env.event().fail(exc)
 
     def _run_on_engine(self, engine: Engine, job: Job, duration_ms: float, apply):
         metadata: dict = {"job_id": job.job_id}

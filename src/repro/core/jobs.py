@@ -145,8 +145,8 @@ class JobQueue:
     """The host-side queue of pending jobs.
 
     Plain-list storage (not a heap) because the Re-scheduler's whole
-    purpose is to inspect and reorder it.  Consumers wait on
-    :meth:`wait_for_job` events that fire whenever new work arrives.
+    purpose is to inspect and reorder it.  Its one consumer learns of
+    new work through :attr:`on_put`.
 
     The dispatcher and coalescer consult the per-VP view (heads, pending
     lists) on every scheduling decision, so it is kept as indexes that
@@ -159,7 +159,8 @@ class JobQueue:
     def __init__(self, env: Environment):
         self.env = env
         self._jobs: List[Job] = []
-        self._arrival_waiters: List[Event] = []
+        #: Called with every job :meth:`put` adds (the dispatcher's poke).
+        self.on_put: Optional[Callable[[Job], None]] = None
         self._barriers: Dict[str, tuple] = {}
         self.total_enqueued = 0
         #: Queue-order rank of every pending job: ``put`` hands out
@@ -214,15 +215,8 @@ class JobQueue:
             registry.histogram(
                 "jobqueue.depth", _obs_metrics.DEPTH_BUCKETS
             ).observe(len(self._jobs))
-        waiters, self._arrival_waiters = self._arrival_waiters, []
-        for waiter in waiters:
-            waiter.succeed(job)
-
-    def arrival_event(self) -> Event:
-        """Event firing at the next :meth:`put` (strictly in the future)."""
-        event = self.env.event()
-        self._arrival_waiters.append(event)
-        return event
+        if self.on_put is not None:
+            self.on_put(job)
 
     def remove(self, job: Job) -> None:
         try:

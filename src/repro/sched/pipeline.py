@@ -27,7 +27,8 @@ a burst:
   or the coalescer changes its group (``Coalescer.watch``).  Everything
   else it depends on — other VPs' in-flight slots, barriers,
   dependencies, engine room, the clock — moves only when an event is
-  processed;
+  processed (the jobs a burst dispatches start after its last
+  decision);
 * engine room is asked once per ``(device, kind)``;
 * a keyed policy's order keys stay put (the key contract of
   :class:`SchedulingPolicy`), so candidates stay sorted in a

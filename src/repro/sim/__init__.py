@@ -10,8 +10,6 @@ chains of scheduled callbacks.
 from .engine import EmptySchedule, Environment, StopSimulation
 from .events import (
     AllOf,
-    AnyOf,
-    Condition,
     Event,
     Initialize,
     Interrupt,
@@ -22,8 +20,6 @@ from .events import (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "Condition",
     "EmptySchedule",
     "Environment",
     "Event",

@@ -17,7 +17,6 @@ from ..obs import metrics as _obs_metrics
 from .events import (
     NORMAL,
     AllOf,
-    AnyOf,
     Event,
     Process,
     Timeout,
@@ -108,9 +107,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling and the event loop ----------------------------------
 

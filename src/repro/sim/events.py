@@ -155,8 +155,8 @@ class Timeout(Event):
 class Initialize(Event):
     """An URGENT event running ``callback`` at the current instant.
 
-    It kicks off a newly created process, and starts a dispatched job in
-    the same heap slot a process would take.
+    It kicks off a newly created process, and the Job Dispatcher's first
+    burst in the same heap slot a process would take.
     """
 
     __slots__ = ()
@@ -296,19 +296,13 @@ class Process(Event):
         self.env._active_process = None
 
 
-class Condition(Event):
-    """Waits on several events; fires per the ``evaluate`` predicate."""
+class AllOf(Event):
+    """Fires when every given event has fired (fails on the first failure)."""
 
-    __slots__ = ("_evaluate", "_events", "_count")
+    __slots__ = ("_events", "_count")
 
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ):
+    def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
-        self._evaluate = evaluate
         self._events = list(events)
         self._count = 0
 
@@ -342,31 +336,5 @@ class Condition(Event):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
+        elif self._count == len(self._events):
             self.succeed(self._collect_values())
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: List[Event], count: int) -> bool:
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Fires when every given event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Fires when any one of the given events has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, Condition.any_events, events)

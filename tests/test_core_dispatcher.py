@@ -260,3 +260,44 @@ def test_dispatch_stats():
     assert dispatcher.stats.dispatched[JobKind.MALLOC] == 1
     assert dispatcher.stats.dispatched[JobKind.COPY_H2D] == 1
     assert dispatcher.stats.completed == 2
+
+
+def test_a_stale_hold_deadline_does_not_wake_the_dispatcher():
+    """A hold deadline armed in an earlier idle period fires without a
+    burst: the dispatcher decides only when polled by work."""
+    env, gpu, queue, handles, dispatcher, _ = _setup(coalescer=True)
+    launch = LaunchConfig(grid_size=2, block_size=256, elements=512)
+    decide = dispatcher.pipeline.decide
+    decisions = []
+
+    def recorded(q, inflight, now):
+        decision = decide(q, inflight, now)
+        decisions.append((now, decision.job is not None, decision.hold_deadline))
+        return decision
+
+    dispatcher.pipeline.decide = recorded
+    jobs = [Job(vp=vp, seq=0, kind=JobKind.KERNEL, completion=env.event(),
+                kernel=_kernel(), launch=launch) for vp in ("a", "b")]
+    queue.put(jobs[0])
+
+    def second_arrival():
+        yield env.timeout(0.001)
+        queue.put(jobs[1])
+
+    env.process(second_arrival())
+    env.run()
+    # t=0: the lone kernel is held until the window closes.  Its
+    # partner's arrival re-holds both for the settle time, then they
+    # merge and dispatch; the merged job's retirement polls once more.
+    # The first deadline fires later, while the dispatcher is idle.
+    window, settled = decisions[0][2], decisions[1][2]
+    done = jobs[0].completed_at_ms
+    assert dispatcher.coalescer.stats.merges == 1
+    assert decisions == [
+        (0.0, False, window),
+        (0.001, False, settled),
+        (settled, True, None),
+        (settled, False, None),
+        (done, False, None),
+    ]
+    assert done < window == env.now

@@ -82,29 +82,51 @@ def test_put_records_submission_time():
 
 
 def test_arrival_event_fires_on_put():
+    """The queue's arrival notification (``on_put``) fires at the put."""
     env = Environment()
     queue = JobQueue(env)
-
-    def waiter():
-        yield queue.arrival_event()
-        return env.now
+    arrivals = []
+    queue.on_put = lambda job: arrivals.append((env.now, job))
 
     def producer():
         yield env.timeout(2.0)
-        queue.put(_job(env))
+        job = _job(env)
+        queue.put(job)
+        return job
 
-    w = env.process(waiter())
-    env.process(producer())
-    assert env.run(w) == 2.0
+    job = env.run(env.process(producer()))
+    assert arrivals == [(2.0, job)]
 
 
 def test_arrival_event_does_not_fire_for_existing_items():
     env = Environment()
     queue = JobQueue(env)
     queue.put(_job(env))
-    event = queue.arrival_event()
+    arrivals = []
+    queue.on_put = arrivals.append
     env.run()
-    assert not event.triggered
+    assert arrivals == []
+
+
+def test_put_listener_sees_every_put_in_order():
+    """``on_put`` is called with each job as it is added, after the
+    queue's indexes already hold it."""
+    env = Environment()
+    queue = JobQueue(env)
+    queue.put(_job(env, vp="a", seq=0))
+    seen = []
+    queue.on_put = lambda job: seen.append(
+        (job.vp, job.seq, len(queue), queue.heads_per_vp()[job.vp] is job)
+    )
+
+    def producer():
+        yield env.timeout(2.0)
+        queue.put(_job(env, vp="b", seq=0))
+        queue.put(_job(env, vp="b", seq=1))
+
+    env.process(producer())
+    env.run()
+    assert seen == [("b", 0, 2, True), ("b", 1, 3, False)]
 
 
 def test_heads_per_vp_takes_lowest_seq():

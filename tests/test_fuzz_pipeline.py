@@ -98,9 +98,41 @@ def test_random_fleets_always_drain(programs, interleaving, coalescing,
         assert process.value == [op for op, _sync in program]
         assert session.vp.finished_at_ms is not None
 
-    # The dispatcher completed exactly as many jobs as were enqueued
-    # (merged jobs complete their members, never double-complete).
-    assert framework.dispatcher.stats.completed >= framework.queue.total_enqueued
+    # The dispatcher completed exactly as many jobs as were enqueued, plus
+    # one per merged job (merged jobs complete their members, never
+    # double-complete).
+    dispatcher = framework.dispatcher
+    log = dispatcher.completed_log
+    merged = [job for job in log if job.members]
+    assert dispatcher.stats.completed == len(log)
+    assert len(log) == framework.queue.total_enqueued + len(merged)
+
+    # Every leaf job completes exactly once, in seq order per VP.
+    leaves = [(job.vp, job.seq) for job in log if not job.members]
+    assert len(leaves) == len(set(leaves)) == framework.queue.total_enqueued
+    per_vp = {}
+    for vp, seq in leaves:
+        per_vp.setdefault(vp, []).append(seq)
+    for seqs in per_vp.values():
+        assert seqs == sorted(seqs)
+
+    # Completion never precedes dispatch (a member was dispatched with
+    # the merged job that carried it), and the log is in time order.
+    dispatched_at = {}
+    for job in log:
+        start = job.dispatched_at_ms
+        if start is None:
+            start = dispatched_at[id(job)]
+        for member in job.members:
+            dispatched_at[id(member)] = start
+        assert start <= job.completed_at_ms
+    times = [job.completed_at_ms for job in log]
+    assert times == sorted(times)
+
+    # The backlog drained exactly and nothing is left in flight.
+    assert dispatcher.backlog.quiesced
+    assert dispatcher.backlog.drift_events == 0
+    assert all(dispatcher.inflight_for(vp) is None for vp in per_vp)
 
 
 @settings(max_examples=8, deadline=None,

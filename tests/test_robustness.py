@@ -79,6 +79,40 @@ def test_engine_completion_failure_names_the_engine():
     assert "t=2.5ms" in notes
 
 
+def test_decision_loop_failure_names_the_dispatcher():
+    """An error raised while the dispatcher decides (here: a placement
+    strategy that cannot place a VP) stops the run, and the error names
+    the dispatcher and the instant."""
+    from repro.core.dispatcher import JobDispatcher
+    from repro.sched import FIFOPolicy
+    from repro.sched.placement import PlacementStrategy
+
+    class Unplaceable(PlacementStrategy):
+        name = "unplaceable"
+
+        def pick(self, vp, n_devices, backlog):
+            raise LookupError(f"no device for {vp}")
+
+    env = Environment()
+    queue = JobQueue(env)
+    handles = HandleTable()
+    JobDispatcher(env, HostGPU(env, QUADRO_4000), queue, handles,
+                  policy=FIFOPolicy(), placement=Unplaceable())
+
+    def producer():
+        yield env.timeout(1.5)
+        queue.put(Job(vp="vp0", seq=0, kind=JobKind.MALLOC,
+                      completion=env.event(), size=4096,
+                      handle=handles.new_handle("vp0")))
+
+    env.process(producer())
+    with pytest.raises(LookupError, match="no device for vp0") as excinfo:
+        env.run()
+    notes = _notes(excinfo)
+    assert "'dispatcher:host/run'" in notes
+    assert "t=1.5ms" in notes
+
+
 def test_coalescer_relayout_survives_fragmentation():
     """When contiguous re-layout is impossible, coalescing still merges
     (keeping the original buffer layout) instead of failing."""

@@ -260,18 +260,6 @@ def test_all_of_waits_for_every_event():
     assert env.run(env.process(proc())) == (3.0, ["a", "b"])
 
 
-def test_any_of_fires_on_first():
-    env = Environment()
-
-    def proc():
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(9.0, value="slow")
-        results = yield env.any_of([t1, t2])
-        return (env.now, list(results.values()))
-
-    assert env.run(env.process(proc())) == (1.0, ["fast"])
-
-
 def test_all_of_empty_fires_immediately():
     env = Environment()
 
