@@ -38,9 +38,9 @@ def test_fig10a_coalescence_effectiveness(benchmark, record_result, farm_workers
     speedups = [p.speedup for p in points]
     for left, right in zip(speedups, speedups[1:]):
         assert right >= left - 1e-6
-    # The paper's anchors, to the rough-factor contract: 10.54x at 16
-    # (we match closely) and 20.48x at 64 (we reach the same order).
-    assert by_batch[16].speedup == pytest.approx(PAPER_FIG10A[16], rel=0.25)
+    # The paper's anchors: 10.54x at 16 (EXPERIMENTS.md: within 8%; the
+    # record is 11.33x, 7.5% off) and 20.48x at 64 (the same order).
+    assert by_batch[16].speedup == pytest.approx(PAPER_FIG10A[16], rel=0.08)
     assert by_batch[64].speedup > PAPER_FIG10A[64] / 2.5
 
 

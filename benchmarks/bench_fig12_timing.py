@@ -44,9 +44,12 @@ def test_fig12_regeneration(benchmark, estimation_points, record_result,
 
 def test_fig12_host_is_much_faster_than_target(estimation_points):
     """'The execution times observed on the host GPU are much shorter
-    than the observed and estimated values for the target GPU.'"""
+    than the observed and estimated values for the target GPU.'
+
+    EXPERIMENTS.md: 0.014-0.150x of target; the top, Quadro 4000
+    BlackScholes, is 0.15003x."""
     for point in estimation_points:
-        assert point.h_normalized < 0.25, (point.host, point.app)
+        assert 0.01 <= point.h_normalized <= 0.1501, (point.host, point.app)
 
 
 def test_fig12_refinement_ladder(estimation_points):

@@ -23,10 +23,11 @@ def test_table1_regeneration(benchmark, table1_rows, record_result,
     )
     record_result("table1", render_table1(rows))
     by_key = {row.key: row for row in rows}
-    # The reproduction contract: every route's ratio within 35% of the
-    # paper's, and the orderings intact.
+    # The reproduction contract (EXPERIMENTS.md): every route's ratio
+    # within ~7% of the paper's (the worst, C / CPU, is 6.0% off), and
+    # the orderings intact.
     for key, row in by_key.items():
-        assert row.ratio == pytest.approx(row.paper_ratio, rel=0.35), key
+        assert row.ratio == pytest.approx(row.paper_ratio, rel=0.07), key
     assert by_key["CUDA / This work"].ratio < 10
     assert (
         by_key["C / CPU"].ratio

@@ -29,6 +29,7 @@ merges when the group is complete or the window expires.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -122,7 +123,7 @@ class KernelCoalescer:
         self.handles = handles
         self.min_batch = min_batch
         self.max_batch = max_batch
-        self.target_batch = target_batch
+        self._target_batch = target_batch
         self.hold_window_ms = hold_window_ms
         self.settle_ms = settle_ms
         self.copy_merge_limit_bytes = copy_merge_limit_bytes
@@ -145,14 +146,34 @@ class KernelCoalescer:
         #: ``job_id`` -> the group its triple belongs to; a job sits in
         #: at most one VP's head triple.
         self._group_of: Dict[int, List[Triple]] = {}
-        #: Bumped whenever the index is updated.
+        #: Bumped whenever the index is updated or the goal batch moves.
         self._generation = 0
         #: Sets handed out by :meth:`watch`.
         self._watchers: List[Set[str]] = []
         #: ``_group_state`` per group (by ``id``), valid for one
-        #: ``(now, goal batch, generation)`` stamp.
+        #: ``(now, generation)`` stamp.
         self._states: Dict[int, Tuple[bool, Optional[float]]] = {}
-        self._states_stamp: Optional[Tuple[float, int, int]] = None
+        self._states_stamp: Optional[Tuple[float, int]] = None
+        # What :meth:`coalesce_pass` needs to know to skip a pass that
+        # cannot merge: whether a group's state inputs (its triples, the
+        # goal batch) moved since the last full pass, and the earliest
+        # deadline that pass found on a group that was not ready.
+        self._regrouped = True
+        self._wake_at = -math.inf
+
+    @property
+    def target_batch(self) -> Optional[int]:
+        """The batch a group waits for (``None``: ``max_batch``)."""
+        return self._target_batch
+
+    @target_batch.setter
+    def target_batch(self, value: Optional[int]) -> None:
+        # Every group's state depends on the goal batch.
+        self._target_batch = value
+        self._generation += 1
+        self._regrouped = True
+        for touched in self._watchers:
+            touched.update(self._triple_of)
 
     # -- triple discovery --------------------------------------------------
 
@@ -170,6 +191,7 @@ class KernelCoalescer:
             self._triple_of = {}
             self._groups = {}
             self._group_of = {}
+            self._regrouped = True
         if self._dirty:
             self._update(queue)
         return self._groups
@@ -186,6 +208,7 @@ class KernelCoalescer:
         for vp in dirty:
             old = self._triple_of.pop(vp, None)
             if old is not None:
+                self._regrouped = True
                 key, triple = old
                 group = groups[key]
                 del group[bisect_left(group, triple)]
@@ -204,6 +227,7 @@ class KernelCoalescer:
             key = (*triple.key, self.device_of(vp))
             group = groups.setdefault(key, [])
             insort(group, triple)
+            self._regrouped = True
             changed[id(group)] = group
             self._triple_of[vp] = (key, triple)
             for job in triple.jobs:
@@ -247,8 +271,8 @@ class KernelCoalescer:
     # -- hold decision -----------------------------------------------------
 
     def _goal_batch(self) -> int:
-        if self.target_batch is not None:
-            return min(self.target_batch, self.max_batch)
+        if self._target_batch is not None:
+            return min(self._target_batch, self.max_batch)
         return self.max_batch
 
     def _group_state(self, triples: List[Triple]) -> Tuple[bool, Optional[float]]:
@@ -292,9 +316,10 @@ class KernelCoalescer:
         """:meth:`_group_state`, computed once per group per decision.
 
         The state is pure in the clock, the goal batch and the group's
-        triples, and the index generation moves whenever a group does.
+        triples, and the index generation moves whenever either of the
+        last two does.
         """
-        stamp = (self.env.now, self._goal_batch(), self._generation)
+        stamp = (self.env.now, self._generation)
         if stamp != self._states_stamp:
             self._states_stamp = stamp
             self._states = {}
@@ -306,24 +331,43 @@ class KernelCoalescer:
     # -- the merge -----------------------------------------------------------
 
     def coalesce_pass(self, queue: JobQueue) -> List[Job]:
-        """Merge every ready group in the queue; returns merged jobs."""
+        """Merge every ready group in the queue; returns merged jobs.
+
+        After a pass that left no group ready, the next one returns at
+        once while no group changed and the clock is short of the
+        earliest deadline that pass found: every group's state is still
+        what it was.
+        """
+        groups = self.find_triples(queue)
+        if not self._regrouped and self.env.now < self._wake_at:
+            return []
         if _obs_metrics.REGISTRY is not None:
             with _obs_metrics.timed("coalesce.pass"):
-                return self._coalesce_pass(queue)
-        return self._coalesce_pass(queue)
+                return self._coalesce_pass(queue, groups)
+        return self._coalesce_pass(queue, groups)
 
-    def _coalesce_pass(self, queue: JobQueue) -> List[Job]:
+    def _coalesce_pass(
+        self, queue: JobQueue, groups: Dict[tuple, List[Triple]]
+    ) -> List[Job]:
+        self._regrouped = False
+        wake_at = math.inf
         merged_jobs: List[Job] = []
-        for _key, triples in sorted(self.find_triples(queue).items()):
-            ready, _deadline = self._state(triples)
+        for _key, triples in sorted(groups.items()):
+            ready, deadline = self._state(triples)
             if not ready:
+                if deadline is not None and deadline < wake_at:
+                    wake_at = deadline
                 continue
+            # A merge regroups; a ready group too small to merge stays
+            # ready, and the next pass must look at it again.
+            wake_at = -math.inf
             while len(triples) >= self.min_batch:
                 batch = triples[: self.max_batch]
                 triples = triples[self.max_batch :]
                 if len(batch) < self.min_batch:
                     break
                 merged_jobs.extend(self._merge_batch(queue, batch))
+        self._wake_at = wake_at
         return merged_jobs
 
     def _merge_batch(self, queue: JobQueue, batch: List[Triple]) -> List[Job]:

@@ -77,7 +77,6 @@ class DispatchStats:
         default_factory=lambda: {kind: 0 for kind in JobKind}
     )
     completed: int = 0
-    busy_waits: int = 0
     #: Coalesced kernel jobs whose functional effect ran as ONE stacked
     #: numpy op (and how many member launches that one op covered) vs.
     #: merged jobs that fell back to the per-VP loop.  Host-side
@@ -243,7 +242,6 @@ class JobDispatcher:
 
     def _go_idle(self, hold_deadline: Optional[float]) -> None:
         """Wait for a poke, or for the earliest hold deadline."""
-        self.stats.busy_waits += 1
         self._generation += 1
         self._idle = True
         self._poked = False
@@ -352,6 +350,7 @@ class JobDispatcher:
     def _retire(self, job: Job, expected_ms: float) -> None:
         self.backlog.retire(job, expected_ms)
         self._inflight.pop(job.vp, None)
+        self.pipeline.freed(job.vp)
         self._poke()
 
     def _fail(self, job: Job, expected_ms: float, exc: BaseException) -> None:

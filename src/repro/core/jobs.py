@@ -307,18 +307,19 @@ class JobQueue:
         """
         self._barriers[vp] = (until, exempt_below_seq)
 
-    def barred(self, vp: str, seq: Optional[int] = None) -> bool:
-        """True while ``vp`` is behind an active coalescing barrier."""
+    def barred(self, vp: str, seq: Optional[int] = None) -> Optional[Event]:
+        """The event ``vp`` waits for while it is behind an active
+        coalescing barrier (``seq`` exempt or no barrier: None)."""
         barrier = self._barriers.get(vp)
         if barrier is None:
-            return False
+            return None
         until, exempt_below_seq = barrier
         if until.processed:
             del self._barriers[vp]
-            return False
+            return None
         if seq is not None and seq < exempt_below_seq:
-            return False
-        return True
+            return None
+        return until
 
     def heads_per_vp(self) -> Dict[str, Job]:
         """The earliest pending job of each VP — the dispatchable set.
@@ -341,9 +342,12 @@ class JobQueue:
         """The heads of ``vps`` (those with pending jobs), in the order
         :meth:`heads_per_vp` iterates them."""
         by_vp = self._by_vp
-        rank = self._rank
-        order = sorted((rank[by_vp[vp][0]], vp) for vp in vps if vp in by_vp)
+        present = by_vp.keys() & vps
         head = self._head
+        if len(present) < 2:
+            return [head[vp] for vp in present]
+        rank = self._rank
+        order = sorted([(rank[by_vp[vp][0]], vp) for vp in present])
         return [head[vp] for _, vp in order]
 
     def pending_for(self, vp: str) -> List[Job]:

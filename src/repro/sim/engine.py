@@ -63,8 +63,10 @@ class Environment:
 
         The counter moves exactly when :meth:`step` takes an event, so two
         reads that see the same value bracket no event processing: state
-        that only events change is the same at both (the scheduler keys
-        its per-burst memo on this).
+        that only events change is the same at both.  The scheduler reads
+        it to tell a dispatch burst (decisions between two processed
+        events) from the next one, whose first decision looks for what
+        the events in between changed.
         """
         return self._steps
 

@@ -488,6 +488,311 @@ def test_a_group_change_reexamines_every_member():
     assert (len(candidates), deadlines, rejected) == (3, {}, 0)
 
 
+# -- incremental decisions: the status inputs carried across events --------
+#
+# A pipelined burst ends with no candidates, so the next decision keeps
+# every rejected and held head's status and re-examines only the heads
+# whose inputs an event changed.  One test per input: each fails when
+# that input's invalidation is dropped.
+
+
+def _tick(env, delay=0.0):
+    """Process one event ``delay`` ms ahead: the next decision starts a
+    new burst."""
+    env.timeout(delay)
+    env.step()
+
+
+def _carrying_pipeline(coalescer=None, env=None):
+    """A FIFO pipeline whose engine room the test sets per
+    ``(device, kind)`` (missing: room)."""
+    from repro.core.jobs import JobQueue
+    from repro.sched import FIFOPolicy, RoundRobinPlacement, SchedulerPipeline
+
+    env = env if env is not None else Environment()
+    room = {}
+    pipeline = SchedulerPipeline(
+        FIFOPolicy(), RoundRobinPlacement(), EngineBacklog(),
+        coalescer=coalescer,
+        engine_has_room=lambda job: room.get((job.device, job.kind), True),
+    )
+    return env, JobQueue(env), room, pipeline
+
+
+def _counts(decision):
+    return decision.n_candidates, decision.n_held, decision.n_rejected
+
+
+def _equals_full_walk(pipeline, queue, inflight, decision):
+    candidates, deadlines, rejected = _reference_walk(pipeline, queue, inflight)
+    return (
+        _counts(decision) == (len(candidates), len(deadlines), rejected)
+        and pipeline._held == deadlines
+    )
+
+
+def test_a_retire_reexamines_its_vps_head():
+    env, queue, _room, pipeline = _carrying_pipeline()
+    inflight = {"a": _job(env, vp="a", seq=0, kind=JobKind.MALLOC)}
+    queue.put(_job(env, vp="a", seq=1, kind=JobKind.MALLOC))
+    assert _counts(pipeline.decide(queue, inflight, env.now)) == (0, 0, 1)
+    _tick(env)
+    del inflight["a"]
+    pipeline.freed("a")
+    decision = pipeline.decide(queue, inflight, env.now)
+    assert decision.job is queue.heads_per_vp()["a"]
+    assert _equals_full_walk(pipeline, queue, inflight, decision)
+
+
+def test_a_processed_barrier_reexamines_the_barred_head():
+    env, queue, _room, pipeline = _carrying_pipeline()
+    until = env.event()
+    queue.set_barrier("a", until)
+    queue.put(_job(env, vp="a", kind=JobKind.MALLOC))
+    inflight = {}
+    assert _counts(pipeline.decide(queue, inflight, env.now)) == (0, 0, 1)
+    until.succeed()
+    env.step()
+    decision = pipeline.decide(queue, inflight, env.now)
+    assert decision.job is not None
+    assert _equals_full_walk(pipeline, queue, inflight, decision)
+
+
+def test_a_processed_dependency_reexamines_the_waiting_head():
+    env, queue, _room, pipeline = _carrying_pipeline()
+    dep = env.event()
+    job = _job(env, vp="a", kind=JobKind.MALLOC)
+    job.depends_on = [dep]
+    queue.put(job)
+    inflight = {}
+    assert _counts(pipeline.decide(queue, inflight, env.now)) == (0, 0, 1)
+    dep.succeed()
+    env.step()
+    decision = pipeline.decide(queue, inflight, env.now)
+    assert decision.job is job
+    assert _equals_full_walk(pipeline, queue, inflight, decision)
+
+
+def test_engine_room_that_frees_up_reexamines_a_room_rejected_head():
+    env, queue, room, pipeline = _carrying_pipeline()
+    room[(0, JobKind.KERNEL)] = False
+    queue.put(_job(env, vp="a", kind=JobKind.KERNEL))
+    inflight = {}
+    assert _counts(pipeline.decide(queue, inflight, env.now)) == (0, 0, 1)
+    room[(0, JobKind.KERNEL)] = True
+    _tick(env)
+    decision = pipeline.decide(queue, inflight, env.now)
+    assert decision.job is not None
+    assert _equals_full_walk(pipeline, queue, inflight, decision)
+
+
+def test_engine_room_that_fills_up_reexamines_a_held_head():
+    from tests.test_core_coalescing import _setup, _triple_jobs
+
+    env, _gpu, _handles, coalescer = _setup(target_batch=3)
+    env, queue, room, pipeline = _carrying_pipeline(coalescer, env)
+    for vp in ("a", "b"):
+        for job in _triple_jobs(env, vp):
+            queue.put(job)
+    inflight = {}
+    assert _counts(pipeline.decide(queue, inflight, env.now)) == (0, 2, 0)
+    room[(0, JobKind.COPY_H2D)] = False
+    _tick(env)
+    decision = pipeline.decide(queue, inflight, env.now)
+    assert _counts(decision) == (0, 0, 2)
+    assert decision.hold_deadline is None
+    assert _equals_full_walk(pipeline, queue, inflight, decision)
+
+
+def test_a_hold_deadline_the_clock_reaches_reexamines_the_held_heads():
+    from tests.test_core_coalescing import _setup, _triple_jobs
+
+    env, _gpu, _handles, coalescer = _setup(target_batch=3)
+    env, queue, _room, pipeline = _carrying_pipeline(coalescer, env)
+    for vp in ("a", "b"):
+        for job in _triple_jobs(env, vp):
+            queue.put(job)
+    inflight = {}
+    first = pipeline.decide(queue, inflight, env.now)
+    assert _counts(first) == (0, 2, 0)
+    _tick(env, first.hold_deadline / 2)
+    assert _counts(pipeline.decide(queue, inflight, env.now)) == (0, 2, 0)
+    _tick(env, first.hold_deadline / 2)
+    # The window expired with two of three: the group is ready as is.
+    decision = pipeline.decide(queue, inflight, env.now)
+    assert _counts(decision) == (2, 0, 0)
+    assert _equals_full_walk(pipeline, queue, inflight, decision)
+
+
+def _counting_passes(coalescer):
+    """Record the clock at every coalesce pass that is not skipped."""
+    passes = []
+    full_pass = coalescer._coalesce_pass
+
+    def counted(queue, groups):
+        passes.append(coalescer.env.now)
+        return full_pass(queue, groups)
+
+    coalescer._coalesce_pass = counted
+    return passes
+
+
+def test_coalesce_pass_skips_until_a_group_changes():
+    from repro.core.jobs import JobQueue
+    from tests.test_core_coalescing import _setup, _triple_jobs
+
+    env, _gpu, _handles, coalescer = _setup(target_batch=3)
+    queue = JobQueue(env)
+    passes = _counting_passes(coalescer)
+    for vp in ("a", "b"):
+        for job in _triple_jobs(env, vp):
+            queue.put(job)
+    assert coalescer.coalesce_pass(queue) == []
+    _tick(env, 1.0)
+    assert coalescer.coalesce_pass(queue) == []
+    assert passes == [0.0]
+    groups = coalescer.find_triples(queue).values()
+    assert not any(coalescer._group_state(group)[0] for group in groups)
+    for job in _triple_jobs(env, "c"):
+        queue.put(job)
+    assert len(coalescer.coalesce_pass(queue)) == 3  # H2D, kernel, D2H
+    assert passes == [0.0, 1.0]
+
+
+def test_coalesce_pass_skips_until_the_clock_reaches_a_deadline():
+    from repro.core.jobs import JobQueue
+    from tests.test_core_coalescing import _setup, _triple_jobs
+
+    env, _gpu, _handles, coalescer = _setup(target_batch=3)
+    queue = JobQueue(env)
+    passes = _counting_passes(coalescer)
+    for vp in ("a", "b"):
+        for job in _triple_jobs(env, vp):
+            queue.put(job)
+    assert coalescer.coalesce_pass(queue) == []
+    _tick(env, coalescer.hold_window_ms / 2)
+    assert coalescer.coalesce_pass(queue) == []
+    _tick(env, coalescer.hold_window_ms / 2)
+    assert len(coalescer.coalesce_pass(queue)) == 3
+    assert passes == [0.0, coalescer.hold_window_ms]
+
+
+# -- incremental decisions: benchmark-shaped runs against the oracle -------
+
+
+def _benchmark_shaped_run(n_vps, **framework_kwargs):
+    """A timing-only ``vectorAdd`` fleet shaped like ``bench/``'s, with
+    every decision checked against the full walk.
+
+    Returns the decisions, the coalesce passes skipped (each checked to
+    leave no group ready) and the idle bursts that followed only retires
+    of VPs with nothing queued (each checked to examine no head).
+    """
+    from repro.core import SigmaVP
+    from repro.core.scenarios import NULL_REGISTRY
+    from repro.workloads import get_workload
+
+    framework = SigmaVP(registry=NULL_REGISTRY, n_vps=n_vps, **framework_kwargs)
+    dispatcher = framework.dispatcher
+    pipeline = dispatcher.pipeline
+    queue = framework.queue
+    coalescer = framework.coalescer
+    decisions = []
+    _oracle_checked(pipeline, decisions)
+
+    skipped = []
+    if coalescer is not None:
+        passes = _counting_passes(coalescer)
+        coalesce_pass = coalescer.coalesce_pass
+
+        def checked_pass(queue_):
+            before = len(passes)
+            merged = coalesce_pass(queue_)
+            if len(passes) == before:
+                groups = coalescer.find_triples(queue_).values()
+                assert not any(coalescer._group_state(g)[0] for g in groups)
+                skipped.append(framework.env.now)
+            return merged
+
+        coalescer.coalesce_pass = checked_pass
+
+    retired = []
+    retire = dispatcher._retire
+
+    def retiring(job, expected_ms):
+        retired.append(job.vp)
+        retire(job, expected_ms)
+
+    dispatcher._retire = retiring
+    queue_touched = queue.watch()
+    examined = []
+    examine = pipeline._examine
+
+    def counting(heads, queue_, inflight):
+        heads = list(heads)
+        examined.extend(heads)
+        examine(heads, queue_, inflight)
+
+    pipeline._examine = counting
+    marked = []
+    catch_up = pipeline._catch_up
+
+    def catching_up(queue_):
+        before = set(pipeline._touched)
+        catch_up(queue_)
+        marked.extend(pipeline._touched - before)
+
+    pipeline._catch_up = catching_up
+    quiet_idle = []
+    oracle_decide = pipeline.decide
+    last = {"steps": -1, "candidates": 1}
+
+    def decide(queue_, inflight, now):
+        quiet = (
+            framework.env.steps != last["steps"]
+            and last["candidates"] == 0
+            and retired
+            and not queue_touched
+            and not any(queue.pending_for(vp) for vp in retired)
+        )
+        del examined[:], marked[:]
+        decision = oracle_decide(queue_, inflight, now)
+        if quiet and decision.job is None and not marked:
+            assert examined == []
+            quiet_idle.append(now)
+        last["steps"] = framework.env.steps
+        last["candidates"] = decision.n_candidates
+        del retired[:]
+        queue_touched.clear()
+        return decision
+
+    pipeline.decide = decide
+    framework.run_workload(get_workload("vectorAdd").scaled_to(1024, iterations=1))
+    assert len(queue) == 0
+    return decisions, skipped, quiet_idle
+
+
+def test_benchmark_shaped_coalesced_fleet_decisions_equal_the_full_walk():
+    decisions, skipped, quiet_idle = _benchmark_shaped_run(32, max_batch=16)
+    assert sum(d.job is not None for d in decisions) > 100
+    assert skipped and quiet_idle
+
+
+def test_benchmark_shaped_interleaved_fleet_decisions_equal_the_full_walk():
+    decisions, skipped, quiet_idle = _benchmark_shaped_run(
+        24, n_host_gpus=2, coalescing=False,
+        sched=SchedulerConfig(policy="interleaving", placement="least-backlog"),
+    )
+    assert sum(d.job is not None for d in decisions) > 100
+    assert not skipped and quiet_idle
+
+
+def test_benchmark_shaped_serial_decisions_equal_the_full_walk():
+    decisions, skipped, _quiet_idle = _benchmark_shaped_run(8, interleaving=False)
+    assert sum(d.job is not None for d in decisions) > 20
+    assert skipped
+
+
 def test_unkeyed_policies_see_candidates_in_head_order():
     """A policy that overrides ``select`` gets the candidates in
     ``heads_per_vp`` order on every decision of a burst."""
