@@ -28,14 +28,21 @@ def test_fig9a_kernel_length_sweep(benchmark, record_result, farm_workers):
             x_label="kernel ms",
         ),
     )
-    # Measured tracks expected across the sweep.  Short kernels run a
-    # little above Eq. (7): the serial baseline also pays per-job fixed
-    # costs the closed form ignores.
-    for point in points:
-        assert point.measured == pytest.approx(point.expected, rel=0.15, abs=0.35)
-    # The peak sits at the latency-hiding sweet spot Tk ~= Tm.
+    # Tk >= Tm: measured tracks Eq. (7) to < 1 % (worst -0.35 % at Tk = Tm).
+    short = [p for p in points if round(p.x, 6) < 13.44]
+    for point in points[len(short):]:
+        assert point.measured == pytest.approx(point.expected, rel=0.01)
+    # Tk < Tm: measured runs above Eq. (7), by +0.312, +0.244 and +0.145
+    # at 1, 4 and 8 ms; the serial baseline also pays per-job fixed costs
+    # the closed form ignores, and they matter less as the kernel grows.
+    excess = [p.measured - p.expected for p in short]
+    assert [p.x for p in short] == pytest.approx([1.0, 4.0, 8.0])
+    assert all(e > 0 for e in excess)
+    assert excess == sorted(excess, reverse=True)
+    assert max(excess) <= 0.32
+    # The peak sits exactly at the latency-hiding sweet spot Tk = Tm.
     peak = max(points, key=lambda p: p.measured)
-    assert 8.0 <= peak.x <= 25.0
+    assert peak.x == pytest.approx(13.44)
 
 
 def test_fig9b_program_count_sweep(benchmark, record_result, farm_workers):

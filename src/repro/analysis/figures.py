@@ -9,9 +9,9 @@ Every point of a figure is an independent simulation, so each series
 fans its points out over the :class:`~repro.exec.ScenarioFarm`: pass
 ``workers=N`` to run N points concurrently in worker processes.  The
 default ``workers=1`` runs the identical job functions serially
-in-process, so parallel and serial series are bit-identical.  Custom
-(non-catalogued) transports cannot be named across a process boundary;
-those series fall back to in-process execution.
+in-process, so parallel and serial series are bit-identical.  A job
+names its transport, so a series takes only the transports of
+:data:`repro.core.ipc.TRANSPORTS`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.ipc import IPCTransport, SHARED_MEMORY
+from ..core.ipc import IPCTransport, SHARED_MEMORY, TRANSPORTS
 from ..exec import jobs as farm_jobs
 from ..exec.farm import ScenarioFarm
 from ..gpu.arch import GPUArchitecture, GRID_K520, QUADRO_4000, TEGRA_K1
@@ -30,17 +30,18 @@ from ..workloads.catalog import ESTIMATION_APPS
 from ..workloads.linalg import make_vectoradd_kernel
 
 
-def _transport_workers(transport: IPCTransport, workers: int) -> int:
-    """Effective worker count for a series over ``transport``.
+def _transport_name(transport: IPCTransport) -> str:
+    """The name farm jobs resolve ``transport`` by.
 
-    Catalogued transports are named across the process boundary; a
-    custom one is registered for in-process resolution and forces the
-    serial path (it cannot be reconstructed by name in a worker).
+    A job names its transport, so only the transports of
+    :data:`~repro.core.ipc.TRANSPORTS` can run; any other one would be
+    swapped for the table's transport of the same name.
     """
-    if transport.name not in farm_jobs.TRANSPORTS:
-        farm_jobs.TRANSPORTS[transport.name] = transport
-        return 1
-    return workers
+    if TRANSPORTS.get(transport.name) is not transport:
+        raise ValueError(
+            f"transport {transport!r} is not in repro.core.ipc.TRANSPORTS"
+        )
+    return transport.name
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +69,13 @@ def fig9a_series(
     The copy time is fixed at the paper's 13.44 ms; speedup peaks where
     the kernel matches it (latency hiding).
     """
-    farm = ScenarioFarm(workers=_transport_workers(transport, workers))
+    name = _transport_name(transport)
+    farm = ScenarioFarm(workers=workers)
     values = farm_jobs.fanout(
         farm,
         "repro.exec.jobs:fig9a_point",
         [
-            {"t_kernel_ms": tk, "t_copy_ms": t_copy_ms,
-             "transport": transport.name}
+            {"t_kernel_ms": tk, "t_copy_ms": t_copy_ms, "transport": name}
             for tk in kernel_lengths_ms
         ],
         label="fig9a",
@@ -89,13 +90,13 @@ def fig9b_series(
     workers: int = 1,
 ) -> List[InterleavingPoint]:
     """Fig. 9(b): N interleaved programs with Tk = Tm; expected = 3N/(N+2)."""
-    farm = ScenarioFarm(workers=_transport_workers(transport, workers))
+    name = _transport_name(transport)
+    farm = ScenarioFarm(workers=workers)
     values = farm_jobs.fanout(
         farm,
         "repro.exec.jobs:fig9b_point",
         [
-            {"n_programs": n, "t_phase_ms": t_phase_ms,
-             "transport": transport.name}
+            {"n_programs": n, "t_phase_ms": t_phase_ms, "transport": name}
             for n in program_counts
         ],
         label="fig9b",
@@ -133,14 +134,14 @@ def fig10a_series(
     Per-program work is fixed (the total stays the same as the paper
     requires); the baseline is the same 64 programs with coalescing off.
     """
-    farm = ScenarioFarm(workers=_transport_workers(transport, workers))
+    name = _transport_name(transport)
+    farm = ScenarioFarm(workers=workers)
     batches = [1] + [b for b in batch_degrees if b > 1]
     totals = farm_jobs.fanout(
         farm,
         "repro.exec.jobs:fig10a_point",
         [
-            {"batch": batch, "n_programs": n_programs,
-             "transport": transport.name}
+            {"batch": batch, "n_programs": n_programs, "transport": name}
             for batch in batches
         ],
         label="fig10a",

@@ -1,14 +1,12 @@
 """The public submission facade: one request schema, three ways to run.
 
-Historically every layer re-assembled the same scenario description by
-hand: ``repro run`` built ``SigmaVP(...)`` kwargs, ``repro trace`` and
-``repro metrics`` built ``FarmJob`` kwargs, and the bench/figure code
-built yet another copy.  :class:`RunRequest` is the single, frozen,
-schema-versioned description of "run this scenario"; everything else is
-a projection of it:
+:class:`RunRequest` is the single, frozen, schema-versioned description
+of "run this scenario", and :func:`scenario` is the one place a request
+becomes a simulation.  Every other path is a caller or a projection:
 
-* :func:`run` — execute locally through the scenario farm's
-  ``run_job`` path and return the value plus its results digest;
+* :func:`run` — execute through the scenario farm's ``run_job`` path
+  (the request's farm-job projection) and return the value plus its
+  results digest;
 * :func:`scenario` — execute in-process and return the rich
   :class:`~repro.core.scenarios.ScenarioResult` (the CLI's ``run`` /
   ``account`` paths need the live framework for gantt/accounting);
@@ -17,26 +15,27 @@ a projection of it:
   (:mod:`repro.serve`); the wire protocol is just the request's JSON
   form plus event frames, so the local and remote paths cannot drift.
 
-**Identity contract.**  :meth:`RunRequest.to_farm_job` emits exactly
-the keyword arguments the legacy CLI plumbing emitted: scenario-shaping
-fields always, tuning fields only when they differ from their defaults.
-Config-hash keys — and therefore deterministic seeds and results
-digests — are byte-identical to every previously recorded run.
-``tenant`` and ``qos`` are service-level routing, not scenario
-identity: two tenants submitting the same scenario share one config
-hash and one digest.
+**Identity rule.**  A request's config hash is the farm's
+:func:`~repro.obs.export.config_key` over the identity tag
+``repro.exec.jobs:scenario_summary`` and :meth:`RunRequest.job_kwargs`:
+the scenario-shaping fields always, the tuning fields only when they
+differ from their defaults.  The hash seeds the run and enters every
+results digest.  ``tenant``, ``qos`` and ``schema`` are service-level
+routing, not scenario identity: two tenants submitting the same
+scenario share one config hash and one digest.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .core.scenarios import ScenarioResult
     from .exec.farm import FarmJob
     from .serve.client import ServeClient
+    from .workloads.base import WorkloadSpec
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -56,9 +55,8 @@ __all__ = [
 #: Schema 2 dropped ``shards``; schema 3 dropped ``backend``.
 SCHEMA_VERSION = 3
 
-#: Transports a request may name (the farm's resolve_transport accepts
-#: the same spellings).
-_TRANSPORTS = ("socket", "shm", "shared-memory")
+#: The farm function whose name tags every scenario's config hash.
+_SCENARIO_FN = "repro.exec.jobs:scenario_summary"
 
 #: Fields that always enter the farm-job kwargs (scenario shape).
 _ALWAYS_KEYS = (
@@ -96,10 +94,10 @@ class RequestError(ValueError):
 class RunRequest:
     """One versioned, JSON-round-trippable scenario submission.
 
-    The field set mirrors ``repro.exec.jobs:scenario_summary`` — the
-    farm-job function every execution path ultimately calls — plus the
-    service-routing fields (``tenant``, ``qos``) the daemon schedules
-    tenants by.
+    This class is the one statement of the scenario field set and its
+    defaults; ``repro.exec.jobs:scenario_summary`` takes the same fields
+    as ``**fields``.  ``tenant`` and ``qos`` are the service-routing
+    fields the daemon schedules tenants by.
     """
 
     #: Workload name from the catalog (``repro list``).
@@ -139,20 +137,28 @@ class RunRequest:
                 f"unsupported RunRequest schema {self.schema!r}; this "
                 f"build speaks schema {SCHEMA_VERSION}",
             )
-        if not self.app or not isinstance(self.app, str):
-            raise RequestError("bad-value", f"app must be a non-empty string, got {self.app!r}")
+        from .core.ipc import TRANSPORTS
+        from .sched import available_placements, available_policies
+        from .workloads.catalog import SUITE
+
+        _check_name("app", self.app, SUITE)
+        _check_name("transport", self.transport, TRANSPORTS)
+        if self.policy is not None:
+            _check_name("policy", self.policy, dict(available_policies()))
+        if self.placement is not None:
+            _check_name("placement", self.placement, dict(available_placements()))
         for name, minimum in (("n_vps", 1), ("n_host_gpus", 1), ("max_batch", 1)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
                 raise RequestError(
                     "bad-value", f"{name} must be an int >= {minimum}, got {value!r}"
                 )
-        if self.transport not in _TRANSPORTS:
-            raise RequestError(
-                "bad-value",
-                f"unknown transport {self.transport!r}; known: "
-                f"{', '.join(_TRANSPORTS)}",
-            )
+        for name in ("interleaving", "coalescing", "functional"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise RequestError(
+                    "bad-value", f"{name} must be a bool, got {value!r}"
+                )
         for name in ("scale_elements", "scale_iterations"):
             value = getattr(self, name)
             if value is not None and (
@@ -178,37 +184,39 @@ class RunRequest:
         """The canonical ``scenario_summary`` kwargs for this request.
 
         Scenario-shaping fields always appear; tuning fields appear only
-        when non-default (the legacy ``_sched_kwargs`` rule), so default
-        runs keep the config-hash keys every pinned digest was recorded
-        under.
+        when non-default, so default runs keep the config-hash keys
+        every pinned digest was recorded under.
         """
         kwargs: Dict[str, Any] = {key: getattr(self, key) for key in _ALWAYS_KEYS}
-        defaults = _field_defaults()
-        for key in _OPTIONAL_KEYS:
+        for key, default in _OPTIONAL_DEFAULTS.items():
             value = getattr(self, key)
-            if value != defaults[key]:
+            if value != default:
                 kwargs[key] = value
         return kwargs
 
-    def to_farm_job(self, label: str = "") -> "FarmJob":
+    def to_farm_job(self) -> "FarmJob":
         """This request as a farm job (config-hash identity included)."""
         from .exec.farm import FarmJob
 
         return FarmJob(
-            fn="repro.exec.jobs:scenario_summary",
+            fn=_SCENARIO_FN,
             kwargs=self.job_kwargs(),
-            label=label or f"{self.app}:{self.n_vps}vps",
+            label=f"{self.app}:{self.n_vps}vps",
         )
 
     @property
     def config_hash(self) -> str:
         """The farm's config-hash identity for this scenario."""
-        return self.to_farm_job().key
+        from .obs.export import config_key
+
+        return config_key(_SCENARIO_FN, self.job_kwargs())
 
     @property
     def seed(self) -> int:
         """Deterministic per-scenario seed (derived from the hash)."""
-        return self.to_farm_job().seed
+        from .obs.export import seed_for
+
+        return seed_for(self.config_hash)
 
     # -- wire format -------------------------------------------------------
 
@@ -256,12 +264,19 @@ class RunRequest:
         return dataclasses.replace(self, **overrides)
 
 
-def _field_defaults() -> Dict[str, Any]:
-    """Default value per RunRequest field (for the non-default rule)."""
-    return {
-        f.name: (f.default if f.default is not dataclasses.MISSING else None)
-        for f in fields(RunRequest)
-    }
+#: Default of each tuning field, for the non-default rule.
+_OPTIONAL_DEFAULTS: Dict[str, Any] = {
+    f.name: f.default for f in fields(RunRequest) if f.name in _OPTIONAL_KEYS
+}
+
+
+def _check_name(field_name: str, value: Any, known: Mapping[str, Any]) -> None:
+    """Reject ``value`` unless it is a string key of ``known``."""
+    if not isinstance(value, str) or value not in known:
+        raise RequestError(
+            "bad-value",
+            f"unknown {field_name} {value!r}; known: {', '.join(sorted(known))}",
+        )
 
 
 @dataclass(frozen=True)
@@ -316,8 +331,8 @@ def scenario(request: RunRequest) -> "ScenarioResult":
     :func:`run` for the same request (that equality is pinned by the
     service test suite).
     """
+    from .core.ipc import resolve_transport
     from .core.scenarios import run_sigma_vp
-    from .exec.jobs import _spec, resolve_transport
 
     return run_sigma_vp(
         _spec(request.app, request.scale_elements, request.scale_iterations),
@@ -331,6 +346,20 @@ def scenario(request: RunRequest) -> "ScenarioResult":
         policy=request.policy,
         placement=request.placement,
     )
+
+
+def _spec(app: str, scale_elements: Optional[int] = None,
+          scale_iterations: Optional[int] = None) -> "WorkloadSpec":
+    """The catalogued workload ``app``, rescaled when either size is set."""
+    from .workloads.catalog import get_workload
+
+    spec = get_workload(app)
+    if scale_elements is not None or scale_iterations is not None:
+        spec = spec.scaled_to(
+            scale_elements if scale_elements is not None else spec.elements,
+            iterations=scale_iterations,
+        )
+    return spec
 
 
 def connect(socket_path: Optional[str] = None) -> "ServeClient":

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from .analysis import (
     build_table1,
@@ -54,6 +54,7 @@ from .analysis import (
     render_table1,
 )
 from .analysis.timeline import collect_timeline, render_gantt
+from .api import RequestError
 from .gpu.arch import CATALOG, GRID_K520, QUADRO_4000, TEGRA_K1
 from .workloads import SUITE, get_workload
 
@@ -73,14 +74,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _sched_options(parser_: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """Attach the scheduling-stage overrides (see ``repro policies``)."""
+def _scenario_options(
+    parser_: argparse.ArgumentParser,
+    vps_type: Callable[[str], Any] = _positive_int,
+    vps_help: str = "number of virtual platforms",
+) -> argparse.ArgumentParser:
+    """Attach the scenario flags every scenario command shares."""
+    parser_.add_argument("app", help="workload name (see `repro list`)")
+    parser_.add_argument("--vps", type=vps_type, default="8", help=vps_help)
+    parser_.add_argument("--gpus", type=_positive_int, default=1,
+                         help="host GPUs to multiplex")
+    parser_.add_argument("--no-interleaving", action="store_true")
+    parser_.add_argument("--no-coalescing", action="store_true")
+    parser_.add_argument("--transport", choices=("socket", "shm"),
+                         default="socket")
     parser_.add_argument("--policy", default=None, metavar="NAME",
                          help="scheduling policy (default: follow "
                               "interleaving; see `repro policies`)")
     parser_.add_argument("--placement", default=None, metavar="NAME",
                          help="device placement strategy (default: "
                               "round-robin; see `repro policies`)")
+    # A request the flags describe but RunRequest rejects is a usage error.
+    parser_.set_defaults(usage_error=parser_.error)
     return parser_
 
 
@@ -94,22 +109,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the workload catalog")
 
-    run = sub.add_parser("run", help="simulate one app on N virtual platforms")
-    run.add_argument("app", help="workload name (see `repro list`)")
-    run.add_argument("--vps", default="8", type=_vps_list,
-                     help="number of VPs, or a comma list (e.g. 2,4,8) to "
-                          "fan the sweep over the scenario farm")
+    run = _scenario_options(
+        sub.add_parser("run", help="simulate one app on N virtual platforms"),
+        vps_type=_vps_list,
+        vps_help="number of VPs, or a comma list (e.g. 2,4,8) to "
+                 "fan the sweep over the scenario farm",
+    )
     run.add_argument("--workers", type=_positive_int, default=1,
                      help="farm worker processes for a --vps comma list")
-    run.add_argument("--gpus", type=int, default=1, help="host GPUs to multiplex")
-    run.add_argument("--no-interleaving", action="store_true")
-    run.add_argument("--no-coalescing", action="store_true")
-    run.add_argument("--transport", choices=("socket", "shm"), default="socket")
     run.add_argument("--functional", action="store_true",
                      help="execute kernels numerically (numpy)")
     run.add_argument("--gantt", action="store_true",
                      help="print the engine timeline")
-    _sched_options(run)
 
     def with_workers(parser_, default=1):
         parser_.add_argument("--workers", type=_positive_int, default=default,
@@ -135,20 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered scheduling policies and placement strategies",
     )
 
-    def scenario_options(parser_):
-        parser_.add_argument("app", help="workload name (see `repro list`)")
-        parser_.add_argument("--vps", type=_positive_int, default=8,
-                             help="number of virtual platforms")
-        parser_.add_argument("--gpus", type=_positive_int, default=1,
-                             help="host GPUs to multiplex")
-        parser_.add_argument("--no-interleaving", action="store_true")
-        parser_.add_argument("--no-coalescing", action="store_true")
-        parser_.add_argument("--transport", choices=("socket", "shm"),
-                             default="socket")
-        _sched_options(parser_)
-        return parser_
-
-    trace = scenario_options(sub.add_parser(
+    trace = _scenario_options(sub.add_parser(
         "trace",
         help="run one scenario with observability on; export a "
              "Chrome/Perfetto trace (open at ui.perfetto.dev)",
@@ -163,14 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print critical-path attribution: which "
                             "engine/IPC/idle segment bounds the scenario")
 
-    metrics = scenario_options(sub.add_parser(
+    metrics = _scenario_options(sub.add_parser(
         "metrics",
         help="run one scenario with metrics on; print the registry",
     ))
     metrics.add_argument("-o", "--output", default=None,
                          help="also write the snapshot JSON here")
 
-    scenario_options(sub.add_parser(
+    _scenario_options(sub.add_parser(
         "account",
         help="run one scenario and print the per-VP accounting table "
              "(busy/wait, guest CPU, coalesce share, fairness, deadlines) "
@@ -185,11 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--socket", default=None, metavar="PATH",
                        help="Unix socket path (default: "
                             "$REPRO_SERVE_SOCKET or "
-                            "$REPRO_CACHE_DIR/serve/serve.sock or "
-                            "~/.cache/repro-sigmavp/serve/serve.sock)")
+                            "<state dir>/serve.sock)")
     serve.add_argument("--state-dir", default=None, metavar="DIR",
                        help="journal directory (default: "
-                            "$REPRO_CACHE_DIR/serve or "
+                            "$REPRO_SERVE_DIR or "
                             "~/.cache/repro-sigmavp/serve)")
     serve.add_argument("--max-depth", type=_positive_int, default=None,
                        help="queue bound; submissions past it are "
@@ -206,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-warm", action="store_true",
                        help="skip pre-fork kernel compilation warm-up")
 
-    submit = scenario_options(sub.add_parser(
+    submit = _scenario_options(sub.add_parser(
         "submit",
         help="submit one scenario to a running `repro serve` daemon",
     ))
@@ -266,29 +263,27 @@ def _cmd_list() -> None:
     ))
 
 
-def _scenario_request(args: argparse.Namespace, n_vps: Optional[int] = None):
+def _scenario_request(args: argparse.Namespace, **fields: Any):
     """The :class:`~repro.api.RunRequest` a CLI scenario describes.
 
-    One construction shared by ``run``, ``trace``, ``metrics``,
-    ``account``, and ``submit``; the request's non-default-only kwargs
-    rule keeps every default invocation on its pre-existing config-hash
-    key.
+    One args-to-request mapping shared by ``run``, ``trace``,
+    ``metrics``, ``account``, and ``submit``; ``fields`` adds or
+    overrides the fields only some commands take.
     """
     from .api import RunRequest
 
-    return RunRequest(
-        app=args.app,
-        n_vps=n_vps if n_vps is not None else args.vps,
-        interleaving=not args.no_interleaving,
-        coalescing=not args.no_coalescing,
-        transport=args.transport,
-        n_host_gpus=args.gpus,
-        functional=getattr(args, "functional", False),
-        policy=getattr(args, "policy", None),
-        placement=getattr(args, "placement", None),
-        tenant=getattr(args, "tenant", None) or "default",
-        qos=getattr(args, "qos", None),
-    )
+    request = {
+        "app": args.app,
+        "n_vps": args.vps,
+        "interleaving": not args.no_interleaving,
+        "coalescing": not args.no_coalescing,
+        "transport": args.transport,
+        "n_host_gpus": args.gpus,
+        "policy": args.policy,
+        "placement": args.placement,
+    }
+    request.update(fields)
+    return RunRequest(**request)
 
 
 def _cmd_run_sweep(args: argparse.Namespace, vps_list: List[int]) -> None:
@@ -329,7 +324,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
     args.vps = vps_list[0]
     from .api import scenario
 
-    result = scenario(_scenario_request(args))
+    result = scenario(_scenario_request(args, functional=args.functional))
     framework = result.extras["framework"]
     total = result.total_ms
     print(f"{result.workload}: {args.vps} VPs on {args.gpus} host GPU(s), "
@@ -597,7 +592,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from .serve import JobState, ServeClient, ServeError
 
-    request = _scenario_request(args)
+    request = _scenario_request(
+        args, functional=args.functional, tenant=args.tenant, qos=args.qos
+    )
     try:
         with ServeClient.connect(args.socket) as client:
             record = client.submit(request)
@@ -628,6 +625,13 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except RequestError as exc:
+        args.usage_error(exc.message)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         _cmd_list()
     elif args.command == "run":

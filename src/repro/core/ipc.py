@@ -17,7 +17,8 @@ the ablation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Protocol
 
 from ..obs import metrics as _obs_metrics
 from ..obs import tracer as _obs_trace
@@ -64,6 +65,24 @@ SOCKET = IPCTransport(name="socket", latency_ms=0.55, bandwidth_gbps=2.0)
 SHARED_MEMORY = IPCTransport(
     name="shared-memory", latency_ms=0.03, bandwidth_gbps=6.0, zero_copy=True
 )
+
+#: Every transport a request or farm job may name.  Read-only: a
+#: transport crosses a process boundary by name, so a name must always
+#: resolve to the same object.
+TRANSPORTS: Mapping[str, IPCTransport] = MappingProxyType({
+    SOCKET.name: SOCKET,
+    SHARED_MEMORY.name: SHARED_MEMORY,
+    "shm": SHARED_MEMORY,
+})
+
+
+def resolve_transport(name: str) -> IPCTransport:
+    """The transport :data:`TRANSPORTS` holds under ``name``."""
+    try:
+        return TRANSPORTS[name]
+    except KeyError:
+        known = ", ".join(sorted(TRANSPORTS))
+        raise KeyError(f"unknown transport {name!r}; known: {known}") from None
 
 
 class Stoppable(Protocol):

@@ -9,46 +9,20 @@ run one scenario/figure/table/sweep point, and return a JSON-able value
 — which is also what makes ``results_digest`` equality across
 ``workers=1`` and ``workers=N`` meaningful.
 
-The figure/table series functions in :mod:`repro.analysis` submit these
-by name, so the serial (``workers=1``) and parallel paths execute the
-exact same code.
+A transport travels as its name in :data:`repro.core.ipc.TRANSPORTS`.
+A scenario job is :func:`scenario_summary`, a thin projection of
+:func:`repro.api.scenario`; the figure/table series functions in
+:mod:`repro.analysis` submit the other points by name, so the serial
+(``workers=1``) and parallel paths execute the exact same code.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..core.ipc import IPCTransport, SHARED_MEMORY, SOCKET
+from ..core.ipc import resolve_transport
 from ..gpu.arch import get_architecture
-from ..workloads.base import WorkloadSpec
 from ..workloads.catalog import get_workload
-
-#: Transports a farm job may name.  (Custom transports cannot cross a
-#: process boundary by name; series functions fall back to serial runs.)
-TRANSPORTS: Dict[str, IPCTransport] = {
-    SOCKET.name: SOCKET,
-    SHARED_MEMORY.name: SHARED_MEMORY,
-    "shm": SHARED_MEMORY,
-}
-
-
-def resolve_transport(name: str) -> IPCTransport:
-    try:
-        return TRANSPORTS[name]
-    except KeyError:
-        known = ", ".join(sorted(TRANSPORTS))
-        raise KeyError(f"unknown transport {name!r}; known: {known}") from None
-
-
-def _spec(app: str, scale_elements: Optional[int] = None,
-          scale_iterations: Optional[int] = None) -> WorkloadSpec:
-    spec = get_workload(app)
-    if scale_elements is not None or scale_iterations is not None:
-        spec = spec.scaled_to(
-            scale_elements if scale_elements is not None else spec.elements,
-            iterations=scale_iterations,
-        )
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -56,70 +30,16 @@ def _spec(app: str, scale_elements: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 
-def scenario_summary(
-    app: str,
-    n_vps: int = 8,
-    interleaving: bool = True,
-    coalescing: bool = True,
-    transport: str = "socket",
-    max_batch: int = 64,
-    n_host_gpus: int = 1,
-    scale_elements: Optional[int] = None,
-    scale_iterations: Optional[int] = None,
-    functional: bool = False,
-    policy: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> Dict[str, Any]:
-    """One SigmaVP route for a catalogued app, summarized JSON-ably.
+def scenario_summary(**fields: Any) -> Dict[str, Any]:
+    """:func:`repro.api.scenario` of ``RunRequest(**fields)``, summarized.
 
-    ``functional=True`` additionally executes the registered functional
-    kernels (the ``functional-batched`` benchmark workload uses this); the
-    default stays timing-only.  ``policy``/``placement`` name registered
-    scheduling stages (``repro policies`` lists them).  All are defaulted
-    kwargs, so they leave the config-hash keys of all existing jobs
-    untouched.
-
-    The parameter list is the keyword surface of
-    :class:`repro.api.RunRequest`; the body is just its
-    :func:`repro.api.scenario` projection, so the farm, the CLI and the
-    ``repro serve`` daemon all execute one code path.
+    The request's farm-job projection: every config hash of a scenario
+    is tagged with this function's name, so it stays here even though
+    :class:`~repro.api.RunRequest` owns the field set and defaults.
     """
     from ..api import RunRequest, scenario
 
-    request = RunRequest(
-        app=app,
-        n_vps=n_vps,
-        interleaving=interleaving,
-        coalescing=coalescing,
-        transport=transport,
-        max_batch=max_batch,
-        n_host_gpus=n_host_gpus,
-        scale_elements=scale_elements,
-        scale_iterations=scale_iterations,
-        functional=functional,
-        policy=policy,
-        placement=placement,
-    )
-    return scenario(request).summary()
-
-
-def emulation_summary(
-    app: str,
-    n_instances: int = 8,
-    cpu: str = "vp",
-    scale_elements: Optional[int] = None,
-    scale_iterations: Optional[int] = None,
-) -> Dict[str, Any]:
-    """The emulation baseline route (``cpu`` is ``"vp"`` or ``"cpu"``)."""
-    from ..core.scenarios import run_emulation
-    from ..vp.cpu import HOST_XEON, QEMU_ARM_VP
-
-    result = run_emulation(
-        _spec(app, scale_elements, scale_iterations),
-        n_instances=n_instances,
-        cpu=HOST_XEON if cpu == "cpu" else QEMU_ARM_VP,
-    )
-    return result.summary()
+    return scenario(RunRequest(**fields)).summary()
 
 
 def phase_point(

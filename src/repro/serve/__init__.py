@@ -63,17 +63,19 @@ __all__ = [
 #: Environment override for the daemon's Unix socket path.
 ENV_SOCKET = "REPRO_SERVE_SOCKET"
 
+#: Environment override for the daemon's state directory (its journal).
+ENV_STATE_DIR = "REPRO_SERVE_DIR"
+
 
 def default_state_dir() -> Path:
     """Where the daemon journals its state.
 
-    ``$REPRO_CACHE_DIR/serve`` when that variable is set, else
-    ``~/.cache/repro-sigmavp/serve`` — the location every earlier
-    release used, so an existing daemon still finds its journal.
+    ``$REPRO_SERVE_DIR`` when that variable is set, else
+    ``~/.cache/repro-sigmavp/serve``.
     """
-    root = os.environ.get("REPRO_CACHE_DIR")
-    if root:
-        return Path(root) / "serve"
+    env = os.environ.get(ENV_STATE_DIR)
+    if env:
+        return Path(env)
     return Path.home() / ".cache" / "repro-sigmavp" / "serve"
 
 

@@ -8,15 +8,22 @@ seeds, results digests) are unchanged for every previously recorded run.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
+from repro.analysis import fig9a_series
 from repro.api import (
+    _ALWAYS_KEYS,
+    _OPTIONAL_KEYS,
+    _ROUTING_KEYS,
     SCHEMA_VERSION,
     RequestError,
     RunRequest,
     run,
     scenario,
 )
+from repro.core.ipc import IPCTransport
 from repro.exec.farm import FarmJob, results_digest
 
 
@@ -53,6 +60,14 @@ def test_defaults_are_the_legacy_defaults():
         ({"tenant": "a\nb"}, "bad-value"),
         ({"qos": -1}, "bad-value"),
         ({"qos": True}, "bad-value"),
+        ({"functional": 1}, "bad-value"),
+        ({"interleaving": "no"}, "bad-value"),
+        ({"coalescing": None}, "bad-value"),
+        ({"app": "doom"}, "bad-value"),
+        ({"app": ["vectorAdd"]}, "bad-value"),
+        ({"policy": "doom"}, "bad-value"),
+        ({"placement": "doom"}, "bad-value"),
+        ({"policy": 1}, "bad-value"),
     ],
 )
 def test_validation_rejects_with_structured_code(overrides, code):
@@ -188,6 +203,28 @@ def test_default_tuning_stays_out_of_kwargs():
         assert present in kwargs
 
 
+def test_identity_pins():
+    """Config hash and seed of two requests, pinned as recorded."""
+    default = RunRequest(app="vectorAdd")
+    assert (default.config_hash, default.seed) == ("5b97ede1e9618cae", 1536683489)
+    tuned = RunRequest(
+        app="mergeSort", n_vps=4, interleaving=False, transport="shm",
+        n_host_gpus=2, policy="priority-deadline", placement="least-backlog",
+        functional=True,
+    )
+    assert (tuned.config_hash, tuned.seed) == ("625e9501874d9457", 1650365697)
+    for request in (default, tuned):
+        job = request.to_farm_job()
+        assert (job.key, job.seed) == (request.config_hash, request.seed)
+
+
+def test_every_field_has_exactly_one_identity_role():
+    roles = (_ALWAYS_KEYS, _OPTIONAL_KEYS, _ROUTING_KEYS)
+    for f in fields(RunRequest):
+        assert sum(f.name in keys for keys in roles) == 1, f.name
+    assert sum(len(keys) for keys in roles) == len(fields(RunRequest))
+
+
 def test_tenant_and_qos_never_enter_scenario_identity():
     base = RunRequest(app="vectorAdd")
     routed = RunRequest(app="vectorAdd", tenant="acme", qos=3)
@@ -232,3 +269,10 @@ def test_run_digest_matches_farm_digest_for_same_request():
     warm_worker()
     farm_result = run_job(request.to_farm_job())
     assert run(request).digest == results_digest([farm_result])
+
+
+def test_series_rejects_a_transport_the_table_does_not_hold():
+    """A job names its transport: a custom one may not borrow a name."""
+    custom = IPCTransport("socket", latency_ms=5.0, bandwidth_gbps=0.1)
+    with pytest.raises(ValueError, match="TRANSPORTS"):
+        fig9a_series(kernel_lengths_ms=(13.44,), transport=custom)

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.backend import NumpyBackend
 from repro.core.scenarios import run_sigma_vp
 from repro.exec.farm import FarmJob, ScenarioFarm
-from repro.exec.jobs import _spec
+from repro.api import _spec
 from repro.kernels.functional import REGISTRY
 from tests.backend_doubles import PerLaunchBackend, StackedLaunchBackend
 

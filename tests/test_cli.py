@@ -57,9 +57,39 @@ def test_run_multi_gpu(capsys):
     assert "2 host GPU(s)" in capsys.readouterr().out
 
 
-def test_run_unknown_app():
-    with pytest.raises(KeyError):
+def test_run_unknown_app(capsys):
+    with pytest.raises(SystemExit) as excinfo:
         main(["run", "doom"])
+    assert excinfo.value.code == 2
+    assert "unknown app 'doom'" in capsys.readouterr().err
+
+
+def test_run_invalid_request_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "vectorAdd", "--gpus", "0"])
+    assert excinfo.value.code == 2
+    assert "--gpus" in capsys.readouterr().err
+
+
+def test_run_shares_the_scenario_flags():
+    """``run`` adds only three flags to the shared scenario flags.
+
+    Its ``--vps`` is the shared flag, taking a comma list.
+    """
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+
+    def flags(command):
+        return {
+            option
+            for action in commands[command]._actions
+            for option in action.option_strings
+        }
+
+    assert flags("run") - flags("account") == {
+        "--workers", "--functional", "--gantt",
+    }
+    assert flags("account") <= flags("run")
 
 
 def test_estimate_command(capsys):
@@ -131,11 +161,11 @@ def test_run_writes_no_files(tmp_path):
     cross-process store keyed by the job's arguments would keep
     returning old numbers after a model constant changed.
     """
-    home, cache_dir = tmp_path / "home", tmp_path / "cache"
+    home, serve_dir = tmp_path / "home", tmp_path / "serve"
     home.mkdir()
-    cache_dir.mkdir()
+    serve_dir.mkdir()
     src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ, HOME=str(home), REPRO_CACHE_DIR=str(cache_dir))
+    env = dict(os.environ, HOME=str(home), REPRO_SERVE_DIR=str(serve_dir))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
@@ -149,4 +179,4 @@ def test_run_writes_no_files(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "vectorAdd" in proc.stdout
     assert sorted(home.rglob("*")) == []
-    assert sorted(cache_dir.rglob("*")) == []
+    assert sorted(serve_dir.rglob("*")) == []

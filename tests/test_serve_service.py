@@ -233,18 +233,33 @@ def test_malformed_and_unknown_frames_get_structured_errors(state_dir):
         assert excinfo.value.code == "unknown-job"
 
 
+def test_submit_of_unknown_app_is_rejected_before_the_journal(state_dir):
+    """An unrunnable request gets an error frame, not a job id."""
+    with _daemon(state_dir) as daemon, _connect(daemon) as client:
+        with pytest.raises(ServeError) as excinfo:
+            client._raise_on_error(
+                client.request(
+                    "submit", timeout=10.0, request={"app": "doom"},
+                )
+            )
+        assert excinfo.value.code == "bad-value"
+        assert "doom" in str(excinfo.value)
+        assert client.stats()["journal_records"] == 0
+    assert replay_journal(daemon.journal_path)[0] == []
+
+
 # -- default paths ---------------------------------------------------------------
 
 
-_ROOT_ENV = {"REPRO_SERVE_SOCKET": "env.sock", "REPRO_CACHE_DIR": "root"}
+_ROOT_ENV = {"REPRO_SERVE_SOCKET": "env.sock", "REPRO_SERVE_DIR": "root"}
 
 
 @pytest.mark.parametrize(
     "explicit, env, state, socket",
     [
-        ("given.sock", _ROOT_ENV, "root/serve", "given.sock"),
-        (None, _ROOT_ENV, "root/serve", "env.sock"),
-        (None, {"REPRO_CACHE_DIR": "root"}, "root/serve", "root/serve/serve.sock"),
+        ("given.sock", _ROOT_ENV, "root", "given.sock"),
+        (None, _ROOT_ENV, "root", "env.sock"),
+        (None, {"REPRO_SERVE_DIR": "root"}, "root", "root/serve.sock"),
         (
             None,
             {},
@@ -252,13 +267,13 @@ _ROOT_ENV = {"REPRO_SERVE_SOCKET": "env.sock", "REPRO_CACHE_DIR": "root"}
             "home/.cache/repro-sigmavp/serve/serve.sock",
         ),
     ],
-    ids=["explicit", "socket-env", "cache-dir-env", "home"],
+    ids=["explicit", "socket-env", "serve-dir-env", "home"],
 )
 def test_default_paths_resolve_explicit_then_env_then_home(
     tmp_path, monkeypatch, explicit, env, state, socket
 ):
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
-    for name in ("REPRO_SERVE_SOCKET", "REPRO_CACHE_DIR"):
+    for name in ("REPRO_SERVE_SOCKET", "REPRO_SERVE_DIR"):
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, str(tmp_path / value))

@@ -175,7 +175,7 @@ def test_mandelbrot_app_numerics():
 def test_stereo_disparity_functional_at_a_scaled_size():
     from repro.api import RunRequest, scenario
     from repro.core.scenarios import run_native_gpu
-    from repro.exec.jobs import _spec
+    from repro.api import _spec
 
     request = RunRequest(app="stereoDisparity", functional=True, scale_elements=640 * 16)
     result = scenario(request).extras["result"]
