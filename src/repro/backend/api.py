@@ -13,11 +13,8 @@ The contract
 * ``allocate`` / ``free`` — device-allocation accounting (tokens);
 * ``h2d`` / ``d2h`` — host-to-device and device-to-host transfers;
 * ``launch(signature, inputs, params)`` — run the functional kernel
-  registered under ``signature`` once;
-* ``launch_batched(signature, inputs_list, params)`` — run N member
-  calls as ONE stacked ``(N, ...)`` operation (warp-level-parallelism
-  style replication batching, arXiv 1501.01405), or return ``None`` to
-  ask the caller for the per-VP fallback;
+  registered under ``signature`` once (a merged kernel job calls it
+  once per member);
 * ``synchronize`` — drain asynchronous device work (no-op for host
   backends).
 
@@ -33,7 +30,7 @@ counters (None-guarded, so the disabled path costs one attribute read).
 from __future__ import annotations
 
 import abc
-from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence
 
 from ..kernels.functional import REGISTRY, FunctionalRegistry, KernelFunction
 from ..obs import metrics as _obs_metrics
@@ -43,7 +40,7 @@ class ExecutionBackend(abc.ABC):
     """One host execution resource behind the CLUDA-style seam.
 
     Subclasses implement the private ``_h2d``/``_d2h``/``_launch``
-    hooks (and optionally ``_launch_batched``/``_allocate``/``_free``);
+    hooks (and optionally ``_allocate``/``_free``);
     the public methods are template wrappers that keep the allocation
     ledger and maintain the ``exec.backend_*`` counters uniformly across
     every backend.
@@ -141,33 +138,6 @@ class ExecutionBackend(abc.ABC):
         self._count("launches")
         return out
 
-    def launch_batched(
-        self,
-        signature: str,
-        inputs_list: Sequence[Tuple[Any, ...]],
-        params: Optional[Dict[str, Any]] = None,
-    ) -> Optional[List[Any]]:
-        """Run N member calls as ONE stacked ``(N, ...)`` operation.
-
-        Returns per-member output rows, or ``None`` when this backend
-        cannot serve the batch — a non-batch-flagged signature, no
-        registered implementation, failed stacking preconditions, or a
-        backend without a ``_launch_batched`` implementation.  ``None``
-        always means "take the per-VP fallback", never an error.
-        """
-        if not self.registry.is_batched(signature):
-            return None
-        fn = self.registry.get(signature)
-        if fn is None:
-            return None
-        rows = self._launch_batched(
-            fn, [tuple(inputs) for inputs in inputs_list], dict(params or {})
-        )
-        if rows is not None:
-            self._count("batched_launches")
-            self._count("batched_members", len(rows))
-        return rows
-
     def synchronize(self) -> None:
         """Drain outstanding device work (host backends: no-op)."""
         return None
@@ -193,15 +163,6 @@ class ExecutionBackend(abc.ABC):
         self, fn: KernelFunction, inputs: List[Any], params: Dict[str, Any]
     ) -> Any:
         """Apply one registered kernel function to device inputs."""
-
-    def _launch_batched(
-        self,
-        fn: KernelFunction,
-        inputs_list: List[Tuple[Any, ...]],
-        params: Dict[str, Any],
-    ) -> Optional[List[Any]]:
-        """Stacked batch execution hook (default: not supported)."""
-        return None
 
     # -- observability ----------------------------------------------------
 

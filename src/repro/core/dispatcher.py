@@ -77,13 +77,6 @@ class DispatchStats:
         default_factory=lambda: {kind: 0 for kind in JobKind}
     )
     completed: int = 0
-    #: Coalesced kernel jobs whose functional effect ran as ONE stacked
-    #: numpy op (and how many member launches that one op covered) vs.
-    #: merged jobs that fell back to the per-VP loop.  Host-side
-    #: execution strategy only — simulated timing never reads these.
-    batched_launches: int = 0
-    batched_members: int = 0
-    fallback_launches: int = 0
 
     def total_dispatched(self) -> int:
         return sum(self.dispatched.values())
@@ -120,9 +113,8 @@ class JobDispatcher:
         self.policy = policy
         self.mode = mode
         self.coalescer = coalescer
-        self.registry = registry
         #: The execution backend every functional effect routes through
-        #: (launches, batched launches, H2D/D2H payload movement).
+        #: (launches, H2D/D2H payload movement).
         self.backend = backend if backend is not None else NumpyBackend(registry)
         self.profiler = profiler
         self.config = config if config is not None else SchedulerConfig()
@@ -445,19 +437,10 @@ class JobDispatcher:
         return apply
 
     def _apply_kernel(self, job: Job):
+        # A merged job's functional effect is one backend launch per
+        # member: host-side bookkeeping that simulated timing never reads.
         def apply() -> None:
-            members = self._effective_members(job)
-            if len(members) > 1 and self._apply_batched(members):
-                return
-            if len(members) > 1 and any(
-                m.kernel is not None and self.registry.get(m.kernel.signature)
-                for m in members
-            ):
-                self.stats.fallback_launches += 1
-                registry = _obs_metrics.REGISTRY
-                if registry is not None:
-                    registry.counter("exec.fallback_launches").inc()
-            for member in members:
+            for member in self._effective_members(job):
                 if member.kernel is None or member.out_handle is None:
                     continue
                 inputs = [
@@ -471,42 +454,3 @@ class JobDispatcher:
                 self.handles.buffer(member.out_handle).payload = result
 
         return apply
-
-    def _apply_batched(self, members: List[Job]) -> bool:
-        """Run a merged job's functional effect as ONE stacked backend op.
-
-        All members of a coalesced launch share a signature by
-        construction; the batch additionally requires leaf members with
-        uniform parameters, and (inside ``launch_batched``) a
-        batch-flagged implementation and uniform shapes/dtypes.  Returns
-        ``False`` on any precondition failure — the caller then takes the
-        per-VP fallback, which is always correct.
-        """
-        first = members[0]
-        if first.kernel is None or first.out_handle is None:
-            return False
-        signature = first.kernel.signature
-        params = first.params
-        for member in members:
-            if member.members:  # nested merge: keep the recursive path
-                return False
-            if member.kernel is None or member.out_handle is None:
-                return False
-            if member.kernel.signature != signature or member.params != params:
-                return False
-        inputs_list = [
-            tuple(self.handles.buffer(h).payload for h in member.arg_handles)
-            for member in members
-        ]
-        rows = self.backend.launch_batched(signature, inputs_list, params)
-        if rows is None:
-            return False
-        for member, row in zip(members, rows):
-            self.handles.buffer(member.out_handle).payload = row
-        self.stats.batched_launches += 1
-        self.stats.batched_members += len(members)
-        registry = _obs_metrics.REGISTRY
-        if registry is not None:
-            registry.counter("exec.batched_launches").inc()
-            registry.counter("exec.batched_members").inc(len(members))
-        return True

@@ -50,7 +50,7 @@ def kernel_digest(kernel: KernelIR) -> str:
     """A stable identity for the kernel's *code* (not its data).
 
     Kernels with equal digests run the same instruction stream per
-    element; merging their launches is functionally a batched launch.
+    element, so their launches can merge into one timed kernel.
     """
     cached = kernel.__dict__.get("_code_digest")
     if cached is not None:

@@ -1,41 +1,35 @@
-"""Execution-backend test doubles, injected by class.
+"""The execution-backend test double, injected by class.
 
 ``SigmaVP`` and the ``run_*`` scenario runners take the backend class as
-``backend=``; passing one of these subclasses swaps it in for
+``backend=``; passing :class:`Recording` swaps it in for
 :class:`~repro.backend.NumpyBackend` with no toggle in the program.
 
-:class:`PerLaunchBackend` is the numpy backend with stacked batching
-refused: its ``_launch_batched`` returns ``None``, so the dispatcher
-takes the per-VP fallback for every merged launch.  Running a scenario
-under it and under ``NumpyBackend`` proves the batched path and the
-fallback compute the same thing.
-
-:class:`StackedLaunchBackend` is the opposite extreme: every launch of a
-batch-flagged signature, single ones included, runs through the stacked
-``(N, ...)`` path as a batch of one.  Conformance under it proves the
-stacked path equals the direct call even where the dispatcher would
-never form a batch.
+:class:`Recording` is a third-party style backend built on the bare
+:class:`~repro.backend.ExecutionBackend` template: plain ``np.asarray``
+transfers (no read-only view) and a direct call per launch.  Running a
+scenario under it and under ``NumpyBackend`` proves that the result does
+not depend on which class executes it, and that a subclass inherits the
+allocation ledger and the ``exec.backend_*`` counters for free.
 """
 
-from repro.backend import NumpyBackend
+import numpy as np
+
+from repro.backend import ExecutionBackend
 
 
-class PerLaunchBackend(NumpyBackend):
-    """Numpy execution that always asks for the per-VP fallback."""
+class Recording(ExecutionBackend):
+    """A minimal host backend: only the three required hooks."""
 
-    name = "numpy-per-launch"
+    name = "recording"
 
-    def _launch_batched(self, fn, inputs_list, params):
-        return None
+    def asarray(self, host):
+        return np.asarray(host)
 
+    def _h2d(self, host):
+        return np.asarray(host)
 
-class StackedLaunchBackend(NumpyBackend):
-    """Numpy execution that stacks every launch it can, even alone."""
+    def _d2h(self, device):
+        return device
 
-    name = "numpy-batched"
-
-    def launch(self, signature, inputs, params=None):
-        rows = self.launch_batched(signature, [tuple(inputs)], params)
-        if rows is None:
-            return super().launch(signature, inputs, params)
-        return rows[0]
+    def _launch(self, fn, inputs, params):
+        return fn(*inputs, **params)

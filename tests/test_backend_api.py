@@ -1,25 +1,24 @@
 """The execution-backend seam: launches, transfers, accounting.
 
 Covers the CLUDA-style contract of :mod:`repro.backend`: the zero-copy
-read-only H2D guarantee, stacked batching and its per-VP fallback, the
-allocation ledger, and the ``exec.backend_*`` observability counters.
+read-only H2D guarantee, launches, the allocation ledger, and the
+``exec.backend_*`` observability counters.
 """
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.backend import ExecutionBackend, NumpyBackend
+from repro.backend import NumpyBackend
 from repro.kernels.functional import FunctionalRegistry
-from tests.backend_doubles import PerLaunchBackend
+from tests.backend_doubles import Recording
 
 
 def test_unregistered_signature_launches_nothing():
-    # Timing-only runs launch unregistered signatures constantly; both
-    # launch paths must answer None without touching the inputs.
+    # Timing-only runs launch unregistered signatures constantly; the
+    # launch must answer None without touching the inputs.
     backend = NumpyBackend(FunctionalRegistry())
     assert backend.launch("vectorAdd", [np.zeros(4)]) is None
-    assert backend.launch_batched("vectorAdd", [(np.zeros(4),)] * 2) is None
 
 
 class TestZeroCopyH2D:
@@ -58,22 +57,6 @@ class TestLaunch:
         out = backend.launch("vectorAdd", [backend.h2d(a), backend.h2d(b)])
         np.testing.assert_array_equal(out, a + b)
 
-    def test_launch_batched_requires_capability(self):
-        rows = NumpyBackend().launch_batched(
-            "vectorAdd", [(np.ones(4), np.ones(4))] * 3
-        )
-        assert rows is not None and len(rows) == 3
-        # The capability is a _launch_batched implementation; a backend
-        # without one always takes the per-VP fallback.
-        assert PerLaunchBackend().launch_batched(
-            "vectorAdd", [(np.ones(4), np.ones(4))] * 3
-        ) is None
-
-    def test_launch_batched_empty_batch_is_fallback(self):
-        assert NumpyBackend().launch_batched(
-            "vectorAdd", []
-        ) is None
-
 
 class TestAllocationLedger:
     def test_tokens_and_live_bytes(self):
@@ -107,7 +90,6 @@ class TestObservabilityCounters:
             token = backend.allocate(a.nbytes)
             device = backend.h2d(a)
             backend.d2h(backend.launch("vectorAdd", [device, device]))
-            backend.launch_batched("vectorAdd", [(a, a), (a, a)])
             backend.free(token)
         snap = cap.registry.snapshot()
         assert snap["exec.backend_allocs"]["value"] == 1
@@ -115,8 +97,6 @@ class TestObservabilityCounters:
         assert snap["exec.backend_h2d"]["value"] == 1
         assert snap["exec.backend_d2h"]["value"] == 1
         assert snap["exec.backend_launches"]["value"] == 1
-        assert snap["exec.backend_batched_launches"]["value"] == 1
-        assert snap["exec.backend_batched_members"]["value"] == 2
 
     def test_counters_cost_nothing_when_disabled(self):
         # No registry active: the guard path must simply not count.
@@ -126,22 +106,6 @@ class TestObservabilityCounters:
 
 def test_template_methods_count_even_for_custom_backends():
     """Third-party subclasses inherit counting and ledger for free."""
-
-    class Recording(ExecutionBackend):
-        name = "recording-test"
-
-        def asarray(self, host):
-            return np.asarray(host)
-
-        def _h2d(self, host):
-            return np.asarray(host)
-
-        def _d2h(self, device):
-            return device
-
-        def _launch(self, fn, inputs, params):
-            return fn(*inputs, **params)
-
     backend = Recording()
     with obs.capture() as cap:
         backend.h2d(np.zeros(4))

@@ -3,14 +3,12 @@
 Property-based, reikna ``test_cluda_basics`` style: every execution
 backend class, over the reference kernel suite, across random dtypes and
 shapes, must produce outputs bit-identical to a direct call of the
-registered numpy implementation — and ``launch_batched`` must return
-exactly the per-launch outputs, row for row, or ``None``.  The classes
-are :class:`~repro.backend.NumpyBackend` and the two test doubles of
-:mod:`tests.backend_doubles`: one refuses every batch, the other runs
-every launch as a stacked batch of one.  The capstone is digest
-interchangeability: the pinned scenarios simulated with each class
-injected as ``run_sigma_vp(..., backend=cls)`` produce summaries equal
-to the farm's, which runs on the default ``NumpyBackend``.
+registered numpy implementation.  The classes are
+:class:`~repro.backend.NumpyBackend` and the
+:class:`~tests.backend_doubles.Recording` double.  The capstone is
+digest interchangeability: the pinned scenarios simulated with each
+class injected as ``run_sigma_vp(..., backend=cls)`` produce summaries
+equal to the farm's, which runs on the default ``NumpyBackend``.
 
 Comparisons use ``np.array_equal`` / ``tobytes()``, never ``approx``:
 scenario digests are pinned on exact float results, so approximate
@@ -26,15 +24,11 @@ from repro.core.scenarios import run_sigma_vp
 from repro.exec.farm import FarmJob, ScenarioFarm
 from repro.api import _spec
 from repro.kernels.functional import REGISTRY
-from tests.backend_doubles import PerLaunchBackend, StackedLaunchBackend
+from tests.backend_doubles import Recording
 
 #: Every backend class; the conformance property is universally
 #: quantified over this list.
-BACKENDS = [NumpyBackend, PerLaunchBackend, StackedLaunchBackend]
-
-#: Backends that serve stacked batches; every other one must answer
-#: ``launch_batched`` with ``None`` (the per-VP fallback).
-STACKING = {NumpyBackend, StackedLaunchBackend}
+BACKENDS = [NumpyBackend, Recording]
 
 #: Parametrize a test over the backend classes, one id per class name.
 over_backends = pytest.mark.parametrize(
@@ -101,74 +95,12 @@ class TestLaunchConformance:
         assert np.asarray(out).tobytes() == expected.tobytes()
 
 
-@over_backends
-class TestBatchedConformance:
-    """launch_batched rows == per-launch outputs, or None (fallback)."""
-
-    @settings(max_examples=20, deadline=None)
-    @given(data=st.data())
-    def test_rows_match_per_launch(self, cls, data):
-        backend = cls()
-        signature = data.draw(st.sampled_from(("vectorAdd", "matrixMul")))
-        dtype = data.draw(st.sampled_from(DTYPES))
-        members = data.draw(st.integers(min_value=1, max_value=6))
-        if signature == "matrixMul":
-            d = data.draw(st.integers(min_value=1, max_value=12))
-            shape = (d, d)
-        else:
-            shape = (data.draw(st.integers(min_value=1, max_value=128)),)
-        inputs_list = [
-            (arrays(data, shape, dtype), arrays(data, shape, dtype))
-            for _ in range(members)
-        ]
-        rows = backend.launch_batched(signature, inputs_list)
-        per_launch = [
-            backend.d2h(backend.launch(signature, list(inputs)))
-            for inputs in inputs_list
-        ]
-        if rows is None:
-            assert cls not in STACKING
-            return
-        assert len(rows) == members
-        for row, expected in zip(rows, per_launch):
-            host_row = np.asarray(backend.d2h(row))
-            assert host_row.tobytes() == np.asarray(expected).tobytes()
-
-    def test_empty_batch_is_fallback(self, cls):
-        backend = cls()
-        assert backend.launch_batched("vectorAdd", []) is None
-
-    def test_single_element_batch(self, cls):
-        backend = cls()
-        a = np.arange(16, dtype=np.float32)
-        rows = backend.launch_batched("vectorAdd", [(a, a)])
-        if cls in STACKING:
-            assert rows is not None and len(rows) == 1
-            assert np.asarray(backend.d2h(rows[0])).tobytes() == (a + a).tobytes()
-        else:
-            assert rows is None
-
-    def test_mixed_shapes_fall_back(self, cls):
-        backend = cls()
-        rows = backend.launch_batched("vectorAdd", [
-            (np.ones(4, dtype=np.float32), np.ones(4, dtype=np.float32)),
-            (np.ones(8, dtype=np.float32), np.ones(8, dtype=np.float32)),
-        ])
-        assert rows is None
-
-    def test_mixed_dtypes_fall_back(self, cls):
-        backend = cls()
-        rows = backend.launch_batched("vectorAdd", [
-            (np.ones(4, dtype=np.float32), np.ones(4, dtype=np.float32)),
-            (np.ones(4, dtype=np.float64), np.ones(4, dtype=np.float64)),
-        ])
-        assert rows is None
-
-
 #: Pinned digest-interchangeability scenarios.  Functional, so the
-#: backends actually execute; VP counts avoid the known pre-existing
-#: 2-VP coalescer edge (broken identically on every backend).
+#: backends actually execute.
 PINNED_JOBS = [
+    FarmJob(fn="repro.exec.jobs:scenario_summary", label="conf:vectorAdd2",
+            kwargs={"app": "vectorAdd", "n_vps": 2, "functional": True,
+                    "scale_elements": 2048, "scale_iterations": 2}),
     FarmJob(fn="repro.exec.jobs:scenario_summary", label="conf:vectorAdd4",
             kwargs={"app": "vectorAdd", "n_vps": 4, "functional": True,
                     "scale_elements": 2048, "scale_iterations": 2}),

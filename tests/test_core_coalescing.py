@@ -475,31 +475,58 @@ def test_functional_and_timing_totals_agree():
     assert functional.total_ms == pytest.approx(timing.total_ms)
 
 
-def test_coalesced_outputs_match_uncoalesced_across_iterations():
-    """Regression: a second-iteration merged kernel must wait for the
-    first merge's group H2D copy of its members' inputs.  With the shm
-    transport that copy was still queued when the next merge formed, and
-    the merged kernel swept unwritten (``None``) input buffers."""
+#: The functional apps the ``functional-batched`` benchmark workload draws.
+FUNCTIONAL_APPS = (
+    "vectorAdd", "BlackScholes", "matrixMul", "MonteCarlo", "mergeSort",
+    "reduction", "scalarProd", "histogram", "physxParticles", "simpleGL",
+)
+
+#: Apps whose coalescible kernels never find a merge partner.
+NEVER_MERGE = {"MonteCarlo"}
+
+
+@pytest.mark.parametrize(
+    "app,n_vps,scale_elements,transport",
+    [
+        (app, n_vps, 4096, "socket")
+        for app in FUNCTIONAL_APPS
+        for n_vps in (2, 5, 8)
+    ]
+    # Regression: a second-iteration merged kernel must wait for the
+    # first merge's group H2D copy of its members' inputs.  With the shm
+    # transport that copy was still queued when the next merge formed,
+    # and the merged kernel swept unwritten (``None``) input buffers.
+    + [("BlackScholes", 8, 65536, "shm")],
+)
+def test_coalesced_outputs_match_uncoalesced_across_iterations(
+    app, n_vps, scale_elements, transport
+):
+    """Every VP's functional output under coalescing equals its output
+    from a run that never merges (the per-VP reference)."""
     import numpy as np
 
-    from repro.core.ipc import SHARED_MEMORY
+    from repro.core.ipc import resolve_transport
     from repro.core.scenarios import run_sigma_vp
     from repro.workloads import get_workload
 
-    spec = get_workload("BlackScholes").scaled_to(65536, iterations=2)
+    spec = get_workload(app).scaled_to(scale_elements, iterations=2)
 
-    def outputs(coalescing):
+    def run(coalescing):
         result = run_sigma_vp(
-            spec, n_vps=8, coalescing=coalescing, functional=True,
-            transport=SHARED_MEMORY, max_batch=8,
+            spec, n_vps=n_vps, coalescing=coalescing, functional=True,
+            transport=resolve_transport(transport), max_batch=8,
         )
         framework = result.extras["framework"]
-        return [
-            framework.session(name).processes[0].value
+        outputs = [
+            [process.value for process in framework.session(name).processes]
             for name in sorted(framework.sessions)
         ]
+        return framework, outputs
 
-    coalesced, reference = outputs(True), outputs(False)
-    assert len(coalesced) == len(reference) == 8
+    framework, coalesced = run(True)
+    _, reference = run(False)
+    if app not in NEVER_MERGE:
+        assert framework.coalescer.stats.merges > 0
+    assert len(coalesced) == len(reference) == n_vps
     for got, want in zip(coalesced, reference):
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_equal(got, want)
