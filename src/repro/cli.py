@@ -552,8 +552,6 @@ def _cmd_policies() -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import time
-
     from .serve import ServeDaemon
 
     kwargs = {}
@@ -581,8 +579,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"  recovered:  {recovery['resumed']} job(s) requeued, "
               f"{recovery['faulted']} faulted (mid-run at crash)")
     try:
-        while daemon.running:
-            time.sleep(0.2)
+        daemon.join()
     except KeyboardInterrupt:
         print("repro serve: shutting down (requeueing running jobs)")
         daemon.stop()

@@ -124,12 +124,8 @@ class SigmaVP:
         # baseline of paper Figs. 3a and 9).  By default the policy
         # follows the ``interleaving`` flag and placement is the legacy
         # round-robin.
-        policy = make_policy(
-            self.sched.resolve_policy(interleaving), **self.sched.policy_options
-        )
-        placement = make_placement(
-            self.sched.placement, **self.sched.placement_options
-        )
+        policy = make_policy(self.sched.resolve_policy(interleaving))
+        placement = make_placement(self.sched.placement)
         mode = ServiceMode.PIPELINED if interleaving else ServiceMode.SERIAL
         self.dispatcher = JobDispatcher(
             self.env,

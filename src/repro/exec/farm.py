@@ -170,14 +170,15 @@ def run_job(job: FarmJob) -> FarmResult:
     )
 
 
-def warm_worker(capture_obs: bool = False) -> None:
-    """Pool initializer: pre-compile the workload catalog's kernels.
+def warm_worker() -> None:
+    """Pre-compile the workload catalog's kernels in this process.
 
-    Populates the worker's shared default compiler for the standard
-    architectures so the first job dispatched to a fresh worker starts
-    from the same warm-compile state as every later one.  Also arms
-    per-job observability capture when the farm asked for it (warming
-    runs *before* arming, so warm-up compiles never pollute job metrics).
+    Populates the shared default compiler for the standard architectures
+    so the first job starts from the same warm-compile state as every
+    later one.  Called by :func:`repro.api.run`, by the daemon before it
+    forks workers, by the farm's serial path and by the pool initializer
+    :func:`_init_worker` (which arms observability capture only after
+    warming, so warm-up compiles never pollute job metrics).
     """
     from ..gpu.arch import GRID_K520, QUADRO_4000, TEGRA_K1
     from ..kernels.compiler import compile_kernel
@@ -186,8 +187,6 @@ def warm_worker(capture_obs: bool = False) -> None:
     for spec in SUITE.values():
         for arch in (QUADRO_4000, GRID_K520, TEGRA_K1):
             compile_kernel(spec.kernel, arch)
-    if capture_obs:
-        set_capture(True)
 
 
 def _init_worker(capture_obs: bool = False, warm: bool = True) -> None:

@@ -10,7 +10,7 @@ farm ships them across process boundaries as plain JSON-able values.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 #: Host-side time to service a malloc/free request (driver bookkeeping).
@@ -47,11 +47,6 @@ class SchedulerConfig:
     policy: Optional[str] = None
     #: Registered placement name (device selection across host GPUs).
     placement: str = "round-robin"
-    #: Keyword options passed to the policy factory (e.g. QoS tiers for
-    #: ``priority-deadline``: ``{"tiers": {"vp0": 0}, "default_tier": 2}``).
-    policy_options: Dict[str, Any] = field(default_factory=dict)
-    #: Keyword options passed to the placement factory.
-    placement_options: Dict[str, Any] = field(default_factory=dict)
     #: Host-side time to service a malloc/free request.
     host_call_ms: float = DEFAULT_HOST_CALL_MS
     #: Host-side profiling cost charged once per kernel job.
@@ -83,12 +78,7 @@ class SchedulerConfig:
 
     def is_default_stages(self) -> bool:
         """True when policy/placement match the legacy hardcoded wiring."""
-        return (
-            self.policy is None
-            and self.placement == "round-robin"
-            and not self.policy_options
-            and not self.placement_options
-        )
+        return self.policy is None and self.placement == "round-robin"
 
     @classmethod
     def from_names(

@@ -122,7 +122,7 @@ class ServiceQueue:
     """Bounded, journaling-agnostic queue with tenant-aware selection.
 
     Thread-safe: the daemon's connection handlers submit/cancel while
-    the scheduler loop pops.  Persistence lives in the server (which
+    its launches pop.  Persistence lives in the server (which
     journals around queue operations), so the queue itself stays a pure
     in-memory policy structure that unit tests can drive directly.
     """
@@ -132,7 +132,6 @@ class ServiceQueue:
         max_depth: int = DEFAULT_MAX_DEPTH,
         tenant_quota: int = DEFAULT_TENANT_QUOTA,
         policy: str = "fair-share",
-        policy_options: Optional[Dict[str, Any]] = None,
     ) -> None:
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
@@ -141,9 +140,7 @@ class ServiceQueue:
         self.max_depth = max_depth
         self.tenant_quota = tenant_quota
         self.policy_name = policy
-        self.policy: SchedulingPolicy = make_policy(
-            policy, **(policy_options or {})
-        )
+        self.policy: SchedulingPolicy = make_policy(policy)
         self.policy.attach(self._expected_ms)
         self._lock = threading.RLock()
         #: Pending jobs per tenant, oldest (lowest seq) first.

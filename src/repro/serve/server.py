@@ -1,19 +1,25 @@
 """The ``repro serve`` daemon: socket server, scheduler, worker spawner.
 
-One :class:`ServeDaemon` owns four kinds of thread plus one process per
-running job:
+One :class:`ServeDaemon` owns an accept thread, a handler thread per
+client connection, and one worker process plus one reaper thread per
+running job.  No thread sleeps on a timer; each blocks on its event.
 
-* an **accept loop** on the Unix socket, spawning a handler thread per
+* The **accept loop** on the Unix socket spawns a handler thread per
   client connection (``wait``/``watch`` block their own connection, so
-  thread-per-connection is the natural shape);
-* a **scheduler loop** that, whenever a worker slot is free, asks the
-  :class:`~repro.serve.queue.ServiceQueue` for the policy's pick among
-  tenant heads and forks a worker **process** for it;
-* a **reaper thread** per running job, polling the worker process and
-  the job's cancel flag (cancel mid-run = ``terminate()`` — a forked
-  process is the cancellation boundary the paper's farm already
+  thread-per-connection is the natural shape).
+* **Scheduling is a call, not a thread.**  Wherever a job or a worker
+  slot appears (a submit, a job's terminal transition, the jobs
+  recovered at start) the daemon asks the
+  :class:`~repro.serve.queue.ServiceQueue` for the policy's picks among
+  tenant heads and forks a worker **process** for each while a slot is
+  free.
+* A **reaper thread** per running job blocks until the worker reports
+  or exits, then records the job's outcome; it is the only thread that
+  does.  Cancel and stop act on the worker process (``terminate()`` — a
+  forked process is the cancellation boundary the paper's farm already
   implies: scenarios are independent, so killing one cannot corrupt
-  another).
+  another), and the reaper turns the exit into ``cancelled`` or, on a
+  stop without drain, a ``requeue``.
 
 Execution inside the worker is :func:`repro.api.run` — the farm's
 ``run_job`` with its config-hash key and deterministic seed — so a
@@ -31,6 +37,7 @@ deterministic: replay of the journal alone reconstructs the queue.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import queue as _thread_queue
 import socketserver
@@ -38,7 +45,7 @@ import threading
 import time
 import traceback
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..api import RequestError, RunRequest
 from ..obs.metrics import MetricsRegistry
@@ -62,12 +69,6 @@ from .queue import (
 )
 
 __all__ = ["ServeDaemon"]
-
-#: How often reaper threads poll a worker process for exit/cancel.
-_REAP_POLL_S = 0.02
-
-#: How often the scheduler loop re-checks for free slots / new work.
-_SCHED_POLL_S = 0.02
 
 
 def _worker_main(payload: Dict[str, Any], conn: Any) -> None:
@@ -115,7 +116,6 @@ class ServeDaemon:
         max_depth: int = DEFAULT_MAX_DEPTH,
         tenant_quota: int = DEFAULT_TENANT_QUOTA,
         policy: str = "fair-share",
-        policy_options: Optional[Dict[str, Any]] = None,
         max_workers: int = 1,
         warm: bool = True,
         fsync_journal: bool = True,
@@ -139,7 +139,6 @@ class ServeDaemon:
             max_depth=max_depth,
             tenant_quota=tenant_quota,
             policy=policy,
-            policy_options=policy_options,
         )
         #: Private registry: the daemon's own counters never clobber the
         #: process-global observability state a host test may be using.
@@ -149,16 +148,21 @@ class ServeDaemon:
         #: Every job this daemon knows, replayed or live, by id.
         self._jobs: Dict[str, ServiceJob] = {}
         #: Jobs currently executing, by id, with their process + reaper.
-        self._procs: Dict[str, multiprocessing.Process] = {}
-        #: Per-job watch subscriptions (thread queues fed on transitions).
-        self._watchers: Dict[str, List["_thread_queue.Queue[Dict[str, Any]]"]] = {}
-        #: Signals any job state change (``wait`` op blocks on this).
+        self._procs: Dict[
+            str, Tuple[multiprocessing.Process, threading.Thread]
+        ] = {}
+        #: Per-job watch subscriptions, fed on transitions; None ends one.
+        self._watchers: Dict[
+            str, List["_thread_queue.Queue[Optional[Dict[str, Any]]]"]
+        ] = {}
+        #: Signals any job state change and stop (``wait`` blocks on it).
         self._transition = threading.Condition(self._lock)
         self._next_job_number = 1
         self._stop = threading.Event()
+        #: Set once stop() has finished (``join`` blocks on it).
+        self._stopped = threading.Event()
         self._drain = False
         self._server: Optional[socketserver.ThreadingUnixStreamServer] = None
-        self._threads: List[threading.Thread] = []
         self.started_at = 0.0
         self._recover()
 
@@ -217,7 +221,7 @@ class ServeDaemon:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Bind the socket and start accept + scheduler threads."""
+        """Bind the socket, start the accept thread, launch recovered jobs."""
         if self._server is not None:
             raise RuntimeError("daemon already started")
         if self.warm:
@@ -240,66 +244,54 @@ class ServeDaemon:
         )
         self._server.daemon_threads = True
         self.started_at = time.time()
-        accept = threading.Thread(
+        threading.Thread(
             target=self._server.serve_forever,
             kwargs={"poll_interval": 0.05},
             name="repro-serve-accept",
             daemon=True,
-        )
-        sched = threading.Thread(
-            target=self._scheduler_loop, name="repro-serve-sched", daemon=True
-        )
-        self._threads = [accept, sched]
-        for thread in self._threads:
-            thread.start()
+        ).start()
+        self._launch_ready()
 
     def stop(self, drain: bool = False, timeout: float = 30.0) -> None:
         """Graceful shutdown.
 
-        ``drain=True`` lets running jobs finish; otherwise they are
-        terminated and **requeued** (journaled), so no accepted work is
+        ``drain=True`` lets running jobs finish (for up to ``timeout``
+        seconds); otherwise their workers are terminated and each
+        reaper **requeues** its job (journaled), so no accepted work is
         lost — a restarted daemon resumes them.  Queued jobs stay queued
-        in the journal either way.
+        in the journal either way.  Blocked ``wait`` calls get
+        ``daemon-stopping`` and ``watch`` streams end at once.
         """
         with self._lock:
             self._drain = drain
-        self._stop.set()
+            self._stop.set()
+            for watchers in self._watchers.values():
+                for watcher in watchers:
+                    watcher.put(None)
+            self._transition.notify_all()
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
             self._server = None
-        deadline = time.time() + timeout
-        if drain:
-            while self._procs and time.time() < deadline:
-                time.sleep(_REAP_POLL_S)
-        with self._lock:
-            running = [
-                self._jobs[job_id] for job_id in list(self._procs)
-            ]
-        for job in running:
-            proc = self._procs.get(job.job_id)
-            if proc is not None and proc.is_alive():
+        with self._transition:
+            if drain:
+                self._transition.wait_for(lambda: not self._procs, timeout)
+            # Whatever still runs (no drain, or the drain timed out) is
+            # terminated; its reaper sees the stop and requeues it.
+            self._drain = False
+            running = list(self._procs.values())
+            for proc, _ in running:
                 proc.terminate()
-                proc.join(timeout=5.0)
-            with self._lock:
-                self._procs.pop(job.job_id, None)
-                if not job.state.terminal:
-                    self._journal.append(
-                        {"type": "requeue", "job_id": job.job_id}
-                    )
-                    self.queue.requeue(job)
-                    self._notify(job)
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        self._threads = []
+        for _, reaper in running:
+            reaper.join()
         self._journal.close()
         if self.socket_path.exists():
             self.socket_path.unlink()
+        self._stopped.set()
 
-    @property
-    def running(self) -> bool:
-        """True while the socket server is up (false after stop())."""
-        return self._server is not None
+    def join(self) -> None:
+        """Block until :meth:`stop` has finished."""
+        self._stopped.wait()
 
     def __enter__(self) -> "ServeDaemon":
         self.start()
@@ -310,49 +302,35 @@ class ServeDaemon:
 
     # -- scheduling and execution -----------------------------------------
 
-    def _scheduler_loop(self) -> None:
-        while not self._stop.is_set():
-            launched = self._launch_next()
-            if not launched:
-                time.sleep(_SCHED_POLL_S)
-
-    def _launch_next(self) -> bool:
-        """Start the policy's next pick if a worker slot is free."""
+    def _launch_ready(self) -> None:
+        """Start the policy's picks while a worker slot is free."""
         with self._lock:
-            if self._stop.is_set() or len(self._procs) >= self.max_workers:
-                return False
-            job = self.queue.next_job()
-            if job is None:
-                return False
-            if job.cancel_requested:
-                # Cancelled while queued but popped before the cancel op
-                # found it: honor the cancel instead of running.
-                self.queue.mark_finished(job)
-                self._finish(job, JobState.CANCELLED, error=None)
-                return True
-            parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.get_context("fork").Process(
-                target=_worker_main,
-                args=(job.request.to_dict(), child_conn),
-                name=f"repro-serve-{job.job_id}",
-                daemon=True,
-            )
-            job.started_at = time.time()
-            self._journal.append({"type": "start", "job_id": job.job_id})
-            proc.start()
-            child_conn.close()
-            job.worker_pid = proc.pid
-            self._procs[job.job_id] = proc
-            self.registry.counter("serve.jobs.started").inc()
-            self._notify(job)
-        reaper = threading.Thread(
-            target=self._reap,
-            args=(job, proc, parent_conn),
-            name=f"repro-serve-reap-{job.job_id}",
-            daemon=True,
-        )
-        reaper.start()
-        return True
+            while not self._stop.is_set() and len(self._procs) < self.max_workers:
+                job = self.queue.next_job()
+                if job is None:
+                    return
+                parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
+                proc = multiprocessing.get_context("fork").Process(
+                    target=_worker_main,
+                    args=(job.request.to_dict(), child_conn),
+                    name=f"repro-serve-{job.job_id}",
+                    daemon=True,
+                )
+                job.started_at = time.time()
+                self._journal.append({"type": "start", "job_id": job.job_id})
+                proc.start()
+                child_conn.close()
+                job.worker_pid = proc.pid
+                reaper = threading.Thread(
+                    target=self._reap,
+                    args=(job, proc, parent_conn),
+                    name=f"repro-serve-reap-{job.job_id}",
+                    daemon=True,
+                )
+                self._procs[job.job_id] = (proc, reaper)
+                self.registry.counter("serve.jobs.started").inc()
+                self._notify(job)
+                reaper.start()
 
     def _reap(
         self,
@@ -360,45 +338,33 @@ class ServeDaemon:
         proc: multiprocessing.Process,
         conn: Any,
     ) -> None:
-        """Wait out one worker: result, failure, or mid-run cancel."""
+        """Block until one worker reports or exits; record the outcome.
+
+        The reaper is the only thread that ends a running job: a cancel
+        or a stop only terminates the worker, and the reaper reads the
+        exit as ``cancelled``, a ``requeue`` (stop without drain) or
+        ``worker-died``.  The pipe is drained once after the wake-up, so
+        a result sent just before the worker exits is kept.
+        """
+        multiprocessing.connection.wait([conn, proc.sentinel])
         outcome: Optional[Dict[str, Any]] = None
-        while True:
-            if job.cancel_requested:
-                proc.terminate()
-                proc.join(timeout=5.0)
-                break
-            ready = conn.poll(_REAP_POLL_S)
-            if not ready and not proc.is_alive():
-                # The worker may have sent its result and exited just
-                # after the poll timed out: drain the pipe once more
-                # before declaring it dead on a signal/oom.
-                ready = conn.poll(0)
-                if not ready:
-                    break
-            if ready:
-                try:
-                    outcome = conn.recv()
-                except EOFError:
-                    outcome = None
-                proc.join(timeout=5.0)
-                break
-            if self._stop.is_set() and not self._drain:
-                # stop() owns termination + requeue from here.
-                conn.close()
-                return
+        try:
+            if conn.poll():
+                outcome = conn.recv()
+        except (EOFError, OSError):
+            outcome = None  # killed mid-send, or exited without a word
         conn.close()
+        proc.join()
         with self._lock:
-            if self._stop.is_set() and not self._drain:
-                # stop() terminates and requeues running jobs.  If it
-                # already claimed this one, or killed the worker while
-                # this thread sat in poll() (the EOF is its kill, not a
-                # crash), the job is stop()'s to requeue.
-                claimed = job.job_id not in self._procs
-                if claimed or (outcome is None and not job.cancel_requested):
-                    return
             self._procs.pop(job.job_id, None)
+            stopping = self._stop.is_set() and not self._drain
+            if outcome is None and stopping and not job.cancel_requested:
+                self._journal.append({"type": "requeue", "job_id": job.job_id})
+                self.queue.requeue(job)
+                self._notify(job)
+                return
             self.queue.mark_finished(job)
-            if job.cancel_requested and outcome is None:
+            if outcome is None and job.cancel_requested:
                 self._finish(job, JobState.CANCELLED, error=None)
             elif outcome is None:
                 self._finish(
@@ -423,6 +389,7 @@ class ServeDaemon:
                 self._finish(job, JobState.DONE, error=None)
             else:
                 self._finish(job, JobState.FAILED, error=outcome.get("error"))
+            self._launch_ready()
 
     def _finish(
         self,
@@ -570,7 +537,9 @@ class ServeDaemon:
             self._jobs[job_id] = job
             self.registry.counter("serve.jobs.submitted").inc()
             self._notify(job)
-            return ok_frame("submitted", **job.record())
+            ack = ok_frame("submitted", **job.record())
+            self._launch_ready()
+            return ack
 
     def _get_job(self, frame: Dict[str, Any]) -> ServiceJob:
         job_id = frame.get("job_id")
@@ -596,55 +565,52 @@ class ServeDaemon:
     def _op_wait(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         job = self._get_job(frame)
         timeout = frame.get("timeout")
-        deadline = (time.time() + float(timeout)) if timeout else None
         with self._transition:
-            while not job.state.terminal:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.time()
-                    if remaining <= 0:
-                        return error_frame(
-                            "wait-timeout",
-                            f"job {job.job_id} still {job.state.value} "
-                            f"after {timeout}s",
-                            job_id=job.job_id,
-                        )
-                self._transition.wait(timeout=remaining or 1.0)
-                if self._stop.is_set() and not job.state.terminal:
-                    return error_frame(
-                        "daemon-stopping",
-                        "daemon is shutting down; job will be requeued",
-                        job_id=job.job_id,
-                    )
-            return ok_frame("result", **job.record())
+            self._transition.wait_for(
+                lambda: job.state.terminal or self._stop.is_set(),
+                float(timeout) if timeout else None,
+            )
+            if job.state.terminal:
+                return ok_frame("result", **job.record())
+            if self._stop.is_set():
+                return error_frame(
+                    "daemon-stopping",
+                    "daemon is shutting down; job will be requeued",
+                    job_id=job.job_id,
+                )
+            return error_frame(
+                "wait-timeout",
+                f"job {job.job_id} still {job.state.value} after {timeout}s",
+                job_id=job.job_id,
+            )
 
     def _op_watch(
         self,
         frame: Dict[str, Any],
         handler: socketserver.StreamRequestHandler,
     ) -> List[Dict[str, Any]]:
-        """Stream a frame per transition until the job is terminal.
+        """Stream a frame per transition until the job ends or stop().
 
         Writes directly to the connection (this handler thread is
         dedicated to it), then returns the final record as the
         dispatcher's reply.
         """
         job = self._get_job(frame)
-        events: "_thread_queue.Queue[Dict[str, Any]]" = _thread_queue.Queue()
+        events: "_thread_queue.Queue[Optional[Dict[str, Any]]]"
+        events = _thread_queue.Queue()
         with self._lock:
             self._watchers.setdefault(job.job_id, []).append(events)
             snapshot = ok_frame(
                 "transition", **job.record(include_request=False)
             )
-            terminal = job.state.terminal
+            terminal = job.state.terminal or self._stop.is_set()
         try:
             handler.wfile.write(encode_frame(snapshot))
             handler.wfile.flush()
-            while not terminal and not self._stop.is_set():
-                try:
-                    event = events.get(timeout=0.5)
-                except _thread_queue.Empty:
-                    continue
+            while not terminal:
+                event = events.get()
+                if event is None:  # the daemon is stopping
+                    break
                 handler.wfile.write(encode_frame(event))
                 handler.wfile.flush()
                 terminal = JobState(event["state"]).terminal
@@ -668,22 +634,21 @@ class ServeDaemon:
                 )
             job.cancel_requested = True
             if job.state is JobState.QUEUED:
-                removed = self.queue.cancel_queued(job.job_id)
-                if removed is not None:
-                    job.finished_at = time.time()
-                    job.state = JobState.CANCELLED
-                    self._journal.append(
-                        {
-                            "type": "cancel",
-                            "job_id": job.job_id,
-                            "where": "queued",
-                        }
-                    )
-                    self.registry.counter("serve.jobs.cancelled").inc()
-                    self._notify(job)
-                    return ok_frame("cancelled", **job.record())
-            # Running (or mid-pop): the reaper terminates the worker and
-            # journals the cancel; the client observes it via wait/watch.
+                # Launches pop under this same lock, so a queued job is
+                # still in the queue and never starts once cancelled.
+                self.queue.cancel_queued(job.job_id)
+                job.finished_at = time.time()
+                job.state = JobState.CANCELLED
+                self._journal.append(
+                    {"type": "cancel", "job_id": job.job_id, "where": "queued"}
+                )
+                self.registry.counter("serve.jobs.cancelled").inc()
+                self._notify(job)
+                return ok_frame("cancelled", **job.record())
+            # Running: kill the worker; its reaper journals the cancel and
+            # the client observes it via wait/watch.
+            proc, _ = self._procs[job.job_id]
+            proc.terminate()
             return ok_frame("cancelling", **job.record())
 
     def _op_jobs(self, frame: Dict[str, Any]) -> Dict[str, Any]:

@@ -12,8 +12,12 @@ unusable).  Determinism notes:
   no real ``kill -9`` is needed to exercise it.
 """
 
+import multiprocessing
+import os
 import shutil
+import signal
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -448,57 +452,34 @@ def test_watch_streams_transitions_to_terminal(state_dir):
 # -- reaper interleavings ----------------------------------------------------------
 
 
-class _ExitsAfterPollConn:
-    """A result pipe whose worker reports just after the timed poll.
-
-    The first ``poll(timeout)`` times out empty; the worker then sends
-    its result and exits, so the pipe holds the outcome by the time the
-    reaper sees the process dead.
-    """
-
-    def __init__(self, outcome, proc):
-        self._outcome = outcome
-        self._proc = proc
-        self._sent = False
-
-    def poll(self, timeout=0.0):
-        if not self._sent:
-            self._sent = True
-            self._proc.alive = False
-            return False
-        return self._outcome is not None
-
-    def recv(self):
-        outcome, self._outcome = self._outcome, None
-        if outcome is None:
-            raise EOFError
-        return outcome
-
-    def close(self):
-        pass
+def _send_and_exit(conn, outcome):
+    conn.send(outcome)
+    conn.close()
 
 
-class _FakeProc:
-    alive = True
-    exitcode = 0
+def _die_silently(conn):
+    os.kill(os.getpid(), signal.SIGKILL)
 
-    def is_alive(self):
-        return self.alive
 
-    def join(self, timeout=None):
-        pass
-
-    def terminate(self):
-        self.alive = False
+def _forked_worker(target, *args):
+    """A real forked worker and the daemon's read end of its pipe."""
+    parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
+    proc = multiprocessing.get_context("fork").Process(
+        target=target, args=(child_conn, *args), daemon=True
+    )
+    proc.start()
+    child_conn.close()
+    return proc, parent_conn
 
 
 def test_reaper_keeps_result_sent_just_before_worker_exit(state_dir):
     daemon = _daemon(state_dir)
     job = _service_job(1)
     daemon._jobs[job.job_id] = job
-    proc = _FakeProc()
     outcome = {"ok": True, "value": {"total_ms": 1.0}, "digest": "abc123"}
-    daemon._reap(job, proc, _ExitsAfterPollConn(outcome, proc))
+    proc, conn = _forked_worker(_send_and_exit, outcome)
+    proc.join()  # the worker is gone before the reaper first looks
+    daemon._reap(job, proc, conn)
     assert job.state is JobState.DONE, job.error
     assert job.digest == "abc123"
 
@@ -507,8 +488,59 @@ def test_reaper_reports_worker_died_when_pipe_is_empty(state_dir):
     daemon = _daemon(state_dir)
     job = _service_job(1)
     daemon._jobs[job.job_id] = job
-    proc = _FakeProc()
-    proc.exitcode = -9
-    daemon._reap(job, proc, _ExitsAfterPollConn(None, proc))
+    proc, conn = _forked_worker(_die_silently)
+    daemon._reap(job, proc, conn)
     assert job.state is JobState.FAILED
     assert job.error["code"] == "worker-died"
+    assert "exited with code -9" in job.error["message"]
+
+
+# -- stop paths ------------------------------------------------------------------
+
+
+def test_drain_stop_lets_running_job_finish(state_dir):
+    daemon = _daemon(state_dir, max_workers=1)
+    daemon.start()
+    try:
+        with _connect(daemon) as client:
+            job_id = client.submit(SLOW)["job_id"]
+            _wait_for(lambda: client.status(job_id)["state"] == "running")
+    finally:
+        daemon.stop(drain=True)
+    assert daemon._jobs[job_id].state is JobState.DONE
+    records = (state_dir / "journal.jsonl").read_text().splitlines()
+    assert not [r for r in records if '"type":"requeue"' in r]
+
+
+def test_stop_wakes_a_blocked_wait_at_once(state_dir):
+    daemon = _daemon(state_dir, max_workers=1)
+    daemon.start()
+    replies = []
+
+    def wait_for_job():
+        with ServeClient.connect(daemon.socket_path) as waiter:
+            try:
+                waiter.wait(job_id)
+            except ServeError as exc:
+                replies.append((exc.code, time.monotonic()))
+
+    try:
+        with _connect(daemon) as client:
+            # Runs for seconds unless stopped, so the wait cannot end
+            # with a result before stop() is called.
+            long_run = SLOW.with_overrides(scale_iterations=800)
+            job_id = client.submit(long_run)["job_id"]
+            _wait_for(lambda: client.status(job_id)["state"] == "running")
+            thread = threading.Thread(target=wait_for_job, daemon=True)
+            thread.start()
+            time.sleep(0.2)  # let the waiter block inside the daemon
+    finally:
+        # A draining stop leaves the worker running for its timeout, so
+        # no job transition can wake the waiter: only the stop itself.
+        stop_called = time.monotonic()
+        daemon.stop(drain=True, timeout=1.0)
+    thread.join(timeout=10.0)
+    assert [code for code, _ in replies] == ["daemon-stopping"]
+    assert replies[0][1] - stop_called < 0.5
+    # The drain timed out: the job was terminated and requeued.
+    assert daemon._jobs[job_id].state is JobState.QUEUED
