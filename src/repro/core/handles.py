@@ -10,7 +10,7 @@ noticing.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..gpu.memory import DeviceBuffer
 
@@ -59,7 +59,3 @@ class HandleTable:
             return self._buffers.pop(handle)
         except KeyError:
             raise KeyError(f"unbound device handle {handle!r}") from None
-
-    def handles_for(self, vp: str) -> List[str]:
-        prefix = f"{vp}/"
-        return sorted(h for h in self._buffers if h.startswith(prefix))

@@ -6,16 +6,15 @@ instruction type), the elapsed clock cycles, and the percentages of each
 occurred stall" (Section 2).  Here it records the
 :class:`~repro.gpu.timing.ExecutionProfile` of every kernel the
 dispatcher runs on the host GPU, keyed by kernel name and VP, and offers
-the aggregations the Time/Power Estimation module consumes.
+the lookups the Time/Power Estimation module consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..gpu.timing import ExecutionProfile
-from ..kernels.ir import ALL_TYPES, InstructionType
 from .jobs import Job
 
 
@@ -68,56 +67,9 @@ class Profiler:
 
     # -- aggregations ------------------------------------------------------
 
-    def total_sigma(self, kernel_name: Optional[str] = None) -> Dict[InstructionType, float]:
-        """Total executed instructions per type across matching records."""
-        totals = {t: 0.0 for t in ALL_TYPES}
-        for record in self._records:
-            if kernel_name is not None and record.kernel_name != kernel_name:
-                continue
-            for itype, count in record.profile.sigma.items():
-                totals[itype] += count
-        return totals
-
     def total_elapsed_cycles(self, kernel_name: Optional[str] = None) -> float:
         return sum(
             r.profile.elapsed_cycles
             for r in self._records
             if kernel_name is None or r.kernel_name == kernel_name
         )
-
-    def host_energy_mj(self, arch, kernel_name: Optional[str] = None) -> float:
-        """Energy the *host* GPU spent executing the profiled kernels (mJ).
-
-        Eq. (6)'s terms evaluated with the host architecture: static
-        power over the summed elapsed time plus per-instruction and
-        DRAM-access energies.  Useful for reporting what the simulation
-        itself costs the host machine.
-        """
-        matching = [
-            r for r in self._records
-            if kernel_name is None or r.kernel_name == kernel_name
-        ]
-        energy_nj = 0.0
-        elapsed_ms = 0.0
-        for record in matching:
-            profile = record.profile
-            elapsed_ms += profile.time_ms
-            for itype, count in profile.sigma.items():
-                energy_nj += count * arch.instruction_energy_nj[itype]
-            energy_nj += profile.cache_misses * arch.dram_access_energy_nj
-        static_mj = arch.static_power_w * elapsed_ms / 1e3
-        return energy_nj / 1e6 + static_mj
-
-    def stall_summary(self, kernel_name: Optional[str] = None) -> Dict[str, float]:
-        """Average stall percentages across matching records."""
-        matching = [
-            r for r in self._records
-            if kernel_name is None or r.kernel_name == kernel_name
-        ]
-        if not matching:
-            return {"data_dependency": 0.0, "other": 0.0}
-        sums = {"data_dependency": 0.0, "other": 0.0}
-        for record in matching:
-            for reason, pct in record.profile.stall_breakdown().items():
-                sums[reason] += pct
-        return {reason: total / len(matching) for reason, total in sums.items()}

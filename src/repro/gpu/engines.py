@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional
 
 from ..obs import metrics as _obs_metrics
 from ..obs import tracer as _obs_trace
@@ -161,16 +161,6 @@ class Engine:
             if entry.start_ms < horizon
         )
         return busy / horizon
-
-    def idle_gaps(self) -> List[Tuple[float, float]]:
-        """(start, end) idle windows between completed operations."""
-        gaps: List[Tuple[float, float]] = []
-        cursor = 0.0
-        for entry in sorted(self.timeline, key=lambda e: e.start_ms):
-            if entry.start_ms > cursor:
-                gaps.append((cursor, entry.start_ms))
-            cursor = max(cursor, entry.end_ms)
-        return gaps
 
 
 class CopyEngine(Engine):

@@ -365,20 +365,6 @@ class KernelTimingModel:
         profile = self.execute(compiled, launch)
         return self.arch.kernel_launch_overhead_ms + profile.time_ms
 
-    # -- helpers -----------------------------------------------------------
-
-    def _memory_accesses(self, compiled: CompiledKernel, launch: LaunchConfig) -> float:
-        per_thread = compiled.per_thread_mix(launch.context())
-        return _accesses_from_mix(per_thread, launch.threads)
-
-    def _cache_behavior(
-        self, compiled: CompiledKernel, launch: LaunchConfig
-    ) -> cache_model.CacheBehavior:
-        accesses = self._memory_accesses(compiled, launch)
-        return cache_model.predict_behavior(
-            compiled.ir.footprint, self.arch.cache, accesses
-        )
-
 
 def _accesses_from_mix(per_thread: InstructionMix, threads: int) -> float:
     """Total memory accesses of a launch from its per-thread mix."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 
 class InstructionType(enum.Enum):
@@ -275,9 +275,6 @@ class KernelIR:
             raise ValueError(f"kernel {self.name!r} has no program blocks")
         if not self.signature:
             object.__setattr__(self, "signature", self.name)
-
-    def block_names(self) -> List[str]:
-        return [b.name for b in self.blocks]
 
     def per_thread_mix(self, ctx: LaunchContext) -> InstructionMix:
         """Dynamic per-thread instruction mix: sum over blocks of trips*mix."""

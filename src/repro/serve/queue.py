@@ -294,13 +294,3 @@ class ServiceQueue:
                             self._by_shim.pop(id(job.shim), None)
                         return job
         return None
-
-    def queued_jobs(self) -> List[ServiceJob]:
-        """Every queued job, in global admission order."""
-        with self._lock:
-            jobs = [j for pending in self._pending.values() for j in pending]
-            return sorted(jobs, key=lambda j: j.seq)
-
-    def running_jobs(self) -> List[ServiceJob]:
-        with self._lock:
-            return sorted(self._running.values(), key=lambda j: j.seq)

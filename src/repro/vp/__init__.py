@@ -1,4 +1,4 @@
-"""Virtual platform substrate: guest CPU, CUDA runtime, driver, emulation."""
+"""Virtual platform substrate: guest CPU, CUDA runtime, emulation."""
 
 from .cpu import (
     BINARY_TRANSLATION_SLOWDOWN,
@@ -15,11 +15,9 @@ from .cuda_runtime import (
     NativeGPUBackend,
     SigmaVPBackend,
 )
-from .driver import VirtualGPUDriver
 from .emulation import EMULATION_OPS, EmulationCost, GPUEmulator
 from .opencl_runtime import OpenCLRuntime
 from .platform import VirtualPlatform
-from .vgpu import VirtualEmbeddedGPU
 
 __all__ = [
     "AsyncResult",
@@ -37,7 +35,5 @@ __all__ = [
     "OpenCLRuntime",
     "QEMU_ARM_VP",
     "SigmaVPBackend",
-    "VirtualEmbeddedGPU",
-    "VirtualGPUDriver",
     "VirtualPlatform",
 ]

@@ -10,9 +10,9 @@ Applications are written once against :class:`CudaRuntime` and run
 unchanged on three backends — exactly the paper's binary-compatibility
 claim, transposed to this reproduction:
 
-* :class:`SigmaVPBackend` — the paper's contribution: requests travel
-  through the guest driver and virtual GPU model, across IPC, into the
-  host Job Queue, and execute on the (modelled) host GPU;
+* :class:`SigmaVPBackend` — the paper's contribution: each request is
+  charged the guest user-library and driver cost, crosses IPC into the
+  host Job Queue, and executes on the (modelled) host GPU;
 * :class:`EmulationBackend` — the slow baseline: kernels interpreted in
   software on the local CPU (host CPU or binary-translated VP);
 * :class:`NativeGPUBackend` — direct host-GPU execution with no VP in
@@ -24,6 +24,7 @@ All API methods are generators: application code drives them with
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..backend import ExecutionBackend, NumpyBackend
@@ -37,13 +38,19 @@ from ..kernels.ir import KernelIR
 from ..kernels.launch import LaunchConfig
 from ..sim import Environment
 from .cpu import GUEST_DRIVER_CALL_OPS
-from .driver import VirtualGPUDriver
 from .emulation import GPUEmulator
 from .platform import VirtualPlatform
-from .vgpu import VirtualEmbeddedGPU
 
 if TYPE_CHECKING:
     import numpy as np
+
+#: Guest ops spent in the GPU user library per intercepted call
+#: (argument marshalling before the driver crossing).
+USER_LIBRARY_CALL_OPS = GUEST_DRIVER_CALL_OPS / 3.0
+
+#: Guest ops spent inside the guest GPU driver per call (the ioctl-style
+#: kernel crossing, slowed by binary translation).
+DRIVER_CALL_OPS = GUEST_DRIVER_CALL_OPS - USER_LIBRARY_CALL_OPS
 
 #: Host-side CUDA call overhead for the native backend, in host CPU ops
 #: (a ~5 microsecond driver call on the Xeon).
@@ -212,10 +219,12 @@ class CudaBackend:
 class SigmaVPBackend(CudaBackend):
     """Forward every request through the SigmaVP pipeline.
 
-    Guest path: user library -> virtual GPU driver -> virtual embedded
-    GPU -> IPC -> host Job Queue.  Synchronous calls wait for the host's
-    completion notification (one more IPC message); asynchronous calls
-    return immediately and are settled by ``synchronize``.
+    Guest path (paper Fig. 2): user library -> guest GPU driver ->
+    virtual embedded GPU -> IPC -> host Job Queue.  The two guest layers
+    are a cost model, so :meth:`_submit` charges them as two named op
+    counts and hands the request to IPC.  Synchronous calls wait for the
+    host's completion notification (one more IPC message); asynchronous
+    calls return immediately and are settled by ``synchronize``.
     """
 
     def __init__(
@@ -235,26 +244,39 @@ class SigmaVPBackend(CudaBackend):
         self.exec_backend = (
             exec_backend if exec_backend is not None else NumpyBackend()
         )
-        self.vgpu = VirtualEmbeddedGPU(vp, ipc)
-        self.driver = VirtualGPUDriver(vp, self.vgpu)
+        #: Per-VP sequence numbers: the partial-order stamp the
+        #: Re-scheduler must preserve.
+        self._seq = itertools.count()
         self._outstanding: List[Job] = []
 
     def _job(self, kind: JobKind, sync: bool, **fields) -> Job:
         return Job(
             vp=self.vp.name,
-            seq=self.vgpu.next_seq(),
+            seq=next(self._seq),
             kind=kind,
             completion=self.env.event(),
             sync=sync,
             **fields,
         )
 
+    def _submit(self, job: Job, payload_bytes: int = 0):
+        """Generator: carry one request from the guest into the host Job Queue.
+
+        Waits while the VP is stopped, charges the user-library and
+        driver ops on the VP's CPU, then sends ``job`` over IPC.  The
+        guest time and the send share one timeout: the send starts when
+        the guest path ends.
+        """
+        yield from self.vp.gate()
+        guest_ms = self.vp.charge_ops(USER_LIBRARY_CALL_OPS + DRIVER_CALL_OPS)
+        yield from self.ipc.submit(job, payload_bytes=payload_bytes, after_ms=guest_ms)
+
     def malloc(self, nbytes: int):
         if nbytes <= 0:
             raise ValueError(f"allocation size must be positive, got {nbytes}")
         handle = self.handles.new_handle(self.vp.name)
         job = self._job(JobKind.MALLOC, sync=False, size=nbytes, handle=handle)
-        yield from self.driver.submit(job)
+        yield from self._submit(job)
         # Per-VP ordering guarantees the binding exists before first use,
         # so the guest need not block on the round trip.
         self._outstanding.append(job)
@@ -262,7 +284,7 @@ class SigmaVPBackend(CudaBackend):
 
     def free(self, handle: str):
         job = self._job(JobKind.FREE, sync=False, handle=handle)
-        yield from self.driver.submit(job)
+        yield from self._submit(job)
         self._outstanding.append(job)
 
     def memcpy_h2d(self, handle: str, data: "np.ndarray", sync: bool):
@@ -274,7 +296,7 @@ class SigmaVPBackend(CudaBackend):
             nbytes=int(data.nbytes),
             host_data=data,
         )
-        yield from self.driver.submit(job, payload_bytes=int(data.nbytes))
+        yield from self._submit(job, payload_bytes=int(data.nbytes))
         if sync:
             yield job.completion
             yield from self.ipc.respond(vp=self.vp.name)
@@ -293,7 +315,7 @@ class SigmaVPBackend(CudaBackend):
         )
         if job.nbytes == 0 and handle in self.handles:
             job.nbytes = self.handles.buffer(handle).size
-        yield from self.driver.submit(job)
+        yield from self._submit(job)
         if sync:
             yield job.completion
             yield from self.ipc.respond(payload_bytes=job.nbytes, vp=self.vp.name)
@@ -311,7 +333,7 @@ class SigmaVPBackend(CudaBackend):
             out_handle=out,
             params=params,
         )
-        yield from self.driver.submit(job)
+        yield from self._submit(job)
         if sync:
             yield job.completion
             yield from self.ipc.respond(vp=self.vp.name)
@@ -331,7 +353,7 @@ class SigmaVPBackend(CudaBackend):
         """Enqueue a record marker; per-VP order timestamps it after all
         previously submitted work."""
         job = self._job(JobKind.EVENT, sync=False, sink=event._record)
-        yield from self.driver.submit(job)
+        yield from self._submit(job)
         self._outstanding.append(job)
 
     def event_synchronize(self, event):

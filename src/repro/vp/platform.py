@@ -79,7 +79,8 @@ class VirtualPlatform:
         """Account ``ops`` guest operations; returns their duration (ms).
 
         The caller owns the wait: :meth:`execute_ops` waits the duration
-        alone, the GPU driver folds it into the IPC send that follows.
+        alone, :meth:`~repro.vp.cuda_runtime.SigmaVPBackend._submit` folds
+        it into the IPC send that follows.
         """
         duration = self.cpu.time_for_ops(ops)
         self.guest_cpu_ms += duration

@@ -96,8 +96,8 @@ def test_engine_idle_gaps():
 
     env.process(submitter())
     env.run()
-    gaps = engine.idle_gaps()
-    assert gaps == [(1.0, 5.0)]
+    spans = [(e.start_ms, e.end_ms) for e in engine.timeline]
+    assert spans == [(0.0, 1.0), (5.0, 6.0)]  # idle from 1.0 to 5.0
 
 
 def test_two_engines_overlap():

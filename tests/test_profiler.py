@@ -1,4 +1,4 @@
-"""Tests for the Profiler's aggregations."""
+"""Tests for the Profiler's lookups and aggregations."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.core.profiler import Profiler
 from repro.gpu import QUADRO_4000
 from repro.gpu.timing import KernelTimingModel
 from repro.kernels import (
-    InstructionType,
     KernelCompiler,
     LaunchConfig,
     MemoryFootprint,
@@ -68,18 +67,6 @@ def test_records_for_filters_by_kernel():
     assert len(profiler.records_for("b")) == 1
 
 
-def test_total_sigma_accumulates():
-    env = Environment()
-    profiler = Profiler()
-    p1 = _profile("k")
-    profiler.record(_job(env), p1)
-    profiler.record(_job(env), p1)
-    totals = profiler.total_sigma("k")
-    assert totals[InstructionType.FP32] == pytest.approx(
-        2 * p1.sigma[InstructionType.FP32]
-    )
-
-
 def test_total_elapsed_cycles():
     env = Environment()
     profiler = Profiler()
@@ -90,20 +77,6 @@ def test_total_elapsed_cycles():
         2 * p.elapsed_cycles
     )
     assert profiler.total_elapsed_cycles("ghost") == 0.0
-
-
-def test_stall_summary_averages():
-    env = Environment()
-    profiler = Profiler()
-    profiler.record(_job(env), _profile("k"))
-    summary = profiler.stall_summary("k")
-    assert set(summary) == {"data_dependency", "other"}
-    assert all(0 <= v <= 100 for v in summary.values())
-
-
-def test_stall_summary_empty():
-    profiler = Profiler()
-    assert profiler.stall_summary() == {"data_dependency": 0.0, "other": 0.0}
 
 
 def test_coalesced_member_count_recorded():

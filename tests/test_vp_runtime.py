@@ -16,6 +16,7 @@ from repro.sim import Environment
 from repro.vp import (
     CudaRuntime,
     EmulationBackend,
+    GUEST_DRIVER_CALL_OPS,
     HOST_XEON,
     NativeGPUBackend,
     QEMU_ARM_VP,
@@ -170,6 +171,52 @@ def _sigma_setup():
     ipc.vp_control.register(vp)
     api = CudaRuntime(SigmaVPBackend(env, vp, ipc, handles))
     return env, gpu, vp, api
+
+
+def test_sigma_guest_path_gates_charges_and_stamps_seq():
+    """Each SigmaVP call waits out a stop, charges the guest library and
+    driver ops on the VP's CPU, then crosses IPC into the Job Queue."""
+    env = Environment()
+    queue = JobQueue(env)
+    ipc = IPCManager(env, queue, transport=SHARED_MEMORY)
+    arrivals = []
+    queue.on_put = lambda job: arrivals.append(
+        (job.vp, job.seq, env.now, vps[job.vp].guest_cpu_ms)
+    )
+    vps = {name: VirtualPlatform(env, name) for name in ("vp0", "vp1")}
+    data = np.zeros(128)
+
+    def app(api):
+        def run():
+            handle = yield from api.malloc(data.nbytes)
+            yield from api.memcpy_h2d(handle, data, sync=False)
+            yield from api.free(handle)
+
+        return run
+
+    for vp in vps.values():
+        vp.run_app(app(CudaRuntime(SigmaVPBackend(env, vp, ipc, HandleTable()))))
+    vps["vp0"].stop()
+
+    def resumer():
+        yield env.timeout(5.0)
+        vps["vp0"].resume()
+
+    env.process(resumer())
+    env.run()
+
+    guest_ms = vps["vp0"].cpu.time_for_ops(GUEST_DRIVER_CALL_OPS)
+    transfer = SHARED_MEMORY.transfer_ms
+    payloads = (0, data.nbytes, 0)
+    for name, start in (("vp0", 5.0), ("vp1", 0.0)):
+        mine = [a for a in arrivals if a[0] == name]
+        assert [seq for _, seq, _, _ in mine] == [0, 1, 2]
+        now, charged = start, 0.0
+        for (_, _, at, cpu_ms), payload in zip(mine, payloads):
+            now = (now + guest_ms) + transfer(payload)
+            charged += guest_ms
+            assert at == now
+            assert cpu_ms == charged
 
 
 def test_sigma_backend_functional():
