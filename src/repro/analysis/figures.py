@@ -16,8 +16,8 @@ names its transport, so a series takes only the transports of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from ..core.ipc import IPCTransport, SHARED_MEMORY, TRANSPORTS
 from ..exec import jobs as farm_jobs

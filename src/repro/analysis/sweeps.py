@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..core.estimation import ExecutionAnalyzer
-from ..gpu.arch import CacheGeometry, GPUArchitecture, QUADRO_4000, TEGRA_K1
+from ..gpu.arch import GPUArchitecture, QUADRO_4000, TEGRA_K1
 from ..kernels.compiler import KernelCompiler
 from ..workloads.base import WorkloadSpec
 

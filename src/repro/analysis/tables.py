@@ -7,7 +7,7 @@ with the native-GPU run as the ratio base.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..core.scenarios import (
     run_c_program,

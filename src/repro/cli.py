@@ -55,7 +55,7 @@ from .analysis import (
 )
 from .analysis.timeline import collect_timeline, render_gantt
 from .api import RequestError
-from .gpu.arch import CATALOG, GRID_K520, QUADRO_4000, TEGRA_K1
+from .gpu.arch import GRID_K520, QUADRO_4000, TEGRA_K1
 from .workloads import SUITE, get_workload
 
 

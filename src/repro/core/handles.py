@@ -10,7 +10,7 @@ noticing.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+from typing import Dict
 
 from ..gpu.memory import DeviceBuffer
 

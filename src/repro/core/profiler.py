@@ -53,23 +53,8 @@ class Profiler:
     def records(self) -> List[ProfileRecord]:
         return list(self._records)
 
-    def kernels_profiled(self) -> List[str]:
-        return sorted({r.kernel_name for r in self._records})
-
-    def records_for(self, kernel_name: str) -> List[ProfileRecord]:
-        return [r for r in self._records if r.kernel_name == kernel_name]
-
     def last_profile(self, kernel_name: Optional[str] = None) -> Optional[ExecutionProfile]:
         for record in reversed(self._records):
             if kernel_name is None or record.kernel_name == kernel_name:
                 return record.profile
         return None
-
-    # -- aggregations ------------------------------------------------------
-
-    def total_elapsed_cycles(self, kernel_name: Optional[str] = None) -> float:
-        return sum(
-            r.profile.elapsed_cycles
-            for r in self._records
-            if kernel_name is None or r.kernel_name == kernel_name
-        )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from ..caching import caches_enabled, register_cache_clearer
 from ..obs import metrics as _obs_metrics

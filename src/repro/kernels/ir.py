@@ -14,9 +14,8 @@ Instruction types follow the paper's Eq. (1) taxonomy:
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 
 class InstructionType(enum.Enum):

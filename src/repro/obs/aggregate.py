@@ -23,10 +23,9 @@ Everything operates on plain payload dicts (duck-typed against
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .export import TracePayload
-from .tracer import INSTANT_FIELDS, SPAN_FIELDS
 
 
 def rebase_payloads(

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
 from ..kernels.ir import KernelIR, ceil_div
 from ..kernels.launch import LaunchConfig
-from .cuda_runtime import AsyncResult, CudaBackend, InterceptingRuntime
+from .cuda_runtime import CudaBackend, InterceptingRuntime
 
 if TYPE_CHECKING:
     import numpy as np

@@ -31,9 +31,22 @@ from ..vp.cuda_runtime import CudaRuntime
 InputFactory = Callable[[np.random.Generator, int, "WorkloadSpec"], np.ndarray]
 
 
+def uniform(
+    rng: np.random.Generator, shape, lo: float = -1.0, hi: float = 1.0, dtype=np.float32
+) -> np.ndarray:
+    """Values uniform on ``[lo, hi)``, drawn directly in ``dtype``.
+
+    One array, scaled in place: no float64 draw and cast, whose extra
+    temporary costs as much as the draw itself.
+    """
+    values = rng.random(shape, dtype=dtype)
+    values *= hi - lo
+    values += lo
+    return values
+
+
 def _default_input(rng: np.random.Generator, index: int, spec: "WorkloadSpec") -> np.ndarray:
-    dtype = np.float64 if spec.element_bytes == 8 else np.float32
-    return rng.standard_normal(spec.elements).astype(dtype)
+    return uniform(rng, spec.elements, dtype=np.float64 if spec.element_bytes == 8 else np.float32)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,11 @@ import numpy as np
 
 from ..kernels.functional import functional_kernel
 from ..kernels.ir import MemoryFootprint, uniform_kernel
-from .base import WorkloadSpec
+from .base import WorkloadSpec, uniform
 
 _BS_OPTIONS = 4_000_000
+#: Spot, strike and years-to-expiry ranges: all positive, as log and sqrt need.
+_BS_RANGES = ((5.0, 30.0), (1.0, 100.0), (0.25, 10.0))
 
 BLACK_SCHOLES = WorkloadSpec(
     name="BlackScholes",
@@ -47,13 +49,7 @@ BLACK_SCHOLES = WorkloadSpec(
     sync_every=16,
     c_ops=_BS_OPTIONS * 180.0 * 16,
     params={"riskfree": 0.02, "volatility": 0.30},
-    input_factory=lambda rng, i, spec: (
-        rng.uniform(5.0, 30.0, spec.elements).astype(np.float32)
-        if i == 0
-        else rng.uniform(1.0, 100.0, spec.elements).astype(np.float32)
-        if i == 1
-        else rng.uniform(0.25, 10.0, spec.elements).astype(np.float32)
-    ),
+    input_factory=lambda rng, i, spec: uniform(rng, spec.elements, *_BS_RANGES[i]),
     description="Black-Scholes option pricing: FP32-saturated, best case",
 )
 
@@ -88,6 +84,8 @@ MONTE_CARLO = WorkloadSpec(
     noncuda_ops=6.0e7,
     c_ops=_MC_PATHS * 110.0 * 20,
     params={"strike": 25.0, "riskfree": 0.02},
+    # Spot prices in BlackScholes's range, so some paths end in the money.
+    input_factory=lambda rng, i, spec: uniform(rng, spec.elements, *_BS_RANGES[0]),
     description="Monte Carlo option pricing: FP-heavy but file-I/O bound",
 )
 

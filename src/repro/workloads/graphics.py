@@ -21,7 +21,7 @@ from ..kernels.ir import (
     ProgramBlock,
     uniform_kernel,
 )
-from .base import WorkloadSpec
+from .base import WorkloadSpec, uniform
 
 _MESH = 512  # simpleGL vertex mesh edge
 
@@ -166,9 +166,7 @@ NBODY = WorkloadSpec(
     sync_every=1,
     noncuda_ops=8.0e7,  # OpenGL particle rendering
     c_ops=float(_NBODY_N) * _NBODY_N * 22.0 * 40 / 1000.0,
-    input_factory=lambda rng, i, spec: rng.standard_normal(
-        (spec.elements, 4)
-    ).astype(np.float32),
+    input_factory=lambda rng, i, spec: uniform(rng, (spec.elements, 4)),
     description="all-pairs N-body: FP32-dense, OpenGL-bound, non-coalescible",
 )
 
@@ -197,9 +195,7 @@ SMOKE_PARTICLES = WorkloadSpec(
     sync_every=1,
     noncuda_ops=8.0e7,  # OpenGL smoke shading
     c_ops=262144 * 220.0 * 60,
-    input_factory=lambda rng, i, spec: rng.standard_normal(
-        (spec.elements, 8)
-    ).astype(np.float32),
+    input_factory=lambda rng, i, spec: uniform(rng, (spec.elements, 8)),
     description="particle simulation with depth-sorted shading via OpenGL",
 )
 

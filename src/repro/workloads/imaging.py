@@ -16,7 +16,7 @@ import numpy as np
 
 from ..kernels.functional import functional_kernel
 from ..kernels.ir import MemoryFootprint, uniform_kernel
-from .base import WorkloadSpec
+from .base import WorkloadSpec, uniform
 
 _IMG = 2048  # square image edge for the 2D filters
 
@@ -24,7 +24,7 @@ _IMG_ELEMENTS = _IMG * _IMG
 
 
 def _image_input(rng: np.random.Generator, index: int, spec: WorkloadSpec) -> np.ndarray:
-    return rng.uniform(0.0, 255.0, (_IMG, _IMG)).astype(np.float32)
+    return uniform(rng, (_IMG, _IMG), 0.0, 255.0)
 
 
 DCT8X8 = WorkloadSpec(

@@ -20,7 +20,7 @@ from ..kernels.ir import (
     ProgramBlock,
     uniform_kernel,
 )
-from .base import WorkloadSpec
+from .base import WorkloadSpec, uniform
 
 # ---------------------------------------------------------------------------
 # matrixMul: 320x320 FP64, shared-memory tiled (16-wide tiles).
@@ -67,7 +67,7 @@ def _matrixmul_kernel() -> KernelIR:
 
 
 def _matrix_input(rng: np.random.Generator, index: int, spec: WorkloadSpec) -> np.ndarray:
-    return rng.standard_normal((MATRIX_N, MATRIX_N))
+    return uniform(rng, (MATRIX_N, MATRIX_N), dtype=np.float64)
 
 
 MATRIX_MUL = WorkloadSpec(
@@ -178,9 +178,7 @@ TRANSPOSE = WorkloadSpec(
     streaming=True,
     sync_every=40,
     c_ops=_TRANSPOSE_N * _TRANSPOSE_N * 4.0 * 40,
-    input_factory=lambda rng, i, spec: rng.standard_normal(
-        (_TRANSPOSE_N, _TRANSPOSE_N)
-    ).astype(np.float32),
+    input_factory=lambda rng, i, spec: uniform(rng, (_TRANSPOSE_N, _TRANSPOSE_N)),
     description="matrix transpose: memory-bound, no floating point",
 )
 

@@ -530,3 +530,58 @@ def test_coalesced_outputs_match_uncoalesced_across_iterations(
     assert len(coalesced) == len(reference) == n_vps
     for got, want in zip(coalesced, reference):
         np.testing.assert_equal(got, want)
+
+
+#: sha256 of the four VPs' output bytes (VP order) for the apps whose
+#: every op is integer or exactly rounded (a float32 add), so any host
+#: gives the same bytes.
+EXACT_OUTPUT_PINS = {
+    "vectorAdd": "02643dc9978ceacc28b3005e953a71cff70fbacb83ae1730f1172cf82dc3ea35",
+    "mergeSort": "1e22d2510dc42f8024ed6a5fb1ae7df8a0c7f3b625d73df380598a24537ca328",
+    "histogram": "a5dc09fb6288a38c2eeac7b7d0313da663ede0a1f78b99bb9817bc3b0a94c144",
+}
+
+#: Each VP's output L2 norm for the apps whose values depend on numpy's
+#: SIMD transcendentals (exp, log, sin, cos, sqrt), on BLAS (matrixMul)
+#: or on a SIMD summation order (reduction, scalarProd, the norm
+#: itself): a few ulps may differ across hosts, so they are compared
+#: with ``OUTPUT_NORM_RTOL``.
+OUTPUT_NORM_PINS = {
+    "BlackScholes": (387.46764, 385.615045, 367.973488, 375.190651),
+    "MonteCarlo": (1391.740648, 1591.79438, 1490.637739, 1497.554872),
+    "simpleGL": (38.629604, 38.755986, 38.85662, 39.016299),
+    "matrixMul": (1902.070823, 1911.981517, 1905.538908, 1913.887249),
+    "physxParticles": (90.357529, 90.631024, 91.029039, 90.958982),
+    "reduction": (30.604713, 37.748981, 22.318729, 59.442356),
+    "scalarProd": (23.156006, 21.942186, 21.043529, 19.890963),
+}
+OUTPUT_NORM_RTOL = 1e-5
+
+
+@pytest.mark.parametrize("backend_name", ["numpy", "recording"])
+@pytest.mark.parametrize("app", FUNCTIONAL_APPS)
+def test_pinned_functional_outputs(app, backend_name):
+    """Four coalesced VPs, two iterations, 4096 elements: each VP's
+    output values are pinned, on the default backend and the injected
+    double.  No scenario digest sees a value, so these pins are what
+    catches a changed input draw or kernel."""
+    import hashlib
+
+    import numpy as np
+
+    from repro.backend import NumpyBackend
+    from repro.core.scenarios import run_sigma_vp
+    from repro.workloads import get_workload
+    from tests.backend_doubles import Recording
+
+    backend = {"numpy": NumpyBackend, "recording": Recording}[backend_name]
+    spec = get_workload(app).scaled_to(4096, iterations=2)
+    result = run_sigma_vp(spec, n_vps=4, coalescing=True, functional=True, backend=backend)
+    framework = result.extras["framework"]
+    outputs = [framework.session(name).processes[0].value for name in sorted(framework.sessions)]
+    if app in EXACT_OUTPUT_PINS:
+        digest = hashlib.sha256(b"".join(out.tobytes() for out in outputs)).hexdigest()
+        assert digest == EXACT_OUTPUT_PINS[app]
+    else:
+        norms = [np.linalg.norm(out.astype(np.float64)) for out in outputs]
+        np.testing.assert_allclose(norms, OUTPUT_NORM_PINS[app], rtol=OUTPUT_NORM_RTOL)

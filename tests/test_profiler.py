@@ -1,6 +1,4 @@
-"""Tests for the Profiler's lookups and aggregations."""
-
-import pytest
+"""Tests for the Profiler's records and lookups."""
 
 from repro.core.jobs import Job, JobKind
 from repro.core.profiler import Profiler
@@ -43,7 +41,7 @@ def test_record_and_lookup():
     record = profiler.record(_job(env), _profile("alpha"))
     assert record.kernel_name == "alpha"
     assert len(profiler) == 1
-    assert profiler.kernels_profiled() == ["alpha"]
+    assert [r.kernel_name for r in profiler.records] == ["alpha"]
     assert profiler.last_profile("alpha") is record.profile
     assert profiler.last_profile("ghost") is None
 
@@ -55,28 +53,6 @@ def test_last_profile_returns_latest():
     second = profiler.record(_job(env), _profile("k", fp32=9.0))
     assert profiler.last_profile("k") is second.profile
     assert profiler.last_profile() is second.profile
-
-
-def test_records_for_filters_by_kernel():
-    env = Environment()
-    profiler = Profiler()
-    profiler.record(_job(env), _profile("a"))
-    profiler.record(_job(env), _profile("b"))
-    profiler.record(_job(env), _profile("a"))
-    assert len(profiler.records_for("a")) == 2
-    assert len(profiler.records_for("b")) == 1
-
-
-def test_total_elapsed_cycles():
-    env = Environment()
-    profiler = Profiler()
-    p = _profile("k")
-    profiler.record(_job(env), p)
-    profiler.record(_job(env), p)
-    assert profiler.total_elapsed_cycles("k") == pytest.approx(
-        2 * p.elapsed_cycles
-    )
-    assert profiler.total_elapsed_cycles("ghost") == 0.0
 
 
 def test_coalesced_member_count_recorded():

@@ -226,6 +226,71 @@ def test_input_geometry_is_seed_independent(name):
     assert [(a.shape, a.dtype) for a in first] == [(a.shape, a.dtype) for a in second]
 
 
+#: ``build_inputs`` dtypes and shapes at ``scaled_to(4096)``.  The timing
+#: model reads only ``nbytes``, so a factory that changes either moves a
+#: digest with no other trace; this table names the app instead.  Apps
+#: with fixed-size inputs (images, matrices, volumes) keep full shapes.
+INPUT_GEOMETRY = {
+    "simpleGL": [("float64", (4096,))],
+    "Mandelbrot": [],
+    "marchingCubes": [("uint8", (4096,))],
+    "bicubicTexture": [("float32", (2048, 2048))],
+    "VolumeFiltering": [("uint8", (16777216,))],
+    "recursiveGaussian": [("float32", (2048, 2048))],
+    "SobelFilter": [("uint8", (2048, 2048))],
+    "stereoDisparity": [("int32", (4096,))] * 2,
+    "convolutionSeparable": [("float32", (2048, 2048))],
+    "dct8x8": [("float32", (2048, 2048))],
+    "BlackScholes": [("float32", (4096,))] * 3,
+    "MonteCarlo": [("float32", (4096,))],
+    "matrixMul": [("float64", (320, 320))] * 2,
+    "mergeSort": [("int32", (4096,))],
+    "nbody": [("float32", (4096, 4))],
+    "smokeParticles": [("float32", (4096, 8))],
+    "segmentationTreeThrust": [("float32", (4096, 3))],
+    "vectorAdd": [("float32", (4096,))] * 2,
+    "scalarProd": [("float32", (4096,))] * 2,
+    "transpose": [("float32", (2048, 2048))],
+    "reduction": [("float32", (4096,))],
+    "histogram": [("uint8", (4096,))],
+    "physxParticles": [("float32", (4096, 4))],
+}
+
+
+def test_input_geometry_table_covers_the_catalog():
+    assert set(INPUT_GEOMETRY) == set(SUITE)
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_GEOMETRY))
+def test_input_geometry_is_pinned(name):
+    inputs = SUITE[name].scaled_to(4096).build_inputs(0)
+    assert [(a.dtype.name, a.shape) for a in inputs] == INPUT_GEOMETRY[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n, g in INPUT_GEOMETRY.items() if g))
+def test_seeds_draw_different_inputs(name):
+    """VP *i* draws from seed *i*; members must hold different data, or
+    the coalesced-versus-uncoalesced check cannot see a mixed-up member."""
+    spec = SUITE[name].scaled_to(4096)
+    for first, second in zip(spec.build_inputs(0), spec.build_inputs(1)):
+        assert not np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("name", ["BlackScholes", "MonteCarlo"])
+def test_pricing_inputs_lie_in_the_kernel_domain(name):
+    """BlackScholes's ``log(spot / strike)`` and ``sqrt(years)`` need all
+    three inputs positive; MonteCarlo's inputs are spot prices too."""
+    for seed in (0, 1):
+        for array in SUITE[name].scaled_to(65536).build_inputs(seed):
+            assert array.min() > 0
+
+
+def test_physx_particles_start_above_the_ground_plane():
+    for seed in (0, 1):
+        (state,) = SUITE["physxParticles"].scaled_to(65536).build_inputs(seed)
+        assert state[:, 1].min() >= 0.5
+
+
 def test_shared_inputs_only_for_an_empty_registry():
     from repro.core.scenarios import NULL_REGISTRY
     from repro.workloads.base import shared_inputs
