@@ -10,8 +10,8 @@ Public API highlights:
 * :class:`repro.core.SigmaVP` — the framework: attach VPs, run workloads.
 * :mod:`repro.core.scenarios` — the comparative execution routes.
 * :class:`repro.core.ExecutionAnalyzer` — target time/power estimation.
-* :mod:`repro.sched` — the pluggable dispatch pipeline (policies,
-  placements, :class:`~repro.sched.SchedulerConfig`).
+* :mod:`repro.sched` — the dispatch pipeline and its policies and
+  placements, picked by name.
 * :data:`repro.workloads.SUITE` — the CUDA-SDK-style benchmark suite.
 """
 
@@ -26,7 +26,6 @@ from .core import (
     run_native_gpu,
     run_sigma_vp,
 )
-from .sched import SchedulerConfig
 from .gpu import GRID_K520, HostGPU, QUADRO_4000, TEGRA_K1, get_architecture
 from .kernels import KernelIR, LaunchConfig, MemoryFootprint, uniform_kernel
 from .sim import Environment
@@ -49,7 +48,6 @@ __all__ = [
     "QUADRO_4000",
     "SUITE",
     "ScenarioResult",
-    "SchedulerConfig",
     "SigmaVP",
     "TEGRA_K1",
     "TimingEstimate",

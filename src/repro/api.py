@@ -119,8 +119,8 @@ class RunRequest:
     scale_iterations: Optional[int] = None
     #: Execute kernels numerically (numpy) instead of timing-only.
     functional: bool = False
-    #: Registered scheduling policy / placement names (``repro
-    #: policies``); ``None`` keeps the legacy derived defaults.
+    #: Scheduling policy / placement names (``repro policies``);
+    #: ``None`` keeps the legacy derived defaults.
     policy: Optional[str] = None
     placement: Optional[str] = None
     #: Service routing (never part of scenario identity): the tenant a
@@ -138,15 +138,15 @@ class RunRequest:
                 f"build speaks schema {SCHEMA_VERSION}",
             )
         from .core.ipc import TRANSPORTS
-        from .sched import available_placements, available_policies
+        from .sched import PLACEMENTS, POLICIES
         from .workloads.catalog import SUITE
 
         _check_name("app", self.app, SUITE)
         _check_name("transport", self.transport, TRANSPORTS)
         if self.policy is not None:
-            _check_name("policy", self.policy, dict(available_policies()))
+            _check_name("policy", self.policy, POLICIES)
         if self.placement is not None:
-            _check_name("placement", self.placement, dict(available_placements()))
+            _check_name("placement", self.placement, PLACEMENTS)
         for name, minimum in (("n_vps", 1), ("n_host_gpus", 1), ("max_batch", 1)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < minimum:

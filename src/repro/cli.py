@@ -23,8 +23,8 @@ Commands:
 * ``submit APP [options]``       — submit one scenario to a running
                                    daemon and (by default) wait for
                                    its result
-* ``policies``                   — list registered scheduling policies
-                                   and placement strategies
+* ``policies``                   — list the scheduling policies and
+                                   placement strategies by name
 
 ``run``, ``trace``, ``metrics``, ``account``, and ``submit`` accept
 ``--policy`` / ``--placement`` to swap the scheduling pipeline's
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "policies",
-        help="list registered scheduling policies and placement strategies",
+        help="list the scheduling policies and placement strategies by name",
     )
 
     trace = _scenario_options(sub.add_parser(
@@ -533,17 +533,17 @@ def _cmd_validate(apps: List[str]) -> int:
 
 
 def _cmd_policies() -> None:
-    from .sched import available_placements, available_policies
+    from .sched import PLACEMENTS, POLICIES
 
     print(render_table(
         ["Policy", "Description"],
-        available_policies(),
+        [(name, POLICIES[name].description) for name in sorted(POLICIES)],
         title="Scheduling policies (select stage)",
     ))
     print()
     print(render_table(
         ["Placement", "Description"],
-        available_placements(),
+        [(name, PLACEMENTS[name].description) for name in sorted(PLACEMENTS)],
         title="Placement strategies (place stage)",
     ))
     print()

@@ -39,12 +39,8 @@ from ..gpu.engines import Engine
 from ..kernels.functional import REGISTRY, FunctionalRegistry
 from ..obs import metrics as _obs_metrics
 from ..obs import tracer as _obs_trace
+from ..sched import backlog as _backlog
 from ..sched.backlog import EngineBacklog, engine_role
-from ..sched.config import (
-    DEFAULT_HOST_CALL_MS,
-    DEFAULT_PROFILING_OVERHEAD_MS,
-    SchedulerConfig,
-)
 from ..sched.pipeline import SchedulerPipeline
 from ..sched.placement import PlacementStrategy, RoundRobinPlacement
 from ..sched.policies import SchedulingPolicy
@@ -53,15 +49,6 @@ from .coalescing import KernelCoalescer
 from .handles import HandleTable
 from .jobs import Job, JobKind, JobQueue
 from .profiler import Profiler
-
-#: Default host-side time to service a malloc/free request — kept as a
-#: module name for backward compatibility; the live value is
-#: ``SchedulerConfig.host_call_ms``.
-HOST_CALL_MS = DEFAULT_HOST_CALL_MS
-
-#: Default host-side profiling cost charged per kernel *job*; the live
-#: value is ``SchedulerConfig.profiling_overhead_ms``.
-PROFILING_OVERHEAD_MS = DEFAULT_PROFILING_OVERHEAD_MS
 
 
 class ServiceMode(enum.Enum):
@@ -77,9 +64,6 @@ class DispatchStats:
         default_factory=lambda: {kind: 0 for kind in JobKind}
     )
     completed: int = 0
-
-    def total_dispatched(self) -> int:
-        return sum(self.dispatched.values())
 
 
 class JobDispatcher:
@@ -98,7 +82,6 @@ class JobDispatcher:
         profiler: Optional[Profiler] = None,
         extra_gpus: Optional[List[HostGPU]] = None,
         placement: Optional[PlacementStrategy] = None,
-        config: Optional[SchedulerConfig] = None,
         backend: Optional[ExecutionBackend] = None,
     ):
         self.env = env
@@ -117,8 +100,7 @@ class JobDispatcher:
         #: (launches, H2D/D2H payload movement).
         self.backend = backend if backend is not None else NumpyBackend(registry)
         self.profiler = profiler
-        self.config = config if config is not None else SchedulerConfig()
-        self.backlog = EngineBacklog(debug=self.config.debug_enabled)
+        self.backlog = EngineBacklog()
         #: The dispatch pipeline this executor consults (admission →
         #: hold → select, with placement).
         self.pipeline = SchedulerPipeline(
@@ -273,12 +255,12 @@ class JobDispatcher:
         if job.kind is JobKind.EVENT:
             return 0.0
         if job.kind in (JobKind.MALLOC, JobKind.FREE):
-            return self.config.host_call_ms
+            return _backlog.HOST_CALL_MS
         if job.is_copy:
             return gpu.arch.copy_time_ms(job.nbytes)
         assert job.is_kernel
         compiled = gpu.compiler.compile(job.kernel, gpu.arch)
-        return self.config.profiling_overhead_ms + gpu.timing.kernel_time_ms(
+        return _backlog.PROFILING_OVERHEAD_MS + gpu.timing.kernel_time_ms(
             compiled, job.launch
         )
 
@@ -306,7 +288,7 @@ class JobDispatcher:
             else:
                 # A record point (zero time) or a malloc/free host call.
                 done = self.env.timeout(
-                    0.0 if job.kind is JobKind.EVENT else self.config.host_call_ms
+                    0.0 if job.kind is JobKind.EVENT else _backlog.HOST_CALL_MS
                 )
         except BaseException as exc:
             self._fail(job, expected_ms, exc)

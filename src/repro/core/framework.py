@@ -27,8 +27,8 @@ from ..backend import ExecutionBackend, NumpyBackend
 from ..gpu.arch import GPUArchitecture, QUADRO_4000, TEGRA_K1
 from ..gpu.device import HostGPU
 from ..kernels.functional import REGISTRY, FunctionalRegistry
-from ..sched.config import SchedulerConfig
-from ..sched.registry import make_placement, make_policy
+from ..sched.placement import make_placement
+from ..sched.policies import make_policy
 from ..sim import Environment, Process
 from ..vp.cpu import CPUModel, QEMU_ARM_VP
 from ..vp.cuda_runtime import CudaRuntime, SigmaVPBackend
@@ -70,13 +70,13 @@ class SigmaVP:
         n_vps: int = 0,
         vp_cpu: CPUModel = QEMU_ARM_VP,
         n_host_gpus: int = 1,
-        sched: Optional[SchedulerConfig] = None,
+        policy: Optional[str] = None,
+        placement: Optional[str] = None,
         backend: Type[ExecutionBackend] = NumpyBackend,
     ):
         if n_host_gpus < 1:
             raise ValueError(f"n_host_gpus must be >= 1, got {n_host_gpus}")
         self.env = env or Environment()
-        self.sched = sched if sched is not None else SchedulerConfig()
         # One execution backend serves every GPU, the dispatcher and every
         # VP runtime; ``backend`` is the class, so tests can substitute a
         # subclass of the numpy backend.
@@ -121,25 +121,23 @@ class SigmaVP:
 
         # Interleaving = the optimized service discipline; without it the
         # prototype serves one request to completion at a time (the
-        # baseline of paper Figs. 3a and 9).  By default the policy
-        # follows the ``interleaving`` flag and placement is the legacy
-        # round-robin.
-        policy = make_policy(self.sched.resolve_policy(interleaving))
-        placement = make_placement(self.sched.placement)
+        # baseline of paper Figs. 3a and 9).  An unnamed policy follows
+        # the ``interleaving`` flag; an unnamed placement is round-robin.
+        if policy is None:
+            policy = "interleaving" if interleaving else "fifo"
         mode = ServiceMode.PIPELINED if interleaving else ServiceMode.SERIAL
         self.dispatcher = JobDispatcher(
             self.env,
             self.gpu,
             self.queue,
             self.handles,
-            policy=policy,
+            policy=make_policy(policy),
             mode=mode,
             coalescer=coalescer,
             registry=registry,
             profiler=self.profiler,
             extra_gpus=self.gpus[1:],
-            placement=placement,
-            config=self.sched,
+            placement=make_placement(placement or "round-robin"),
             backend=self.backend,
         )
         if coalescer is not None:

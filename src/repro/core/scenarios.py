@@ -21,7 +21,6 @@ from ..backend import ExecutionBackend, NumpyBackend
 from ..gpu.arch import GPUArchitecture, QUADRO_4000
 from ..gpu.device import HostGPU
 from ..kernels.functional import REGISTRY, FunctionalRegistry
-from ..sched.config import SchedulerConfig
 from ..sim import Environment
 from ..vp.cpu import CPUModel, HOST_XEON, QEMU_ARM_VP
 from ..vp.cuda_runtime import CudaRuntime, EmulationBackend, NativeGPUBackend
@@ -194,17 +193,14 @@ def run_sigma_vp(
     n_host_gpus: int = 1,
     policy: Optional[str] = None,
     placement: Optional[str] = None,
-    sched: Optional[SchedulerConfig] = None,
     backend: Type[ExecutionBackend] = NumpyBackend,
 ) -> ScenarioResult:
     """The SigmaVP pipeline (Table 1 row 4; Fig. 11 speedup lines).
 
-    ``policy``/``placement`` name registered scheduling stages (see
-    :func:`repro.sched.available_policies`); a full
-    :class:`~repro.sched.SchedulerConfig` can be passed as ``sched``
-    instead.  With neither, the legacy wiring applies (policy follows
-    ``interleaving``, placement is round-robin) and the scenario label —
-    part of the digest wire format — is unchanged.
+    ``policy``/``placement`` name scheduling stages (keys of
+    :data:`~repro.sched.POLICIES` / :data:`~repro.sched.PLACEMENTS`).
+    With neither named, or only the default round-robin placement, the
+    scenario label — part of the digest wire format — is the legacy one.
 
     ``backend`` is the execution-backend class, a test-substitution
     seam: backends are digest-interchangeable, so it never enters the
@@ -214,10 +210,6 @@ def run_sigma_vp(
         raise ValueError(f"n_vps must be positive, got {n_vps}")
     if functional:
         spec.check_functional()
-    if sched is None:
-        sched = SchedulerConfig.from_names(policy, placement)
-    elif policy is not None or placement is not None:
-        raise ValueError("pass either sched= or policy=/placement=, not both")
     framework = SigmaVP(
         host_arch=host_arch,
         transport=transport,
@@ -228,19 +220,21 @@ def run_sigma_vp(
         registry=_registry(functional),
         n_vps=n_vps,
         n_host_gpus=n_host_gpus,
-        sched=sched,
+        policy=policy,
+        placement=placement,
         backend=backend,
     )
     total = framework.run_workload(spec)
     sessions = [framework.session(n) for n in sorted(framework.sessions)]
     scenario = f"sigma-vp(interleave={interleaving}, coalesce={coalescing})"
-    if not sched.is_default_stages():
-        # Non-default stages are part of the scenario identity; default
-        # runs keep the legacy label so their digests stay bit-identical.
+    if policy is not None or placement not in (None, "round-robin"):
+        # Named stages are part of the scenario identity; default runs
+        # keep the legacy label so their digests stay bit-identical.
+        dispatcher = framework.dispatcher
         scenario = (
             f"sigma-vp(interleave={interleaving}, coalesce={coalescing}, "
-            f"policy={sched.resolve_policy(interleaving)}, "
-            f"placement={sched.placement})"
+            f"policy={dispatcher.policy.name}, "
+            f"placement={dispatcher.pipeline.placement.name})"
         )
     return ScenarioResult(
         scenario=scenario,

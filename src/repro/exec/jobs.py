@@ -56,7 +56,6 @@ def phase_point(
 ) -> float:
     """Total ms for a synthetic phase-loop fleet (scaling/ablation benches)."""
     from ..core.framework import SigmaVP
-    from ..sched.config import SchedulerConfig
     from ..workloads.synthetic import make_phase_workload
 
     spec = make_phase_workload(
@@ -68,7 +67,8 @@ def phase_point(
         interleaving=interleaving,
         coalescing=coalescing,
         transport=resolve_transport(transport),
-        sched=SchedulerConfig.from_names(policy, placement),
+        policy=policy,
+        placement=placement,
     )
     return framework.run_workload(spec)
 

@@ -1,4 +1,4 @@
-"""The scheduling layer: a pluggable dispatch pipeline.
+"""The scheduling layer: a staged dispatch pipeline.
 
 The paper's Re-scheduler and Kernel Coalescing decisions used to be
 smeared across the dispatcher, the rescheduler module, and the framework
@@ -12,25 +12,20 @@ explicit stages (see ``docs/SCHEDULING.md``):
   their group completes or the window expires (the coalescer merges
   ready groups before each decision);
 * **select** — the :class:`SchedulingPolicy` choosing among candidates
-  (FIFO, interleaving, SJF, fair-share, priority/deadline, or any
-  registered plugin);
+  (FIFO, interleaving, SJF, fair-share, priority/deadline);
 * **place** — the :class:`PlacementStrategy` binding VPs to host GPUs
   (round-robin or least-backlog).
 
-Policies and placements live in name-keyed registries
-(:func:`register_policy` / :func:`register_placement`); every
-registered implementation is exercised by the conformance suite in
-``tests/test_sched_conformance.py``, so plugins inherit the safety net
-(no job dropped or duplicated, per-VP partial order preserved,
-determinism under a fixed seed, backlog quiesces to exactly zero).
-
-A :class:`SchedulerConfig` carries the stage choices plus the host-side
-cost constants from the CLI through the scenario farm, the framework,
-and the dispatcher.
+Policies and placements are looked up by name in two tables,
+:data:`POLICIES` and :data:`PLACEMENTS`; the names come from
+``RunRequest.policy``/``placement`` (or ``--policy``/``--placement``).
+Every entry is exercised by the conformance suite in
+``tests/test_sched_conformance.py`` (no job dropped or duplicated,
+per-VP partial order preserved, determinism under a fixed seed, backlog
+quiesces to exactly zero).
 """
 
 from .backlog import EngineBacklog, engine_role
-from .config import SchedulerConfig
 from .pipeline import (
     AdmissionStage,
     Decision,
@@ -38,11 +33,14 @@ from .pipeline import (
     SchedulerPipeline,
 )
 from .placement import (
+    PLACEMENTS,
     LeastBacklogPlacement,
     PlacementStrategy,
     RoundRobinPlacement,
+    make_placement,
 )
 from .policies import (
+    POLICIES,
     CandidateIndex,
     FairSharePolicy,
     FIFOPolicy,
@@ -50,14 +48,7 @@ from .policies import (
     PriorityDeadlinePolicy,
     SchedulingPolicy,
     ShortestJobFirstPolicy,
-)
-from .registry import (
-    available_placements,
-    available_policies,
-    make_placement,
     make_policy,
-    register_placement,
-    register_policy,
 )
 
 __all__ = [
@@ -69,19 +60,16 @@ __all__ = [
     "FairSharePolicy",
     "InterleavingPolicy",
     "LeastBacklogPlacement",
+    "PLACEMENTS",
+    "POLICIES",
     "PlacementStage",
     "PlacementStrategy",
     "PriorityDeadlinePolicy",
     "RoundRobinPlacement",
-    "SchedulerConfig",
     "SchedulerPipeline",
     "SchedulingPolicy",
     "ShortestJobFirstPolicy",
-    "available_placements",
-    "available_policies",
     "engine_role",
     "make_placement",
     "make_policy",
-    "register_placement",
-    "register_policy",
 ]

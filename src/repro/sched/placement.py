@@ -11,11 +11,10 @@ out of the dispatcher's hardcoded round-robin.
 from __future__ import annotations
 
 import abc
-from typing import Dict
+from typing import Dict, Type
 
 from ..core.jobs import Job
 from .backlog import EngineBacklog
-from .registry import register_placement
 
 
 class PlacementStrategy(abc.ABC):
@@ -63,7 +62,6 @@ class PlacementStrategy(abc.ABC):
         return f"<{self.__class__.__name__} assigned={len(self._assigned)}>"
 
 
-@register_placement
 class RoundRobinPlacement(PlacementStrategy):
     """Cycle VPs across devices in first-use order (the legacy default)."""
 
@@ -74,7 +72,6 @@ class RoundRobinPlacement(PlacementStrategy):
         return len(self._assigned) % n_devices
 
 
-@register_placement
 class LeastBacklogPlacement(PlacementStrategy):
     """Bind a first-seen VP to the device with the least expected work.
 
@@ -95,3 +92,19 @@ class LeastBacklogPlacement(PlacementStrategy):
             range(n_devices),
             key=lambda idx: (backlog.for_device(idx), counts[idx], idx),
         )
+
+
+#: Every placement by name: the choices of ``--placement``,
+#: ``RunRequest.placement`` and ``repro policies``.
+PLACEMENTS: Dict[str, Type[PlacementStrategy]] = {
+    cls.name: cls for cls in (RoundRobinPlacement, LeastBacklogPlacement)
+}
+
+
+def make_placement(name: str) -> PlacementStrategy:
+    """A fresh placement strategy of the named kind."""
+    cls = PLACEMENTS.get(name)
+    if cls is None:
+        known = ", ".join(sorted(PLACEMENTS))
+        raise ValueError(f"unknown placement strategy {name!r} ({known})")
+    return cls()

@@ -8,8 +8,8 @@ structurally: policies only ever choose among each VP's *earliest*
 pending job (the dispatchable heads), so jobs of one VP can never be
 reordered against each other, while jobs of different VPs can.
 
-Every policy here is registered by name (see :mod:`repro.sched.registry`)
-and must hold the conformance invariants checked by
+Every policy here is listed by name in :data:`POLICIES` and must hold
+the conformance invariants checked by
 ``tests/test_sched_conformance.py``: pick only from the candidates it
 was given (or ``None``), deterministically under a fixed seed.
 
@@ -24,12 +24,15 @@ every head on every decision.  A policy that ranks some other way
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
 from ..core.jobs import Job, JobKind
-from .backlog import EngineBacklog, engine_role
-from .config import DEFAULT_HOST_CALL_MS, DEFAULT_PROFILING_OVERHEAD_MS
-from .registry import register_policy
+from .backlog import (
+    HOST_CALL_MS,
+    PROFILING_OVERHEAD_MS,
+    EngineBacklog,
+    engine_role,
+)
 
 #: Signature of the dispatcher's expected-duration oracle, attached to
 #: duration-aware policies via :meth:`SchedulingPolicy.attach`.
@@ -109,10 +112,10 @@ class SchedulingPolicy:
         if job.kind is JobKind.EVENT:
             return 0.0
         if job.kind in (JobKind.MALLOC, JobKind.FREE):
-            return DEFAULT_HOST_CALL_MS
+            return HOST_CALL_MS
         if job.is_copy:
             return job.nbytes / 1e6  # ~1 ms per MB
-        return DEFAULT_PROFILING_OVERHEAD_MS + 1.0
+        return PROFILING_OVERHEAD_MS + 1.0
 
     def __repr__(self) -> str:
         return f"<{self.__class__.__name__}>"
@@ -186,7 +189,6 @@ class CandidateIndex:
         return choice
 
 
-@register_policy
 class FIFOPolicy(SchedulingPolicy):
     """Arrival order — the unoptimized baseline (paper Fig. 3a)."""
 
@@ -197,7 +199,6 @@ class FIFOPolicy(SchedulingPolicy):
         return (job.job_id,)
 
 
-@register_policy
 class InterleavingPolicy(SchedulingPolicy):
     """Kernel Interleaving: keep both engines busy, rotate across VPs.
 
@@ -229,7 +230,6 @@ class InterleavingPolicy(SchedulingPolicy):
         self._last_served[job.vp] = self._serve_counter
 
 
-@register_policy
 class ShortestJobFirstPolicy(SchedulingPolicy):
     """Shortest expected job first (non-preemptive SJF).
 
@@ -246,7 +246,6 @@ class ShortestJobFirstPolicy(SchedulingPolicy):
         return (self.expected_ms(job), job.job_id)
 
 
-@register_policy
 class FairSharePolicy(SchedulingPolicy):
     """Deficit-round-robin fair share of dispatch time across VPs.
 
@@ -279,7 +278,6 @@ class FairSharePolicy(SchedulingPolicy):
         return choice
 
 
-@register_policy
 class PriorityDeadlinePolicy(SchedulingPolicy):
     """QoS tiers with per-tier latency budgets (earliest deadline first).
 
@@ -316,3 +314,26 @@ class PriorityDeadlinePolicy(SchedulingPolicy):
 
     def order_key(self, job: Job) -> OrderKey:
         return (self.deadline_ms(job), self._tier(job.vp), job.job_id)
+
+
+#: Every policy by name: the choices of ``--policy``, ``RunRequest.policy``
+#: and ``repro policies``.  A new policy is added here.
+POLICIES: Dict[str, Type[SchedulingPolicy]] = {
+    cls.name: cls
+    for cls in (
+        FIFOPolicy,
+        InterleavingPolicy,
+        ShortestJobFirstPolicy,
+        FairSharePolicy,
+        PriorityDeadlinePolicy,
+    )
+}
+
+
+def make_policy(name: str) -> SchedulingPolicy:
+    """A fresh policy of the named kind."""
+    cls = POLICIES.get(name)
+    if cls is None:
+        known = ", ".join(sorted(POLICIES))
+        raise ValueError(f"unknown scheduling policy {name!r} ({known})")
+    return cls()

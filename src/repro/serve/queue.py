@@ -6,8 +6,8 @@ silently drops; per-tenant quotas (``QuotaExceededError``) keep one
 chatty tenant from monopolizing the queue.
 
 Tenant scheduling reuses the simulator's own select stage: each tenant
-is represented to a registered :class:`~repro.sched.policies
-.SchedulingPolicy` the way a VP is represented to the dispatcher — the
+is represented to a :class:`~repro.sched.policies.SchedulingPolicy`
+the way a VP is represented to the dispatcher — the
 tenant's *oldest* queued job is its dispatchable head (per-tenant FIFO,
 the service analog of per-VP partial order), and the policy picks among
 heads.  ``fair-share`` therefore gives deficit-round-robin fairness
@@ -31,8 +31,7 @@ from typing import Any, Dict, List, Optional
 from ..api import RunRequest
 from ..core.jobs import Job, JobKind
 from ..sched.backlog import EngineBacklog
-from ..sched.policies import SchedulingPolicy
-from ..sched.registry import make_policy
+from ..sched.policies import SchedulingPolicy, make_policy
 from ..sim import Environment
 from .protocol import JobState
 

@@ -13,6 +13,8 @@ optimizations ("due to the way they access and manage the memory").
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..kernels.functional import functional_kernel
@@ -109,7 +111,8 @@ def _cnd(d: np.ndarray) -> np.ndarray:
     )
     k = 1.0 / (1.0 + 0.2316419 * np.abs(d))
     poly = k * (a1 + k * (a2 + k * (a3 + k * (a4 + k * a5))))
-    cnd = 1.0 - 1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * d * d) * poly
+    # A Python float: a numpy float64 scalar would promote float32 inputs.
+    cnd = 1.0 - 1.0 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * d * d) * poly
     return np.where(d < 0, 1.0 - cnd, cnd)
 
 

@@ -6,7 +6,6 @@ less, more locality never hits less, and stall predictions respond in
 the right direction.
 """
 
-import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st

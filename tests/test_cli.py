@@ -24,6 +24,15 @@ def test_list_command(capsys):
     assert "matrixMul" in out
 
 
+def test_policies_lists_every_policy_and_placement(capsys):
+    from repro.sched import PLACEMENTS, POLICIES
+
+    assert main(["policies"]) == 0
+    out = capsys.readouterr().out
+    for name in [*POLICIES, *PLACEMENTS]:
+        assert name in out
+
+
 def test_run_command(capsys):
     assert main(["run", "vectorAdd", "--vps", "2", "--transport", "shm"]) == 0
     out = capsys.readouterr().out

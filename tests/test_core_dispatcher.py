@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.coalescing import KernelCoalescer
-from repro.core.dispatcher import (
-    HOST_CALL_MS,
-    JobDispatcher,
-    PROFILING_OVERHEAD_MS,
-    ServiceMode,
-)
+from repro.core.dispatcher import JobDispatcher, ServiceMode
 from repro.core.handles import HandleTable
 from repro.core.jobs import Job, JobKind, JobQueue
 from repro.core.profiler import Profiler
 from repro.sched import FIFOPolicy, InterleavingPolicy
+from repro.sched.backlog import PROFILING_OVERHEAD_MS
 from repro.gpu import HostGPU, QUADRO_4000
 from repro.gpu.memory import OutOfDeviceMemory
 from repro.kernels import LaunchConfig, MemoryFootprint, uniform_kernel

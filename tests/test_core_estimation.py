@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.estimation import ExecutionAnalyzer
 from repro.gpu import GRID_K520, QUADRO_4000, TEGRA_K1
 from repro.kernels import (
-    ALL_TYPES,
     InstructionType,
     LaunchConfig,
     MemoryFootprint,

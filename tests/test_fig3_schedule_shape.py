@@ -10,7 +10,6 @@ kernel runs, and the engines overlap.
 import pytest
 
 from repro.core import SHARED_MEMORY
-from repro.core.profiler import Profiler
 from repro.core.scenarios import run_sigma_vp
 from repro.workloads.synthetic import make_phase_workload
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kernels.functional import REGISTRY, FunctionalRegistry, functional_kernel
+from repro.kernels.functional import REGISTRY, FunctionalRegistry
 
 
 def test_register_and_get():

@@ -7,7 +7,6 @@ must merge only the VPs that actually run the identical kernel.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import SHARED_MEMORY, SigmaVP
 from repro.kernels.functional import REGISTRY

@@ -1,7 +1,5 @@
 """Tests for the Kernel Match submodule (structural kernel identity)."""
 
-import pytest
-
 from repro.core.kernel_match import kernel_digest, kernels_match, match_key
 from repro.kernels import (
     InstructionMix,

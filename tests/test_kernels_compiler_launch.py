@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.gpu import GRID_K520, QUADRO_4000, TEGRA_K1
+from repro.gpu import QUADRO_4000, TEGRA_K1
 from repro.kernels import (
     InstructionType,
     KernelCompiler,

@@ -17,7 +17,6 @@ from repro.obs.account import (
     render_accounts,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.sched import SchedulerConfig
 from repro.workloads import get_workload
 from repro.workloads.linalg import make_vectoradd_spec
 
@@ -83,7 +82,7 @@ class TestDeadlineAccounting:
         framework = SigmaVP(
             n_vps=2,
             registry=FunctionalRegistry(),
-            sched=SchedulerConfig.from_names("priority-deadline"),
+            policy="priority-deadline",
         )
         framework.run_workload(get_workload("vectorAdd"))
         usage = compute_usage(framework)

@@ -17,7 +17,6 @@ import multiprocessing
 import pytest
 
 from repro.exec import FarmJob, ScenarioFarm, results_digest
-from repro.exec.farm import _CAPTURE_OBS  # noqa: F401 - existence check
 from repro.obs import (
     farm_merged_metrics,
     farm_merged_trace,

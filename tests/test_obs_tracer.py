@@ -13,8 +13,6 @@ The load-bearing guarantees:
 import json
 import tracemalloc
 
-import pytest
-
 import repro.obs as obs
 from repro.exec.jobs import scenario_summary
 from repro.obs import tracer as tracer_mod

@@ -23,7 +23,6 @@ from repro.vp import (
 from repro.workloads import SUITE
 from repro.workloads.physics import (
     GRAVITY,
-    PHYSX_PARTICLES,
     make_physics_kernel,
     physx_step_fn,
 )

@@ -1,7 +1,5 @@
 """Tests for the one-shot report builder."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.analysis.report_builder import (

@@ -1,9 +1,8 @@
-"""Policy/placement conformance suite: invariants every plugin must hold.
+"""Policy/placement conformance suite: invariants every stage must hold.
 
-Auto-discovers every implementation in the :mod:`repro.sched` registries
-— including any registered by third-party code imported before the
-suite runs — and property-checks the pipeline invariants with
-hypothesis-generated job tables:
+Iterates every entry of :data:`repro.sched.POLICIES` and
+:data:`repro.sched.PLACEMENTS` and property-checks the pipeline
+invariants with hypothesis-generated job tables:
 
 * **work conservation** — with a non-empty candidate list, the policy
   picks one of *those* jobs (never ``None``, never a fabricated job);
@@ -34,18 +33,18 @@ from hypothesis import given, settings, strategies as st
 from repro.core.jobs import Job, JobKind
 from repro.sched import (
     CandidateIndex,
+    PLACEMENTS,
+    POLICIES,
     EngineBacklog,
-    available_placements,
-    available_policies,
     make_placement,
     make_policy,
 )
 from repro.sim import Environment
 
-POLICY_NAMES = [name for name, _ in available_policies()]
+POLICY_NAMES = sorted(POLICIES)
 #: Policies that rank by an order key (``select`` not overridden).
 KEYED_POLICY_NAMES = [name for name in POLICY_NAMES if make_policy(name).keyed]
-PLACEMENT_NAMES = [name for name, _ in available_placements()]
+PLACEMENT_NAMES = sorted(PLACEMENTS)
 
 #: (vp index, job kind index, expected duration in ms) triples; the
 #: drain below turns each VP's triples into an ordered job stream.
@@ -250,14 +249,14 @@ def _small_spec():
 
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
 def test_policy_end_to_end(policy_name):
-    """Every registered policy drives a real scenario to completion."""
+    """Every policy drives a real scenario to completion."""
     from repro.core.scenarios import run_sigma_vp
 
     result = run_sigma_vp(_small_spec(), n_vps=3, policy=policy_name)
     framework = result.extras["framework"]
     dispatcher = framework.dispatcher
     assert result.total_ms > 0.0
-    assert dispatcher.stats.completed >= dispatcher.stats.total_dispatched()
+    assert dispatcher.stats.completed >= sum(dispatcher.stats.dispatched.values())
     # The quiesce invariant: backlogs return to exactly zero, no drift.
     assert dispatcher.backlog.quiesced
     assert dispatcher.backlog.drift_events == 0
@@ -267,7 +266,7 @@ def test_policy_end_to_end(policy_name):
 
 @pytest.mark.parametrize("placement_name", PLACEMENT_NAMES)
 def test_placement_end_to_end_two_gpus(placement_name):
-    """Every registered placement multiplexes a 2-GPU host correctly."""
+    """Every placement multiplexes a 2-GPU host correctly."""
     from repro.core.scenarios import run_sigma_vp
 
     result = run_sigma_vp(

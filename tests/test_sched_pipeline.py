@@ -1,4 +1,4 @@
-"""The repro.sched refactor: digest preservation, config, registry, stages.
+"""The repro.sched refactor: digest preservation, names, constants, stages.
 
 The tentpole guarantee of the scheduling refactor is that the default
 pipeline (FIFO / interleaving select, round-robin placement) is
@@ -9,6 +9,7 @@ every scenario summary must still hash to exactly those values.
 
 import copy
 import hashlib
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -22,12 +23,11 @@ from repro.sched import (
     FairSharePolicy,
     InterleavingPolicy,
     PriorityDeadlinePolicy,
-    SchedulerConfig,
     ShortestJobFirstPolicy,
     make_placement,
     make_policy,
-    register_policy,
 )
+from repro.sched import backlog as backlog_mod
 from repro.sched.backlog import DRIFT_TOLERANCE_MS
 from repro.sched.policies import SchedulingPolicy
 from repro.sim import Environment
@@ -104,7 +104,7 @@ PINNED_SCENARIOS = [
              scale_elements=1024, scale_iterations=24),
         "34a735234bfb2912da5652d476875e016ccf51b64d43f3fefd1ff70a7be37023",
     ),
-    # Coalesced two-GPU fleets under every registered policy x placement:
+    # Coalesced two-GPU fleets under every policy x placement:
     # the hold/room checks and the coalescer's first-use device binds
     # all run on these paths.
     *(
@@ -235,7 +235,6 @@ def _same_instant_fleet(n_vps):
     dispatcher = JobDispatcher(
         env, gpu, queue, handles, policy=InterleavingPolicy(),
         registry=FunctionalRegistry(),
-        config=SchedulerConfig(host_call_ms=0.0),
     )
     kernel = uniform_kernel(
         "burst", {"fp32": 8, "load": 1, "store": 1},
@@ -266,7 +265,8 @@ def _same_instant_fleet(n_vps):
         vp = VirtualPlatform(env, f"vp{index}")
         api = CudaRuntime(SigmaVPBackend(env, vp, ipc, handles))
         processes.append(vp.run_app(app(api)))
-    env.run(env.all_of(processes))
+    with patch.object(backlog_mod, "HOST_CALL_MS", 0.0):
+        env.run(env.all_of(processes))
     return env, dispatcher.completed_log, [gpu]
 
 
@@ -781,7 +781,7 @@ def test_benchmark_shaped_coalesced_fleet_decisions_equal_the_full_walk():
 def test_benchmark_shaped_interleaved_fleet_decisions_equal_the_full_walk():
     decisions, skipped, quiet_idle = _benchmark_shaped_run(
         24, n_host_gpus=2, coalescing=False,
-        sched=SchedulerConfig(policy="interleaving", placement="least-backlog"),
+        policy="interleaving", placement="least-backlog",
     )
     assert sum(d.job is not None for d in decisions) > 100
     assert not skipped and quiet_idle
@@ -898,8 +898,8 @@ def test_incremental_decisions_equal_the_full_walk(
         registry=FunctionalRegistry(),
         hold_window_ms=0.5,
         n_host_gpus=n_host_gpus,
-        sched=SchedulerConfig(policy=policy, placement=placement,
-                              host_call_ms=host_call_ms),
+        policy=policy,
+        placement=placement,
     )
     checks = []
     _oracle_checked(framework.dispatcher.pipeline, checks)
@@ -910,7 +910,8 @@ def test_incremental_decisions_equal_the_full_walk(
         process = session.vp.run_app(app)
         session.processes.append(process)
         processes.append(process)
-    framework.run_until(processes)
+    with patch.object(backlog_mod, "HOST_CALL_MS", host_call_ms):
+        framework.run_until(processes)
     assert len(framework.queue) == 0
     assert any(decision.job is not None for decision in checks)
 
@@ -921,30 +922,37 @@ def test_default_stages_keep_scenario_label():
     from repro.workloads import get_workload
 
     spec = get_workload("vectorAdd").scaled_to(1024, iterations=1)
-    result = run_sigma_vp(spec, n_vps=2)
-    assert result.scenario == "sigma-vp(interleave=True, coalesce=True)"
-    assert "policy=" not in result.scenario
+    legacy = "sigma-vp(interleave=True, coalesce=True)"
+    assert run_sigma_vp(spec, n_vps=2).scenario == legacy
+    assert run_sigma_vp(spec, n_vps=2, placement="round-robin").scenario == legacy
 
 
-def test_sched_and_names_are_mutually_exclusive():
+def test_config_resolve_policy_and_default_stages():
+    """A named policy, or a non-default placement, gives the long label
+    naming both stages as built; an unnamed policy is resolved from the
+    ``interleaving`` flag and an unnamed placement is round-robin."""
     from repro.core.scenarios import run_sigma_vp
     from repro.workloads import get_workload
 
     spec = get_workload("vectorAdd").scaled_to(1024, iterations=1)
-    with pytest.raises(ValueError, match="not both"):
-        run_sigma_vp(spec, n_vps=2, policy="sjf", sched=SchedulerConfig())
+    assert run_sigma_vp(spec, n_vps=2, policy="sjf").scenario == (
+        "sigma-vp(interleave=True, coalesce=True, policy=sjf, "
+        "placement=round-robin)"
+    )
+    assert run_sigma_vp(
+        spec, n_vps=2, interleaving=False, placement="least-backlog"
+    ).scenario == (
+        "sigma-vp(interleave=False, coalesce=True, policy=fifo, "
+        "placement=least-backlog)"
+    )
 
 
-# -- SchedulerConfig: hoisted constants and validation -----------------------
+# -- the host-side cost constants --------------------------------------------
 
 
-def test_dispatch_constants_hoisted_into_config():
-    from repro.core import dispatcher as dispatcher_mod
-
-    config = SchedulerConfig()
-    # Legacy module-level names survive, sourced from the config defaults.
-    assert dispatcher_mod.HOST_CALL_MS == config.host_call_ms == 0.002
-    assert dispatcher_mod.PROFILING_OVERHEAD_MS == config.profiling_overhead_ms == 0.15
+def test_host_cost_constants():
+    assert backlog_mod.HOST_CALL_MS == 0.002
+    assert backlog_mod.PROFILING_OVERHEAD_MS == 0.15
 
 
 def test_config_timing_overrides_change_the_simulation():
@@ -953,30 +961,10 @@ def test_config_timing_overrides_change_the_simulation():
 
     spec = get_workload("vectorAdd").scaled_to(4096, iterations=2)
     base = run_sigma_vp(spec, n_vps=2)
-    slow = run_sigma_vp(
-        spec, n_vps=2,
-        sched=SchedulerConfig(host_call_ms=5.0, profiling_overhead_ms=10.0),
-    )
+    with patch.object(backlog_mod, "HOST_CALL_MS", 5.0), \
+            patch.object(backlog_mod, "PROFILING_OVERHEAD_MS", 10.0):
+        slow = run_sigma_vp(spec, n_vps=2)
     assert slow.total_ms > base.total_ms
-
-
-def test_config_rejects_negative_times():
-    with pytest.raises(ValueError):
-        SchedulerConfig(host_call_ms=-1.0)
-    with pytest.raises(ValueError):
-        SchedulerConfig(profiling_overhead_ms=-0.1)
-
-
-def test_config_resolve_policy_and_default_stages():
-    config = SchedulerConfig()
-    assert config.resolve_policy(True) == "interleaving"
-    assert config.resolve_policy(False) == "fifo"
-    assert config.is_default_stages()
-    named = SchedulerConfig.from_names("sjf", "least-backlog")
-    assert named.resolve_policy(True) == "sjf"
-    assert not named.is_default_stages()
-    # Timing overrides alone do not change the *stages*.
-    assert SchedulerConfig(host_call_ms=1.0).is_default_stages()
 
 
 # -- backlog drift: the silent-drift satellite -------------------------------
@@ -1011,15 +999,6 @@ def test_backlog_drift_increments_obs_counter():
         obs_metrics.disable()
 
 
-def test_backlog_drift_raises_in_debug_mode():
-    env = Environment()
-    backlog = EngineBacklog(debug=True)
-    job = _job(env)
-    backlog.add(job, 5.0)
-    with pytest.raises(AssertionError, match="drift"):
-        backlog.retire(job, 3.0)
-
-
 def test_backlog_sub_tolerance_residue_is_not_drift():
     env = Environment()
     backlog = EngineBacklog()
@@ -1050,7 +1029,7 @@ def test_backlogs_quiesce_to_exactly_zero_after_scenarios():
         assert backlog.drift_events == 0
 
 
-# -- registry ----------------------------------------------------------------
+# -- name lookups ------------------------------------------------------------
 
 
 def test_unknown_policy_and_placement_raise_with_known_names():
@@ -1058,33 +1037,6 @@ def test_unknown_policy_and_placement_raise_with_known_names():
         make_policy("nope")
     with pytest.raises(ValueError, match="round-robin"):
         make_placement("nope")
-
-
-def test_custom_policy_registration_roundtrip():
-    from repro.sched import registry as registry_mod
-
-    class AlwaysFirst(SchedulingPolicy):
-        name = "always-first"
-        description = "test-only: picks the first candidate"
-
-        def select(self, dispatchable, backlog):
-            return dispatchable[0] if dispatchable else None
-
-    try:
-        register_policy(AlwaysFirst)
-        assert isinstance(make_policy("always-first"), AlwaysFirst)
-        assert ("always-first", AlwaysFirst.description) in (
-            registry_mod.available_policies()
-        )
-    finally:
-        registry_mod._POLICIES.pop("always-first", None)
-    with pytest.raises(ValueError):
-        make_policy("always-first")
-
-
-def test_registering_abstract_name_is_rejected():
-    with pytest.raises(ValueError):
-        register_policy(SchedulingPolicy)
 
 
 # -- the new policies --------------------------------------------------------

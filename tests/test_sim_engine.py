@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    EmptySchedule,
-    Environment,
-    Event,
-    Interrupt,
-    Timeout,
-)
+from repro.sim import EmptySchedule, Environment, Interrupt
 
 
 def test_time_starts_at_zero():

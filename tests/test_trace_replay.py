@@ -5,10 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.scenarios import NULL_REGISTRY
 from repro.sim import Environment
 from repro.vp import CudaRuntime, EmulationBackend, HOST_XEON, VirtualPlatform
-from repro.workloads.trace import ApiTrace, TraceError, load_trace, parse_trace, replay
+from repro.workloads.trace import TraceError, load_trace, parse_trace, replay
 
 VALID_TRACE = {
     "name": "mini-vecadd",

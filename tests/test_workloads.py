@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kernels.functional import REGISTRY
-from repro.workloads import SUITE, WorkloadSpec, build_app, get_workload
+from repro.workloads import SUITE, WorkloadSpec, get_workload
 from repro.workloads.catalog import ESTIMATION_APPS
 from repro.workloads.linalg import MATRIX_MUL, make_vectoradd_spec
 from repro.workloads.synthetic import (
@@ -144,6 +144,9 @@ def test_blackscholes_app_numerics():
 
     expected = black_scholes_fn(spot, strike, years, **spec.params)
     np.testing.assert_allclose(result, expected)
+    # Prices keep the inputs' float32, filling exactly the output buffer.
+    assert expected.dtype == result.dtype == np.float32
+    assert result.nbytes == spec.output_nbytes
     # Sanity: call prices are non-negative and bounded by spot.
     assert (result >= -1e-5).all()
     assert (result <= spot + 1e-5).all()
