@@ -29,6 +29,11 @@ class InstructionType(enum.Enum):
     LOAD = "load"
     STORE = "store"
 
+    # Members are singletons compared by identity, so hash by identity
+    # too: instruction mixes key their tables by type, and Enum's own
+    # ``__hash__`` is a Python-level call.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:
         return f"InstructionType.{self.name}"
 
