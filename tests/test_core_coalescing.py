@@ -144,6 +144,11 @@ _PUT = st.tuples(st.just("put"), st.integers(0, 3), st.booleans(),
                  st.sampled_from(("x", "x", "y", None)), st.integers(0, 3))
 _OPS = st.one_of(
     _PUT, _PUT, _PUT,
+    # A D2H put behind a VP's jobs (extends a triple that reaches the
+    # end), and a dispatch of a VP's first pending job (a triple's head
+    # H2D when it has one).
+    st.tuples(st.just("put-d2h"), st.integers(0, 3)),
+    st.tuples(st.just("dispatch"), st.integers(0, 3)),
     st.tuples(st.just("remove"), st.integers(0, 63)),
     st.tuples(st.just("replace"), st.lists(st.integers(0, 63), min_size=1,
                                            max_size=4, unique=True),
@@ -182,6 +187,15 @@ def test_indexes_equal_a_full_rescan(ops):
             if kind is JobKind.KERNEL:
                 fields.update(kernel=kernels[signature], launch=launch)
             queue.put(Job(**fields))
+        elif op[0] == "put-d2h":
+            vp = f"vp{op[1]}"
+            step[vp] = step.get(vp, -1) + 1
+            queue.put(Job(vp=vp, seq=step[vp], kind=JobKind.COPY_D2H,
+                          completion=env.event(), nbytes=4096))
+        elif op[0] == "dispatch":
+            pending = queue.pending_for(f"vp{op[1]}")
+            if pending:
+                queue.remove(pending[0])
         elif op[0] == "remove" and jobs:
             queue.remove(jobs[op[1] % len(jobs)])
         elif op[0] == "replace" and jobs:

@@ -64,6 +64,20 @@ def test_job_ids_unique_and_increasing():
     assert b.job_id > a.job_id
 
 
+def test_fresh_job_holds_no_mutable_container():
+    """Only the coalescer gives a job members or dependencies, each time
+    a fresh list; a fresh job shares immutable empties."""
+    env = Environment()
+    job = _job(env)
+    assert job.members == () and job.depends_on == ()
+    assert job.params is None
+    containers = (list, dict, set, bytearray)
+    assert not [
+        name for name in Job.__dataclass_fields__
+        if isinstance(getattr(job, name), containers)
+    ]
+
+
 # -- JobQueue -----------------------------------------------------------------
 
 
