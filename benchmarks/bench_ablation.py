@@ -9,7 +9,7 @@
 
 import pytest
 
-from repro.analysis import render_table
+from repro.analysis import Table
 from repro.core.estimation import ExecutionAnalyzer
 from repro.core.ipc import SHARED_MEMORY, SOCKET
 from repro.core.scenarios import run_sigma_vp
@@ -35,17 +35,15 @@ def test_ablation_rescheduler(benchmark, record_result, farm_workers):
         ]))
 
     serial_ms, pipelined_ms = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    record_result(
+    record_result(Table(
         "ablation_rescheduler",
-        render_table(
-            ["Scheduler", "Total (ms)", "Speedup"],
-            [
-                ("FIFO serial (baseline)", serial_ms, 1.0),
-                ("Interleaving pipelined", pipelined_ms, serial_ms / pipelined_ms),
-            ],
-            title="Ablation: Re-scheduler (8 phase-loop VPs)",
-        ),
-    )
+        "Ablation: Re-scheduler (8 phase-loop VPs)",
+        ["Scheduler", "Total (ms)", "Speedup"],
+        [
+            ("FIFO serial (baseline)", serial_ms, 1.0),
+            ("Interleaving pipelined", pipelined_ms, serial_ms / pipelined_ms),
+        ],
+    ))
     assert pipelined_ms < serial_ms / 2.0  # approaching Eq. 8's 2.4x at N=8
 
 
@@ -74,17 +72,15 @@ def test_ablation_copy_merge(benchmark, record_result):
         run_with_limit, args=(512 * 1024,), rounds=1, iterations=1
     )
     kernel_only_ms = run_with_limit(0)
-    record_result(
+    record_result(Table(
         "ablation_copy_merge",
-        render_table(
-            ["Coalescing", "Total (ms)"],
-            [
-                ("kernels + memory chunks (Fig. 5)", merged_ms),
-                ("kernels only", kernel_only_ms),
-            ],
-            title="Ablation: memory-chunk merging (32 small programs)",
-        ),
-    )
+        "Ablation: memory-chunk merging (32 small programs)",
+        ["Coalescing", "Total (ms)"],
+        [
+            ("kernels + memory chunks (Fig. 5)", merged_ms),
+            ("kernels only", kernel_only_ms),
+        ],
+    ))
     assert merged_ms < kernel_only_ms
 
 
@@ -98,14 +94,12 @@ def test_ablation_ipc_transport(benchmark, record_result):
         return socket.total_ms, shm.total_ms
 
     socket_ms, shm_ms = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    record_result(
+    record_result(Table(
         "ablation_ipc",
-        render_table(
-            ["Transport", "Total (ms)"],
-            [("socket", socket_ms), ("shared memory (zero-copy)", shm_ms)],
-            title="Ablation: IPC transport (BlackScholes, 4 VPs)",
-        ),
-    )
+        "Ablation: IPC transport (BlackScholes, 4 VPs)",
+        ["Transport", "Total (ms)"],
+        [("socket", socket_ms), ("shared memory (zero-copy)", shm_ms)],
+    ))
     assert shm_ms < socket_ms
 
 
@@ -135,11 +129,9 @@ def test_ablation_estimator_ladder(benchmark, record_result):
     for app, err_c, err_cp, err_cpp in results:
         rows.append((app, 100 * err_c, 100 * err_cp, 100 * err_cpp))
         assert err_cpp <= err_cp <= err_c + 1e-9, app
-    record_result(
+    record_result(Table(
         "ablation_estimators",
-        render_table(
-            ["App", "err(C) %", "err(C') %", "err(C'') %"],
-            rows,
-            title="Ablation: estimator refinement chain (vs Tegra K1 truth)",
-        ),
-    )
+        "Ablation: estimator refinement chain (vs Tegra K1 truth)",
+        ["App", "err(C) %", "err(C') %", "err(C'') %"],
+        rows,
+    ))

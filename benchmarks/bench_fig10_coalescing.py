@@ -8,30 +8,15 @@
 
 import pytest
 
-from repro.analysis import (
-    PAPER_FIG10A,
-    fig10a_series,
-    fig10b_series,
-    render_series,
-)
+from repro.analysis import PAPER_FIG10A, fig10a_series, fig10b_series
+from repro.analysis.experiments import fig10a, fig10b
 
 
 def test_fig10a_coalescence_effectiveness(benchmark, record_result, farm_workers):
     points = benchmark.pedantic(
         fig10a_series, kwargs={"workers": farm_workers}, rounds=1, iterations=1
     )
-    record_result(
-        "fig10a",
-        render_series(
-            "Fig 10(a): coalescing 64 vectorAdd programs",
-            [p.batch for p in points],
-            [
-                ("Execution time (ms)", [p.total_ms for p in points]),
-                ("Speedup", [p.speedup for p in points]),
-            ],
-            x_label="coalesced",
-        ),
-    )
+    record_result(fig10a(points))
     by_batch = {p.batch: p for p in points}
     # Execution time falls and speedup grows monotonically with degree
     # (up to float noise between saturated points).
@@ -46,15 +31,7 @@ def test_fig10a_coalescence_effectiveness(benchmark, record_result, farm_workers
 
 def test_fig10b_grid_size_staircase(benchmark, record_result):
     points = benchmark.pedantic(fig10b_series, rounds=1, iterations=1)
-    record_result(
-        "fig10b",
-        render_series(
-            "Fig 10(b): kernel time vs grid size (block = 512)",
-            [p.grid for p in points],
-            [("Execution time (ms)", [p.time_ms for p in points])],
-            x_label="grid",
-        ),
-    )
+    record_result(fig10b(points))
     times = {p.grid: p.time_ms for p in points}
     # Paper: "the same execution time is obtained both for a grid of
     # size 9 and a grid of size 16".

@@ -9,7 +9,8 @@ Coalescing (green line).  Paper bands: 622x-2045x unoptimized,
 
 import pytest
 
-from repro.analysis import FIG11_APPS, fig11_series, render_table
+from repro.analysis import FIG11_APPS, fig11_series
+from repro.analysis.experiments import fig11
 from repro.workloads import SUITE
 
 
@@ -25,20 +26,7 @@ def test_fig11_regeneration(benchmark, suite_points, record_result, farm_workers
         rounds=1, iterations=1,
     )
     assert len(points) == 2
-    record_result(
-        "fig11",
-        render_table(
-            ["Application", "Emulation on VP (s)",
-             "Speedup (multiplexing)", "Speedup (optimized)"],
-            [
-                (p.app, p.emulation_ms / 1e3,
-                 p.multiplexing_speedup, p.optimized_speedup)
-                for p in suite_points
-            ],
-            title="Fig 11: GPU-VP emulation vs SigmaVP, 8 VPs "
-                  "(paper: 622-2045x plain, 1098-6304x optimized)",
-        ),
-    )
+    record_result(fig11(suite_points))
 
 
 def test_fig11_all_speedups_are_orders_of_magnitude(suite_points):

@@ -8,7 +8,8 @@ base), and the three estimates C, C', C'' — profiled on both the Quadro
 
 import pytest
 
-from repro.analysis import fig12_series, render_table
+from repro.analysis import fig12_series
+from repro.analysis.experiments import fig12
 
 
 @pytest.fixture(scope="module")
@@ -27,19 +28,7 @@ def test_fig12_regeneration(benchmark, estimation_points, record_result,
         rounds=1, iterations=1,
     )
     assert len(points) == 1
-    record_result(
-        "fig12",
-        render_table(
-            ["Host", "App", "H", "T", "C", "C'", "C''"],
-            [
-                (p.host, p.app, p.h_normalized, p.t_normalized,
-                 p.c_normalized, p.c_prime_normalized,
-                 p.c_double_prime_normalized)
-                for p in estimation_points
-            ],
-            title="Fig 12: normalized execution times (target = Tegra K1)",
-        ),
-    )
+    record_result(fig12(estimation_points))
 
 
 def test_fig12_host_is_much_faster_than_target(estimation_points):

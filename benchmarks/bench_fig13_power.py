@@ -8,7 +8,8 @@ paper's claim: "within about 10% of the actual values".
 
 import pytest
 
-from repro.analysis import fig13_series, render_table
+from repro.analysis import fig13_series
+from repro.analysis.experiments import fig13
 
 
 @pytest.fixture(scope="module")
@@ -27,17 +28,7 @@ def test_fig13_regeneration(benchmark, power_points, record_result,
         rounds=1, iterations=1,
     )
     assert len(points) == 1
-    record_result(
-        "fig13",
-        render_table(
-            ["Host", "App", "Measured (W)", "Estimate P (W)", "Error (%)"],
-            [
-                (p.host, p.app, p.measured_w, p.estimated_w, p.error_pct)
-                for p in power_points
-            ],
-            title="Fig 13: target power, measured vs estimated (Tegra K1)",
-        ),
-    )
+    record_result(fig13(power_points))
 
 
 def test_fig13_estimates_within_ten_percent(power_points):

@@ -8,7 +8,8 @@
 
 import pytest
 
-from repro.analysis import fig9a_series, fig9b_series, render_series
+from repro.analysis import fig9a_series, fig9b_series
+from repro.analysis.experiments import fig9a, fig9b
 from repro.core.interleaving import balanced_speedup
 
 
@@ -16,18 +17,7 @@ def test_fig9a_kernel_length_sweep(benchmark, record_result, farm_workers):
     points = benchmark.pedantic(
         fig9a_series, kwargs={"workers": farm_workers}, rounds=1, iterations=1
     )
-    record_result(
-        "fig9a",
-        render_series(
-            "Fig 9(a): interleaving speedup vs kernel length (Tm = 13.44 ms)",
-            [f"{p.x:.2f}" for p in points],
-            [
-                ("Results", [p.measured for p in points]),
-                ("Expected (Eq.7)", [p.expected for p in points]),
-            ],
-            x_label="kernel ms",
-        ),
-    )
+    record_result(fig9a(points))
     # Tk >= Tm: measured tracks Eq. (7) to < 1 % (worst -0.35 % at Tk = Tm).
     short = [p for p in points if round(p.x, 6) < 13.44]
     for point in points[len(short):]:
@@ -49,18 +39,7 @@ def test_fig9b_program_count_sweep(benchmark, record_result, farm_workers):
     points = benchmark.pedantic(
         fig9b_series, kwargs={"workers": farm_workers}, rounds=1, iterations=1
     )
-    record_result(
-        "fig9b",
-        render_series(
-            "Fig 9(b): interleaving speedup vs number of programs (Tk = Tm)",
-            [int(p.x) for p in points],
-            [
-                ("Results", [p.measured for p in points]),
-                ("Expected (Eq.8)", [p.expected for p in points]),
-            ],
-            x_label="N",
-        ),
-    )
+    record_result(fig9b(points))
     # Within 2.5 % of Eq. (8) at every N (worst: 2.4 % at N = 32).
     for point in points:
         assert point.measured == pytest.approx(

@@ -7,7 +7,7 @@ carries two) buy back?
 
 import pytest
 
-from repro.analysis import render_table
+from repro.analysis import Table
 from repro.exec import FarmJob, ScenarioFarm
 
 
@@ -39,14 +39,12 @@ def test_scaling_with_vp_count(benchmark, record_result, farm_workers):
         (n, total, total / totals[1])
         for n, total in sorted(totals.items())
     ]
-    record_result(
+    record_result(Table(
         "scaling_vps",
-        render_table(
-            ["VPs", "Total (ms)", "vs 1 VP"],
-            rows,
-            title="Scaling: fleet size on one host GPU (interleaved)",
-        ),
-    )
+        "Scaling: fleet size on one host GPU (interleaved)",
+        ["VPs", "Total (ms)", "vs 1 VP"],
+        rows,
+    ))
     # Interleaving keeps growth sublinear: 16 VPs cost far less than
     # 16x one VP.
     assert totals[16] < 10 * totals[1]
@@ -69,14 +67,12 @@ def test_scaling_with_host_gpus(benchmark, record_result, farm_workers):
         (g, total, totals[1] / total)
         for g, total in sorted(totals.items())
     ]
-    record_result(
+    record_result(Table(
         "scaling_gpus",
-        render_table(
-            ["Host GPUs", "Total (ms)", "Speedup"],
-            rows,
-            title="Scaling: host GPUs for 8 VPs (compute-bound loop)",
-        ),
-    )
+        "Scaling: host GPUs for 8 VPs (compute-bound loop)",
+        ["Host GPUs", "Total (ms)", "Speedup"],
+        rows,
+    ))
     # A second device buys a solid chunk of the compute-bound time back.
     assert totals[2] < totals[1] * 0.7
     assert totals[4] <= totals[2]

@@ -9,7 +9,7 @@ workload shapes — the quantitative version of Fig. 3's before/after.
 
 import pytest
 
-from repro.analysis import render_table
+from repro.analysis import Table
 from repro.exec import FarmJob, ScenarioFarm
 
 #: (name, kernel ms, copy ms): balanced, copy-bound, compute-bound.
@@ -59,15 +59,13 @@ def test_schedule_efficiency(benchmark, record_result, farm_workers):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    record_result(
+    record_result(Table(
         "schedule_efficiency",
-        render_table(
-            ["Shape", "Bound (ms)", "Serial (ms)", "Serial eff.",
-             "Interleaved (ms)", "Interleaved eff."],
-            rows,
-            title=f"Scheduler efficiency vs analytic lower bound ({N_VPS} VPs)",
-        ),
-    )
+        f"Scheduler efficiency vs analytic lower bound ({N_VPS} VPs)",
+        ["Shape", "Bound (ms)", "Serial (ms)", "Serial eff.",
+         "Interleaved (ms)", "Interleaved eff."],
+        rows,
+    ))
     for name, bound, serial_ms, serial_eff, inter_ms, inter_eff in rows:
         # The interleaving policy reaches >=70% of provably optimal on
         # every shape and always beats the serial baseline.

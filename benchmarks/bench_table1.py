@@ -8,7 +8,8 @@ through SigmaVP, and as a plain C program on both CPUs.
 
 import pytest
 
-from repro.analysis import build_table1, render_table1
+from repro.analysis import build_table1
+from repro.analysis.experiments import table1
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +22,7 @@ def test_table1_regeneration(benchmark, table1_rows, record_result,
     rows = benchmark.pedantic(
         build_table1, kwargs={"workers": farm_workers}, rounds=1, iterations=1
     )
-    record_result("table1", render_table1(rows))
+    record_result(table1(rows))
     by_key = {row.key: row for row in rows}
     # The reproduction contract (EXPERIMENTS.md): every route's ratio
     # within ~7% of the paper's (the worst, C / CPU, is 6.0% off), and

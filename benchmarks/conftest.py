@@ -1,8 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures,
-prints it, and archives the rendered text under ``benchmarks/results/``
-so a run leaves a complete paper-vs-measured record behind.
+Every benchmark regenerates one of the paper's tables or figures (or
+an ablation/scaling study), prints it, and archives the rendered text
+under ``benchmarks/results/`` so a run leaves a complete
+paper-vs-measured record behind.  The paper's artifacts are the tables
+of :mod:`repro.analysis.experiments`, the same ones ``python -m repro
+table1`` … ``fig13`` print.
 
 Set ``REPRO_BENCH_WORKERS=N`` to fan each figure/table's independent
 simulation points over N scenario-farm worker processes; the results
@@ -13,6 +16,8 @@ import os
 from pathlib import Path
 
 import pytest
+
+from repro.analysis import Table
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -25,11 +30,13 @@ def farm_workers():
 
 @pytest.fixture
 def record_result():
-    """Print a rendered table/series and archive it to results/."""
+    """Print a :class:`~repro.analysis.Table` and archive it to
+    ``results/<stem>.txt``."""
 
-    def _record(name: str, text: str) -> None:
+    def _record(table: Table) -> None:
+        text = table.render()
         RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        (RESULTS_DIR / f"{table.stem}.txt").write_text(text + "\n")
         print()
         print(text)
 

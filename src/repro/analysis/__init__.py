@@ -1,4 +1,10 @@
-"""Experiment regeneration: the paper's tables and figures as code."""
+"""Experiment regeneration: the paper's tables and figures as code.
+
+The ``*_series`` functions and :func:`build_table1` run the paper's
+experiments; :data:`EXPERIMENTS` declares, once, the tables each
+artifact command prints, the report writes and ``benchmarks/`` archives
+(:mod:`repro.analysis.experiments`).
+"""
 
 from .critpath import (
     CritPathReport,
@@ -6,6 +12,7 @@ from .critpath import (
     attribute,
     render_critpath,
 )
+from .experiments import EXPERIMENTS, Experiment, Table
 from .figures import (
     CoalescingPoint,
     EstimationPoint,
@@ -33,11 +40,14 @@ from .sweeps import (
     sweep_targets,
     tegra_scaling_candidates,
 )
-from .tables import PAPER_TABLE1, Table1Row, build_table1, render_table1
+from .tables import PAPER_TABLE1, Table1Row, build_table1
 from .timeline import Timeline, collect_timeline, render_gantt
 from .validation import ValidationResult, validate_suite, validate_workload
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
+    "Table",
     "CoalescingPoint",
     "EstimationPoint",
     "FIG11_APPS",
@@ -76,5 +86,4 @@ __all__ = [
     "fig13_series",
     "render_series",
     "render_table",
-    "render_table1",
 ]

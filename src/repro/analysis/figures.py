@@ -9,9 +9,8 @@ Every point of a figure is an independent simulation, so each series
 fans its points out over the :class:`~repro.exec.ScenarioFarm`: pass
 ``workers=N`` to run N points concurrently in worker processes.  The
 default ``workers=1`` runs the identical job functions serially
-in-process, so parallel and serial series are bit-identical.  A job
-names its transport, so a series takes only the transports of
-:data:`repro.core.ipc.TRANSPORTS`.
+in-process, so parallel and serial series are bit-identical.  The
+Fig. 9 and Fig. 10(a) jobs run over shared memory.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from ..core.ipc import IPCTransport, SHARED_MEMORY, TRANSPORTS
+from ..core.ipc import SHARED_MEMORY
 from ..exec import jobs as farm_jobs
 from ..exec.farm import ScenarioFarm
 from ..gpu.arch import GPUArchitecture, GRID_K520, QUADRO_4000, TEGRA_K1
@@ -28,20 +27,6 @@ from ..kernels.compiler import KernelCompiler
 from ..kernels.launch import LaunchConfig
 from ..workloads.catalog import ESTIMATION_APPS
 from ..workloads.linalg import make_vectoradd_kernel
-
-
-def _transport_name(transport: IPCTransport) -> str:
-    """The name farm jobs resolve ``transport`` by.
-
-    A job names its transport, so only the transports of
-    :data:`~repro.core.ipc.TRANSPORTS` can run; any other one would be
-    swapped for the table's transport of the same name.
-    """
-    if TRANSPORTS.get(transport.name) is not transport:
-        raise ValueError(
-            f"transport {transport!r} is not in repro.core.ipc.TRANSPORTS"
-        )
-    return transport.name
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +46,6 @@ class InterleavingPoint:
 def fig9a_series(
     kernel_lengths_ms: Sequence[float] = (1.0, 4.0, 8.0, 13.44, 20.0, 40.0, 60.0, 80.0, 100.0),
     t_copy_ms: float = 13.44,
-    transport: IPCTransport = SHARED_MEMORY,
     workers: int = 1,
 ) -> List[InterleavingPoint]:
     """Fig. 9(a): two interleaved programs, kernel length swept.
@@ -69,13 +53,12 @@ def fig9a_series(
     The copy time is fixed at the paper's 13.44 ms; speedup peaks where
     the kernel matches it (latency hiding).
     """
-    name = _transport_name(transport)
     farm = ScenarioFarm(workers=workers)
     values = farm_jobs.fanout(
         farm,
         "repro.exec.jobs:fig9a_point",
         [
-            {"t_kernel_ms": tk, "t_copy_ms": t_copy_ms, "transport": name}
+            {"t_kernel_ms": tk, "t_copy_ms": t_copy_ms, "transport": SHARED_MEMORY.name}
             for tk in kernel_lengths_ms
         ],
         label="fig9a",
@@ -86,17 +69,15 @@ def fig9a_series(
 def fig9b_series(
     program_counts: Sequence[int] = (2, 4, 8, 16, 32),
     t_phase_ms: float = 4.0,
-    transport: IPCTransport = SHARED_MEMORY,
     workers: int = 1,
 ) -> List[InterleavingPoint]:
     """Fig. 9(b): N interleaved programs with Tk = Tm; expected = 3N/(N+2)."""
-    name = _transport_name(transport)
     farm = ScenarioFarm(workers=workers)
     values = farm_jobs.fanout(
         farm,
         "repro.exec.jobs:fig9b_point",
         [
-            {"n_programs": n, "t_phase_ms": t_phase_ms, "transport": name}
+            {"n_programs": n, "t_phase_ms": t_phase_ms, "transport": SHARED_MEMORY.name}
             for n in program_counts
         ],
         label="fig9b",
@@ -126,7 +107,6 @@ PAPER_FIG10A = {16: 10.54, 64: 20.48}
 def fig10a_series(
     batch_degrees: Sequence[int] = (1, 2, 4, 8, 16, 32, 48, 64),
     n_programs: int = 64,
-    transport: IPCTransport = SHARED_MEMORY,
     workers: int = 1,
 ) -> List[CoalescingPoint]:
     """Fig. 10(a): vectorAdd, 64 programs, coalescing degree swept.
@@ -134,14 +114,13 @@ def fig10a_series(
     Per-program work is fixed (the total stays the same as the paper
     requires); the baseline is the same 64 programs with coalescing off.
     """
-    name = _transport_name(transport)
     farm = ScenarioFarm(workers=workers)
     batches = [1] + [b for b in batch_degrees if b > 1]
     totals = farm_jobs.fanout(
         farm,
         "repro.exec.jobs:fig10a_point",
         [
-            {"batch": batch, "n_programs": n_programs, "transport": name}
+            {"batch": batch, "n_programs": n_programs, "transport": SHARED_MEMORY.name}
             for batch in batches
         ],
         label="fig10a",

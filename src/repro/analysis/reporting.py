@@ -1,7 +1,10 @@
 """Plain-text rendering of experiment results.
 
-The benchmark harness prints the same rows and series the paper reports;
-these helpers keep that output consistent and legible.
+:func:`render_table` is the one fixed-width renderer: every
+:class:`~repro.analysis.experiments.Table` the artifact commands print
+and ``benchmarks/results/`` archives goes through it, as do the CLI's
+own tables.  :func:`render_series` lays (label, values) series out
+against a shared x axis for it.
 """
 
 from __future__ import annotations

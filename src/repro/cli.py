@@ -4,9 +4,10 @@ Commands:
 
 * ``list``                       — the workload catalog
 * ``run APP [options]``          — simulate one app on N VPs and report
-* ``table1``                     — regenerate the paper's Table 1
-* ``fig9`` / ``fig10`` / ``fig11 [apps...]`` / ``fig12`` / ``fig13``
-                                 — regenerate the paper's figures
+* ``table1``, ``fig9`` … ``fig13`` — regenerate the paper's Table 1 and
+                                   Figs. 9-13, printed exactly as
+                                   ``benchmarks/results/`` archives them
+                                   (``fig11 [apps...]`` takes a subset)
 * ``estimate APP``               — target time/power estimates (Sec. 4)
 * ``validate [apps...]``         — functional equivalence across the
                                    emulation, native and SigmaVP routes
@@ -21,8 +22,7 @@ Commands:
                                    daemon on a local Unix socket
                                    (docs/SERVICE.md)
 * ``submit APP [options]``       — submit one scenario to a running
-                                   daemon and (by default) wait for
-                                   its result
+                                   daemon and wait for its result
 * ``policies``                   — list the scheduling policies and
                                    placement strategies by name
 
@@ -41,18 +41,7 @@ import argparse
 import sys
 from typing import Any, Callable, List, Optional
 
-from .analysis import (
-    build_table1,
-    fig9a_series,
-    fig9b_series,
-    fig10a_series,
-    fig11_series,
-    fig12_series,
-    fig13_series,
-    render_series,
-    render_table,
-    render_table1,
-)
+from .analysis import EXPERIMENTS, render_table
 from .analysis.timeline import collect_timeline, render_gantt
 from .api import RequestError
 from .gpu.arch import GRID_K520, QUADRO_4000, TEGRA_K1
@@ -122,24 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--gantt", action="store_true",
                      help="print the engine timeline")
 
-    def with_workers(parser_, default=1):
-        parser_.add_argument("--workers", type=_positive_int, default=default,
-                             help="farm worker processes (1 = serial)")
-        return parser_
-
-    with_workers(sub.add_parser(
-        "table1", help="regenerate Table 1 (matrixMul, six routes)"))
-    with_workers(sub.add_parser(
-        "fig9", help="regenerate Fig 9 (Kernel Interleaving)"))
-    with_workers(sub.add_parser(
-        "fig10", help="regenerate Fig 10(a) (Kernel Coalescing)"))
-    fig11 = with_workers(sub.add_parser(
-        "fig11", help="regenerate Fig 11 (the suite, 8 VPs)"))
-    fig11.add_argument("apps", nargs="*", help="subset of apps (default: all)")
-    with_workers(sub.add_parser(
-        "fig12", help="regenerate Fig 12 (timing estimation)"))
-    with_workers(sub.add_parser(
-        "fig13", help="regenerate Fig 13 (power estimation)"))
+    for name, experiment in EXPERIMENTS.items():
+        artifact = sub.add_parser(name, help=f"regenerate {experiment.heading}")
+        artifact.add_argument("--workers", type=_positive_int, default=1,
+                              help="farm worker processes (1 = serial)")
+        if experiment.takes_apps:
+            artifact.add_argument("apps", nargs="*",
+                                  help="subset of apps (default: all)")
 
     sub.add_parser(
         "policies",
@@ -217,9 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--socket", default=None, metavar="PATH",
                         help="daemon socket path (default: "
                              "$REPRO_SERVE_SOCKET or the serve default)")
-    submit.add_argument("--detach", action="store_true",
-                        help="return after the job is accepted instead "
-                             "of waiting for its result")
 
     estimate = sub.add_parser("estimate", help="target time/power for one app")
     estimate.add_argument("app")
@@ -344,71 +319,10 @@ def _cmd_run(args: argparse.Namespace) -> None:
         print(render_gantt(collect_timeline(framework)))
 
 
-def _cmd_table1(workers: int = 1) -> None:
-    print(render_table1(build_table1(workers=workers)))
-
-
-def _cmd_fig9(workers: int = 1) -> None:
-    points = fig9b_series(workers=workers)
-    print(render_series(
-        "Fig 9(b): interleaving speedup vs N programs (Tk = Tm)",
-        [int(p.x) for p in points],
-        [("Results", [p.measured for p in points]),
-         ("Expected", [p.expected for p in points])],
-        x_label="N",
-    ))
-    print()
-    points = fig9a_series(kernel_lengths_ms=(2.0, 8.0, 13.44, 30.0, 60.0),
-                          workers=workers)
-    print(render_series(
-        "Fig 9(a): speedup vs kernel length (2 programs, Tm = 13.44 ms)",
-        [f"{p.x:.2f}" for p in points],
-        [("Results", [p.measured for p in points]),
-         ("Expected", [p.expected for p in points])],
-        x_label="kernel ms",
-    ))
-
-
-def _cmd_fig10(workers: int = 1) -> None:
-    points = fig10a_series(workers=workers)
-    print(render_series(
-        "Fig 10(a): coalescing 64 vectorAdd programs",
-        [p.batch for p in points],
-        [("Time (ms)", [p.total_ms for p in points]),
-         ("Speedup", [p.speedup for p in points])],
-        x_label="coalesced",
-    ))
-
-
-def _cmd_fig11(apps: List[str], workers: int = 1) -> None:
-    kwargs = {"apps": tuple(apps)} if apps else {}
-    points = fig11_series(workers=workers, **kwargs)
-    print(render_table(
-        ["App", "Emulation (s)", "x multiplexing", "x optimized"],
-        [(p.app, p.emulation_ms / 1e3, p.multiplexing_speedup,
-          p.optimized_speedup) for p in points],
-        title="Fig 11: 8 VPs, emulation vs SigmaVP",
-    ))
-
-
-def _cmd_fig12(workers: int = 1) -> None:
-    points = fig12_series(workers=workers)
-    print(render_table(
-        ["Host", "App", "H", "T", "C", "C'", "C''"],
-        [(p.host, p.app, p.h_normalized, p.t_normalized, p.c_normalized,
-          p.c_prime_normalized, p.c_double_prime_normalized) for p in points],
-        title="Fig 12: normalized execution times (target = Tegra K1)",
-    ))
-
-
-def _cmd_fig13(workers: int = 1) -> None:
-    points = fig13_series(workers=workers)
-    print(render_table(
-        ["Host", "App", "Measured (W)", "Estimate (W)", "Error (%)"],
-        [(p.host, p.app, p.measured_w, p.estimated_w, p.error_pct)
-         for p in points],
-        title="Fig 13: target power, measured vs estimated",
-    ))
+def _cmd_experiment(args: argparse.Namespace) -> None:
+    """Print an artifact's tables, as ``benchmarks/results/`` holds them."""
+    tables = EXPERIMENTS[args.command].run(args.workers, getattr(args, "apps", ()))
+    print("\n\n".join(table.render() for table in tables))
 
 
 def _cmd_estimate(args: argparse.Namespace) -> None:
@@ -598,10 +512,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             print(f"{record['job_id']}: {record['label']} submitted for "
                   f"tenant {record['tenant']} "
                   f"(config {record['config_hash']})")
-            if args.detach:
-                print(f"query with: repro.api.connect()"
-                      f".status({record['job_id']!r})")
-                return 0
             record = client.wait(record["job_id"])
     except ServeError as exc:
         print(f"repro submit: error: {exc}", file=sys.stderr)
@@ -633,18 +543,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         _cmd_list()
     elif args.command == "run":
         _cmd_run(args)
-    elif args.command == "table1":
-        _cmd_table1(args.workers)
-    elif args.command == "fig9":
-        _cmd_fig9(args.workers)
-    elif args.command == "fig10":
-        _cmd_fig10(args.workers)
-    elif args.command == "fig11":
-        _cmd_fig11(args.apps, args.workers)
-    elif args.command == "fig12":
-        _cmd_fig12(args.workers)
-    elif args.command == "fig13":
-        _cmd_fig13(args.workers)
+    elif args.command in EXPERIMENTS:
+        _cmd_experiment(args)
     elif args.command == "trace":
         _cmd_trace(args)
     elif args.command == "metrics":

@@ -115,7 +115,6 @@ def run_emulation(
     n_instances: int = 1,
     cpu: CPUModel = QEMU_ARM_VP,
     functional: bool = False,
-    concurrent: bool = False,
     backend: Type[ExecutionBackend] = NumpyBackend,
 ) -> ScenarioResult:
     """CUDA interpreted in software (Table 1 rows 2-3; Fig. 11 blue bars).
@@ -123,11 +122,10 @@ def run_emulation(
     ``cpu=HOST_XEON`` is "CUDA Emul. on CPU"; ``cpu=QEMU_ARM_VP`` is
     "CUDA Emul. on VP".
 
-    By default instances run *serialized*, reflecting the premise the
-    paper opens with: "most of the current multi-node system simulators
-    run the entire simulation on the host CPU" — the eight-VP emulation
-    baseline of Fig. 11 advances one platform at a time.  Pass
-    ``concurrent=True`` to model one host core per VP instead.
+    Instances run *serialized*, reflecting the premise the paper opens
+    with: "most of the current multi-node system simulators run the
+    entire simulation on the host CPU" — the eight-VP emulation
+    baseline of Fig. 11 advances one platform at a time.
     """
     if n_instances <= 0:
         raise ValueError(f"n_instances must be positive, got {n_instances}")
@@ -154,21 +152,8 @@ def run_emulation(
             processes.append(process)
             yield process
 
-    if concurrent:
-        for index in range(n_instances):
-            platform = VirtualPlatform(env, f"emu{index}", cpu=cpu)
-            emu = EmulationBackend(
-                env, platform, registry=registry, exec_backend=exec_backend
-            )
-            runtime = CudaRuntime(emu)
-            processes.append(
-                platform.run_app(build_app(spec, runtime, seed=index, inputs=inputs))
-            )
-            platforms.append(platform)
-        env.run(env.all_of(processes))
-    else:
-        driver = env.process(serialized(), label="driver:emulation/serialized")
-        env.run(driver)
+    driver = env.process(serialized(), label="driver:emulation/serialized")
+    env.run(driver)
 
     return ScenarioResult(
         scenario=f"emulation({cpu.name})",
@@ -176,7 +161,7 @@ def run_emulation(
         n_instances=n_instances,
         total_ms=env.now,
         per_instance_ms=[p.elapsed_ms or 0.0 for p in platforms],
-        extras={"result": processes[0].value, "concurrent": concurrent},
+        extras={"result": processes[0].value},
     )
 
 

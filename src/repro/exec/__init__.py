@@ -10,40 +10,16 @@ Results are compared by digest (:func:`results_digest`), which is how
 the tests check that serial and parallel runs agree bit for bit.
 
 Host speed is not measured here: the benchmark of record lives outside
-the package, in ``bench/`` (``python3 bench/run.py``).
-
-Cache control for the hot-path memoization the farm leans on lives in
-:mod:`repro.caching` (re-exported here for convenience).
+the package, in ``bench/`` (``python3 bench/run.py``).  Cache control
+for the hot-path memoization the farm leans on is :mod:`repro.caching`;
+the config-hash and seed algorithm is :mod:`repro.obs.export`.
 """
 
-from ..caching import (
-    cache_scope,
-    caches_enabled,
-    clear_all_caches,
-    register_cache_clearer,
-    set_caches_enabled,
-)
-from .farm import (
-    FarmJob,
-    FarmResult,
-    ScenarioFarm,
-    canonical_json,
-    config_key,
-    results_digest,
-    seed_for,
-)
+from .farm import FarmJob, FarmResult, ScenarioFarm, results_digest
 
 __all__ = [
     "FarmJob",
     "FarmResult",
     "ScenarioFarm",
-    "canonical_json",
-    "config_key",
     "results_digest",
-    "seed_for",
-    "cache_scope",
-    "caches_enabled",
-    "clear_all_caches",
-    "register_cache_clearer",
-    "set_caches_enabled",
 ]

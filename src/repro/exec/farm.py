@@ -39,15 +39,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 # The config-hash / seed algorithm lives in repro.obs.export so exported
 # trace and metrics stamps are byte-identical to farm job identities
-# (one source of truth); re-exported here for backward compatibility.
+# (one source of truth).
 from ..obs import capture as _obs_capture
 from ..obs import metrics as _obs_metrics
 from ..obs.export import canonical_json, config_key, seed_for
 
 __all__ = [
-    "canonical_json",
-    "config_key",
-    "seed_for",
     "FarmJob",
     "FarmResult",
     "run_job",
@@ -222,7 +219,6 @@ class ScenarioFarm:
         self,
         workers: Optional[int] = None,
         warmup: bool = True,
-        chunk_size: Optional[int] = None,
         capture_obs: bool = False,
     ):
         requested = os.cpu_count() or 1 if workers is None else workers
@@ -231,7 +227,6 @@ class ScenarioFarm:
         self.requested_workers = requested
         self.workers = requested if (requested == 1 or self._can_fork()) else 1
         self.warmup = warmup
-        self.chunk_size = chunk_size
         self.capture_obs = capture_obs
 
     @staticmethod
@@ -261,7 +256,7 @@ class ScenarioFarm:
                 set_capture(previous)
         # Chunked submission: a few chunks per worker balances scheduling
         # freedom (uneven job durations) against per-submission IPC.
-        chunk = self.chunk_size or max(1, len(jobs) // (self.workers * 4))
+        chunk = max(1, len(jobs) // (self.workers * 4))
         with ProcessPoolExecutor(
             max_workers=min(self.workers, len(jobs)),
             mp_context=multiprocessing.get_context("fork"),

@@ -106,68 +106,39 @@ def event_elapsed_ms(start: GpuEvent, end: GpuEvent) -> float:
 
 
 class InterceptingRuntime:
-    """Shared count-and-delegate plumbing for the API facades.
+    """The API facades' common base: every call goes to ``backend``.
 
-    The CUDA- and OpenCL-flavoured runtimes intercept every call the
-    same way: bump a per-call counter, then delegate to the interception
-    backend.  The memcpy pair — the wrappers that used to be duplicated
-    nearly verbatim between the two facades — lives here once, so both
-    APIs route host<->device data movement through the same backend
-    seam.  Subclasses expose the counts dict under their API's
-    traditional name (``calls`` / ``commands``).
+    The CUDA- and OpenCL-flavoured runtimes intercept a call by
+    delegating it to the interception backend, so both APIs reach
+    SigmaVP, the emulator or the native device through the same seam.
     """
 
     def __init__(self, backend: "CudaBackend"):
         self.backend = backend
-        self._call_counts: Dict[str, int] = {}
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} backend={type(self.backend).__name__}>"
-
-    def _count(self, name: str) -> None:
-        self._call_counts[name] = self._call_counts.get(name, 0) + 1
-
-    def _delegate_h2d(self, counter: str, handle: str, data: Any, sync: bool):
-        """Count one host-to-device copy and route it to the backend."""
-        self._count(counter)
-        yield from self.backend.memcpy_h2d(handle, data, sync)
-
-    def _delegate_d2h(
-        self, counter: str, handle: str, nbytes: Optional[int], sync: bool
-    ):
-        """Count one device-to-host copy; returns the result holder."""
-        self._count(counter)
-        result = yield from self.backend.memcpy_d2h(handle, nbytes, sync)
-        return result
 
 
 class CudaRuntime(InterceptingRuntime):
     """The intercepting user library applications link against."""
 
-    def __init__(self, backend: "CudaBackend"):
-        super().__init__(backend)
-        #: Per-API-call counts under the CUDA-side name (same dict the
-        #: mixin maintains).
-        self.calls = self._call_counts
-
     def malloc(self, nbytes: int):
         """cudaMalloc: returns an opaque device handle."""
-        self._count("malloc")
         handle = yield from self.backend.malloc(nbytes)
         return handle
 
     def free(self, handle: str):
         """cudaFree."""
-        self._count("free")
         yield from self.backend.free(handle)
 
     def memcpy_h2d(self, handle: str, data: "np.ndarray", sync: bool = True):
         """cudaMemcpy(..., cudaMemcpyHostToDevice) or its Async variant."""
-        yield from self._delegate_h2d("memcpy_h2d", handle, data, sync)
+        yield from self.backend.memcpy_h2d(handle, data, sync)
 
     def memcpy_d2h(self, handle: str, nbytes: Optional[int] = None, sync: bool = True):
         """cudaMemcpy(..., cudaMemcpyDeviceToHost); returns the result."""
-        result = yield from self._delegate_d2h("memcpy_d2h", handle, nbytes, sync)
+        result = yield from self.backend.memcpy_d2h(handle, nbytes, sync)
         return result
 
     def launch_kernel(
@@ -180,35 +151,29 @@ class CudaRuntime(InterceptingRuntime):
         sync: bool = False,
     ):
         """The <<<grid, block>>> launch; async by default, as in CUDA."""
-        self._count("launch_kernel")
         yield from self.backend.launch_kernel(
             kernel, launch, tuple(args), out, dict(params or {}), sync
         )
 
     def synchronize(self):
         """cudaDeviceSynchronize: wait for all outstanding work."""
-        self._count("synchronize")
         yield from self.backend.synchronize()
 
     def event_create(self):
         """cudaEventCreate (host-side only, no guest cost)."""
-        self._count("event_create")
         return GpuEvent()
         yield  # pragma: no cover - generator form for API uniformity
 
     def event_record(self, event: GpuEvent):
         """cudaEventRecord: mark this point of the stream."""
-        self._count("event_record")
         yield from self.backend.event_record(event)
 
     def event_synchronize(self, event: GpuEvent):
         """cudaEventSynchronize: wait until the marker has been reached."""
-        self._count("event_synchronize")
         yield from self.backend.event_synchronize(event)
 
     def cpu_work(self, ops: float):
         """Non-CUDA application work (file I/O, OpenGL, host compute)."""
-        self._count("cpu_work")
         yield from self.backend.cpu_work(ops)
 
 

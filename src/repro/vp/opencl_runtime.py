@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
 from ..kernels.ir import KernelIR, ceil_div
 from ..kernels.launch import LaunchConfig
-from .cuda_runtime import CudaBackend, InterceptingRuntime
+from .cuda_runtime import InterceptingRuntime
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,28 +35,20 @@ if TYPE_CHECKING:
 class OpenCLRuntime(InterceptingRuntime):
     """OpenCL-style command-queue API over any interception backend.
 
-    The count-and-delegate memcpy plumbing is shared with the CUDA
-    facade via :class:`~repro.vp.cuda_runtime.InterceptingRuntime` —
-    both APIs route through the same backend seam.
+    Like the CUDA facade it is an
+    :class:`~repro.vp.cuda_runtime.InterceptingRuntime`: both APIs
+    route through the same backend seam.
     """
-
-    def __init__(self, backend: CudaBackend):
-        super().__init__(backend)
-        #: Per-command counts under the OpenCL-side name (same dict the
-        #: mixin maintains).
-        self.commands = self._call_counts
 
     # -- memory objects ---------------------------------------------------
 
     def create_buffer(self, nbytes: int):
         """clCreateBuffer: returns an opaque memory object handle."""
-        self._count("clCreateBuffer")
         handle = yield from self.backend.malloc(nbytes)
         return handle
 
     def release_mem_object(self, handle: str):
         """clReleaseMemObject."""
-        self._count("clReleaseMemObject")
         yield from self.backend.free(handle)
 
     # -- command queue ------------------------------------------------------
@@ -64,14 +56,12 @@ class OpenCLRuntime(InterceptingRuntime):
     def enqueue_write_buffer(self, handle: str, data: "np.ndarray",
                              blocking: bool = True):
         """clEnqueueWriteBuffer."""
-        yield from self._delegate_h2d("clEnqueueWriteBuffer", handle, data, blocking)
+        yield from self.backend.memcpy_h2d(handle, data, blocking)
 
     def enqueue_read_buffer(self, handle: str, nbytes: Optional[int] = None,
                             blocking: bool = True):
         """clEnqueueReadBuffer: returns the result holder."""
-        result = yield from self._delegate_d2h(
-            "clEnqueueReadBuffer", handle, nbytes, blocking
-        )
+        result = yield from self.backend.memcpy_d2h(handle, nbytes, blocking)
         return result
 
     def enqueue_nd_range_kernel(
@@ -89,7 +79,6 @@ class OpenCLRuntime(InterceptingRuntime):
         launch grid covers the ND-range exactly like a CUDA grid covers
         its data.
         """
-        self._count("clEnqueueNDRangeKernel")
         if global_size <= 0 or local_size <= 0:
             raise ValueError("global and local sizes must be positive")
         if local_size > global_size:
@@ -105,5 +94,4 @@ class OpenCLRuntime(InterceptingRuntime):
 
     def finish(self):
         """clFinish: block until every enqueued command completed."""
-        self._count("clFinish")
         yield from self.backend.synchronize()

@@ -12,7 +12,6 @@ from dataclasses import fields
 
 import pytest
 
-from repro.analysis import fig9a_series
 from repro.api import (
     _ALWAYS_KEYS,
     _OPTIONAL_KEYS,
@@ -23,7 +22,6 @@ from repro.api import (
     run,
     scenario,
 )
-from repro.core.ipc import IPCTransport
 from repro.exec.farm import FarmJob, results_digest
 
 
@@ -269,10 +267,3 @@ def test_run_digest_matches_farm_digest_for_same_request():
     warm_worker()
     farm_result = run_job(request.to_farm_job())
     assert run(request).digest == results_digest([farm_result])
-
-
-def test_series_rejects_a_transport_the_table_does_not_hold():
-    """A job names its transport: a custom one may not borrow a name."""
-    custom = IPCTransport("socket", latency_ms=5.0, bandwidth_gbps=0.1)
-    with pytest.raises(ValueError, match="TRANSPORTS"):
-        fig9a_series(kernel_lengths_ms=(13.44,), transport=custom)

@@ -154,6 +154,55 @@ def test_trace_command_writes_trace_and_metrics(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "t.json"]
 
 
+def test_trace_critpath_prints_the_attribution(capsys, tmp_path):
+    argv = ["trace", "vectorAdd", "--vps", "2", "-o", str(tmp_path / "t.json")]
+    assert main(argv) == 0
+    assert "Critical-path attribution" not in capsys.readouterr().out
+    assert main(argv + ["--critpath"]) == 0
+    out = capsys.readouterr().out
+    assert "Critical-path attribution" in out
+    assert "Longest attributable spans" in out
+
+
+def test_report_writes_the_output_path(capsys, tmp_path, monkeypatch):
+    import repro.analysis.report_builder as rb
+
+    built = []
+    monkeypatch.setattr(
+        rb, "build_report", lambda quick=False: built.append(quick) or "# r"
+    )
+    path = tmp_path / "out.md"
+    assert main(["report", "-o", str(path), "--quick"]) == 0
+    assert path.read_text() == "# r\n"
+    assert built == [True]
+    assert f"report written to {path}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, stems", [
+    ("fig9", ["fig9a", "fig9b"]),
+    ("fig10", ["fig10a", "fig10b"]),
+])
+def test_artifact_command_prints_each_table_of_its_experiment(
+    capsys, monkeypatch, command, stems
+):
+    import dataclasses
+
+    from repro.analysis import EXPERIMENTS, Table
+
+    calls = []
+
+    def tables(workers, apps):
+        calls.append((workers, apps))
+        return [Table(stem, f"title {stem}", ["x"], [(1,)]) for stem in stems]
+
+    monkeypatch.setitem(EXPERIMENTS, command,
+                        dataclasses.replace(EXPERIMENTS[command], run=tables))
+    assert main([command, "--workers", "3"]) == 0
+    out = capsys.readouterr().out
+    assert calls == [(3, ())]
+    assert out == "\n\n".join(t.render() for t in tables(3, ())) + "\n"
+
+
 def test_removed_telemetry_flags_are_usage_errors(capsys):
     for argv in (["run", "vectorAdd", "--account"],
                  ["metrics", "vectorAdd", "--prom"]):

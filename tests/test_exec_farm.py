@@ -12,15 +12,10 @@ import os
 
 import pytest
 
-from repro.exec import (
-    FarmJob,
-    FarmResult,
-    ScenarioFarm,
-    cache_scope,
-    canonical_json,
-    results_digest,
-)
+from repro.caching import cache_scope
+from repro.exec import FarmJob, FarmResult, ScenarioFarm, results_digest
 from repro.exec.farm import run_job
+from repro.obs.export import canonical_json
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 

@@ -148,16 +148,15 @@ def test_shared_inputs_leave_the_summary_unchanged(app, coalescing, per_vp_input
     np.testing.assert_array_equal(shared.extras["result"], reference.extras["result"])
 
 
-@pytest.mark.parametrize("concurrent", [True, False])
 @pytest.mark.parametrize("app", _SHARED_APPS)
-def test_shared_inputs_leave_emulation_unchanged(app, concurrent, per_vp_inputs):
+def test_shared_inputs_leave_emulation_unchanged(app, per_vp_inputs):
     from repro.core.scenarios import run_emulation
     from repro.workloads import get_workload
 
     spec = get_workload(app)
-    shared = run_emulation(spec, n_instances=3, concurrent=concurrent)
+    shared = run_emulation(spec, n_instances=3)
     per_vp_inputs()
-    reference = run_emulation(spec, n_instances=3, concurrent=concurrent)
+    reference = run_emulation(spec, n_instances=3)
     assert shared.summary() == reference.summary()
 
 
@@ -183,9 +182,8 @@ def test_timing_only_run_builds_inputs_once(input_builds):
 
     spec = make_vectoradd_spec(elements=2048, iterations=2)
     run_sigma_vp(spec, n_vps=4)
-    run_emulation(spec, n_instances=3, concurrent=True)
     run_emulation(spec, n_instances=3)
-    assert len(input_builds) == 3
+    assert len(input_builds) == 2
     for inputs in input_builds:
         assert all(array.flags.writeable is False for array in inputs)
 

@@ -166,6 +166,21 @@ def test_cancel_mid_run_terminates_worker(state_dir):
 # -- admission control -----------------------------------------------------------
 
 
+def test_serve_command_sets_max_depth_and_tenant_quota(
+    state_dir, capsys, monkeypatch
+):
+    from repro.cli import main
+
+    # Shut the daemon down where the command would block on it.
+    monkeypatch.setattr(ServeDaemon, "join", ServeDaemon.stop)
+    assert main([
+        "serve", "--socket", str(state_dir / "serve.sock"),
+        "--state-dir", str(state_dir), "--no-warm",
+        "--max-depth", "3", "--tenant-quota", "2",
+    ]) == 0
+    assert "max depth 3, tenant quota 2," in capsys.readouterr().out
+
+
 def test_backpressure_rejects_at_max_depth(state_dir):
     with _daemon(state_dir, max_workers=1, max_depth=2) as daemon:
         with _connect(daemon) as client:

@@ -160,11 +160,15 @@ def test_replay_through_sigma_vp():
 
 
 def test_replay_counts_api_calls():
-    env = Environment()
-    platform, api = _emulation_api(env)
+    from repro.core import SHARED_MEMORY, SigmaVP
+    from repro.core.jobs import JobKind
+
+    framework = SigmaVP(n_vps=1, transport=SHARED_MEMORY)
+    session = framework.session("vp0")
     trace = parse_trace(VALID_TRACE)
-    env.run(platform.run_app(replay(trace, api)))
-    assert api.calls["malloc"] == 3
-    assert api.calls["memcpy_h2d"] == 2
-    assert api.calls["launch_kernel"] == 1
-    assert api.calls["free"] == 1
+    framework.run_until([session.vp.run_app(replay(trace, session.runtime))])
+    dispatched = framework.dispatcher.stats.dispatched
+    assert dispatched[JobKind.MALLOC] == 3
+    assert dispatched[JobKind.COPY_H2D] == 2
+    assert dispatched[JobKind.KERNEL] == 1
+    assert dispatched[JobKind.FREE] == 1

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.handles import HandleTable
 from repro.core.ipc import IPCManager, SHARED_MEMORY
-from repro.core.jobs import JobQueue
+from repro.core.jobs import JobKind, JobQueue
 from repro.core.dispatcher import JobDispatcher, ServiceMode
 from repro.core.profiler import Profiler
 from repro.sched import FIFOPolicy
@@ -103,8 +103,9 @@ def test_native_backend_functional():
     process = host.run_app(_vecadd_app(api))
     result = env.run(process)
     np.testing.assert_array_equal(result, np.arange(1024) + 10.0)
-    assert api.calls["launch_kernel"] == 1
-    assert api.calls["malloc"] == 3
+    assert len(gpu.kernel_log) == 1
+    # Three buffers allocated, two of them freed.
+    assert len(gpu.memory) == 1
 
 
 def test_native_backend_frees_device_memory():
@@ -156,13 +157,13 @@ def test_emulation_unknown_handle_raises():
 # -- SigmaVPBackend -------------------------------------------------------------------
 
 
-def _sigma_setup():
+def _sigma_stack():
     env = Environment()
     gpu = HostGPU(env, QUADRO_4000)
     queue = JobQueue(env)
     handles = HandleTable()
     ipc = IPCManager(env, queue, transport=SHARED_MEMORY)
-    JobDispatcher(
+    dispatcher = JobDispatcher(
         env, gpu, queue, handles,
         policy=FIFOPolicy(), mode=ServiceMode.PIPELINED,
         registry=REGISTRY, profiler=Profiler(),
@@ -170,7 +171,11 @@ def _sigma_setup():
     vp = VirtualPlatform(env, "vp0")
     ipc.vp_control.register(vp)
     api = CudaRuntime(SigmaVPBackend(env, vp, ipc, handles))
-    return env, gpu, vp, api
+    return env, gpu, vp, api, dispatcher
+
+
+def _sigma_setup():
+    return _sigma_stack()[:4]
 
 
 def test_sigma_guest_path_gates_charges_and_stamps_seq():
@@ -281,9 +286,13 @@ def test_sigma_backend_malloc_validation():
 
 
 def test_runtime_counts_calls():
-    env, gpu, vp, api = _sigma_setup()
+    env, gpu, vp, api, dispatcher = _sigma_stack()
     env.run(vp.run_app(_vecadd_app(api)))
-    assert api.calls["memcpy_h2d"] == 2
-    assert api.calls["memcpy_d2h"] == 1
-    assert api.calls["free"] == 2
-    assert api.calls["synchronize"] == 1
+    env.run()  # the host drains the two asynchronous frees
+    dispatched = dispatcher.stats.dispatched
+    assert dispatched[JobKind.COPY_H2D] == 2
+    assert dispatched[JobKind.COPY_D2H] == 1
+    assert dispatched[JobKind.FREE] == 2
+    # synchronize makes no job: its trace is one completion response,
+    # next to the 9 requests and the responses of the three sync copies.
+    assert api.backend.ipc.messages_sent == 9 + 3 + 1
