@@ -73,7 +73,9 @@ def main() -> None:
 
     print(f"simulated {N_PARTICLES} particles x {N_STEPS} steps through "
           f"SigmaVP in {total_ms:.3f} ms of simulated time")
-    print(f"OpenCL commands issued: {cl.commands}")
+    jobs = {kind.value: n for kind, n
+            in framework.dispatcher.stats.dispatched.items() if n}
+    print(f"host jobs dispatched: {jobs}")
     print(f"mean height: {initial[:, 1].mean():.3f} -> {final[:, 1].mean():.3f} "
           "(falling, as physics demands)")
     print("functional check against the numpy reference: OK")

@@ -70,7 +70,10 @@ def main() -> None:
     expected = (3.0 * x + y) + y  # saxpy(3, x, y) then saxpy(1, ., y)
     assert np.allclose(process.value, expected)
     print(f"replayed in {total_ms:.3f} ms of simulated time")
-    print(f"API calls intercepted: {session.runtime.calls}")
+    jobs = {kind.value: n for kind, n
+            in framework.dispatcher.stats.dispatched.items() if n}
+    print(f"host jobs dispatched: {jobs}, "
+          f"IPC messages: {framework.ipc.messages_sent}")
     print("functional result matches the saxpy composition: OK")
     print()
     print("trace JSON (save this shape from your own interposer):")

@@ -2,8 +2,8 @@
 
 Each ``fig*_series`` function runs the corresponding experiment through
 the full simulation stack and returns the measured series next to the
-analytical/expected values the paper plots, ready for
-:func:`repro.analysis.reporting.render_series`.
+analytical/expected values the paper plots;
+:mod:`repro.analysis.experiments` lays them out as the archived tables.
 
 Every point of a figure is an independent simulation, so each series
 fans its points out over the :class:`~repro.exec.ScenarioFarm`: pass

@@ -4,7 +4,8 @@
 :class:`~repro.analysis.experiments.Table` the artifact commands print
 and ``benchmarks/results/`` archives goes through it, as do the CLI's
 own tables.  :func:`render_series` lays (label, values) series out
-against a shared x axis for it.
+against a shared x axis for it, for interactive sweeps such as
+``examples/optimization_study.py``.
 """
 
 from __future__ import annotations

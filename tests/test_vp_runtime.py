@@ -100,11 +100,21 @@ def test_native_backend_functional():
     gpu = HostGPU(env, QUADRO_4000)
     host = VirtualPlatform(env, "host", cpu=HOST_XEON)
     api = CudaRuntime(NativeGPUBackend(env, gpu, host))
+    handles = []
+    malloc = api.malloc
+
+    def recording_malloc(nbytes):
+        handle = yield from malloc(nbytes)
+        handles.append(handle)
+        return handle
+
+    api.malloc = recording_malloc
     process = host.run_app(_vecadd_app(api))
     result = env.run(process)
     np.testing.assert_array_equal(result, np.arange(1024) + 10.0)
     assert len(gpu.kernel_log) == 1
-    # Three buffers allocated, two of them freed.
+    # Three distinct buffers allocated, two of them freed.
+    assert len(set(handles)) == 3
     assert len(gpu.memory) == 1
 
 
@@ -157,7 +167,7 @@ def test_emulation_unknown_handle_raises():
 # -- SigmaVPBackend -------------------------------------------------------------------
 
 
-def _sigma_stack():
+def _sigma_setup():
     env = Environment()
     gpu = HostGPU(env, QUADRO_4000)
     queue = JobQueue(env)
@@ -172,10 +182,6 @@ def _sigma_stack():
     ipc.vp_control.register(vp)
     api = CudaRuntime(SigmaVPBackend(env, vp, ipc, handles))
     return env, gpu, vp, api, dispatcher
-
-
-def _sigma_setup():
-    return _sigma_stack()[:4]
 
 
 def test_sigma_guest_path_gates_charges_and_stamps_seq():
@@ -225,7 +231,7 @@ def test_sigma_guest_path_gates_charges_and_stamps_seq():
 
 
 def test_sigma_backend_functional():
-    env, gpu, vp, api = _sigma_setup()
+    env, gpu, vp, api, _ = _sigma_setup()
     result = env.run(vp.run_app(_vecadd_app(api)))
     np.testing.assert_array_equal(result, np.arange(1024) + 10.0)
 
@@ -234,7 +240,7 @@ def test_sigma_backend_binary_compatibility():
     """The same application source ran on all three backends above —
     this asserts identical numerical results (the paper's no-change
     claim transposed)."""
-    env, gpu, vp, api = _sigma_setup()
+    env, gpu, vp, api, _ = _sigma_setup()
     sigma_result = env.run(vp.run_app(_vecadd_app(api)))
 
     env2 = Environment()
@@ -246,7 +252,7 @@ def test_sigma_backend_binary_compatibility():
 
 
 def test_sigma_backend_sync_waits_for_completion():
-    env, gpu, vp, api = _sigma_setup()
+    env, gpu, vp, api, _ = _sigma_setup()
 
     def app():
         h = yield from api.malloc(8192)
@@ -259,7 +265,7 @@ def test_sigma_backend_sync_waits_for_completion():
 
 
 def test_sigma_backend_async_returns_before_completion():
-    env, gpu, vp, api = _sigma_setup()
+    env, gpu, vp, api, _ = _sigma_setup()
     marker = {}
 
     def app():
@@ -276,7 +282,7 @@ def test_sigma_backend_async_returns_before_completion():
 
 
 def test_sigma_backend_malloc_validation():
-    env, gpu, vp, api = _sigma_setup()
+    env, gpu, vp, api, _ = _sigma_setup()
 
     def app():
         yield from api.malloc(0)
@@ -286,7 +292,7 @@ def test_sigma_backend_malloc_validation():
 
 
 def test_runtime_counts_calls():
-    env, gpu, vp, api, dispatcher = _sigma_stack()
+    env, gpu, vp, api, dispatcher = _sigma_setup()
     env.run(vp.run_app(_vecadd_app(api)))
     env.run()  # the host drains the two asynchronous frees
     dispatched = dispatcher.stats.dispatched
