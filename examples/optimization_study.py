@@ -16,7 +16,7 @@ from repro.analysis import (
     fig9a_series,
     fig9b_series,
     fig10a_series,
-    render_series,
+    render_table,
 )
 
 
@@ -24,12 +24,10 @@ def main() -> None:
     print("Kernel Interleaving: sweeping kernel length (2 programs, "
           "Tm = 13.44 ms)...")
     points = fig9a_series(kernel_lengths_ms=(2.0, 8.0, 13.44, 30.0, 60.0))
-    print(render_series(
-        "speedup vs kernel length",
-        [f"{p.x:.2f}" for p in points],
-        [("measured", [p.measured for p in points]),
-         ("Eq. (7)", [p.expected for p in points])],
-        x_label="kernel ms",
+    print(render_table(
+        ["kernel ms", "measured", "Eq. (7)"],
+        [(f"{p.x:.2f}", p.measured, p.expected) for p in points],
+        title="speedup vs kernel length",
     ))
     peak = max(points, key=lambda p: p.measured)
     print(f"-> peak at ~{peak.x:.1f} ms: latency hiding is strongest when "
@@ -37,23 +35,19 @@ def main() -> None:
 
     print("Kernel Interleaving: sweeping program count (Tk = Tm)...")
     points = fig9b_series(program_counts=(2, 4, 8, 16))
-    print(render_series(
-        "speedup vs N",
-        [int(p.x) for p in points],
-        [("measured", [p.measured for p in points]),
-         ("3N/(N+2)", [p.expected for p in points])],
-        x_label="N",
+    print(render_table(
+        ["N", "measured", "3N/(N+2)"],
+        [(int(p.x), p.measured, p.expected) for p in points],
+        title="speedup vs N",
     ))
     print("-> approaches 3x: three pipeline stages fully overlapped\n")
 
     print("Kernel Coalescing: sweeping batch degree (64 programs)...")
     points = fig10a_series(batch_degrees=(1, 4, 16, 64))
-    print(render_series(
-        "coalescing 64 vectorAdd programs",
-        [p.batch for p in points],
-        [("time (ms)", [p.total_ms for p in points]),
-         ("speedup", [p.speedup for p in points])],
-        x_label="batch",
+    print(render_table(
+        ["batch", "time (ms)", "speedup"],
+        [(p.batch, p.total_ms, p.speedup) for p in points],
+        title="coalescing 64 vectorAdd programs",
     ))
     print("-> merged launches amortize launch/profiling overhead and "
           "realign small grids to the device's wave quantum")

@@ -31,7 +31,7 @@ from .figures import (
     fig13_series,
 )
 from .report_builder import build_report, write_report
-from .reporting import render_series, render_table
+from .reporting import render_table
 from .sweeps import (
     DesignPoint,
     derive_architecture,
@@ -84,6 +84,5 @@ __all__ = [
     "fig11_series",
     "fig12_series",
     "fig13_series",
-    "render_series",
     "render_table",
 ]

@@ -1,14 +1,12 @@
 """Critical-path attribution: what bounds a scenario's simulated time.
 
-Before partitioning the event core across host threads (the ROADMAP's
-intra-scenario parallelism item), we need to know *which* lane the
-simulated clock is actually waiting on — compute, one of the copy
-directions, IPC, or nothing at all (host-call gaps and scheduling
-stalls).  "Parallelizing a modern GPU simulator" partitions along
-exactly such per-domain utilization boundaries.
+It answers *which* lane the simulated clock is actually waiting on —
+compute, one of the copy directions, IPC, or nothing at all (host-call
+gaps and scheduling stalls) — which is what ``repro trace --critpath``
+prints.
 
-The attribution walks an exported trace payload (:meth:`Tracer.to_payload`
-or a merged farm payload) and classifies every instant of ``[0,
+The attribution walks one captured trace payload
+(:meth:`Tracer.to_payload`) and classifies every instant of ``[0,
 horizon]`` by a fixed priority — ``compute > h2d > d2h > ipc > idle`` —
 so each millisecond of simulated time lands in exactly one named bucket
 and the buckets sum to the horizon (100% coverage by construction).

@@ -9,24 +9,35 @@ Every point of a figure is an independent simulation, so each series
 fans its points out over the :class:`~repro.exec.ScenarioFarm`: pass
 ``workers=N`` to run N points concurrently in worker processes.  The
 default ``workers=1`` runs the identical job functions serially
-in-process, so parallel and serial series are bit-identical.  The
+in-process, so parallel and serial series are bit-identical.  Each
+``fig*_point`` function sits beside the series that fans it out; a job
+names it by its frozen tag (:data:`repro.exec.farm.JOB_HOMES`).  The
 Fig. 9 and Fig. 10(a) jobs run over shared memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.ipc import SHARED_MEMORY
-from ..exec import jobs as farm_jobs
-from ..exec.farm import ScenarioFarm
-from ..gpu.arch import GPUArchitecture, GRID_K520, QUADRO_4000, TEGRA_K1
+from ..core.estimation import ExecutionAnalyzer
+from ..core.interleaving import balanced_speedup, expected_speedup
+from ..core.ipc import SHARED_MEMORY, resolve_transport
+from ..core.scenarios import run_emulation, run_sigma_vp
+from ..exec.farm import FarmJob, ScenarioFarm
+from ..gpu.arch import (
+    GPUArchitecture,
+    GRID_K520,
+    QUADRO_4000,
+    TEGRA_K1,
+    get_architecture,
+)
 from ..gpu.timing import KernelTimingModel
 from ..kernels.compiler import KernelCompiler
 from ..kernels.launch import LaunchConfig
-from ..workloads.catalog import ESTIMATION_APPS
-from ..workloads.linalg import make_vectoradd_kernel
+from ..workloads.catalog import ESTIMATION_APPS, get_workload
+from ..workloads.linalg import make_vectoradd_kernel, make_vectoradd_spec
+from ..workloads.synthetic import make_phase_workload, measured_phase_times
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +54,26 @@ class InterleavingPoint:
     expected: float
 
 
+def fig9a_point(
+    t_kernel_ms: float,
+    t_copy_ms: float = 13.44,
+    transport: str = "shared-memory",
+) -> Dict[str, float]:
+    """One Fig. 9(a) point: interleaving speedup at one kernel length."""
+    ipc = resolve_transport(transport)
+    spec = make_phase_workload(t_kernel_ms=t_kernel_ms, t_copy_ms=t_copy_ms)
+    tm, tk = measured_phase_times(spec)
+    serial = run_sigma_vp(spec, n_vps=2, interleaving=False,
+                          coalescing=False, transport=ipc)
+    inter = run_sigma_vp(spec, n_vps=2, interleaving=True,
+                         coalescing=False, transport=ipc)
+    return {
+        "x": tk,
+        "measured": serial.total_ms / inter.total_ms,
+        "expected": expected_speedup(2, tm, tk),
+    }
+
+
 def fig9a_series(
     kernel_lengths_ms: Sequence[float] = (1.0, 4.0, 8.0, 13.44, 20.0, 40.0, 60.0, 80.0, 100.0),
     t_copy_ms: float = 13.44,
@@ -53,17 +84,33 @@ def fig9a_series(
     The copy time is fixed at the paper's 13.44 ms; speedup peaks where
     the kernel matches it (latency hiding).
     """
-    farm = ScenarioFarm(workers=workers)
-    values = farm_jobs.fanout(
-        farm,
-        "repro.exec.jobs:fig9a_point",
-        [
-            {"t_kernel_ms": tk, "t_copy_ms": t_copy_ms, "transport": SHARED_MEMORY.name}
-            for tk in kernel_lengths_ms
-        ],
-        label="fig9a",
-    )
+    values = ScenarioFarm(workers=workers).map_values([
+        FarmJob(fn="repro.exec.jobs:fig9a_point", kwargs={
+            "t_kernel_ms": tk, "t_copy_ms": t_copy_ms,
+            "transport": SHARED_MEMORY.name,
+        })
+        for tk in kernel_lengths_ms
+    ])
     return [InterleavingPoint(**value) for value in values]
+
+
+def fig9b_point(
+    n_programs: int,
+    t_phase_ms: float = 4.0,
+    transport: str = "shared-memory",
+) -> Dict[str, float]:
+    """One Fig. 9(b) point: interleaving speedup for N balanced programs."""
+    ipc = resolve_transport(transport)
+    spec = make_phase_workload(t_kernel_ms=t_phase_ms, t_copy_ms=t_phase_ms)
+    serial = run_sigma_vp(spec, n_vps=n_programs, interleaving=False,
+                          coalescing=False, transport=ipc)
+    inter = run_sigma_vp(spec, n_vps=n_programs, interleaving=True,
+                         coalescing=False, transport=ipc)
+    return {
+        "x": float(n_programs),
+        "measured": serial.total_ms / inter.total_ms,
+        "expected": balanced_speedup(n_programs),
+    }
 
 
 def fig9b_series(
@@ -72,16 +119,13 @@ def fig9b_series(
     workers: int = 1,
 ) -> List[InterleavingPoint]:
     """Fig. 9(b): N interleaved programs with Tk = Tm; expected = 3N/(N+2)."""
-    farm = ScenarioFarm(workers=workers)
-    values = farm_jobs.fanout(
-        farm,
-        "repro.exec.jobs:fig9b_point",
-        [
-            {"n_programs": n, "t_phase_ms": t_phase_ms, "transport": SHARED_MEMORY.name}
-            for n in program_counts
-        ],
-        label="fig9b",
-    )
+    values = ScenarioFarm(workers=workers).map_values([
+        FarmJob(fn="repro.exec.jobs:fig9b_point", kwargs={
+            "n_programs": n, "t_phase_ms": t_phase_ms,
+            "transport": SHARED_MEMORY.name,
+        })
+        for n in program_counts
+    ])
     return [InterleavingPoint(**value) for value in values]
 
 
@@ -104,6 +148,32 @@ class CoalescingPoint:
 PAPER_FIG10A = {16: 10.54, 64: 20.48}
 
 
+def fig10a_point(
+    batch: int,
+    n_programs: int = 64,
+    transport: str = "shared-memory",
+    functional: bool = False,
+    policy: Optional[str] = None,
+    placement: Optional[str] = None,
+) -> float:
+    """Fig. 10(a): total ms at one coalescing degree (1 = coalescing off)."""
+    spec = make_vectoradd_spec(
+        elements=4096, iterations=1, block_size=512,
+        elements_per_thread=8, fp32_per_element=4000,
+    )
+    return run_sigma_vp(
+        spec,
+        n_vps=n_programs,
+        interleaving=False,
+        coalescing=batch > 1,
+        max_batch=max(batch, 1),
+        transport=resolve_transport(transport),
+        functional=functional,
+        policy=policy,
+        placement=placement,
+    ).total_ms
+
+
 def fig10a_series(
     batch_degrees: Sequence[int] = (1, 2, 4, 8, 16, 32, 48, 64),
     n_programs: int = 64,
@@ -114,17 +184,14 @@ def fig10a_series(
     Per-program work is fixed (the total stays the same as the paper
     requires); the baseline is the same 64 programs with coalescing off.
     """
-    farm = ScenarioFarm(workers=workers)
     batches = [1] + [b for b in batch_degrees if b > 1]
-    totals = farm_jobs.fanout(
-        farm,
-        "repro.exec.jobs:fig10a_point",
-        [
-            {"batch": batch, "n_programs": n_programs, "transport": SHARED_MEMORY.name}
-            for batch in batches
-        ],
-        label="fig10a",
-    )
+    totals = ScenarioFarm(workers=workers).map_values([
+        FarmJob(fn="repro.exec.jobs:fig10a_point", kwargs={
+            "batch": batch, "n_programs": n_programs,
+            "transport": SHARED_MEMORY.name,
+        })
+        for batch in batches
+    ])
     base = totals[0]
     return [
         CoalescingPoint(batch=batch, total_ms=total, speedup=base / total)
@@ -196,19 +263,37 @@ FIG11_APPS: Tuple[str, ...] = (
 )
 
 
+def fig11_point(
+    app: str,
+    n_vps: int = 8,
+    functional: bool = False,
+) -> Dict[str, Any]:
+    """One Fig. 11 application: emulation time plus SigmaVP speedups."""
+    spec = get_workload(app)
+    emul = run_emulation(spec, n_instances=n_vps).total_ms
+    base = run_sigma_vp(spec, n_vps=n_vps, interleaving=False,
+                        coalescing=False, functional=functional).total_ms
+    opt = run_sigma_vp(spec, n_vps=n_vps, interleaving=True,
+                       coalescing=True, functional=functional).total_ms
+    return {
+        "app": app,
+        "emulation_ms": emul,
+        "multiplexing_speedup": emul / base,
+        "optimized_speedup": emul / opt,
+    }
+
+
 def fig11_series(
     apps: Sequence[str] = FIG11_APPS,
     n_vps: int = 8,
     workers: int = 1,
 ) -> List[SuitePoint]:
     """Fig. 11: per-app emulation time and SigmaVP speedups on 8 VPs."""
-    farm = ScenarioFarm(workers=workers)
-    values = farm_jobs.fanout(
-        farm,
-        "repro.exec.jobs:fig11_point",
-        [{"app": name, "n_vps": n_vps} for name in apps],
-        label="fig11",
-    )
+    values = ScenarioFarm(workers=workers).map_values([
+        FarmJob(fn="repro.exec.jobs:fig11_point",
+                kwargs={"app": name, "n_vps": n_vps})
+        for name in apps
+    ])
     return [SuitePoint(**value) for value in values]
 
 
@@ -231,6 +316,30 @@ class EstimationPoint:
     c_double_prime_normalized: float
 
 
+def fig12_point(host: str, app: str, target: str = "Tegra K1") -> Dict[str, Any]:
+    """One Fig. 12 (host, app) pair: normalized execution-time estimates."""
+    host_arch = get_architecture(host)
+    analyzer = ExecutionAnalyzer(host_arch, get_architecture(target))
+    spec = get_workload(app)
+    kernel, launch = spec.kernel, spec.launch_config()
+    host_profile = analyzer.profile_on_host(kernel, launch)
+    truth_ms = analyzer.observe_on_target(kernel, launch).time_ms
+    est = analyzer.analyze(kernel, launch, host_profile=host_profile)
+
+    def norm(cycles: float) -> float:
+        return analyzer.estimated_time_ms(cycles) / truth_ms
+
+    return {
+        "app": app,
+        "host": host_arch.name,
+        "h_normalized": host_profile.time_ms / truth_ms,
+        "t_normalized": 1.0,
+        "c_normalized": norm(est.c_cycles),
+        "c_prime_normalized": norm(est.c_prime_cycles),
+        "c_double_prime_normalized": norm(est.c_double_prime_cycles),
+    }
+
+
 def fig12_series(
     hosts: Sequence[GPUArchitecture] = (QUADRO_4000, GRID_K520),
     apps: Sequence[str] = ESTIMATION_APPS,
@@ -238,17 +347,12 @@ def fig12_series(
     workers: int = 1,
 ) -> List[EstimationPoint]:
     """Fig. 12: normalized execution times, two hosts x four apps."""
-    farm = ScenarioFarm(workers=workers)
-    values = farm_jobs.fanout(
-        farm,
-        "repro.exec.jobs:fig12_point",
-        [
-            {"host": host.name, "app": name, "target": target.name}
-            for host in hosts
-            for name in apps
-        ],
-        label="fig12",
-    )
+    values = ScenarioFarm(workers=workers).map_values([
+        FarmJob(fn="repro.exec.jobs:fig12_point",
+                kwargs={"host": host.name, "app": name, "target": target.name})
+        for host in hosts
+        for name in apps
+    ])
     return [EstimationPoint(**value) for value in values]
 
 
@@ -266,6 +370,23 @@ class PowerPoint:
         return 100.0 * (self.estimated_w - self.measured_w) / self.measured_w
 
 
+def fig13_point(host: str, app: str, target: str = "Tegra K1") -> Dict[str, Any]:
+    """One Fig. 13 (host, app) pair: measured vs estimated target power."""
+    host_arch = get_architecture(host)
+    analyzer = ExecutionAnalyzer(host_arch, get_architecture(target))
+    spec = get_workload(app)
+    kernel, launch = spec.kernel, spec.launch_config()
+    host_profile = analyzer.profile_on_host(kernel, launch)
+    measured = analyzer.observed_power(kernel, launch)
+    estimated = analyzer.estimate_power(kernel, launch, host_profile=host_profile)
+    return {
+        "app": app,
+        "host": host_arch.name,
+        "measured_w": measured.total_w,
+        "estimated_w": estimated.total_w,
+    }
+
+
 def fig13_series(
     hosts: Sequence[GPUArchitecture] = (QUADRO_4000, GRID_K520),
     apps: Sequence[str] = ESTIMATION_APPS,
@@ -273,15 +394,10 @@ def fig13_series(
     workers: int = 1,
 ) -> List[PowerPoint]:
     """Fig. 13: normalized power, two hosts x four apps (within ~10%)."""
-    farm = ScenarioFarm(workers=workers)
-    values = farm_jobs.fanout(
-        farm,
-        "repro.exec.jobs:fig13_point",
-        [
-            {"host": host.name, "app": name, "target": target.name}
-            for host in hosts
-            for name in apps
-        ],
-        label="fig13",
-    )
+    values = ScenarioFarm(workers=workers).map_values([
+        FarmJob(fn="repro.exec.jobs:fig13_point",
+                kwargs={"host": host.name, "app": name, "target": target.name})
+        for host in hosts
+        for name in apps
+    ])
     return [PowerPoint(**value) for value in values]

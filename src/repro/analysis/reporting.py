@@ -3,9 +3,7 @@
 :func:`render_table` is the one fixed-width renderer: every
 :class:`~repro.analysis.experiments.Table` the artifact commands print
 and ``benchmarks/results/`` archives goes through it, as do the CLI's
-own tables.  :func:`render_series` lays (label, values) series out
-against a shared x axis for it, for interactive sweeps such as
-``examples/optimization_study.py``.
+own tables and the examples' sweeps.
 """
 
 from __future__ import annotations
@@ -49,17 +47,3 @@ def _fmt(value: object) -> str:
             return f"{value:.2f}"
         return f"{value:.3f}"
     return str(value)
-
-
-def render_series(
-    name: str,
-    xs: Sequence[object],
-    series: Sequence[tuple],
-    x_label: str = "x",
-) -> str:
-    """Render one or more (label, values) series against a shared x axis."""
-    headers = [x_label] + [label for label, _values in series]
-    rows = []
-    for index, x in enumerate(xs):
-        rows.append([x] + [values[index] for _label, values in series])
-    return render_table(headers, rows, title=name)

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Sequence
 
 from ..core.estimation import ExecutionAnalyzer
-from ..gpu.arch import GPUArchitecture, QUADRO_4000, TEGRA_K1
+from ..exec.farm import FarmJob, ScenarioFarm
+from ..gpu.arch import GPUArchitecture, QUADRO_4000, TEGRA_K1, get_architecture
 from ..kernels.compiler import KernelCompiler
 from ..workloads.base import WorkloadSpec
+from ..workloads.catalog import get_workload
 
 
 def derive_architecture(base: GPUArchitecture, name: str, **overrides) -> GPUArchitecture:
@@ -119,6 +121,30 @@ def pareto_front(points: Sequence[DesignPoint]) -> List[DesignPoint]:
     return sorted(front, key=lambda p: p.estimated_time_ms)
 
 
+def sweep_point(
+    app: str,
+    sm_count: int,
+    clock_mhz: float,
+    host: str = "Quadro 4000",
+) -> Dict[str, Any]:
+    """One Tegra-K1-derived design candidate's predicted time and power.
+
+    Rebuilds the candidate with :func:`tegra_scaling_candidates` so the
+    parent process can re-derive the identical architecture object.
+    """
+    candidates = tegra_scaling_candidates(
+        sm_counts=(sm_count,), clocks_mhz=(clock_mhz,)
+    )
+    point = sweep_targets(
+        get_workload(app), candidates, host=get_architecture(host)
+    )[0]
+    return {
+        "name": point.name,
+        "estimated_time_ms": point.estimated_time_ms,
+        "estimated_power_w": point.estimated_power_w,
+    }
+
+
 def sweep_suite(
     apps: Sequence[str],
     sm_counts: Sequence[int] = (1, 2, 4),
@@ -135,22 +161,14 @@ def sweep_suite(
     :class:`DesignPoint` objects carry the full architecture while the
     jobs themselves stay JSON-able.
     """
-    from ..exec import jobs as farm_jobs
-    from ..exec.farm import ScenarioFarm
-
     grid = [(sm, clock) for sm in sm_counts for clock in clocks_mhz]
-    farm = ScenarioFarm(workers=workers)
-    values = farm_jobs.fanout(
-        farm,
-        "repro.exec.jobs:sweep_point",
-        [
-            {"app": app, "sm_count": sm, "clock_mhz": clock,
-             "host": host.name}
-            for app in apps
-            for sm, clock in grid
-        ],
-        label="sweep",
-    )
+    values = ScenarioFarm(workers=workers).map_values([
+        FarmJob(fn="repro.exec.jobs:sweep_point", kwargs={
+            "app": app, "sm_count": sm, "clock_mhz": clock, "host": host.name,
+        })
+        for app in apps
+        for sm, clock in grid
+    ])
     results: Dict[str, List[DesignPoint]] = {}
     index = 0
     for app in apps:

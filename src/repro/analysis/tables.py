@@ -9,8 +9,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..exec import jobs as farm_jobs
-from ..exec.farm import ScenarioFarm
+from ..core.scenarios import (
+    run_c_program,
+    run_emulation,
+    run_native_gpu,
+    run_sigma_vp,
+)
+from ..exec.farm import FarmJob, ScenarioFarm
+from ..vp.cpu import HOST_XEON, QEMU_ARM_VP
+from ..workloads.catalog import get_workload
 
 #: The paper's Table 1 values (time in ms, ratio to native GPU).
 PAPER_TABLE1 = {
@@ -37,20 +44,36 @@ class Table1Row:
         return f"{self.language} / {self.executed_by}"
 
 
+def table1_route(route: str, app: str = "matrixMul") -> float:
+    """Total ms of one Table 1 execution route for a catalogued app."""
+    spec = get_workload(app)
+    if route == "CUDA / GPU":
+        return run_native_gpu(spec).total_ms
+    if route == "CUDA / Emul. on CPU":
+        return run_emulation(spec, cpu=HOST_XEON).total_ms
+    if route == "CUDA / Emul. on VP":
+        return run_emulation(spec, cpu=QEMU_ARM_VP).total_ms
+    if route == "CUDA / This work":
+        return run_sigma_vp(spec, n_vps=1).total_ms
+    if route == "C / CPU":
+        return run_c_program(spec, cpu=HOST_XEON).total_ms
+    if route == "C / VP":
+        return run_c_program(spec, cpu=QEMU_ARM_VP).total_ms
+    raise ValueError(f"unknown Table 1 route {route!r}")
+
+
 def build_table1(workers: int = 1) -> List[Table1Row]:
     """Run all six Table 1 routes on matrixMul; rows in the paper's order.
 
-    Each route is an independent simulation
-    (:func:`repro.exec.jobs.table1_route`); ``workers>1`` fans the six
-    routes over the scenario farm.
+    Each route is an independent simulation (:func:`table1_route`);
+    ``workers>1`` fans the six routes over the scenario farm.
     """
     routes = list(PAPER_TABLE1)
-    times = farm_jobs.fanout(
-        ScenarioFarm(workers=workers),
-        "repro.exec.jobs:table1_route",
-        [{"route": route, "app": "matrixMul"} for route in routes],
-        label="table1",
-    )
+    times = ScenarioFarm(workers=workers).map_values([
+        FarmJob(fn="repro.exec.jobs:table1_route",
+                kwargs={"route": route, "app": "matrixMul"})
+        for route in routes
+    ])
     measured = dict(zip(routes, times))
     native = measured["CUDA / GPU"]
     rows = []

@@ -16,13 +16,15 @@ becomes a simulation.  Every other path is a caller or a projection:
   form plus event frames, so the local and remote paths cannot drift.
 
 **Identity rule.**  A request's config hash is the farm's
-:func:`~repro.obs.export.config_key` over the identity tag
-``repro.exec.jobs:scenario_summary`` and :meth:`RunRequest.job_kwargs`:
-the scenario-shaping fields always, the tuning fields only when they
-differ from their defaults.  The hash seeds the run and enters every
-results digest.  ``tenant``, ``qos`` and ``schema`` are service-level
-routing, not scenario identity: two tenants submitting the same
-scenario share one config hash and one digest.
+:func:`~repro.obs.export.config_key` over the scenario job tag (a
+frozen name, run by :func:`scenario_summary`) and
+:meth:`RunRequest.job_kwargs`: the scenario-shaping fields always, the
+tuning fields only when they differ from their defaults.  The hash
+enters every results digest and derives the run-stamp seed; the
+simulation itself seeds its inputs by VP index.
+``tenant``, ``qos`` and ``schema`` are service-level routing, not
+scenario identity: two tenants submitting the same scenario share one
+config hash and one digest.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "connect",
     "run",
     "scenario",
+    "scenario_summary",
     "submit",
 ]
 
@@ -55,7 +58,8 @@ __all__ = [
 #: Schema 2 dropped ``shards``; schema 3 dropped ``backend``.
 SCHEMA_VERSION = 3
 
-#: The farm function whose name tags every scenario's config hash.
+#: The farm job tag of every scenario's config hash (run by
+#: :func:`scenario_summary`; frozen, so hashes never move).
 _SCENARIO_FN = "repro.exec.jobs:scenario_summary"
 
 #: Fields that always enter the farm-job kwargs (scenario shape).
@@ -95,8 +99,8 @@ class RunRequest:
     """One versioned, JSON-round-trippable scenario submission.
 
     This class is the one statement of the scenario field set and its
-    defaults; ``repro.exec.jobs:scenario_summary`` takes the same fields
-    as ``**fields``.  ``tenant`` and ``qos`` are the service-routing
+    defaults; :func:`scenario_summary` takes the same fields as
+    ``**fields``.  ``tenant`` and ``qos`` are the service-routing
     fields the daemon schedules tenants by.
     """
 
@@ -302,9 +306,9 @@ def run(request: RunRequest) -> RunResult:
     """Execute a request locally through the farm's ``run_job`` path.
 
     This is the exact code path a farm worker and the ``repro serve``
-    daemon execute — same config-hash key, same deterministic seed — so
-    the returned digest is bit-identical to a daemon-produced one for
-    the same request.
+    daemon execute, under the same config-hash key, so the returned
+    digest is bit-identical to a daemon-produced one for the same
+    request.
     """
     from .exec.farm import results_digest, run_job, warm_worker
 
@@ -346,6 +350,16 @@ def scenario(request: RunRequest) -> "ScenarioResult":
         policy=request.policy,
         placement=request.placement,
     )
+
+
+def scenario_summary(**fields: Any) -> Dict[str, Any]:
+    """:func:`scenario` of ``RunRequest(**fields)``, summarized.
+
+    The function behind the scenario job tag that
+    :meth:`RunRequest.to_farm_job` builds: what a farm worker, the
+    daemon and :func:`run` execute for one request.
+    """
+    return scenario(RunRequest(**fields)).summary()
 
 
 def _spec(app: str, scale_elements: Optional[int] = None,

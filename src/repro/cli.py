@@ -346,18 +346,21 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
 
 
 def _captured_scenario(args: argparse.Namespace):
-    """Run one scenario with capture on; returns (job, FarmResult).
+    """Run one scenario in-process inside an observability capture.
 
-    Routing through the request's :class:`FarmJob` projection gives the
-    run the farm's config-hash identity and deterministic seed for
-    free, so exported artifacts are stamped exactly like the equivalent
-    farm job.
+    Returns ``(job, value, capture)``.  The run is the request's
+    :class:`FarmJob` through ``run_job``, so exported artifacts are
+    stamped with the config hash and seed of :func:`repro.api.run` and
+    the daemon.  It runs cold (no warm-up), so the capture counts the
+    run's own kernel compiles.
     """
-    from .exec import ScenarioFarm
+    from .exec.farm import run_job
+    from .obs import capture
 
     job = _scenario_request(args).to_farm_job()
-    result = ScenarioFarm(workers=1, warmup=False, capture_obs=True).map([job])[0]
-    return job, result
+    with capture() as window:
+        value = run_job(job).value
+    return job, value, window
 
 
 def _cmd_trace(args: argparse.Namespace) -> None:
@@ -366,26 +369,26 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     from .analysis.timeline import render_gantt, timeline_from_trace
     from .obs import run_stamp, span_counts_by_lane, write_metrics, write_trace
 
-    job, result = _captured_scenario(args)
+    job, value, window = _captured_scenario(args)
+    trace = window.trace_payload()
     stamp = run_stamp(job.fn, job.kwargs, seed=job.seed, label=job.label)
-    path = write_trace(Path(args.output), [(job.label, result.trace)], stamp)
-    value = result.value
+    path = write_trace(Path(args.output), [(job.label, trace)], stamp)
     print(f"{job.label}: total simulated time {value['total_ms']:.3f} ms "
           f"(config {stamp['config_hash']}, seed {stamp['seed']})")
-    for lane, count in span_counts_by_lane(result.trace).items():
+    for lane, count in span_counts_by_lane(trace).items():
         print(f"  {lane:<28} {count:5d} spans")
     print(f"trace written to {path} (open at ui.perfetto.dev)")
     if args.metrics_out:
-        mpath = write_metrics(Path(args.metrics_out), result.metrics, stamp)
+        mpath = write_metrics(Path(args.metrics_out), window.metrics_payload(), stamp)
         print(f"metrics written to {mpath}")
     if args.gantt:
         print()
-        print(render_gantt(timeline_from_trace(result.trace)))
+        print(render_gantt(timeline_from_trace(trace)))
     if args.critpath:
         from .analysis.critpath import attribute, render_critpath
 
         print()
-        print(render_critpath(attribute(result.trace)))
+        print(render_critpath(attribute(trace)))
 
 
 def _cmd_metrics(args: argparse.Namespace) -> None:
@@ -393,11 +396,12 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
 
     from .obs import metrics_snapshot, render_metrics, run_stamp, write_metrics
 
-    job, result = _captured_scenario(args)
+    job, _value, window = _captured_scenario(args)
+    metrics = window.metrics_payload()
     stamp = run_stamp(job.fn, job.kwargs, seed=job.seed, label=job.label)
-    print(render_metrics(metrics_snapshot(result.metrics, stamp)))
+    print(render_metrics(metrics_snapshot(metrics, stamp)))
     if args.output:
-        path = write_metrics(Path(args.output), result.metrics, stamp)
+        path = write_metrics(Path(args.output), metrics, stamp)
         print(f"metrics written to {path}")
 
 

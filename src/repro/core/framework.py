@@ -243,8 +243,8 @@ class SigmaVP:
     def run_until(self, processes: List[Process]) -> float:
         """Advance the simulation until every process finishes.
 
-        When observability is active (``repro trace``, a farm run with
-        ``capture_obs=True``, or any :func:`repro.obs.capture` window),
+        When observability is active (``repro trace``, ``repro metrics``,
+        or any other :func:`repro.obs.capture` window),
         the run is self-profiled in host wall-clock and the finished
         framework's state — engine utilizations, per-VP lifetimes, cache
         hit rates, coalescing totals — is collected into the active

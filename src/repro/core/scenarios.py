@@ -8,7 +8,8 @@ fresh simulation environment and returns a :class:`ScenarioResult`:
 * :func:`run_emulation` — CUDA interpreted in software on a CPU model
   (the host Xeon, or the binary-translated QEMU ARM VP);
 * :func:`run_sigma_vp` — the paper's contribution, with interleaving
-  and coalescing switchable;
+  and coalescing switchable (:func:`phase_point` is its synthetic
+  phase-loop fleet, the scaling and ablation benchmarks' farm job);
 * :func:`run_c_program` — the plain-C implementation on a CPU model.
 """
 
@@ -27,7 +28,7 @@ from ..vp.cuda_runtime import CudaRuntime, EmulationBackend, NativeGPUBackend
 from ..vp.platform import VirtualPlatform
 from ..workloads.base import WorkloadSpec, build_app, shared_inputs
 from .framework import SigmaVP
-from .ipc import IPCTransport, SOCKET
+from .ipc import IPCTransport, SOCKET, resolve_transport
 
 #: Registry used when functional (numpy) execution is switched off:
 #: timing-only runs, as used by the parameter-sweep benchmarks.
@@ -234,6 +235,36 @@ def run_sigma_vp(
             "ipc_messages": framework.ipc.messages_sent,
         },
     )
+
+
+def phase_point(
+    n_vps: int,
+    t_kernel_ms: float,
+    t_copy_ms: float,
+    iterations: int = 1,
+    n_host_gpus: int = 1,
+    interleaving: bool = True,
+    coalescing: bool = False,
+    transport: str = "shared-memory",
+    policy: Optional[str] = None,
+    placement: Optional[str] = None,
+) -> float:
+    """Total ms for a synthetic phase-loop fleet (scaling/ablation benches)."""
+    from ..workloads.synthetic import make_phase_workload
+
+    spec = make_phase_workload(
+        t_kernel_ms=t_kernel_ms, t_copy_ms=t_copy_ms, iterations=iterations
+    )
+    framework = SigmaVP(
+        n_vps=n_vps,
+        n_host_gpus=n_host_gpus,
+        interleaving=interleaving,
+        coalescing=coalescing,
+        transport=resolve_transport(transport),
+        policy=policy,
+        placement=placement,
+    )
+    return framework.run_workload(spec)
 
 
 def run_c_program(spec: WorkloadSpec, cpu: CPUModel = HOST_XEON,

@@ -1,21 +1,25 @@
 """The ScenarioFarm: coarse-grain parallelism over independent simulations.
 
-Both parallel-simulator lines of work this PR follows (parallelizing a
+Both parallel-simulator lines of work this farm follows (parallelizing a
 modern GPU simulator; parallel SystemC virtual platforms) get their
 throughput from the same observation: *independent simulations need no
 synchronization*.  A sweep point, a figure's bar, or a Table-1 route is
 one self-contained discrete-event simulation; the farm runs many of them
-concurrently in worker processes.
+concurrently in worker processes and returns each one's value.
 
 Design:
 
 * **Jobs are descriptions, not closures.**  A :class:`FarmJob` names a
-  module-level function (``"package.module:function"``) plus JSON-able
-  keyword arguments, so every job pickles trivially and has a stable
-  **config-hash key** — the sha256 of the function reference and the
-  canonical-JSON encoding of its arguments.  The key doubles as the
-  source of the job's **deterministic seed**, so a scenario's randomness
-  never depends on which worker ran it or in what order.
+  job by a frozen **tag** plus JSON-able keyword arguments, so every job
+  pickles trivially and has a stable **config-hash key** — the sha256 of
+  the tag and the canonical-JSON encoding of its arguments.  The key
+  names the job in every results digest and derives its run-stamp seed;
+  a scenario's inputs are seeded by VP index, never by which worker ran
+  it or in what order.
+* **Tags are not import paths.**  :data:`JOB_HOMES` maps each tag to the
+  ``"module:function"`` that runs it today.  A function can move without
+  moving a config hash, seed or digest: only its home in the table
+  changes.
 * **Workers warm up once.**  Pool initializers pre-compile the workload
   catalog's kernels for the standard architectures into the process's
   shared compiler, so the first real job does not pay cold-compile cost.
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-import inspect
 import multiprocessing
 import os
 import time
@@ -40,11 +43,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 # The config-hash / seed algorithm lives in repro.obs.export so exported
 # trace and metrics stamps are byte-identical to farm job identities
 # (one source of truth).
-from ..obs import capture as _obs_capture
 from ..obs import metrics as _obs_metrics
 from ..obs.export import canonical_json, config_key, seed_for
 
 __all__ = [
+    "JOB_HOMES",
     "FarmJob",
     "FarmResult",
     "run_job",
@@ -53,12 +56,28 @@ __all__ = [
     "ScenarioFarm",
 ]
 
+#: Job tag -> the ``"module:function"`` that runs it.  A tag enters every
+#: config hash, seed and digest of its jobs, so it is frozen as written;
+#: the ``repro.exec.jobs`` prefix is part of the tag, not a module.
+JOB_HOMES: Dict[str, str] = {
+    "repro.exec.jobs:scenario_summary": "repro.api:scenario_summary",
+    "repro.exec.jobs:phase_point": "repro.core.scenarios:phase_point",
+    "repro.exec.jobs:fig9a_point": "repro.analysis.figures:fig9a_point",
+    "repro.exec.jobs:fig9b_point": "repro.analysis.figures:fig9b_point",
+    "repro.exec.jobs:fig10a_point": "repro.analysis.figures:fig10a_point",
+    "repro.exec.jobs:fig11_point": "repro.analysis.figures:fig11_point",
+    "repro.exec.jobs:fig12_point": "repro.analysis.figures:fig12_point",
+    "repro.exec.jobs:fig13_point": "repro.analysis.figures:fig13_point",
+    "repro.exec.jobs:table1_route": "repro.analysis.tables:table1_route",
+    "repro.exec.jobs:sweep_point": "repro.analysis.sweeps:sweep_point",
+}
+
 
 @dataclass(frozen=True)
 class FarmJob:
     """One independent scenario run, described portably.
 
-    ``fn`` is a ``"module.path:function"`` reference so the job can be
+    ``fn`` is a job tag (a key of :data:`JOB_HOMES`), so the job can be
     pickled to any worker (and hashed) without capturing closures;
     ``kwargs`` must be JSON-able for the same reason.
     """
@@ -68,9 +87,9 @@ class FarmJob:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if ":" not in self.fn:
+        if self.fn not in JOB_HOMES:
             raise ValueError(
-                f"fn must be a 'module:function' reference, got {self.fn!r}"
+                f"unknown job tag {self.fn!r}; known: {', '.join(sorted(JOB_HOMES))}"
             )
 
     @property
@@ -80,90 +99,42 @@ class FarmJob:
 
     @property
     def seed(self) -> int:
-        """Deterministic per-job seed derived from the config hash."""
+        """Deterministic run-stamp seed derived from the config hash."""
         return seed_for(self.key)
 
 
 @dataclass(frozen=True)
 class FarmResult:
-    """Outcome of one farm job.
-
-    ``trace`` and ``metrics`` are populated only when the farm ran with
-    observability capture on (``capture_obs=True``): the worker's trace
-    buffer payload and metrics snapshot, serialized through the normal
-    result channel.  Both are excluded from :func:`results_digest`, so
-    capturing never perturbs digest equality.
-    """
+    """Outcome of one farm job."""
 
     job_key: str
-    fn: str
-    label: str
     value: Any
     duration_s: float
     worker_pid: int
-    trace: Optional[Dict[str, Any]] = None
-    metrics: Optional[Dict[str, Any]] = None
 
 
-#: Per-process memo of resolved job functions and their seed-awareness.
-_fn_cache: Dict[str, tuple] = {}
-
-#: Per-process flag: when ``True`` each :func:`run_job` runs inside a
-#: fresh observability capture and ships the buffers back on the result.
-#: Set by the pool initializer in workers, or directly in serial mode.
-_CAPTURE_OBS = False
-
-
-def set_capture(on: bool) -> None:
-    """Turn per-job observability capture on/off in *this* process."""
-    global _CAPTURE_OBS
-    _CAPTURE_OBS = bool(on)
-
-
-def _resolve(fn_ref: str) -> tuple:
-    cached = _fn_cache.get(fn_ref)
-    if cached is not None:
-        return cached
-    module_name, _, attr = fn_ref.partition(":")
-    fn: Callable = getattr(importlib.import_module(module_name), attr)
-    takes_seed = "seed" in inspect.signature(fn).parameters
-    _fn_cache[fn_ref] = (fn, takes_seed)
-    return fn, takes_seed
+def _resolve(tag: str) -> Callable[..., Any]:
+    module_name, _, attr = JOB_HOMES[tag].partition(":")
+    fn: Callable[..., Any] = getattr(importlib.import_module(module_name), attr)
+    return fn
 
 
 def run_job(job: FarmJob) -> FarmResult:
     """Execute one job in the current process (worker or serial mode).
 
-    With capture on (:func:`set_capture`), the job runs inside its own
-    observability window — a fresh tracer and metrics registry scoped to
-    exactly this job — and the result carries their payloads.  Each
-    worker's span ids start at zero; the parent re-bases them when
-    merging (:func:`repro.obs.aggregate.rebase_payloads`).
+    Inside an observability capture the call is self-profiled into
+    ``selfprof.farm.run_job_s``; with obs off the timer is one attribute
+    check.
     """
-    fn, takes_seed = _resolve(job.fn)
-    kwargs = dict(job.kwargs)
-    if takes_seed and "seed" not in kwargs:
-        kwargs["seed"] = job.seed
-    trace_payload: Optional[Dict[str, Any]] = None
-    metrics_payload: Optional[Dict[str, Any]] = None
+    fn = _resolve(job.fn)
     started = time.perf_counter()
-    if _CAPTURE_OBS:
-        with _obs_capture() as window:
-            with _obs_metrics.timed("farm.run_job"):
-                value = fn(**kwargs)
-        trace_payload = window.trace_payload()
-        metrics_payload = window.metrics_payload()
-    else:
-        value = fn(**kwargs)
+    with _obs_metrics.timed("farm.run_job"):
+        value = fn(**job.kwargs)
     return FarmResult(
         job_key=job.key,
-        fn=job.fn,
-        label=job.label or job.fn.rpartition(":")[2],
         value=value,
         duration_s=time.perf_counter() - started,
         worker_pid=os.getpid(),
-        trace=trace_payload,
-        metrics=metrics_payload,
     )
 
 
@@ -173,9 +144,8 @@ def warm_worker() -> None:
     Populates the shared default compiler for the standard architectures
     so the first job starts from the same warm-compile state as every
     later one.  Called by :func:`repro.api.run`, by the daemon before it
-    forks workers, by the farm's serial path and by the pool initializer
-    :func:`_init_worker` (which arms observability capture only after
-    warming, so warm-up compiles never pollute job metrics).
+    forks workers, by the farm's serial path and as the farm's pool
+    initializer.
     """
     from ..gpu.arch import GRID_K520, QUADRO_4000, TEGRA_K1
     from ..kernels.compiler import compile_kernel
@@ -184,14 +154,6 @@ def warm_worker() -> None:
     for spec in SUITE.values():
         for arch in (QUADRO_4000, GRID_K520, TEGRA_K1):
             compile_kernel(spec.kernel, arch)
-
-
-def _init_worker(capture_obs: bool = False, warm: bool = True) -> None:
-    """Pool initializer: optional warm-up, then capture."""
-    if warm:
-        warm_worker()
-    if capture_obs:
-        set_capture(True)
 
 
 def results_digest(results: Sequence[FarmResult]) -> str:
@@ -210,24 +172,17 @@ class ScenarioFarm:
     job code path.  Results always come back in submission order.
 
     Each parallel :meth:`map` call forks its own pool, which is shut down
-    before the call returns: workers are configured and warmed by the
-    pool initializer, so a farm object holds no processes between calls
-    and needs no closing.
+    before the call returns: workers are warmed by the pool initializer,
+    so a farm object holds no processes between calls and needs no
+    closing.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        warmup: bool = True,
-        capture_obs: bool = False,
-    ):
+    def __init__(self, workers: Optional[int] = None):
         requested = os.cpu_count() or 1 if workers is None else workers
         if requested < 1:
             raise ValueError(f"workers must be positive, got {workers}")
         self.requested_workers = requested
         self.workers = requested if (requested == 1 or self._can_fork()) else 1
-        self.warmup = warmup
-        self.capture_obs = capture_obs
 
     @staticmethod
     def _can_fork() -> bool:
@@ -242,26 +197,15 @@ class ScenarioFarm:
         if not jobs:
             return []
         if self.workers == 1 or len(jobs) == 1:
-            if self.warmup:
-                warm_worker()
-            if not self.capture_obs:
-                return [run_job(job) for job in jobs]
-            # Serial capture goes through the identical flag + run_job
-            # path as workers do, restoring the caller's state after.
-            previous = _CAPTURE_OBS
-            set_capture(True)
-            try:
-                return [run_job(job) for job in jobs]
-            finally:
-                set_capture(previous)
+            warm_worker()
+            return [run_job(job) for job in jobs]
         # Chunked submission: a few chunks per worker balances scheduling
         # freedom (uneven job durations) against per-submission IPC.
         chunk = max(1, len(jobs) // (self.workers * 4))
         with ProcessPoolExecutor(
             max_workers=min(self.workers, len(jobs)),
             mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(self.capture_obs, self.warmup),
+            initializer=warm_worker,
         ) as pool:
             return list(pool.map(run_job, jobs, chunksize=chunk))
 

@@ -10,8 +10,8 @@ The observability layer for the whole stack:
 * :mod:`.export` — Chrome/Perfetto ``trace_event`` JSON and stamped
   metrics snapshots (every artifact carries the run's config hash and
   seed);
-* :mod:`.aggregate` — merges trace/metric buffers that scenario-farm
-  workers ship back over the fork result channel;
+* :mod:`.aggregate` — schema validation and per-lane span counts of
+  exported traces;
 * :mod:`.account` — per-VP accounting (jobs, coalesced jobs, busy and
   wait time, guest CPU, deadlines) read from a finished run's
   completed log.
@@ -25,7 +25,9 @@ Instrumented modules follow one convention::
 
 The :func:`capture` context manager is the one-stop entry point: it
 installs a fresh tracer and registry, runs the block, restores the
-previous state, and exposes the collected payloads.
+previous state, and exposes the collected payloads.  It is the one
+capture path: ``repro trace`` and ``repro metrics`` run their scenario
+in-process inside it.
 """
 
 from __future__ import annotations
@@ -35,15 +37,7 @@ from typing import Any, Dict, Optional
 from . import metrics as _metrics_mod
 from . import tracer as _tracer_mod
 from .account import VPUsage, collect_accounts, jain_index, render_accounts
-from .aggregate import (
-    farm_merged_metrics,
-    farm_merged_trace,
-    farm_trace_sources,
-    merge_metric_snapshots,
-    rebase_payloads,
-    span_counts_by_lane,
-    validate_chrome_trace,
-)
+from .aggregate import span_counts_by_lane, validate_chrome_trace
 from .export import (
     config_key,
     git_commit,
@@ -80,14 +74,9 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "farm_merged_metrics",
-    "farm_merged_trace",
-    "farm_trace_sources",
     "git_commit",
     "jain_index",
-    "merge_metric_snapshots",
     "metrics_snapshot",
-    "rebase_payloads",
     "render_accounts",
     "render_metrics",
     "run_stamp",

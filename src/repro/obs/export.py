@@ -15,10 +15,10 @@ The trace exporter emits the `Trace Event Format`_ consumed by
   unit), so durations read naturally in the viewer.
 
 Every exported file carries a **run stamp** — the scenario's
-config-hash key (the scenario farm's job identity: sha256 over the
-``module:function`` reference and the canonical-JSON kwargs) plus the
-derived deterministic seed — so any artifact on disk is attributable to
-an exact, re-runnable configuration.
+config-hash key (the scenario farm's job identity: sha256 over the job
+tag and the canonical-JSON kwargs) plus the derived seed — so any
+artifact on disk is attributable to an exact, re-runnable
+configuration.
 
 .. _Trace Event Format:
    https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from .metrics import MetricsRegistry
 from .tracer import Tracer
 
-#: pid spacing between merged trace payloads (farm jobs): each job's
+#: pid spacing between the sources of one exported trace: each source's
 #: process ids live in their own block so tracks never collide.
 PID_STRIDE = 1000
 
@@ -189,9 +189,8 @@ def to_chrome_trace(
 
     ``sources`` is a sequence of ``(label, tracer_or_payload)`` pairs;
     each source gets its own pid block (:data:`PID_STRIDE`) and its span
-    ids are re-based onto one monotonic sequence, so buffers captured in
-    different farm workers (each starting its ids at zero) merge without
-    collisions.
+    ids are re-based onto one monotonic sequence, so separate captures
+    (each starting its ids at zero) share one file without collisions.
     """
     events: List[dict] = []
     tracks = _TrackTable()

@@ -14,7 +14,7 @@ Every state transition is journaled append-only under the state
 directory (:mod:`repro.serve.journal`), so a restarted daemon resumes
 queued jobs and deterministically faults the ones that were mid-run at
 a crash.  Because execution is the farm's ``run_job`` — same
-config-hash key, same deterministic seed, same in-process memos — a
+config-hash key, same in-process memos — a
 daemon-produced result digest is bit-identical to ``repro.api.run()``
 and to the legacy ``repro run`` CLI path for the same request.
 """

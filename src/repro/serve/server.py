@@ -22,9 +22,8 @@ running job.  No thread sleeps on a timer; each blocks on its event.
   stop without drain, a ``requeue``.
 
 Execution inside the worker is :func:`repro.api.run` — the farm's
-``run_job`` with its config-hash key and deterministic seed — so a
-daemon-produced digest is bit-identical to the local
-path.  The daemon pre-warms the kernel compiler *before* forking; with
+``run_job`` under the request's config-hash key — so a daemon-produced
+digest is bit-identical to the local path.  The daemon pre-warms the kernel compiler *before* forking; with
 the ``fork`` start method every worker inherits the warm caches and
 skips cold-compile cost, the service-shaped analog of the farm's pool
 initializer.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import render_series, render_table
+from repro.analysis import render_table
 from repro.analysis.tables import PAPER_TABLE1
 from repro.analysis.timeline import Lane, Timeline, collect_timeline, render_gantt
 from repro.core import SHARED_MEMORY, SigmaVP
@@ -31,14 +31,6 @@ def test_render_table_number_formats():
     assert "1,234" in text  # thousands
     assert "12.35" in text  # two decimals >= 10
     assert "0.123" in text  # three decimals < 10
-
-
-def test_render_series_pairs_x_with_values():
-    text = render_series("s", [1, 2], [("a", [10.0, 20.0]), ("b", [1.0, 2.0])],
-                         x_label="n")
-    lines = text.splitlines()
-    assert "n" in lines[2]
-    assert "10.00" in text and "20.00" in text
 
 
 def test_paper_table1_reference_values():

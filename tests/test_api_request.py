@@ -253,8 +253,8 @@ def _fake(outcome, request):
     from repro.exec.farm import FarmResult
 
     return FarmResult(
-        job_key=request.config_hash, fn="repro.exec.jobs:scenario_summary",
-        label="x", value=outcome.value, duration_s=0.0, worker_pid=0,
+        job_key=request.config_hash, value=outcome.value, duration_s=0.0,
+        worker_pid=0,
     )
 
 

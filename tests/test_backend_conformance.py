@@ -124,7 +124,7 @@ def test_scenario_digests_interchangeable_across_backends():
     from repro.caching import clear_all_caches
 
     clear_all_caches()
-    farm = ScenarioFarm(workers=1, warmup=False).map_values(PINNED_JOBS)
+    farm = ScenarioFarm(workers=1).map_values(PINNED_JOBS)
     for cls in BACKENDS:
         values = [_summary_under(cls, job.kwargs) for job in PINNED_JOBS]
         assert values == farm, cls.name

@@ -154,6 +154,37 @@ def test_trace_command_writes_trace_and_metrics(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "t.json"]
 
 
+def test_trace_captures_the_request_identity_in_process(capsys, tmp_path):
+    """``repro trace`` runs ``run_job`` inside one ``obs.capture()``.
+
+    Its stamp is the config hash and seed ``repro.api.run`` and the
+    daemon use for the same request, and the capture holds the run's
+    spans per lane and the ``run_job`` self-profile.
+    """
+    import json
+
+    trace, metrics = tmp_path / "t.json", tmp_path / "m.json"
+    assert main([
+        "trace", "vectorAdd", "--vps", "2",
+        "-o", str(trace), "--metrics-out", str(metrics),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "(config 6104d9cfa00420f7, seed 1627707855)" in out
+    stamp = json.loads(trace.read_text())["otherData"]
+    assert (stamp["config_hash"], stamp["seed"]) == ("6104d9cfa00420f7", 1627707855)
+    rows = [line.rsplit(None, 2) for line in out.splitlines() if line.endswith(" spans")]
+    lanes = {lane.strip(): int(count) for lane, count, _ in rows}
+    assert lanes == {
+        "Quadro 4000/compute": 8,
+        "Quadro 4000/copy-d2h": 16,
+        "Quadro 4000/copy-h2d": 32,
+        "ipc/socket": 72,
+        "vp/vp0": 1,
+        "vp/vp1": 1,
+    }
+    assert "selfprof.farm.run_job_s" in json.loads(metrics.read_text())["metrics"]
+
+
 def test_trace_critpath_prints_the_attribution(capsys, tmp_path):
     argv = ["trace", "vectorAdd", "--vps", "2", "-o", str(tmp_path / "t.json")]
     assert main(argv) == 0

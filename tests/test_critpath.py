@@ -8,7 +8,7 @@ from repro.analysis.critpath import (
     attribute,
     render_critpath,
 )
-from repro.exec.jobs import scenario_summary
+from repro.api import scenario_summary
 
 
 def _span(lane, name, start, end, cat="engine", args=None):

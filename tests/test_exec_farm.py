@@ -14,18 +14,27 @@ import pytest
 
 from repro.caching import cache_scope
 from repro.exec import FarmJob, FarmResult, ScenarioFarm, results_digest
-from repro.exec.farm import run_job
+from repro.exec.farm import JOB_HOMES, _resolve, run_job
 from repro.obs.export import canonical_json
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+#: A real tag; its function is never run by the identity tests.
+TAG = "repro.exec.jobs:table1_route"
+OTHER_TAG = "repro.exec.jobs:sweep_point"
+
+#: An ad-hoc test job, registered per test in the tag table.
+ECHO = "tests.test_exec_farm:_echo"
 
 
 def _echo(value):
     return value
 
 
-def _seeded(value, seed=None):
-    return {"value": value, "seed": seed}
+@pytest.fixture
+def echo_tag(monkeypatch):
+    monkeypatch.setitem(JOB_HOMES, ECHO, ECHO)
+    return ECHO
 
 
 class TestFarmJob:
@@ -33,37 +42,37 @@ class TestFarmJob:
         with pytest.raises(ValueError):
             FarmJob(fn="not_a_reference")
 
+    def test_unknown_tag_is_rejected_even_when_importable(self):
+        # A tag is a name in the table, not an import path to follow.
+        with pytest.raises(ValueError, match="unknown job tag"):
+            FarmJob(fn="repro.api:scenario_summary")
+
+    def test_every_tag_resolves_to_a_function(self):
+        for tag in JOB_HOMES:
+            assert callable(_resolve(tag))
+
     def test_key_is_stable_and_kwarg_order_independent(self):
-        a = FarmJob(fn="m:f", kwargs={"x": 1, "y": 2})
-        b = FarmJob(fn="m:f", kwargs={"y": 2, "x": 1})
+        a = FarmJob(fn=TAG, kwargs={"x": 1, "y": 2})
+        b = FarmJob(fn=TAG, kwargs={"y": 2, "x": 1})
         assert a.key == b.key
         assert len(a.key) == 16
 
     def test_key_distinguishes_fn_and_kwargs(self):
-        base = FarmJob(fn="m:f", kwargs={"x": 1})
-        assert base.key != FarmJob(fn="m:g", kwargs={"x": 1}).key
-        assert base.key != FarmJob(fn="m:f", kwargs={"x": 2}).key
+        base = FarmJob(fn=TAG, kwargs={"x": 1})
+        assert base.key != FarmJob(fn=OTHER_TAG, kwargs={"x": 1}).key
+        assert base.key != FarmJob(fn=TAG, kwargs={"x": 2}).key
 
     def test_seed_is_deterministic_and_in_range(self):
-        job = FarmJob(fn="m:f", kwargs={"x": 1})
-        assert job.seed == FarmJob(fn="m:f", kwargs={"x": 1}).seed
+        job = FarmJob(fn=TAG, kwargs={"x": 1})
+        assert job.seed == FarmJob(fn=TAG, kwargs={"x": 1}).seed
         assert 0 <= job.seed < 2**31 - 1
 
-    def test_label_defaults_to_function_name(self):
-        result = run_job(FarmJob(fn="tests.test_exec_farm:_echo",
-                                 kwargs={"value": 3}))
-        assert result.label == "_echo"
+    def test_run_job_returns_value_key_and_pid(self, echo_tag):
+        job = FarmJob(fn=echo_tag, kwargs={"value": 3})
+        result = run_job(job)
         assert result.value == 3
+        assert result.job_key == job.key
         assert result.worker_pid == os.getpid()
-
-    def test_run_job_injects_derived_seed(self):
-        job = FarmJob(fn="tests.test_exec_farm:_seeded", kwargs={"value": 1})
-        assert run_job(job).value == {"value": 1, "seed": job.seed}
-
-    def test_run_job_respects_explicit_seed(self):
-        job = FarmJob(fn="tests.test_exec_farm:_seeded",
-                      kwargs={"value": 1, "seed": 7})
-        assert run_job(job).value == {"value": 1, "seed": 7}
 
 
 class TestDigests:
@@ -73,16 +82,15 @@ class TestDigests:
 
     def test_results_digest_is_completion_order_independent(self):
         results = [
-            FarmResult(job_key=f"k{i}", fn="m:f", label="", value=i,
-                       duration_s=0.0, worker_pid=0)
+            FarmResult(job_key=f"k{i}", value=i, duration_s=0.0, worker_pid=0)
             for i in range(4)
         ]
         assert results_digest(results) == results_digest(results[::-1])
 
     def test_results_digest_sees_value_changes(self):
         def make(value):
-            return [FarmResult(job_key="k", fn="m:f", label="", value=value,
-                               duration_s=0.0, worker_pid=0)]
+            return [FarmResult(job_key="k", value=value, duration_s=0.0,
+                               worker_pid=0)]
 
         assert results_digest(make(1)) != results_digest(make(2))
 
@@ -95,21 +103,15 @@ class TestScenarioFarm:
     def test_empty_job_list(self):
         assert ScenarioFarm(workers=1).map([]) == []
 
-    def test_serial_results_in_submission_order(self):
-        jobs = [
-            FarmJob(fn="tests.test_exec_farm:_echo", kwargs={"value": i})
-            for i in range(5)
-        ]
-        farm = ScenarioFarm(workers=1, warmup=False)
+    def test_serial_results_in_submission_order(self, echo_tag):
+        jobs = [FarmJob(fn=echo_tag, kwargs={"value": i}) for i in range(5)]
+        farm = ScenarioFarm(workers=1)
         assert farm.map_values(jobs) == [0, 1, 2, 3, 4]
 
     @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
-    def test_parallel_results_in_submission_order(self):
-        jobs = [
-            FarmJob(fn="tests.test_exec_farm:_echo", kwargs={"value": i})
-            for i in range(8)
-        ]
-        farm = ScenarioFarm(workers=2, warmup=False)
+    def test_parallel_results_in_submission_order(self, echo_tag):
+        jobs = [FarmJob(fn=echo_tag, kwargs={"value": i}) for i in range(8)]
+        farm = ScenarioFarm(workers=2)
         results = farm.map(jobs)
         assert [r.value for r in results] == list(range(8))
         # At least one job actually left this process.
@@ -165,8 +167,8 @@ class TestFarmDeterminism:
         # The memo caches must be invisible on whole many-VP scenarios,
         # not just per layer: the uncached run is the oracle.
         with cache_scope(False):
-            uncached = ScenarioFarm(workers=1, warmup=False).map([job])
-        cached = ScenarioFarm(workers=1, warmup=False).map([job])
+            uncached = ScenarioFarm(workers=1).map([job])
+        cached = ScenarioFarm(workers=1).map([job])
         # A one-job map runs in-process, so submit the job twice to make
         # the farm fork two workers.
         farmed = ScenarioFarm(workers=2).map([job, job])

@@ -5,8 +5,8 @@ import tracemalloc
 import pytest
 
 import repro.obs as obs
+from repro.api import scenario_summary
 from repro.core import SHARED_MEMORY, SigmaVP
-from repro.exec.jobs import scenario_summary
 from repro.kernels.functional import FunctionalRegistry
 from repro.obs.account import (
     coalesce_share,

@@ -18,9 +18,9 @@ from repro.analysis.timeline import (
     render_gantt,
     timeline_from_trace,
 )
+from repro.api import scenario_summary
 from repro.core.scenarios import run_sigma_vp
 from repro.exec import FarmJob
-from repro.exec.jobs import scenario_summary
 from repro.obs import (
     config_key,
     git_commit,
@@ -33,6 +33,7 @@ from repro.obs import (
     write_metrics,
     write_trace,
 )
+from repro.obs.export import PID_STRIDE
 from repro.workloads import get_workload
 
 FN = "repro.exec.jobs:scenario_summary"
@@ -124,6 +125,28 @@ class TestChromeTrace:
             (s[5] - s[4]) for s in captured.tracer.spans if s[2] == "engine"
         )
         assert max(e["dur"] for e in engine) == pytest.approx(longest * 1000.0)
+
+    def test_one_coherent_multi_source_trace(self, captured):
+        # Two separate captures, each with span ids from zero, export
+        # into one valid file: each source in its own pid block, its
+        # label prefixing its process names.
+        with obs.capture() as other:
+            scenario_summary(app="mergeSort", n_vps=2)
+        sources = [("va2", captured.tracer), ("ms2", other.tracer)]
+        trace = to_chrome_trace(sources)
+        assert validate_chrome_trace(trace) == []
+        blocks = {
+            e["pid"] // PID_STRIDE for e in trace["traceEvents"] if e["ph"] != "M"
+        }
+        assert blocks == {0, 1}
+        names = set(self._process_names(trace).values())
+        assert any(n.startswith("va2/") for n in names)
+        assert any(n.startswith("ms2/") for n in names)
+        ids = {}
+        for e in trace["traceEvents"]:
+            if e["ph"] != "M":
+                ids.setdefault(e["args"]["job_label"], set()).add(e["args"]["span_id"])
+        assert ids["va2"].isdisjoint(ids["ms2"])
 
     def test_write_trace_roundtrips(self, captured, tmp_path):
         path = write_trace(

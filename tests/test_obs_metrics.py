@@ -1,20 +1,16 @@
-"""Metrics registry: deterministic histograms, merging, self-profiling.
+"""Metrics registry: deterministic histograms and self-profiling.
 
 Histogram bucket edges are fixed constants — never derived from data —
-which is what makes snapshots bit-identical across runs and lets farm
-workers' histograms merge by plain bucket-wise addition.
+which is what makes snapshots bit-identical across runs.
 """
 
 import json
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import repro.obs as obs
-from repro.exec.jobs import scenario_summary
+from repro.api import scenario_summary
 from repro.obs import metrics as metrics_mod
-from repro.obs.aggregate import merge_metric_snapshots
 from repro.obs.export import canonical_json
 from repro.obs.metrics import (
     DEPTH_BUCKETS,
@@ -129,78 +125,3 @@ class TestScenarioDeterminism:
         ):
             assert name in snap, f"missing metric {name}"
 
-
-class TestMerging:
-    def test_counters_and_histograms_add_gauges_stay_per_job(self):
-        def snap(n):
-            reg = MetricsRegistry()
-            reg.counter("c").inc(n)
-            reg.gauge("g").set(n)
-            h = reg.histogram("h", (1.0, 10.0))
-            h.observe(0.5 * n)
-            return reg.snapshot()
-
-        merged = merge_metric_snapshots([("a", snap(2)), ("b", snap(10))])
-        assert merged["schema"] == "repro.obs.metrics-merged/1"
-        assert merged["totals"]["c"]["value"] == 12
-        assert "g" not in merged["totals"]
-        assert merged["totals"]["h"]["count"] == 2
-        assert merged["per_job"]["a"]["g"]["value"] == 2
-        assert merged["per_job"]["b"]["g"]["value"] == 10
-
-    def test_gauges_surface_labeled_by_job(self):
-        def snap(n):
-            reg = MetricsRegistry()
-            reg.gauge("engine.utilization").set(n)
-            return reg.snapshot()
-
-        merged = merge_metric_snapshots([("b", snap(0.9)), ("a", snap(0.4))])
-        # Every job's statement is visible, keyed by its label — a last
-        # writer can never masquerade as an aggregate.
-        assert merged["gauges"]["engine.utilization"] == {"a": 0.4, "b": 0.9}
-        assert "engine.utilization" not in merged["totals"]
-
-    def test_mismatched_edges_raise(self):
-        a = MetricsRegistry()
-        a.histogram("h", (1.0, 2.0)).observe(1.0)
-        b = MetricsRegistry()
-        b.histogram("h", (5.0, 6.0)).observe(1.0)
-        with pytest.raises(ValueError, match="mismatched bucket edges"):
-            merge_metric_snapshots([("a", a.snapshot()), ("b", b.snapshot())])
-
-    @given(
-        st.lists(
-            st.lists(
-                st.floats(0.0, 100.0, allow_nan=False), min_size=0, max_size=20
-            ),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    def test_histogram_merge_is_exactly_one_observer(self, job_samples):
-        """Merged histograms equal one process observing every sample.
-
-        Fixed bucket edges make the bucket-wise sum *exact*, not an
-        approximation — pinned here as a hypothesis property over
-        arbitrary sample partitions.
-        """
-        edges = (1.0, 10.0, 50.0)
-        snapshots = []
-        for index, samples in enumerate(job_samples):
-            reg = MetricsRegistry()
-            h = reg.histogram("h", edges)
-            for value in samples:
-                h.observe(value)
-            snapshots.append((f"job{index}", reg.snapshot()))
-        merged = merge_metric_snapshots(snapshots)
-
-        reference = Histogram(edges)
-        for samples in job_samples:
-            for value in samples:
-                reference.observe(value)
-        expected = reference.snapshot()
-        got = merged["totals"]["h"]
-        assert got["counts"] == expected["counts"]
-        assert got["count"] == expected["count"]
-        assert got["sum"] == pytest.approx(expected["sum"])
-        assert got["edges"] == expected["edges"]

@@ -14,7 +14,7 @@ import json
 import tracemalloc
 
 import repro.obs as obs
-from repro.exec.jobs import scenario_summary
+from repro.api import scenario_summary
 from repro.obs import tracer as tracer_mod
 from repro.obs.export import canonical_json
 from repro.obs.tracer import Tracer

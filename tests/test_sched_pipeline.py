@@ -148,13 +148,13 @@ PINNED_PHASE = (
 @pytest.mark.parametrize("kwargs, expected", PINNED_SCENARIOS,
                          ids=lambda v: v if isinstance(v, str) else v["app"])
 def test_default_pipeline_digest_bit_identical(kwargs, expected):
-    from repro.exec.jobs import scenario_summary
+    from repro.api import scenario_summary
 
     assert _digest(scenario_summary(**kwargs)) == expected
 
 
 def test_phase_point_digest_bit_identical():
-    from repro.exec.jobs import phase_point
+    from repro.core.scenarios import phase_point
 
     kwargs, expected = PINNED_PHASE
     assert _digest(phase_point(**kwargs)) == expected
@@ -197,7 +197,7 @@ COUNTER_NAMES = (
          f"-{kw['n_vps']}vp" for kw, _ in PINNED_COUNTERS],
 )
 def test_sched_counters_pinned(kwargs, expected):
-    from repro.exec.jobs import scenario_summary
+    from repro.api import scenario_summary
 
     registry = obs_metrics.enable()
     try:
