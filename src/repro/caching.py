@@ -1,8 +1,9 @@
 """Global cache control for the hot-path memoization layers.
 
-The simulator memoizes pure derived values in two places — compiled
-kernels (:mod:`repro.kernels.compiler`) and execution profiles
-(:mod:`repro.gpu.timing`).  Every cache returns values bit-identical to a
+The simulator memoizes pure derived values in three places — compiled
+kernels (:mod:`repro.kernels.compiler`), execution profiles
+(:mod:`repro.gpu.timing`) and MonteCarlo's fixed-seed growth factor
+(:mod:`repro.workloads.finance`).  Every cache returns values bit-identical to a
 fresh computation, so caching is purely a wall-clock optimisation and
 can be switched off globally.  The switch stays for the tests: the
 uncached path is their oracle, and a scenario run under

@@ -183,7 +183,6 @@ def _engine_tracks(args: Optional[dict], lane: str) -> List[Tuple[str, str]]:
 def to_chrome_trace(
     sources: Sequence[Tuple[str, TraceSource]],
     stamp: Optional[Dict[str, Any]] = None,
-    id_base: int = 0,
 ) -> Dict[str, Any]:
     """Convert one or more trace buffers to one Chrome/Perfetto JSON dict.
 
@@ -194,7 +193,7 @@ def to_chrome_trace(
     """
     events: List[dict] = []
     tracks = _TrackTable()
-    next_id = id_base
+    next_id = 0
 
     for index, (label, source) in enumerate(sources):
         payload = _payload(source)

@@ -209,7 +209,7 @@ def simple_gl_fn(mesh: np.ndarray, time: float = 1.0) -> np.ndarray:
     xy = mesh.reshape(-1, 2)
     freq = 4.0
     w = np.sin(xy[:, 0] * freq + time) * np.cos(xy[:, 1] * freq + time) * 0.5
-    return np.column_stack([xy[:, 0], w, xy[:, 1]]).astype(np.float32)
+    return np.column_stack([xy[:, 0], w, xy[:, 1]]).astype(np.float32, copy=False)
 
 
 @functional_kernel("Mandelbrot")

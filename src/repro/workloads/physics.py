@@ -72,7 +72,7 @@ PHYSX_PARTICLES = WorkloadSpec(
 def physx_step_fn(state: np.ndarray, dt: float = 1.0) -> np.ndarray:
     """One explicit-Euler step with ground-plane collision at y = 0."""
     state = np.asarray(state, dtype=np.float32).reshape(-1, 4)
-    x, y, vx, vy = state.T.copy()
+    x, y, vx, vy = state.T  # views of the input: the steps below only rebind them
     vy = vy + GRAVITY * dt
     x = x + vx * dt
     y = y + vy * dt
@@ -80,4 +80,4 @@ def physx_step_fn(state: np.ndarray, dt: float = 1.0) -> np.ndarray:
     y = np.where(below, -y * RESTITUTION, y)
     vy = np.where(below, -vy * RESTITUTION, vy)
     vx = np.where(below, vx * RESTITUTION, vx)
-    return np.column_stack([x, y, vx, vy]).astype(np.float32)
+    return np.column_stack([x, y, vx, vy]).astype(np.float32, copy=False)

@@ -1,13 +1,22 @@
 """The execution-backend seam: launches, transfers, accounting.
 
 Covers the CLUDA-style contract of :mod:`repro.backend`: the zero-copy
-read-only H2D guarantee, launches, the allocation ledger, and the
-``exec.backend_*`` observability counters.
+read-only H2D guarantee, launches, the allocation ledger, the
+``exec.backend_*`` observability counters, and the heap policy that
+keeps freed array memory mapped across runs.
 """
+
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import obs
 from repro.backend import NumpyBackend
 from repro.kernels.functional import FunctionalRegistry
@@ -110,3 +119,48 @@ def test_template_methods_count_even_for_custom_backends():
     with obs.capture() as cap:
         backend.h2d(np.zeros(4))
     assert cap.registry.snapshot()["exec.backend_h2d"]["value"] == 1
+
+
+#: Runs one functional 4-VP matrixMul three times in a fresh process and
+#: prints the second run's minor page faults, then the pages the third
+#: run's arrays peak at (tracemalloc sees numpy's data allocations).
+_REFAULT_PROBE = textwrap.dedent("""
+    import gc, mmap, resource, tracemalloc
+    from repro.api import RunRequest, scenario
+
+    request = RunRequest(app="matrixMul", n_vps=4, functional=True)
+
+    def faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    scenario(request)
+    gc.collect()
+    before = faults()
+    scenario(request)
+    second = faults() - before
+    gc.collect()
+    tracemalloc.start()
+    scenario(request)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(second, peak // mmap.PAGESIZE)
+""")
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's mallopt"
+)
+def test_second_functional_run_does_not_refault_its_arrays():
+    # Without the heap policy glibc trims what a collected run freed,
+    # and the next run page-faults about its whole working set again.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _REFAULT_PROBE],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults, working_set_pages = map(int, proc.stdout.split())
+    assert working_set_pages > 1000  # two 320x320 float32 inputs and an output per VP
+    assert faults < 0.1 * working_set_pages, (faults, working_set_pages)

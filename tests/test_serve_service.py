@@ -14,6 +14,7 @@ unusable).  Determinism notes:
 
 import multiprocessing
 import os
+import select
 import shutil
 import signal
 import tempfile
@@ -31,6 +32,7 @@ from repro.serve import (
     default_socket_path,
     default_state_dir,
 )
+from repro.serve import server as server_module
 from repro.serve.journal import Journal, replay_journal
 from repro.serve.protocol import JobState
 from repro.serve.queue import (
@@ -527,7 +529,19 @@ def test_drain_stop_lets_running_job_finish(state_dir):
     assert not [r for r in records if '"type":"requeue"' in r]
 
 
-def test_stop_wakes_a_blocked_wait_at_once(state_dir):
+def test_stop_wakes_a_blocked_wait_at_once(state_dir, monkeypatch):
+    # The forked worker is held before it runs the job until the test
+    # writes to a pipe, so the job cannot finish inside the draining stop
+    # on any host, however fast.  (A pipe, not a multiprocessing.Event:
+    # setting an Event blocks on a waiter that was killed mid-wait.)
+    hold, release = os.pipe()
+    run_job = server_module._worker_main
+
+    def held_worker(payload, conn):
+        select.select([hold], [], [], 60.0)
+        run_job(payload, conn)
+
+    monkeypatch.setattr(server_module, "_worker_main", held_worker)
     daemon = _daemon(state_dir, max_workers=1)
     daemon.start()
     replies = []
@@ -541,10 +555,7 @@ def test_stop_wakes_a_blocked_wait_at_once(state_dir):
 
     try:
         with _connect(daemon) as client:
-            # Runs for seconds unless stopped, so the wait cannot end
-            # with a result before stop() is called.
-            long_run = SLOW.with_overrides(scale_iterations=800)
-            job_id = client.submit(long_run)["job_id"]
+            job_id = client.submit(SLOW)["job_id"]
             _wait_for(lambda: client.status(job_id)["state"] == "running")
             thread = threading.Thread(target=wait_for_job, daemon=True)
             thread.start()
@@ -554,6 +565,9 @@ def test_stop_wakes_a_blocked_wait_at_once(state_dir):
         # no job transition can wake the waiter: only the stop itself.
         stop_called = time.monotonic()
         daemon.stop(drain=True, timeout=1.0)
+        os.write(release, b"go")
+        os.close(release)
+        os.close(hold)
     thread.join(timeout=10.0)
     assert [code for code, _ in replies] == ["daemon-stopping"]
     assert replies[0][1] - stop_called < 0.5
