@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..backend import ExecutionBackend, NumpyBackend
 from ..gpu.device import HostGPU
 from ..gpu.engines import Engine
+from ..gpu.timing import ExecutionProfile
 from ..kernels.functional import REGISTRY, FunctionalRegistry
 from ..obs import metrics as _obs_metrics
 from ..obs import tracer as _obs_trace
@@ -49,6 +50,9 @@ from .coalescing import KernelCoalescer
 from .handles import HandleTable
 from .jobs import Job, JobKind, JobQueue
 from .profiler import Profiler
+
+#: Kind names for engine-op labels, read per dispatched op.
+_KIND_NAMES: Dict[JobKind, str] = {kind: kind.name for kind in JobKind}
 
 
 class ServiceMode(enum.Enum):
@@ -99,6 +103,20 @@ class JobDispatcher:
         #: The execution backend every functional effect routes through
         #: (launches, H2D/D2H payload movement).
         self.backend = backend if backend is not None else NumpyBackend(registry)
+        #: Whether a kernel can execute at all.  With an empty registry
+        #: (a timing-only run) no launch could return a result, so H2D
+        #: copies and kernels carry no functional effect; D2H copies
+        #: still deliver to their sink.
+        self._functional = len(self.backend.registry) > 0
+        #: Each device's engine per job kind (host calls have none).
+        self._engines: List[Dict[JobKind, Engine]] = [
+            {
+                JobKind.COPY_H2D: g.h2d_engine,
+                JobKind.COPY_D2H: g.d2h_engine,
+                JobKind.KERNEL: g.compute_engine,
+            }
+            for g in self.gpus
+        ]
         self.profiler = profiler
         self.backlog = EngineBacklog()
         #: The dispatch pipeline this executor consults (admission →
@@ -148,22 +166,9 @@ class JobDispatcher:
         """The job a VP currently has executing on an engine, if any."""
         return self._inflight.get(vp)
 
-    def _gpu_of(self, job: Job) -> HostGPU:
-        return self.gpus[job.device]
-
-    def _engine_for(self, job: Job) -> Optional[Engine]:
-        gpu = self._gpu_of(job)
-        if job.kind is JobKind.COPY_H2D:
-            return gpu.h2d_engine
-        if job.kind is JobKind.COPY_D2H:
-            return gpu.d2h_engine
-        if job.kind is JobKind.KERNEL:
-            return gpu.compute_engine
-        return None
-
     def _engine_has_room(self, job: Job) -> bool:
         """Keep engine queues shallow so the policy re-decides per slot."""
-        engine = self._engine_for(job)
+        engine = self._engines[job.device].get(job.kind)
         if engine is None:
             return True
         return engine.queued == 0
@@ -180,7 +185,7 @@ class JobDispatcher:
         dispatch order, so every decision of the burst reads the engine
         queues as they were when it began.
         """
-        dispatched: List[Tuple[Job, float]] = []
+        dispatched: List[Tuple[Job, float, Optional[ExecutionProfile]]] = []
         try:
             while True:
                 if self.coalescer is not None:
@@ -195,7 +200,7 @@ class JobDispatcher:
                     break
 
                 self.queue.remove(job)
-                expected = self._expected_ms(job)
+                expected, profile = self._timing(job)
                 self.backlog.add(job, expected)
                 self._inflight[job.vp] = job
                 self.stats.dispatched[job.kind] += 1
@@ -205,14 +210,14 @@ class JobDispatcher:
                     registry.histogram(
                         "jobqueue.depth_at_dispatch", _obs_metrics.DEPTH_BUCKETS
                     ).observe(len(self.queue))
-                dispatched.append((job, expected))
+                dispatched.append((job, expected, profile))
                 if self.mode is ServiceMode.SERIAL:
                     break  # the job's finish runs the next burst
         except BaseException as exc:
             annotate(exc, "dispatcher:host/run", self.env.now)
             raise
-        for job, expected in dispatched:
-            self._start(job, expected)
+        for job, expected, profile in dispatched:
+            self._start(job, expected, profile)
 
     def _go_idle(self, hold_deadline: Optional[float]) -> None:
         """Wait for a poke, or for the earliest hold deadline."""
@@ -243,46 +248,57 @@ class JobDispatcher:
 
     # -- job execution -------------------------------------------------------------
 
-    def _expected_ms(self, job: Job) -> float:
-        gpu = self._gpu_of(job)
-        if job.kind is JobKind.EVENT:
-            return 0.0
-        if job.kind in (JobKind.MALLOC, JobKind.FREE):
-            return _backlog.HOST_CALL_MS
-        if job.is_copy:
-            return gpu.arch.copy_time_ms(job.nbytes)
-        assert job.is_kernel
-        compiled = gpu.compiler.compile(job.kernel, gpu.arch)
-        return _backlog.PROFILING_OVERHEAD_MS + gpu.timing.kernel_time_ms(
-            compiled, job.launch
-        )
+    def _timing(self, job: Job) -> Tuple[float, Optional[ExecutionProfile]]:
+        """A job's expected duration and, for a kernel, the profile it
+        runs with: one compile and one profile lookup per dispatch."""
+        kind = job.kind
+        if kind is JobKind.KERNEL:
+            gpu = self.gpus[job.device]
+            timing = gpu.timing
+            profile = timing.execute(
+                gpu.compiler.compile(job.kernel, gpu.arch), job.launch
+            )
+            return (
+                _backlog.PROFILING_OVERHEAD_MS
+                + (timing.arch.kernel_launch_overhead_ms + profile.time_ms),
+                profile,
+            )
+        if kind is JobKind.EVENT:
+            return 0.0, None
+        if kind is JobKind.COPY_H2D or kind is JobKind.COPY_D2H:
+            return self.gpus[job.device].arch.copy_time_ms(job.nbytes), None
+        return _backlog.HOST_CALL_MS, None  # malloc / free
 
-    def _start(self, job: Job, expected_ms: float) -> None:
-        """Start ``job``: a host call's timeout, or an op on its engine."""
+    def _expected_ms(self, job: Job) -> float:
+        """The expected-duration oracle the scheduling policies rank by."""
+        return self._timing(job)[0]
+
+    def _start(
+        self, job: Job, expected_ms: float, profile: Optional[ExecutionProfile]
+    ) -> None:
+        """Start ``job``: a host call's timeout, or an op on its engine.
+
+        A timing-only dispatcher attaches no effect to H2D copies and
+        kernels (see :attr:`_functional`)."""
         job.dispatched_at_ms = self.env.now
-        gpu = self._gpu_of(job)
+        kind = job.kind
+        engine = self._engines[job.device].get(kind)
         try:
-            if job.kind is JobKind.KERNEL:
-                compiled = gpu.compiler.compile(job.kernel, gpu.arch)
-                profile = gpu.timing.execute(compiled, job.launch)
-                if self.profiler is not None:
-                    self.profiler.record(job, profile)
-                done = self._run_on_engine(
-                    gpu.compute_engine, job, expected_ms, self._apply_kernel(job)
-                )
-            elif job.kind is JobKind.COPY_H2D:
-                done = self._run_on_engine(
-                    gpu.h2d_engine, job, expected_ms, self._apply_h2d(job)
-                )
-            elif job.kind is JobKind.COPY_D2H:
-                done = self._run_on_engine(
-                    gpu.d2h_engine, job, expected_ms, self._apply_d2h(job)
-                )
-            else:
+            if engine is None:
                 # A record point (zero time) or a malloc/free host call.
-                done = self.env.timeout(
-                    0.0 if job.kind is JobKind.EVENT else _backlog.HOST_CALL_MS
-                )
+                done = self.env.timeout(expected_ms)
+            else:
+                if kind is JobKind.COPY_D2H:
+                    apply = self._apply_d2h(job)
+                elif not self._functional:
+                    apply = None
+                elif kind is JobKind.KERNEL:
+                    apply = self._apply_kernel(job)
+                else:
+                    apply = self._apply_h2d(job)
+                if profile is not None and self.profiler is not None:
+                    self.profiler.record(job, profile)  # kernels only
+                done = self._run_on_engine(engine, job, expected_ms, apply)
         except BaseException as exc:
             self._fail(job, expected_ms, exc)
             return
@@ -291,21 +307,21 @@ class JobDispatcher:
 
     def _finish(self, job: Job, expected_ms: float, _: Event) -> None:
         """Complete ``job``; in serial mode, schedule the next burst."""
-        gpu = self._gpu_of(job)
+        kind = job.kind
         try:
-            if job.kind is JobKind.EVENT:
+            if kind is JobKind.EVENT:
                 # A record point: deliver the stream timestamp.
                 if job.sink is not None:
                     job.sink(self.env.now)
-            elif job.kind is JobKind.MALLOC:
-                buffer = gpu.malloc(job.size, owner=job.vp)
+            elif kind is JobKind.COPY_H2D:
+                self.gpus[job.device].bytes_copied_h2d += job.nbytes
+            elif kind is JobKind.COPY_D2H:
+                self.gpus[job.device].bytes_copied_d2h += job.nbytes
+            elif kind is JobKind.MALLOC:
+                buffer = self.gpus[job.device].malloc(job.size, owner=job.vp)
                 self.handles.bind(job.handle, buffer)
-            elif job.kind is JobKind.FREE:
-                gpu.free(self.handles.release(job.handle))
-            elif job.kind is JobKind.COPY_H2D:
-                gpu.bytes_copied_h2d += job.nbytes
-            elif job.kind is JobKind.COPY_D2H:
-                gpu.bytes_copied_d2h += job.nbytes
+            elif kind is JobKind.FREE:
+                self.gpus[job.device].free(self.handles.release(job.handle))
         except BaseException as exc:
             self._fail(job, expected_ms, exc)
             return
@@ -355,10 +371,10 @@ class JobDispatcher:
                     sorted({m.vp for m in job.members})
                 )
         op = engine.submit(
-            label=f"{job.kind.name}:{job.vp}#{job.seq}",
-            duration_ms=duration_ms,
-            on_complete=apply,
-            metadata=metadata,
+            f"{_KIND_NAMES[job.kind]}:{job.vp}#{job.seq}",
+            duration_ms,
+            apply,
+            metadata,
         )
         return op.done
 

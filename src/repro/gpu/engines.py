@@ -14,37 +14,51 @@ and verify overlap (the mechanism behind Fig. 3's before/after diagrams).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional
 
 from ..obs import metrics as _obs_metrics
 from ..obs import tracer as _obs_trace
 from ..sim import Environment, Event, annotate
 
 
-@dataclass
 class EngineOp:
     """One timed unit of engine work.
 
     ``done`` fires when the engine finishes; ``on_complete`` (if given)
     runs at completion time — the functional layer uses it to apply the
-    numpy effect of the operation.
+    numpy effect of the operation.  A plain slotted class: every
+    dispatched copy and kernel builds one.
     """
 
-    label: str
-    duration_ms: float
-    done: Event
-    on_complete: Optional[Callable[[], None]] = None
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("label", "duration_ms", "done", "on_complete", "metadata")
 
-    def __post_init__(self) -> None:
-        if self.duration_ms < 0:
-            raise ValueError(f"negative duration for {self.label!r}")
+    def __init__(
+        self,
+        label: str,
+        duration_ms: float,
+        done: Event,
+        on_complete: Optional[Callable[[], None]] = None,
+        metadata: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        if duration_ms < 0:
+            raise ValueError(f"negative duration for {label!r}")
+        self.label = label
+        self.duration_ms = duration_ms
+        self.done = done
+        self.on_complete = on_complete
+        self.metadata = {} if metadata is None else metadata
+
+    def __repr__(self) -> str:
+        return f"EngineOp(label={self.label!r}, duration_ms={self.duration_ms!r})"
 
 
-@dataclass(frozen=True)
-class TimelineEntry:
-    """A completed span of engine work."""
+class TimelineEntry(NamedTuple):
+    """A completed span of engine work (immutable).
+
+    A named tuple, so building one per finished op costs no
+    ``object.__setattr__`` calls; it equals only another entry with the
+    same fields, never a plain tuple.
+    """
 
     label: str
     start_ms: float
@@ -53,6 +67,14 @@ class TimelineEntry:
     @property
     def duration_ms(self) -> float:
         return self.end_ms - self.start_ms
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 class Engine:
@@ -100,13 +122,7 @@ class Engine:
         The op keeps ``metadata`` (the span arguments a tracer records)
         as given, without a copy.
         """
-        op = EngineOp(
-            label=label,
-            duration_ms=duration_ms,
-            done=self.env.event(),
-            on_complete=on_complete,
-            metadata={} if metadata is None else metadata,
-        )
+        op = EngineOp(label, duration_ms, Event(self.env), on_complete, metadata)
         if self._current is None:
             self._take(op)
         else:

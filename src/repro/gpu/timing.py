@@ -358,9 +358,8 @@ class KernelTimingModel:
     def kernel_time_ms(self, compiled: CompiledKernel, launch: LaunchConfig) -> float:
         """Launch-to-completion time including driver launch overhead.
 
-        Served from the profile memo when warm, so the dispatcher's
-        expected-time estimate and the subsequent execution of the same
-        job cost one model evaluation, not two.
+        Served from the profile memo when warm.  The dispatcher computes
+        the same sum from the one profile it dispatches a kernel with.
         """
         profile = self.execute(compiled, launch)
         return self.arch.kernel_launch_overhead_ms + profile.time_ms

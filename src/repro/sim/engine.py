@@ -41,7 +41,10 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current simulated time in milliseconds.  A plain attribute,
+        #: not a property: every event, job and engine op reads it, and
+        #: only the event loop (and ``run(until=time)``) may write it.
+        self.now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         # Tie-break counter for the heap; a bound ``count().__next__``
         # avoids the load/store attribute churn of ``self._eid += 1`` on
@@ -57,12 +60,7 @@ class Environment:
         self._steps = 0
 
     def __repr__(self) -> str:
-        return f"<Environment now={self._now} pending={len(self._queue)}>"
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
+        return f"<Environment now={self.now} pending={len(self._queue)}>"
 
     @property
     def steps(self) -> int:
@@ -105,8 +103,8 @@ class Environment:
         a caller folding two delays into one heap entry passes the sum it
         means.
         """
-        if when < self._now:
-            raise ValueError(f"time {when} is before now ({self._now})")
+        if when < self.now:
+            raise ValueError(f"time {when} is before now ({self.now})")
         event = Event(self)
         event._value = value
         heapq.heappush(self._queue, (when, NORMAL, self._next_eid(), event))
@@ -118,7 +116,7 @@ class Environment:
         event = Event(self)
         event.callbacks = [callback]
         event._value = None
-        heapq.heappush(self._queue, (self._now, NORMAL, self._next_eid(), event))
+        heapq.heappush(self._queue, (self.now, NORMAL, self._next_eid(), event))
         return event
 
     def process(
@@ -136,7 +134,7 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         heapq.heappush(
-            self._queue, (self._now + delay, priority, self._next_eid(), event)
+            self._queue, (self.now + delay, priority, self._next_eid(), event)
         )
 
     def peek(self) -> float:
@@ -177,7 +175,7 @@ class Environment:
             while reserved and reserved[0] < item:
                 reserved.popleft()[3].callbacks = None
             # Every push is at or after ``now`` (each way in checks it).
-            self._now, _priority, _eid, event = item
+            self.now, _priority, _eid, event = item
             self._steps += 1
             if counter is not None:
                 counter.inc()
@@ -218,9 +216,9 @@ class Environment:
                 stop_event.callbacks.append(self._stop_callback)
             else:
                 stop_at = float(until)
-                if stop_at <= self._now:
+                if stop_at <= self.now:
                     raise ValueError(
-                        f"until ({stop_at}) must be greater than now ({self._now})"
+                        f"until ({stop_at}) must be greater than now ({self.now})"
                     )
 
         try:
@@ -236,7 +234,7 @@ class Environment:
                 "simulation ran out of events before the awaited event fired"
             )
         if stop_at != float("inf"):
-            self._now = stop_at
+            self.now = stop_at
         if stop_event is not None:
             if not stop_event._ok:
                 raise stop_event._value

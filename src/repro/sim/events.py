@@ -122,7 +122,7 @@ class Event:
         # An untriggered event is always ``_ok``.
         self._value = value
         env = self.env
-        heappush(env._queue, (env._now, NORMAL, env._next_eid(), self))
+        heappush(env._queue, (env.now, NORMAL, env._next_eid(), self))
         return self
 
     def succeed_lazily(self, value: Any = None) -> "Event":
@@ -140,7 +140,7 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._value = value
         env = self.env
-        entry = (env._now, NORMAL, env._next_eid(), self)
+        entry = (env.now, NORMAL, env._next_eid(), self)
         if self.callbacks:
             heappush(env._queue, entry)
         else:
@@ -197,7 +197,7 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._delay = delay
-        heappush(env._queue, (env._now + delay, NORMAL, env._next_eid(), self))
+        heappush(env._queue, (env.now + delay, NORMAL, env._next_eid(), self))
 
     @property
     def delay(self) -> float:
@@ -220,7 +220,7 @@ class Initialize(Event):
         self.callbacks = [callback]
         self._value = None
         self._ok = True
-        heappush(env._queue, (env._now, URGENT, env._next_eid(), self))
+        heappush(env._queue, (env.now, URGENT, env._next_eid(), self))
 
 
 class Process(Event):

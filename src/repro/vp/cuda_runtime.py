@@ -18,8 +18,10 @@ claim, transposed to this reproduction:
 * :class:`NativeGPUBackend` — direct host-GPU execution with no VP in
   the loop (Table 1's reference row).
 
-All API methods are generators: application code drives them with
-``yield from`` inside a simulation process.
+Every API method returns a generator: application code drives it with
+``yield from`` inside a simulation process.  The facades hand back the
+interception backend's own generator: a wrapping generator would cost
+every guest call one more frame.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from ..gpu.stream import GPUStream
 from ..kernels.functional import REGISTRY, FunctionalRegistry
 from ..kernels.ir import KernelIR
 from ..kernels.launch import LaunchConfig
-from ..sim import Environment
+from ..sim import Environment, Event
 from .cpu import GUEST_DRIVER_CALL_OPS
 from .emulation import GPUEmulator
 from .platform import VirtualPlatform
@@ -125,21 +127,19 @@ class CudaRuntime(InterceptingRuntime):
 
     def malloc(self, nbytes: int):
         """cudaMalloc: returns an opaque device handle."""
-        handle = yield from self.backend.malloc(nbytes)
-        return handle
+        return self.backend.malloc(nbytes)
 
     def free(self, handle: str):
         """cudaFree."""
-        yield from self.backend.free(handle)
+        return self.backend.free(handle)
 
     def memcpy_h2d(self, handle: str, data: "np.ndarray", sync: bool = True):
         """cudaMemcpy(..., cudaMemcpyHostToDevice) or its Async variant."""
-        yield from self.backend.memcpy_h2d(handle, data, sync)
+        return self.backend.memcpy_h2d(handle, data, sync)
 
     def memcpy_d2h(self, handle: str, nbytes: Optional[int] = None, sync: bool = True):
         """cudaMemcpy(..., cudaMemcpyDeviceToHost); returns the result."""
-        result = yield from self.backend.memcpy_d2h(handle, nbytes, sync)
-        return result
+        return self.backend.memcpy_d2h(handle, nbytes, sync)
 
     def launch_kernel(
         self,
@@ -151,13 +151,13 @@ class CudaRuntime(InterceptingRuntime):
         sync: bool = False,
     ):
         """The <<<grid, block>>> launch; async by default, as in CUDA."""
-        yield from self.backend.launch_kernel(
+        return self.backend.launch_kernel(
             kernel, launch, tuple(args), out, dict(params or {}), sync
         )
 
     def synchronize(self):
         """cudaDeviceSynchronize: wait for all outstanding work."""
-        yield from self.backend.synchronize()
+        return self.backend.synchronize()
 
     def event_create(self):
         """cudaEventCreate (host-side only, no guest cost)."""
@@ -166,15 +166,15 @@ class CudaRuntime(InterceptingRuntime):
 
     def event_record(self, event: GpuEvent):
         """cudaEventRecord: mark this point of the stream."""
-        yield from self.backend.event_record(event)
+        return self.backend.event_record(event)
 
     def event_synchronize(self, event: GpuEvent):
         """cudaEventSynchronize: wait until the marker has been reached."""
-        yield from self.backend.event_synchronize(event)
+        return self.backend.event_synchronize(event)
 
     def cpu_work(self, ops: float):
         """Non-CUDA application work (file I/O, OpenGL, host compute)."""
-        yield from self.backend.cpu_work(ops)
+        return self.backend.cpu_work(ops)
 
 
 class CudaBackend:
@@ -219,22 +219,29 @@ class SigmaVPBackend(CudaBackend):
             vp=self.vp.name,
             seq=next(self._seq),
             kind=kind,
-            completion=self.env.event(),
+            completion=Event(self.env),
             sync=sync,
             **fields,
         )
 
     def _submit(self, job: Job, payload_bytes: int = 0):
-        """Generator: carry one request from the guest into the host Job Queue.
+        """Carry one request from the guest into the host Job Queue; the
+        caller drives the returned generator with ``yield from``.
 
-        Waits while the VP is stopped, charges the user-library and
-        driver ops on the VP's CPU, then sends ``job`` over IPC.  The
-        guest time and the send share one timeout: the send starts when
-        the guest path ends.
+        Charges the user-library and driver ops on the VP's CPU, then
+        sends ``job`` over IPC: the guest time and the send share one
+        timeout, and the send starts when the guest path ends.  A running
+        VP gets the IPC send's own generator; a stopped one first waits
+        to be resumed.
         """
-        yield from self.vp.gate()
+        if self.vp.paused:
+            return self._submit_when_resumed(job, payload_bytes)
         guest_ms = self.vp.charge_ops(USER_LIBRARY_CALL_OPS + DRIVER_CALL_OPS)
-        yield from self.ipc.submit(job, payload_bytes=payload_bytes, after_ms=guest_ms)
+        return self.ipc.submit(job, payload_bytes, guest_ms)
+
+    def _submit_when_resumed(self, job: Job, payload_bytes: int):
+        yield from self.vp.gate()
+        yield from self._submit(job, payload_bytes)
 
     def malloc(self, nbytes: int):
         if nbytes <= 0:

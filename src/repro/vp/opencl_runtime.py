@@ -16,8 +16,8 @@ The mapping is the standard one:
   the CUDA block size, and the grid covers the global work size
 * ``clFinish``                  -> synchronize
 
-Methods are generators, like the CUDA runtime's: drive them with
-``yield from`` inside a simulation process.
+Methods return the backend's generators, like the CUDA runtime's:
+drive them with ``yield from`` inside a simulation process.
 """
 
 from __future__ import annotations
@@ -44,25 +44,23 @@ class OpenCLRuntime(InterceptingRuntime):
 
     def create_buffer(self, nbytes: int):
         """clCreateBuffer: returns an opaque memory object handle."""
-        handle = yield from self.backend.malloc(nbytes)
-        return handle
+        return self.backend.malloc(nbytes)
 
     def release_mem_object(self, handle: str):
         """clReleaseMemObject."""
-        yield from self.backend.free(handle)
+        return self.backend.free(handle)
 
     # -- command queue ------------------------------------------------------
 
     def enqueue_write_buffer(self, handle: str, data: "np.ndarray",
                              blocking: bool = True):
         """clEnqueueWriteBuffer."""
-        yield from self.backend.memcpy_h2d(handle, data, blocking)
+        return self.backend.memcpy_h2d(handle, data, blocking)
 
     def enqueue_read_buffer(self, handle: str, nbytes: Optional[int] = None,
                             blocking: bool = True):
         """clEnqueueReadBuffer: returns the result holder."""
-        result = yield from self.backend.memcpy_d2h(handle, nbytes, blocking)
-        return result
+        return self.backend.memcpy_d2h(handle, nbytes, blocking)
 
     def enqueue_nd_range_kernel(
         self,
@@ -88,10 +86,10 @@ class OpenCLRuntime(InterceptingRuntime):
             block_size=local_size,
             elements=int(global_size * kernel.elements_per_thread),
         )
-        yield from self.backend.launch_kernel(
+        return self.backend.launch_kernel(
             kernel, launch, tuple(args), out, dict(params or {}), False
         )
 
     def finish(self):
         """clFinish: block until every enqueued command completed."""
-        yield from self.backend.synchronize()
+        return self.backend.synchronize()

@@ -133,9 +133,14 @@ def _cnd(d: np.ndarray) -> np.ndarray:
     cnd *= 1.0 / math.sqrt(2.0 * math.pi)
     cnd *= poly
     np.subtract(1.0, cnd, out=cnd)
-    # np.where, not a masked in-place subtract: with the random signs of
-    # real options a masked ufunc loop runs half again as long.
-    return np.where(d < 0, np.subtract(1.0, cnd, out=poly), cnd)
+    # Where d < 0 the result is 1 - cnd, else cnd: |w - cnd| with w the
+    # sign mask as 0.0/1.0.  Exact, since 0 <= cnd <= 1 (1.0 - cnd rounds
+    # as the textbook 1 - cnd does, and |0.0 - cnd| is cnd), and free of
+    # the per-element branch np.where takes on the random signs of real
+    # options.
+    w = np.less(d, 0.0, out=poly)
+    np.subtract(w, cnd, out=cnd)
+    return np.abs(cnd, out=cnd)
 
 
 @functional_kernel("BlackScholes")

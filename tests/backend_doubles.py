@@ -33,3 +33,30 @@ class Recording(ExecutionBackend):
 
     def _launch(self, fn, inputs, params):
         return fn(*inputs, **params)
+
+
+class Counting(Recording):
+    """:class:`Recording` that tallies every transfer and launch asked of it.
+
+    The public methods are counted, not the hooks: a launch of an
+    unregistered signature answers ``None`` before reaching ``_launch``
+    but still counts as asked.
+    """
+
+    name = "counting"
+
+    def __init__(self, registry=None):
+        super().__init__(registry)
+        self.calls = {"h2d": 0, "d2h": 0, "launch": 0}
+
+    def h2d(self, host):
+        self.calls["h2d"] += 1
+        return super().h2d(host)
+
+    def d2h(self, device):
+        self.calls["d2h"] += 1
+        return super().d2h(device)
+
+    def launch(self, signature, inputs, params=None):
+        self.calls["launch"] += 1
+        return super().launch(signature, inputs, params)

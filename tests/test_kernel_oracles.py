@@ -106,6 +106,22 @@ def test_cnd_matches_reference(dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
+def test_cnd_edges_match_reference_bit_for_bit(dtype):
+    # The sign select is arithmetic, not a branch: at a signed zero, at
+    # the ends of the range and past them it must give the reference's
+    # bits (array_equal alone would let -0.0 stand for 0.0).
+    big = np.finfo(dtype).max
+    edges = [0.0, -0.0, 1e-30, -1e-30, 7.5, -7.5, 1e4, -1e4, 1e30, -1e30,
+             big, -big, np.inf, -np.inf]
+    (d,) = _read_only(np.array(edges, dtype=dtype))
+    with np.errstate(over="ignore"):
+        got, want = _cnd(d), ref_cnd(d)
+    _assert_identical(got, want)
+    assert got.tobytes() == want.tobytes()
+    assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
 def test_black_scholes_matches_reference(dtype):
     rng = np.random.default_rng(11)
     spot, strike, years = _read_only(
