@@ -11,8 +11,9 @@ kernel, and (if already submitted) device-to-host copies.  Triples from
 different VPs with the same coalesce key (kernel signature + block size)
 merge into one triple:
 
-* the member buffers are re-bound to one physically-contiguous device
-  region (Fig. 5), so a single kernel can sweep the merged data;
+* the member buffers are moved, not re-allocated, into one
+  physically-contiguous device region (Fig. 5), so a single kernel can
+  sweep the merged data; each guest handle keeps its buffer;
 * one H2D copy moves the concatenated inputs (one DMA latency instead of
   N), one kernel launch covers the merged grid (one launch overhead, and
   a grid that aligns to the device's wave quantum — the data-alignment
@@ -36,6 +37,9 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..gpu.device import HostGPU
+from ..gpu.memory import OutOfDeviceMemory
+from ..kernels.ir import MemoryFootprint
+from ..kernels.launch import LaunchConfig
 from ..obs import metrics as _obs_metrics
 from ..obs import tracer as _obs_trace
 from ..sim import Environment
@@ -544,13 +548,10 @@ class KernelCoalescer:
 
     def _merged_kernel_job(self, group: str, seq: int, members: List[Job]) -> Job:
         """Build the single kernel job covering every member's data."""
-        first = members[0]
-        launch = first.launch
-        footprint = first.kernel.footprint
-        for member in members[1:]:
-            launch = launch.merged_with(member.launch)
-            footprint = footprint.merged(member.kernel.footprint)
-        kernel = first.kernel.with_footprint(footprint)
+        launch = LaunchConfig.merge([m.launch for m in members])
+        kernel = members[0].kernel.with_footprint(
+            MemoryFootprint.merge([m.kernel.footprint for m in members])
+        )
 
         job = Job(
             vp=group,
@@ -565,20 +566,17 @@ class KernelCoalescer:
         return job
 
     def _relayout_buffers(self, batch: List[Triple], owner: str) -> None:
-        """Re-bind every member buffer into one contiguous region (Fig. 5)."""
-        gpu = self.gpus[self.device_of(batch[0].vp)]
-        handles: List[str] = []
-        for triple in batch:
-            for handle in (*triple.kernel.arg_handles, triple.kernel.out_handle):
-                if handle and handle in self.handles and handle not in handles:
-                    handles.append(handle)
-        if not handles:
+        """Move every member buffer into one contiguous region (Fig. 5);
+        each handle keeps its buffer, so the backend sees no allocation."""
+        buffers = self.handles.bound(
+            handle
+            for triple in batch
+            for handle in (*triple.kernel.arg_handles, triple.kernel.out_handle)
+            if handle
+        )
+        if not buffers:
             return
-        sizes = [self.handles.buffer(h).size for h in handles]
         try:
-            new_buffers = gpu.malloc_contiguous(sizes, owner=owner)
-        except Exception:
+            self.gpus[self.device_of(batch[0].vp)].memory.relocate(buffers, owner)
+        except OutOfDeviceMemory:
             return  # fragmented device memory: keep original layout
-        for handle, new_buffer in zip(handles, new_buffers):
-            old = self.handles.rebind(handle, new_buffer)
-            gpu.free(old)

@@ -2,15 +2,15 @@
 
 A VP never sees raw host-GPU addresses: its ``cudaMalloc`` returns an
 opaque handle which the host maps to an actual device buffer.  The
-indirection is what lets Kernel Coalescing transparently *re-bind* a VP's
-data to a physically-contiguous region (paper Fig. 5) without the guest
+indirection is what lets Kernel Coalescing transparently *move* a VP's
+data into a physically-contiguous region (paper Fig. 5) without the guest
 noticing.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict
+from typing import Dict, Iterable, List
 
 from ..gpu.memory import DeviceBuffer
 
@@ -37,16 +37,11 @@ class HandleTable:
             raise ValueError(f"handle {handle!r} is already bound")
         self._buffers[handle] = buffer
 
-    def rebind(self, handle: str, buffer: DeviceBuffer) -> DeviceBuffer:
-        """Point ``handle`` at a new buffer; returns the old one.
-
-        Payload moves with the handle so functional state survives the
-        coalescer's re-layout.
-        """
-        old = self.buffer(handle)
-        buffer.payload = old.payload
-        self._buffers[handle] = buffer
-        return old
+    def bound(self, handles: Iterable[str]) -> List[DeviceBuffer]:
+        """The buffers of the bound ``handles``, each handle once, in
+        first-seen order (unbound handles are skipped)."""
+        buffers = self._buffers
+        return [buffers[h] for h in dict.fromkeys(handles) if h in buffers]
 
     def buffer(self, handle: str) -> DeviceBuffer:
         try:

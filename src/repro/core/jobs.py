@@ -148,21 +148,21 @@ class Job:
 class JobQueue:
     """The host-side queue of pending jobs.
 
-    Plain-list storage (not a heap) because the Re-scheduler's whole
-    purpose is to inspect and reorder it.  Its one consumer learns of
-    new work through :attr:`on_put`.
+    Queue order is a rank per job (no heap, no global list): the
+    Re-scheduler inspects and reorders the queue through per-VP views,
+    and only tests and observers walk it whole.  Its one consumer learns
+    of new work through :attr:`on_put`.
 
     The dispatcher and coalescer consult the per-VP view (heads, pending
     lists) on every scheduling decision, so it is kept as indexes that
     :meth:`put`, :meth:`remove` and :meth:`replace` update for the VPs
     they touch only.  The indexes are exact: they always equal a scan of
-    :attr:`jobs` (``tests/test_core_coalescing.py`` holds that scan as
-    the oracle).
+    :attr:`jobs` (``tests/test_core_coalescing.py`` holds that scan,
+    and a plain list of the queue, as the oracles).
     """
 
     def __init__(self, env: Environment):
         self.env = env
-        self._jobs: List[Job] = []
         #: Called with every job :meth:`put` adds (the dispatcher's poke).
         self.on_put: Optional[Callable[[Job], None]] = None
         self._barriers: Dict[str, tuple] = {}
@@ -186,19 +186,18 @@ class JobQueue:
         self._watchers: List[Tuple[Set[str], Optional[FrozenSet[JobKind]]]] = []
 
     def __len__(self) -> int:
-        return len(self._jobs)
+        return len(self._rank)
 
     def __iter__(self):
-        return iter(self._jobs)
+        return iter(self.jobs)
 
     @property
     def jobs(self) -> List[Job]:
         """Snapshot of pending jobs in current queue order."""
-        return list(self._jobs)
+        return sorted(self._rank, key=self._rank.__getitem__)
 
     def put(self, job: Job) -> None:
         job.submitted_at_ms = self.env.now
-        self._jobs.append(job)
         rank = self._rank[job] = self._next_rank
         self._next_rank += 1
         vp = job.vp
@@ -222,15 +221,13 @@ class JobQueue:
         if registry is not None:
             registry.histogram(
                 "jobqueue.depth", _obs_metrics.DEPTH_BUCKETS
-            ).observe(len(self._jobs))
+            ).observe(len(self._rank))
         if self.on_put is not None:
             self.on_put(job)
 
     def remove(self, job: Job) -> None:
-        try:
-            self._jobs.remove(job)
-        except ValueError:
-            raise RuntimeError(f"{job!r} is not in the queue") from None
+        if job not in self._rank:
+            raise RuntimeError(f"{job!r} is not in the queue")
         pending = self._by_vp[job.vp]
         first = self._rank[pending[0]]
         pending.remove(job)
@@ -246,28 +243,24 @@ class JobQueue:
         """
         if not members:
             raise ValueError("replace requires at least one member")
-        indices = [self._jobs.index(m) for m in members]
-        insert_at = min(indices)
-        for member in members:
-            self._jobs.remove(member)
-        self._jobs.insert(min(insert_at, len(self._jobs)), merged)
-
+        ranks = self._rank
+        by_vp = self._by_vp
+        try:
+            rank = min([ranks[m] for m in members])
+        except KeyError as missing:
+            raise ValueError(f"{missing.args[0]!r} is not in the queue") from None
         touched = {merged.vp, *(m.vp for m in members)}
-        first = {
-            vp: self._rank[self._by_vp[vp][0]]
-            for vp in touched
-            if vp in self._by_vp
-        }
-        rank = min(self._rank[m] for m in members)
+        first = {vp: ranks[by_vp[vp][0]] for vp in touched if vp in by_vp}
         for member in members:
-            self._by_vp[member.vp].remove(member)
-            del self._rank[member]
-        self._rank[merged] = rank
-        pending = self._by_vp.setdefault(merged.vp, [])
-        pending.insert(bisect_left([self._rank[j] for j in pending], rank), merged)
+            by_vp[member.vp].remove(member)
+            del ranks[member]
+        ranks[merged] = rank
+        pending = by_vp.setdefault(merged.vp, [])
+        pending.insert(bisect_left(pending, rank, key=ranks.__getitem__), merged)
         for vp in touched:
             self._reindex(vp, first.get(vp))
-            self._changed(vp)
+        for watched, _ in self._watchers:
+            watched.update(touched)
 
     def _reindex(self, vp: str, old_first: Optional[int]) -> None:
         """Refresh ``vp``'s head and order entry after its list changed.

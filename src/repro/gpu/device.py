@@ -10,7 +10,7 @@ report, which the time/power estimation layer consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from ..backend import NumpyBackend
 from ..kernels.compiler import CompiledKernel, KernelCompiler
@@ -112,11 +112,6 @@ class HostGPU:
 
     def malloc(self, size: int, owner: str = "") -> DeviceBuffer:
         return self.memory.allocate(size, owner=owner)
-
-    def malloc_contiguous(
-        self, sizes: Sequence[int], owner: str = ""
-    ) -> List[DeviceBuffer]:
-        return self.memory.allocate_contiguous(sizes, owner=owner)
 
     def free(self, buffer: DeviceBuffer) -> None:
         self.memory.free(buffer)

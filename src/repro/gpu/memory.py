@@ -3,8 +3,9 @@
 Kernel Coalescing (paper Section 3, Fig. 5) requires that the data sets of
 the coalesced kernels live at *physically-contiguous* device addresses so
 one kernel instance can sweep the merged region.  The allocator therefore
-tracks real addresses and offers an explicit contiguous multi-buffer
-allocation used by the coalescer.
+tracks real addresses and can move live buffers into one contiguous
+region (:meth:`DeviceMemoryAllocator.relocate`), which the coalescer does
+instead of re-allocating them.
 
 Buffers optionally carry a numpy payload so the simulation doubles as a
 functional model: copies move arrays, kernels transform them, and the
@@ -16,7 +17,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from ..backend.api import ExecutionBackend
@@ -29,7 +30,7 @@ class OutOfDeviceMemory(Exception):
     """Raised when an allocation cannot be satisfied."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DeviceBuffer:
     """A contiguous region of device memory.
 
@@ -72,7 +73,8 @@ class DeviceMemoryAllocator:
         #: Execution backend mirroring allocations (``exec.backend_*``
         #: accounting); the address-space bookkeeping stays here.
         self.backend = backend
-        self._buffers: List[DeviceBuffer] = []  # sorted by address
+        #: Live buffers by address (sizes are positive, so no two share one).
+        self._buffers: Dict[int, DeviceBuffer] = {}
         #: Free ``(address, size)`` gaps in address order, never empty-sized
         #: and never adjacent: allocation splits one, ``free`` merges.
         self._free_gaps: List[Tuple[int, int]] = [(0, capacity_bytes)]
@@ -82,18 +84,11 @@ class DeviceMemoryAllocator:
 
     @property
     def used_bytes(self) -> int:
-        return sum(b.size for b in self._buffers)
+        return sum(b.size for b in self._buffers.values())
 
     @property
     def free_bytes(self) -> int:
         return self.capacity - self.used_bytes
-
-    def _position(self, address: int) -> int:
-        """Index of the first buffer at or above ``address``."""
-        return bisect.bisect_left(self._buffers, address, key=_address)
-
-    def _insert(self, buffer: DeviceBuffer) -> None:
-        self._buffers.insert(self._position(buffer.address), buffer)
 
     def _take_first_fit(self, size: int) -> Optional[int]:
         """Carve ``size`` bytes off the first gap that holds them.
@@ -125,13 +120,6 @@ class DeviceMemoryAllocator:
                 return
         gaps.insert(index, (address, end - address))
 
-    def _new_buffer(self, address: int, size: int, owner: str) -> DeviceBuffer:
-        buffer = DeviceBuffer(address=address, size=size, owner=owner)
-        if self.backend is not None:
-            buffer.backend_token = self.backend.allocate(size, owner=owner)
-        self._insert(buffer)
-        return buffer
-
     def allocate(self, size: int, owner: str = "") -> DeviceBuffer:
         """First-fit allocation of ``size`` bytes."""
         if size <= 0:
@@ -142,41 +130,49 @@ class DeviceMemoryAllocator:
                 f"cannot allocate {size} bytes (free={self.free_bytes}, "
                 f"largest gap={max((g for _, g in self._free_gaps), default=0)})"
             )
-        return self._new_buffer(address, size, owner)
+        buffer = DeviceBuffer(address, size, owner)
+        if self.backend is not None:
+            buffer.backend_token = self.backend.allocate(size, owner=owner)
+        self._buffers[address] = buffer
+        return buffer
 
-    def allocate_contiguous(
-        self, sizes: Sequence[int], owner: str = ""
-    ) -> List[DeviceBuffer]:
-        """Allocate several buffers guaranteed adjacent in address order.
+    def relocate(self, buffers: Sequence[DeviceBuffer], owner: str = "") -> None:
+        """Move live ``buffers`` into one contiguous region, in order.
 
-        This is the memory-merge primitive of Kernel Coalescing: the
-        returned buffers form one physically-contiguous region, so a
-        single kernel can process all of them as one data set.
+        The memory-merge primitive of Kernel Coalescing: a single kernel
+        can then sweep all of them as one data set.  The region is carved
+        by first fit before the old ranges are released (in order), so
+        the gaps are those of allocating it and freeing the old buffers.
+        Buffers keep their payload and backend token and take ``owner``.
         """
-        if not sizes:
-            raise ValueError("allocate_contiguous requires at least one size")
-        for size in sizes:
-            if size <= 0:
-                raise ValueError(f"allocation sizes must be positive, got {size}")
-        total = sum(sizes)
+        if not buffers:
+            raise ValueError("relocate requires at least one buffer")
+        live = self._buffers
+        for buffer in buffers:
+            if live.get(buffer.address) is not buffer:
+                raise RuntimeError(f"{buffer!r} was not allocated here")
+        total = sum([buffer.size for buffer in buffers])
         cursor = self._take_first_fit(total)
         if cursor is None:
             raise OutOfDeviceMemory(
                 f"cannot allocate {total} contiguous bytes (free={self.free_bytes})"
             )
-        buffers = []
-        for size in sizes:
-            buffers.append(self._new_buffer(cursor, size, owner))
-            cursor += size
-        return buffers
+        old = [(buffer.address, buffer.size) for buffer in buffers]
+        for buffer in buffers:
+            del live[buffer.address]
+            live[cursor] = buffer
+            buffer.address = cursor
+            buffer.owner = owner
+            cursor += buffer.size
+        for address, size in old:
+            self._release(address, size)
 
     def free(self, buffer: DeviceBuffer) -> None:
         if buffer.freed:
             raise RuntimeError(f"double free of {buffer!r}")
-        index = self._position(buffer.address)
-        if index == len(self._buffers) or self._buffers[index] is not buffer:
+        if self._buffers.get(buffer.address) is not buffer:
             raise RuntimeError(f"{buffer!r} was not allocated here")
-        del self._buffers[index]
+        del self._buffers[buffer.address]
         self._release(buffer.address, buffer.size)
         buffer.freed = True
         buffer.payload = None
@@ -195,7 +191,10 @@ class DeviceMemoryAllocator:
         return True
 
     def owned_by(self, owner: str) -> List[DeviceBuffer]:
-        return [b for b in self._buffers if b.owner == owner]
+        """``owner``'s live buffers in address order."""
+        return sorted(
+            (b for b in self._buffers.values() if b.owner == owner), key=_address
+        )
 
     def release_owner(self, owner: str) -> int:
         """Free every buffer belonging to ``owner``; returns bytes freed."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 
 class InstructionType(enum.Enum):
@@ -228,31 +228,34 @@ class MemoryFootprint:
             coalesced_fraction=self.coalesced_fraction,
         )
 
-    def merged(self, other: "MemoryFootprint") -> "MemoryFootprint":
-        """Footprint of two coalesced data sets processed by one launch.
+    @classmethod
+    def merge(cls, footprints: Sequence["MemoryFootprint"]) -> "MemoryFootprint":
+        """Footprint of coalesced data sets processed by one launch.
 
         Byte totals add; the *working set* does not — the device holds
         the same number of resident blocks either way, so the active set
-        at any instant matches the larger member's, which is what keeps
+        at any instant matches the largest member's, which is what keeps
         a coalesced launch from (wrongly) appearing to thrash the cache.
+        Locality and coalesced fraction are byte-weighted means, folded
+        member by member from the left (a member moving no bytes weighs
+        as one byte).
         """
-        total_in = self.bytes_in + other.bytes_in
-        total_out = self.bytes_out + other.bytes_out
-        weight_self = self.bytes_in + self.bytes_out or 1
-        weight_other = other.bytes_in + other.bytes_out or 1
-        total_weight = weight_self + weight_other
-        return MemoryFootprint(
-            bytes_in=total_in,
-            bytes_out=total_out,
-            working_set_bytes=max(self.working_set_bytes, other.working_set_bytes),
-            locality=(self.locality * weight_self + other.locality * weight_other)
-            / total_weight,
-            coalesced_fraction=(
-                self.coalesced_fraction * weight_self
-                + other.coalesced_fraction * weight_other
-            )
-            / total_weight,
-        )
+        first = footprints[0]
+        bytes_in = first.bytes_in
+        bytes_out = first.bytes_out
+        working_set = first.working_set_bytes
+        locality = first.locality
+        coalesced = first.coalesced_fraction
+        for other in footprints[1:]:
+            weight = bytes_in + bytes_out or 1
+            weight_other = other.bytes_in + other.bytes_out or 1
+            total = weight + weight_other
+            bytes_in += other.bytes_in
+            bytes_out += other.bytes_out
+            working_set = max(working_set, other.working_set_bytes)
+            locality = (locality * weight + other.locality * weight_other) / total
+            coalesced = (coalesced * weight + other.coalesced_fraction * weight_other) / total
+        return cls(bytes_in, bytes_out, working_set, locality, coalesced)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ unit" lambda), so launch geometry is modelled explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .ir import KernelIR, LaunchContext, ceil_div
 
@@ -41,27 +42,30 @@ class LaunchConfig:
             problem_size=self.problem_size,
         )
 
-    def merged_with(self, other: "LaunchConfig") -> "LaunchConfig":
-        """Launch geometry after coalescing two identical-kernel launches.
+    @classmethod
+    def merge(cls, launches: Sequence["LaunchConfig"]) -> "LaunchConfig":
+        """Launch geometry after coalescing identical-kernel launches.
 
         Coalescing concatenates the data sets, so element counts add and the
         grid grows to cover the combined data with the same block size
-        (paper Fig. 5/6).  Block sizes must match — the launches run the
-        same kernel code.
+        (paper Fig. 5/6); the problem size is the largest member's.  Block
+        sizes must match — the launches run the same kernel code.
         """
-        if self.block_size != other.block_size:
-            raise ValueError(
-                "cannot merge launches with different block sizes: "
-                f"{self.block_size} vs {other.block_size}"
-            )
-        elements = self.elements + other.elements
-        grid = self.grid_size + other.grid_size
-        return LaunchConfig(
-            grid_size=grid,
-            block_size=self.block_size,
-            elements=elements,
-            problem_size=max(self.problem_size, other.problem_size),
-        )
+        first = launches[0]
+        block_size = first.block_size
+        grid = first.grid_size
+        elements = first.elements
+        problem_size = first.problem_size
+        for launch in launches[1:]:
+            if launch.block_size != block_size:
+                raise ValueError(
+                    "cannot merge launches with different block sizes: "
+                    f"{block_size} vs {launch.block_size}"
+                )
+            grid += launch.grid_size
+            elements += launch.elements
+            problem_size = max(problem_size, launch.problem_size)
+        return cls(grid, block_size, elements, problem_size)
 
 
 def launch_for_elements(

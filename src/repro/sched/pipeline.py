@@ -88,6 +88,10 @@ class Decision(NamedTuple):
     n_rejected: int = 0
 
 
+#: Builds a :class:`Decision` from its fields in order, without the
+#: keyword constructor's Python-level ``__new__`` (what ``_make`` does).
+_new_tuple = tuple.__new__
+
 #: What :meth:`AdmissionStage.blocker` returns for a head whose VP has a
 #: job in flight: the head waits for that job's retire.
 IN_FLIGHT = "in flight"
@@ -281,13 +285,11 @@ class SchedulerPipeline:
             choice = None
         held = self._held
         deadline = self._next_deadline = min(held.values()) if held else None
-        decision = self._decision = Decision(
-            job=choice,
-            hold_deadline=deadline,
-            n_candidates=len(candidates.jobs),
-            n_held=len(held),
-            n_rejected=len(self._rejected),
+        decision: Decision = _new_tuple(
+            Decision,
+            (choice, deadline, len(candidates.jobs), len(held), len(self._rejected)),
         )
+        self._decision = decision
         return decision
 
     def _reexamine(self, queue: JobQueue, inflight: Mapping[str, Job]) -> bool:

@@ -357,6 +357,8 @@ class EmulationBackend(CudaBackend):
         self.exec_backend = (
             exec_backend if exec_backend is not None else NumpyBackend(registry)
         )
+        #: False in a timing-only run (empty registry): no H2D or kernel effect.
+        self._functional = len(self.exec_backend.registry) > 0
         self._arrays: Dict[str, Optional["np.ndarray"]] = {}
         self._counter = 0
 
@@ -385,7 +387,8 @@ class EmulationBackend(CudaBackend):
         # bit-identical to the old defensive copy — per-launch
         # allocation eliminated, and the cleared writeable flag makes
         # any violation loud.
-        self._arrays[handle] = self.exec_backend.h2d(data)
+        if self._functional:
+            self._arrays[handle] = self.exec_backend.h2d(data)
 
     def memcpy_d2h(self, handle: str, nbytes: Optional[int], sync: bool):
         array = self._arrays.get(handle)
@@ -400,7 +403,7 @@ class EmulationBackend(CudaBackend):
     def launch_kernel(self, kernel, launch, args, out, params, sync):
         cost = self.emulator.kernel_cost(kernel, launch)
         yield from self.platform.execute_ms(cost.total_ms)
-        if out is not None:
+        if out is not None and self._functional:
             inputs = [self._arrays[h] for h in args]
             result = self.exec_backend.launch(kernel.signature, inputs, params)
             if result is not None:
@@ -448,6 +451,8 @@ class NativeGPUBackend(CudaBackend):
         self.exec_backend = (
             exec_backend if exec_backend is not None else NumpyBackend(registry)
         )
+        #: False in a timing-only run (empty registry): no H2D or kernel effect.
+        self._functional = len(self.exec_backend.registry) > 0
         self._buffers: Dict[str, Any] = {}
         self._counter = 0
 
@@ -464,8 +469,10 @@ class NativeGPUBackend(CudaBackend):
 
     def memcpy_h2d(self, handle: str, data: "np.ndarray", sync: bool):
         yield from self.host.execute_ops(NATIVE_CALL_OPS)
+        data = self.exec_backend.asarray(data)
         event = self.gpu.memcpy_h2d(
-            self.stream, self._buffers[handle], self.exec_backend.asarray(data)
+            self.stream, self._buffers[handle],
+            data if self._functional else None, nbytes=data.nbytes,
         )
         if sync:
             yield event
@@ -491,7 +498,9 @@ class NativeGPUBackend(CudaBackend):
             if result is not None:
                 self._buffers[out].payload = result
 
-        event = self.gpu.launch_kernel(self.stream, kernel, launch, apply=apply)
+        event = self.gpu.launch_kernel(
+            self.stream, kernel, launch, apply=apply if self._functional else None
+        )
         if sync:
             yield event
 

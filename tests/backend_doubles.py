@@ -36,7 +36,8 @@ class Recording(ExecutionBackend):
 
 
 class Counting(Recording):
-    """:class:`Recording` that tallies every transfer and launch asked of it.
+    """:class:`Recording` that tallies every transfer, launch, allocation
+    and free asked of it.
 
     The public methods are counted, not the hooks: a launch of an
     unregistered signature answers ``None`` before reaching ``_launch``
@@ -48,6 +49,16 @@ class Counting(Recording):
     def __init__(self, registry=None):
         super().__init__(registry)
         self.calls = {"h2d": 0, "d2h": 0, "launch": 0}
+        #: Allocation-ledger calls, apart from :attr:`calls`.
+        self.ledger_calls = {"allocate": 0, "free": 0}
+
+    def allocate(self, nbytes, owner=""):
+        self.ledger_calls["allocate"] += 1
+        return super().allocate(nbytes, owner)
+
+    def free(self, token):
+        self.ledger_calls["free"] += 1
+        return super().free(token)
 
     def h2d(self, host):
         self.calls["h2d"] += 1

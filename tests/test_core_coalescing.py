@@ -137,6 +137,31 @@ def _scan_triples(coalescer, jobs):
     return groups
 
 
+class _ListedQueue(JobQueue):
+    """A queue that also keeps its jobs in one plain list, updated the way
+    the queue once stored them (append, remove, merged job at the earliest
+    member's slot): the oracle of the queue order ``jobs`` reports."""
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.listed = []
+
+    def put(self, job):
+        self.listed.append(job)
+        super().put(job)
+
+    def remove(self, job):
+        super().remove(job)
+        self.listed.remove(job)
+
+    def replace(self, members, merged):
+        super().replace(members, merged)
+        at = min(self.listed.index(m) for m in members)
+        for member in members:
+            self.listed.remove(member)
+        self.listed.insert(at, merged)
+
+
 #: A VP's put cycles through this program, so triples form and grow.
 _PROGRAM = (JobKind.COPY_H2D, JobKind.KERNEL, JobKind.COPY_D2H, JobKind.MALLOC)
 
@@ -160,13 +185,14 @@ _OPS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_OPS, min_size=10, max_size=60))
 def test_indexes_equal_a_full_rescan(ops):
-    """After any sequence of puts, removes, replaces and real merges, the
-    incremental indexes equal a from-scratch scan of ``queue.jobs``: heads
-    (values and iteration order), pending lists, triple groups, and the
-    memoised hold deadlines."""
+    """After any sequence of puts, removes, replaces and real merges,
+    ``queue.jobs`` is the queue order a plain list keeps, and the
+    incremental indexes equal a from-scratch scan of it: heads (values
+    and iteration order), pending lists, triple groups, and the memoised
+    hold deadlines."""
     env, gpu, handles, coalescer = _setup(target_batch=3)
     coalescer.device_of = lambda vp: int(vp[-1]) // 3
-    queue = JobQueue(env)
+    queue = _ListedQueue(env)
     launch = LaunchConfig(grid_size=2, block_size=256, elements=512)
     kernels = {sig: _kernel(sig) for sig in ("x", "y")}
     kernels[None] = _kernel("z", coalescible=False)
@@ -214,6 +240,8 @@ def test_indexes_equal_a_full_rescan(ops):
             coalescer.coalesce_pass(queue)
 
         jobs = queue.jobs
+        assert jobs == queue.listed
+        assert list(queue) == jobs and len(queue) == len(jobs)
         seen.update(job.vp for job in jobs)
         heads, by_vp = _scan_queue(jobs)
         assert list(queue.heads_per_vp().items()) == list(heads.items())
@@ -397,6 +425,134 @@ def test_relayout_binds_members_contiguously():
     coalescer.coalesce_pass(queue)
     rebound = [handles.buffer(h) for vp in ("a", "b") for h in buffers[vp]]
     assert gpu.memory.are_contiguous(rebound)
+
+
+def _bound_pair(env, gpu, handles, queue):
+    """Two VPs' triples, each kernel reading and writing a bound buffer."""
+    buffers = []
+    for vp in ("a", "b"):
+        jobs = _triple_jobs(env, vp)
+        in_h, out_h = handles.new_handle(vp), handles.new_handle(vp)
+        for handle in (in_h, out_h):
+            handles.bind(handle, gpu.malloc(4096, owner=vp))
+            buffers.append(handles.buffer(handle))
+        jobs[1].arg_handles = (in_h,)
+        jobs[1].out_handle = out_h
+        for job in jobs:
+            queue.put(job)
+    return buffers
+
+
+def test_relayout_moves_buffers_in_place():
+    env, gpu, handles, coalescer = _setup(target_batch=2)
+    queue = JobQueue(env)
+    buffers = _bound_pair(env, gpu, handles, queue)
+    tokens = [b.backend_token for b in buffers]
+    coalescer.coalesce_pass(queue)
+    # Same buffer objects and backend tokens, now one region owned by
+    # the group; the old ranges are free again.
+    assert [b.backend_token for b in buffers] == tokens
+    assert [b.address for b in buffers] == [4 * 4096 + i * 4096 for i in range(4)]
+    assert {b.owner for b in buffers} == {"coalesced#1"}
+    assert gpu.memory._free_gaps[0] == (0, 4 * 4096)
+
+
+def test_relayout_on_a_fragmented_device_keeps_the_layout():
+    """No gap holds the merged region: the merge goes ahead over the
+    buffers where they are."""
+    from repro.gpu import DeviceMemoryAllocator
+
+    env, gpu, handles, coalescer = _setup(target_batch=2)
+    gpu.memory = DeviceMemoryAllocator(5 * 4096, backend=gpu.backend)
+    queue = JobQueue(env)
+    buffers = _bound_pair(env, gpu, handles, queue)
+    merged = coalescer.coalesce_pass(queue)
+    assert coalescer.stats.merges == 1
+    assert any(job.is_kernel and job.members for job in merged)
+    assert [b.address for b in buffers] == [i * 4096 for i in range(4)]
+    assert [b.owner for b in buffers] == ["a", "a", "b", "b"]
+
+
+def test_relayout_lets_a_non_oom_error_propagate(monkeypatch):
+    env, gpu, handles, coalescer = _setup(target_batch=2)
+    queue = JobQueue(env)
+    _bound_pair(env, gpu, handles, queue)
+
+    def broken(buffers, owner=""):
+        raise RuntimeError("allocator bug")
+
+    monkeypatch.setattr(gpu.memory, "relocate", broken)
+    with pytest.raises(RuntimeError, match="allocator bug"):
+        coalescer.coalesce_pass(queue)
+
+
+def test_fragmented_device_run_completes_with_per_vp_outputs():
+    """A functional run whose device is too fragmented for any merge
+    region keeps every layout, still merges, and each VP's output equals
+    the uncoalesced per-VP reference."""
+    import numpy as np
+
+    from repro.core.framework import SigmaVP
+    from repro.core.scenarios import run_sigma_vp
+    from repro.gpu import DeviceMemoryAllocator, OutOfDeviceMemory
+    from repro.workloads import get_workload
+
+    spec = get_workload("vectorAdd").scaled_to(4096)
+    refused = []
+
+    class Fragmented(DeviceMemoryAllocator):
+        def relocate(self, buffers, owner=""):
+            before = [b.address for b in buffers]
+            try:
+                super().relocate(buffers, owner)
+            except OutOfDeviceMemory:
+                refused.append([b.address for b in buffers] == before)
+                raise
+
+    framework = SigmaVP(n_vps=3)
+    # Three VPs' three 16 KiB buffers fill the device but for 16 KiB, so
+    # no merge region (all nine buffers) fits.
+    framework.gpu.memory = Fragmented(10 * 16384, backend=framework.backend)
+    framework.run_workload(spec)
+    outputs = [framework.session(name).processes[0].value
+               for name in sorted(framework.sessions)]
+    reference = run_sigma_vp(spec, n_vps=3, coalescing=False, functional=True)
+    reference_outputs = [
+        reference.extras["framework"].session(name).processes[0].value
+        for name in sorted(reference.extras["framework"].sessions)
+    ]
+    assert framework.coalescer.stats.merges > 0
+    assert refused and all(refused)
+    assert len(refused) == framework.coalescer.stats.merges
+    for got, want in zip(outputs, reference_outputs):
+        np.testing.assert_equal(got, want)
+
+
+def test_coalesced_fleet_asks_the_backend_only_for_guest_allocations():
+    """A 64-VP coalesced run allocates and frees on the backend exactly
+    once per guest malloc and free: relayouts move buffers, they do not
+    re-allocate them."""
+    from repro.core.framework import SigmaVP
+    from repro.core.scenarios import NULL_REGISTRY
+    from repro.workloads import get_workload
+    from tests.backend_doubles import Counting
+
+    framework = SigmaVP(n_vps=64, registry=NULL_REGISTRY, backend=Counting)
+    kinds = {JobKind.MALLOC: 0, JobKind.FREE: 0}
+    put = framework.queue.put
+
+    def counted_put(job):
+        if job.kind in kinds:
+            kinds[job.kind] += 1
+        put(job)
+
+    framework.queue.put = counted_put
+    framework.run_workload(get_workload("vectorAdd").scaled_to(4096))
+    assert framework.coalescer.stats.merges > 0
+    assert kinds[JobKind.MALLOC] == 64 * 3
+    assert framework.backend.ledger_calls == {
+        "allocate": kinds[JobKind.MALLOC], "free": kinds[JobKind.FREE],
+    }
 
 
 def test_min_batch_validation():

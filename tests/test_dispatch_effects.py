@@ -3,6 +3,7 @@
 With an empty functional registry no kernel can execute, so the
 dispatcher decides once, at construction, to build no H2D or kernel
 effect: no transfer reaches the backend and no launch is asked for.
+The native and emulation routes (Table 1, Fig. 11) apply the same rule.
 D2H copies still deliver to the guest's sink.  Simulated timing never
 reads a payload, so the summary is the functional run's.  A functional
 run asks the backend for exactly what it always did (the counts below
@@ -11,7 +12,7 @@ were taken before timing-only runs dropped their effects).
 
 import pytest
 
-from repro.core.scenarios import run_sigma_vp
+from repro.core.scenarios import run_emulation, run_native_gpu, run_sigma_vp
 from repro.workloads import get_workload
 from tests.backend_doubles import Counting
 
@@ -63,3 +64,39 @@ def test_timing_only_feedback_app_result_is_none():
     assert timing.extras["result"] is None
     functional, _ = _run("physxParticles", True, functional=True)
     assert functional.extras["result"] is not None
+
+
+#: Backend calls of the native route and of a 2-instance emulation of
+#: vectorAdd at ``ELEMENTS``, with functional execution on.
+ROUTE_CALLS = {
+    "native": {"h2d": 16, "d2h": 8, "launch": 8},
+    "emulation": {"h2d": 32, "d2h": 16, "launch": 16},
+}
+
+
+def _route(route, functional):
+    spec = get_workload("vectorAdd").scaled_to(ELEMENTS)
+    calls = []
+
+    class Counted(Counting):
+        def __init__(self, registry=None):
+            super().__init__(registry)
+            calls.append(self.calls)
+
+    if route == "native":
+        result = run_native_gpu(spec, functional=functional, backend=Counted)
+    else:
+        result = run_emulation(
+            spec, n_instances=2, functional=functional, backend=Counted
+        )
+    (counted,) = calls
+    return result, counted
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_CALLS))
+def test_timing_only_route_makes_no_transfer_or_launch(route):
+    timing, calls = _route(route, functional=False)
+    functional, functional_calls = _route(route, functional=True)
+    assert calls == {**ROUTE_CALLS[route], "h2d": 0, "launch": 0}
+    assert functional_calls == ROUTE_CALLS[route]
+    assert timing.summary() == functional.summary()

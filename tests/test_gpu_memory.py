@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.backend import NumpyBackend
 from repro.gpu import DeviceBuffer, DeviceMemoryAllocator, OutOfDeviceMemory
 
 
@@ -81,37 +82,68 @@ def test_first_fit_reuses_gap():
     assert buf.address == 0
 
 
-def test_allocate_contiguous_adjacency():
+def test_relocate_makes_buffers_adjacent():
     mem = DeviceMemoryAllocator(1000)
-    buffers = mem.allocate_contiguous([100, 200, 50], owner="coalesced")
-    assert mem.are_contiguous(buffers)
-    assert buffers[0].end == buffers[1].address
-    assert buffers[1].end == buffers[2].address
+    a, _, b, _, c = (mem.allocate(size) for size in (100, 10, 200, 10, 50))
+    mem.relocate([a, b, c], owner="coalesced")
+    assert mem.are_contiguous([a, b, c])
+    assert a.end == b.address
+    assert b.end == c.address
+    assert {buffer.owner for buffer in (a, b, c)} == {"coalesced"}
 
 
-def test_allocate_contiguous_skips_fragmented_gaps():
+def test_relocate_skips_fragmented_gaps():
     mem = DeviceMemoryAllocator(1000)
     a = mem.allocate(100)       # [0, 100)
-    mem.allocate(100)           # [100, 200)
+    b = mem.allocate(80)        # [100, 180)
+    c = mem.allocate(80)        # [180, 260)
     mem.free(a)                 # gap [0, 100)
-    buffers = mem.allocate_contiguous([80, 80])
+    mem.relocate([b, c])
     # 160 bytes do not fit the 100-byte gap; placed after existing data.
-    assert buffers[0].address == 200
-    assert mem.are_contiguous(buffers)
+    assert b.address == 260
+    assert mem.are_contiguous([b, c])
+    # The old ranges are free again, merged with the gap before them.
+    assert mem._free_gaps == [(0, 260), (420, 580)]
 
 
-def test_allocate_contiguous_validation():
+def test_relocate_validation():
     mem = DeviceMemoryAllocator(100)
     with pytest.raises(ValueError):
-        mem.allocate_contiguous([])
-    with pytest.raises(ValueError):
-        mem.allocate_contiguous([10, 0])
+        mem.relocate([])
+    foreign = DeviceMemoryAllocator(100).allocate(10)
+    with pytest.raises(RuntimeError, match="not allocated here"):
+        mem.relocate([foreign])
+    freed = mem.allocate(10)
+    mem.free(freed)
+    with pytest.raises(RuntimeError, match="not allocated here"):
+        mem.relocate([freed])
 
 
-def test_allocate_contiguous_out_of_memory():
+def test_relocate_out_of_memory_keeps_layout():
     mem = DeviceMemoryAllocator(100)
+    a, b = mem.allocate(30), mem.allocate(30)
     with pytest.raises(OutOfDeviceMemory):
-        mem.allocate_contiguous([60, 60])
+        mem.relocate([a, b])
+    assert (a.address, b.address) == (0, 30)
+    assert mem._free_gaps == [(60, 40)]
+
+
+def test_relocate_moves_buffers_without_backend_calls():
+    backend = NumpyBackend()
+    mem = DeviceMemoryAllocator(1000, backend=backend)
+    a, b = mem.allocate(100, owner="vp0"), mem.allocate(100, owner="vp1")
+    a.payload = "a's data"
+    tokens, live = (a.backend_token, b.backend_token), dict(backend._live)
+    mem.relocate([b, a], owner="coalesced#1")
+    assert (b.address, a.address) == (200, 300)
+    assert a.payload == "a's data"
+    assert (a.backend_token, b.backend_token) == tokens
+    assert backend._live == live
+    assert len(mem) == 2
+    mem.free(a)
+    mem.free(b)
+    assert backend.live_bytes == 0
+    assert mem._free_gaps == [(0, 1000)]
 
 
 def test_are_contiguous_detects_gap():
@@ -137,8 +169,9 @@ def test_owner_tracking_and_release():
 
 @given(st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=20))
 def test_contiguous_allocation_total_and_order(sizes):
-    mem = DeviceMemoryAllocator(64 * 20 + 1)
-    buffers = mem.allocate_contiguous(sizes)
+    mem = DeviceMemoryAllocator(2 * 64 * 20)
+    buffers = [mem.allocate(size) for size in reversed(sizes)][::-1]
+    mem.relocate(buffers)
     assert [b.size for b in buffers] == sizes
     assert mem.are_contiguous(buffers)
     span = buffers[-1].end - buffers[0].address
@@ -177,7 +210,9 @@ class ScanAllocator:
     """First fit by rescanning the live buffers on every call.
 
     The allocator's original algorithm, kept as the reference its
-    free-gap index must agree with, address for address.
+    free-gap index must agree with, address for address.  It relocates
+    buffers as the coalescer once did: allocate a contiguous region,
+    then free the old buffers in order.
     """
 
     def __init__(self, capacity):
@@ -224,15 +259,24 @@ class ScanAllocator:
     def free(self, address, size):
         self.live.remove((address, size))
 
+    def relocate(self, old):
+        """Addresses for the ``(address, size)`` buffers ``old``, in order."""
+        addresses = self.allocate_contiguous([size for _, size in old])
+        if addresses is not None:
+            for address, size in old:
+                self.free(address, size)
+        return addresses
+
 
 _SIZES = st.integers(min_value=1, max_value=96)
+_PICKS = st.lists(st.integers(min_value=0, max_value=1 << 16), min_size=1, max_size=5)
 
 
 @given(
     st.lists(
         st.one_of(
-            st.tuples(st.just("alloc"), st.lists(_SIZES, min_size=1, max_size=1)),
-            st.tuples(st.just("contig"), st.lists(_SIZES, min_size=1, max_size=5)),
+            st.tuples(st.just("alloc"), _SIZES),
+            st.tuples(st.just("relocate"), _PICKS),
             st.tuples(st.just("free"), st.integers(min_value=0, max_value=1 << 16)),
         ),
         min_size=1,
@@ -240,7 +284,9 @@ _SIZES = st.integers(min_value=1, max_value=96)
     )
 )
 def test_free_gap_index_matches_the_scan_oracle(ops):
-    """Same addresses, same OOM step and message, same gaps, every step."""
+    """Same addresses, same OOM step and message, same gaps, every step;
+    a relocation matches allocating its region and freeing the old
+    buffers."""
     mem = DeviceMemoryAllocator(1024)
     oracle = ScanAllocator(1024)
     live = []
@@ -251,22 +297,33 @@ def test_free_gap_index_matches_the_scan_oracle(ops):
             buffer = live.pop(arg % len(live))
             mem.free(buffer)
             oracle.free(buffer.address, buffer.size)
-        else:
-            expected = oracle.allocate_contiguous(arg)
+        elif kind == "relocate":
+            if not live:
+                continue
+            buffers = list({id(b): b for b in (live[i % len(live)] for i in arg)}
+                           .values())
+            old = [(b.address, b.size) for b in buffers]
+            expected = oracle.relocate(old)
             if expected is None:
-                message = oracle.oom_message(arg, contiguous=kind == "contig")
+                message = oracle.oom_message([s for _, s in old], contiguous=True)
                 with pytest.raises(OutOfDeviceMemory) as raised:
-                    if kind == "contig":
-                        mem.allocate_contiguous(arg)
-                    else:
-                        mem.allocate(arg[0])
+                    mem.relocate(buffers)
+                assert str(raised.value) == message
+                assert [(b.address, b.size) for b in buffers] == old
+            else:
+                mem.relocate(buffers)
+                assert [b.address for b in buffers] == expected
+        else:
+            expected = oracle.allocate_contiguous([arg])
+            if expected is None:
+                message = oracle.oom_message([arg], contiguous=False)
+                with pytest.raises(OutOfDeviceMemory) as raised:
+                    mem.allocate(arg)
                 assert str(raised.value) == message
                 continue
-            if kind == "contig":
-                buffers = mem.allocate_contiguous(arg)
-            else:
-                buffers = [mem.allocate(arg[0])]
-            assert [b.address for b in buffers] == expected
-            live.extend(buffers)
+            buffer = mem.allocate(arg)
+            assert [buffer.address] == expected
+            live.append(buffer)
         assert mem._free_gaps == oracle.gaps()
         assert mem.free_bytes == oracle.free_bytes
+        assert len(mem) == len(oracle.live)

@@ -134,7 +134,7 @@ def test_natural_launch_uses_kernel_ratio():
 def test_merged_launch_adds_grids_and_elements():
     a = LaunchConfig(grid_size=4, block_size=256, elements=1024)
     b = LaunchConfig(grid_size=2, block_size=256, elements=512)
-    merged = a.merged_with(b)
+    merged = LaunchConfig.merge([a, b])
     assert merged.grid_size == 6
     assert merged.elements == 1536
     assert merged.block_size == 256
@@ -144,7 +144,7 @@ def test_merged_launch_requires_same_block_size():
     a = LaunchConfig(grid_size=1, block_size=256, elements=256)
     b = LaunchConfig(grid_size=1, block_size=128, elements=128)
     with pytest.raises(ValueError):
-        a.merged_with(b)
+        LaunchConfig.merge([a, b])
 
 
 @given(
@@ -165,6 +165,112 @@ def test_launch_for_elements_minimal_grid(elements, block_size):
 def test_merged_launch_is_commutative(grid_a, grid_b):
     a = LaunchConfig(grid_size=grid_a, block_size=256, elements=grid_a * 256)
     b = LaunchConfig(grid_size=grid_b, block_size=256, elements=grid_b * 256)
-    ab, ba = a.merged_with(b), b.merged_with(a)
+    ab, ba = LaunchConfig.merge([a, b]), LaunchConfig.merge([b, a])
     assert ab.grid_size == ba.grid_size
     assert ab.elements == ba.elements
+
+
+# -- oracle: the pairwise merges the n-ary folds replaced ---------------------------
+
+
+def _merged_with(self, other):
+    """Two launches merged: the pairwise step the coalescer once folded."""
+    if self.block_size != other.block_size:
+        raise ValueError(
+            "cannot merge launches with different block sizes: "
+            f"{self.block_size} vs {other.block_size}"
+        )
+    return LaunchConfig(
+        grid_size=self.grid_size + other.grid_size,
+        block_size=self.block_size,
+        elements=self.elements + other.elements,
+        problem_size=max(self.problem_size, other.problem_size),
+    )
+
+
+def _footprint_merged(self, other):
+    """Two footprints merged: the pairwise step the coalescer once folded."""
+    weight_self = self.bytes_in + self.bytes_out or 1
+    weight_other = other.bytes_in + other.bytes_out or 1
+    total_weight = weight_self + weight_other
+    return MemoryFootprint(
+        bytes_in=self.bytes_in + other.bytes_in,
+        bytes_out=self.bytes_out + other.bytes_out,
+        working_set_bytes=max(self.working_set_bytes, other.working_set_bytes),
+        locality=(self.locality * weight_self + other.locality * weight_other)
+        / total_weight,
+        coalesced_fraction=(
+            self.coalesced_fraction * weight_self
+            + other.coalesced_fraction * weight_other
+        )
+        / total_weight,
+    )
+
+
+def _left_fold(step, items):
+    merged = items[0]
+    for item in items[1:]:
+        merged = step(merged, item)
+    return merged
+
+
+_LAUNCHES = st.builds(
+    LaunchConfig,
+    grid_size=st.integers(min_value=1, max_value=1 << 16),
+    block_size=st.just(256),
+    elements=st.integers(min_value=0, max_value=1 << 24),
+    problem_size=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+)
+
+#: Zero byte counts are frequent, so the ``or 1`` weight of a member (and
+#: of a running fold) that moves no bytes is exercised.
+_BYTES = st.one_of(st.just(0), st.integers(min_value=0, max_value=1 << 30))
+_FRACTIONS = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_FOOTPRINTS = st.builds(
+    MemoryFootprint,
+    bytes_in=_BYTES,
+    bytes_out=_BYTES,
+    working_set_bytes=_BYTES,
+    locality=_FRACTIONS,
+    coalesced_fraction=_FRACTIONS,
+)
+
+
+@given(st.lists(_LAUNCHES, min_size=1, max_size=64))
+def test_launch_merge_equals_the_pairwise_fold(launches):
+    assert LaunchConfig.merge(launches) == _left_fold(_merged_with, launches)
+
+
+@given(st.lists(_FOOTPRINTS, min_size=1, max_size=64))
+def test_footprint_merge_equals_the_pairwise_fold(footprints):
+    merged = MemoryFootprint.merge(footprints)
+    expected = _left_fold(_footprint_merged, footprints)
+    assert merged == expected
+    # Bit for bit, not merely equal: the weighted means fold in one order.
+    assert merged.locality.hex() == expected.locality.hex()
+    assert merged.coalesced_fraction.hex() == expected.coalesced_fraction.hex()
+
+
+def test_footprint_merge_weighs_a_byteless_fold_as_one():
+    # Two byteless members fold to a byteless footprint, which then
+    # weighs one byte again (not two) against the third member.
+    empty = MemoryFootprint(bytes_in=0, bytes_out=0, working_set_bytes=0,
+                            locality=1.0, coalesced_fraction=0.0)
+    third = MemoryFootprint(bytes_in=1, bytes_out=0, working_set_bytes=0,
+                            locality=0.0, coalesced_fraction=1.0)
+    merged = MemoryFootprint.merge([empty, empty, third])
+    assert merged == _left_fold(_footprint_merged, [empty, empty, third])
+    assert merged.locality == 0.5
+    assert merged.coalesced_fraction == 0.5
+
+
+@given(st.lists(_LAUNCHES, min_size=1, max_size=63), st.data())
+def test_launch_merge_rejects_a_block_size_mismatch_anywhere(launches, data):
+    at = data.draw(st.integers(min_value=0, max_value=len(launches)))
+    odd = LaunchConfig(grid_size=1, block_size=128, elements=128)
+    mixed = [*launches[:at], odd, *launches[at:]]
+    with pytest.raises(ValueError, match="different block sizes") as raised:
+        LaunchConfig.merge(mixed)
+    with pytest.raises(ValueError) as expected:
+        _left_fold(_merged_with, mixed)
+    assert str(raised.value) == str(expected.value)

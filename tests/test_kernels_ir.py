@@ -175,7 +175,7 @@ def test_footprint_scaled():
 def test_footprint_merged_adds_bytes():
     a = MemoryFootprint(bytes_in=100, bytes_out=10, working_set_bytes=100, locality=0.5)
     b = MemoryFootprint(bytes_in=300, bytes_out=30, working_set_bytes=300, locality=0.9)
-    merged = a.merged(b)
+    merged = MemoryFootprint.merge([a, b])
     assert merged.bytes_in == 400
     assert merged.bytes_out == 40
     # Working sets do not add: the active set stays the larger member's.
@@ -192,7 +192,7 @@ def test_footprint_merged_adds_bytes():
 def test_footprint_merge_is_symmetric(size_a, size_b):
     a = MemoryFootprint(bytes_in=size_a, bytes_out=size_a // 2, working_set_bytes=size_a)
     b = MemoryFootprint(bytes_in=size_b, bytes_out=size_b // 2, working_set_bytes=size_b)
-    ab, ba = a.merged(b), b.merged(a)
+    ab, ba = MemoryFootprint.merge([a, b]), MemoryFootprint.merge([b, a])
     assert ab.bytes_in == ba.bytes_in
     assert ab.working_set_bytes == ba.working_set_bytes
     assert ab.locality == pytest.approx(ba.locality)
