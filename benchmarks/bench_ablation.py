@@ -7,8 +7,6 @@
 * Estimator refinement chain C -> C' -> C'' accuracy ladder.
 """
 
-import pytest
-
 from repro.analysis import Table
 from repro.core.estimation import ExecutionAnalyzer
 from repro.core.ipc import SHARED_MEMORY, SOCKET
@@ -18,12 +16,12 @@ from repro.workloads import SUITE
 from repro.workloads.linalg import make_vectoradd_spec
 
 
-def test_ablation_rescheduler(benchmark, record_result, farm_workers):
+def test_ablation_rescheduler(benchmark, record_result):
     """Dependency-aware pipelined dispatch vs the serial FIFO baseline."""
     from repro.exec import FarmJob, ScenarioFarm
 
     def run_pair():
-        farm = ScenarioFarm(workers=farm_workers)
+        farm = ScenarioFarm(workers=1)
         return tuple(farm.map_values([
             FarmJob(
                 fn="repro.exec.jobs:phase_point",

@@ -5,15 +5,13 @@ the fleet size, and how much does a second host GPU (the Grid K520 board
 carries two) buy back?
 """
 
-import pytest
-
 from repro.analysis import Table
 from repro.exec import FarmJob, ScenarioFarm
 
 
-def _sweep(farm_workers, grid, **common):
+def _sweep(grid, **common):
     """Fan (n_vps, n_gpus) phase-loop points over the scenario farm."""
-    farm = ScenarioFarm(workers=farm_workers)
+    farm = ScenarioFarm(workers=1)
     values = farm.map_values([
         FarmJob(
             fn="repro.exec.jobs:phase_point",
@@ -25,10 +23,9 @@ def _sweep(farm_workers, grid, **common):
     return dict(zip(grid, values))
 
 
-def test_scaling_with_vp_count(benchmark, record_result, farm_workers):
+def test_scaling_with_vp_count(benchmark, record_result):
     def sweep():
         totals = _sweep(
-            farm_workers,
             [(n, 1) for n in (1, 2, 4, 8, 16)],
             t_kernel_ms=4.0, t_copy_ms=2.0, iterations=2,
         )
@@ -53,10 +50,9 @@ def test_scaling_with_vp_count(benchmark, record_result, farm_workers):
     assert values == sorted(values)
 
 
-def test_scaling_with_host_gpus(benchmark, record_result, farm_workers):
+def test_scaling_with_host_gpus(benchmark, record_result):
     def sweep():
         totals = _sweep(
-            farm_workers,
             [(8, g) for g in (1, 2, 4)],
             t_kernel_ms=6.0, t_copy_ms=1.0, iterations=2,
         )

@@ -7,8 +7,6 @@ bound (max of the critical path and the busiest engine's load) across
 workload shapes — the quantitative version of Fig. 3's before/after.
 """
 
-import pytest
-
 from repro.analysis import Table
 from repro.exec import FarmJob, ScenarioFarm
 
@@ -31,9 +29,9 @@ def _bound_ms(t_kernel, t_copy, n_vps):
     return max(n_vps * t_copy, n_vps * t_kernel, 2 * t_copy + t_kernel)
 
 
-def test_schedule_efficiency(benchmark, record_result, farm_workers):
+def test_schedule_efficiency(benchmark, record_result):
     def sweep():
-        farm = ScenarioFarm(workers=farm_workers)
+        farm = ScenarioFarm(workers=1)
         totals = farm.map_values([
             FarmJob(
                 fn="repro.exec.jobs:phase_point",

@@ -6,13 +6,8 @@ under ``benchmarks/results/`` so a run leaves a complete
 paper-vs-measured record behind.  The paper's artifacts are the tables
 of :mod:`repro.analysis.experiments`, the same ones ``python -m repro
 table1`` … ``fig13`` print.
-
-Set ``REPRO_BENCH_WORKERS=N`` to fan each figure/table's independent
-simulation points over N scenario-farm worker processes; the results
-are bit-identical to the default serial runs, only faster.
 """
 
-import os
 from pathlib import Path
 
 import pytest
@@ -20,12 +15,6 @@ import pytest
 from repro.analysis import Table
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session")
-def farm_workers():
-    """Scenario-farm worker count for the series drivers."""
-    return max(1, int(os.environ.get("REPRO_BENCH_WORKERS", "1")))
 
 
 @pytest.fixture

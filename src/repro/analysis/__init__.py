@@ -2,8 +2,8 @@
 
 The ``*_series`` functions and :func:`build_table1` run the paper's
 experiments; :data:`EXPERIMENTS` declares, once, the tables each
-artifact command prints, the report writes and ``benchmarks/`` archives
-(:mod:`repro.analysis.experiments`).
+artifact command prints, the report writes and ``benchmarks/`` archives,
+and the paper's claims about them (:mod:`repro.analysis.experiments`).
 """
 
 from .critpath import (
@@ -30,7 +30,7 @@ from .figures import (
     fig12_series,
     fig13_series,
 )
-from .report_builder import build_report, write_report
+from .report_builder import build_report
 from .reporting import render_table
 from .sweeps import (
     DesignPoint,
@@ -76,7 +76,6 @@ __all__ = [
     "tegra_scaling_candidates",
     "validate_suite",
     "validate_workload",
-    "write_report",
     "fig9a_series",
     "fig9b_series",
     "fig10a_series",

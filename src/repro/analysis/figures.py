@@ -262,6 +262,9 @@ FIG11_APPS: Tuple[str, ...] = (
     "segmentationTreeThrust",
 )
 
+#: The paper's Fig. 11 speedup bands over the suite (×, low and high).
+PAPER_FIG11 = {"multiplexing": (622, 2045), "optimized": (1098, 6304)}
+
 
 def fig11_point(
     app: str,

@@ -1,22 +1,18 @@
 """One-shot regeneration of the full paper-vs-measured report.
 
-``python -m repro report`` (or :func:`build_report`) reruns every
-experiment of :data:`~repro.analysis.experiments.EXPERIMENTS` and
-writes its tables as a self-contained markdown document in the shape
-of EXPERIMENTS.md — the reproducibility artifact a reviewer would ask
-for.  The tables are the ones the artifact commands print and
-``benchmarks/results/`` archives.
+``python -m repro report`` runs every experiment of
+:data:`~repro.analysis.experiments.EXPERIMENTS` once and writes
+:func:`build_report`: a self-contained markdown document in the shape of
+EXPERIMENTS.md — the scorecard of every claim, then every table — the
+reproducibility artifact a reviewer would ask for.  The tables are the
+ones the artifact commands print and ``benchmarks/results/`` archives.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .experiments import EXPERIMENTS
-
-#: A reduced Fig-11 app set for quick report runs.
-QUICK_FIG11_APPS = ("BlackScholes", "matrixMul", "SobelFilter", "mergeSort")
+from .experiments import EXPERIMENTS, Table, Verdict, scorecard
 
 
 def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -34,26 +30,31 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return "\n".join(lines)
 
 
-def build_report(quick: bool = False) -> str:
-    """Rerun all experiments; returns the markdown report text."""
-    apps = QUICK_FIG11_APPS if quick else ()
+def render_scorecard(verdicts: Sequence[Verdict]) -> str:
+    """One markdown table: each claim next to the paper's value."""
+    return _md_table(
+        ("Table", "Claim", "Paper", "Measured", "Bound", "Pass"),
+        [(v.claim.stem, v.claim.text, v.paper or "—", v.measured, v.claim.bound,
+          "pass" if v.passed else "**FAIL**") for v in verdicts],
+    )
+
+
+def build_report(tables: Mapping[str, Sequence[Table]]) -> str:
+    """The markdown report of every experiment's ``tables``."""
     parts = [
         "# SigmaVP reproduction — regenerated experiment report",
         "",
         "Every number below was produced by this run (see EXPERIMENTS.md "
         "for the curated record and deviation notes).",
         "",
+        "## Scorecard",
+        "",
+        render_scorecard(scorecard(tables)),
+        "",
     ]
-    for experiment in EXPERIMENTS.values():
+    for name, experiment in EXPERIMENTS.items():
         parts += [f"## {experiment.heading}", ""]
-        for table in experiment.run(1, apps):
+        for table in tables[name]:
             parts += [f"**{table.title}**", "",
                       _md_table(table.headers, table.rows), ""]
     return "\n".join(parts)
-
-
-def write_report(path: Path, quick: bool = False) -> Path:
-    """Build the report and write it to ``path``."""
-    path = Path(path)
-    path.write_text(build_report(quick=quick) + "\n")
-    return path

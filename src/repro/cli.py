@@ -11,7 +11,8 @@ Commands:
 * ``estimate APP``               — target time/power estimates (Sec. 4)
 * ``validate [apps...]``         — functional equivalence across the
                                    emulation, native and SigmaVP routes
-* ``report [-o FILE] [--quick]`` — the full paper-vs-measured record
+* ``report [-o FILE]``           — the paper-vs-measured record; prints
+                                   the scorecard of the paper's claims
 * ``trace APP [-o FILE]``        — record one scenario into a
                                    Chrome/Perfetto trace (+ metrics);
                                    ``--critpath`` prints what bounds it
@@ -204,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="regenerate the full paper-vs-measured report"
     )
     report.add_argument("-o", "--output", default="report.md")
-    report.add_argument("--quick", action="store_true",
-                        help="reduced Fig-11 app set")
 
     validate = sub.add_parser(
         "validate",
@@ -450,6 +449,20 @@ def _cmd_validate(apps: List[str]) -> int:
     return 1 if failures else 0
 
 
+def _cmd_report(output: str) -> int:
+    from pathlib import Path
+
+    from .analysis.experiments import run_experiments, scorecard
+    from .analysis.report_builder import build_report, render_scorecard
+
+    tables = run_experiments()
+    verdicts = scorecard(tables)
+    Path(output).write_text(build_report(tables) + "\n")
+    print(render_scorecard(verdicts))
+    print(f"report written to {output}")
+    return 0 if all(verdict.passed for verdict in verdicts) else 1
+
+
 def _cmd_policies() -> None:
     from .sched import PLACEMENTS, POLICIES
 
@@ -558,12 +571,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "estimate":
         _cmd_estimate(args)
     elif args.command == "report":
-        from pathlib import Path
-
-        from .analysis.report_builder import write_report
-
-        path = write_report(Path(args.output), quick=args.quick)
-        print(f"report written to {path}")
+        return _cmd_report(args.output)
     elif args.command == "policies":
         _cmd_policies()
     elif args.command == "serve":

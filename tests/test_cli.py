@@ -195,18 +195,31 @@ def test_trace_critpath_prints_the_attribution(capsys, tmp_path):
     assert "Longest attributable spans" in out
 
 
-def test_report_writes_the_output_path(capsys, tmp_path, monkeypatch):
-    import repro.analysis.report_builder as rb
+def test_report_writes_the_output_path(capsys, tmp_path, monkeypatch,
+                                      experiment_tables):
+    import repro.analysis.experiments as experiments
 
-    built = []
-    monkeypatch.setattr(
-        rb, "build_report", lambda quick=False: built.append(quick) or "# r"
-    )
+    monkeypatch.setattr(experiments, "run_experiments", lambda: experiment_tables)
     path = tmp_path / "out.md"
-    assert main(["report", "-o", str(path), "--quick"]) == 0
-    assert path.read_text() == "# r\n"
-    assert built == [True]
-    assert f"report written to {path}" in capsys.readouterr().out
+    assert main(["report", "-o", str(path)]) == 0
+    assert path.read_text().startswith("# SigmaVP reproduction")
+    out = capsys.readouterr().out
+    assert out.startswith("| Table | Claim | Paper | Measured | Bound | Pass |")
+    assert "**FAIL**" not in out
+    assert f"report written to {path}" in out
+
+
+def test_report_fails_when_a_claim_does_not_hold(capsys, tmp_path, monkeypatch,
+                                                 experiment_tables):
+    import repro.analysis.experiments as experiments
+
+    fig9 = experiment_tables["fig9"]
+    moved = [t._replace(rows=[(x, 2.0, expected) for x, _, expected in t.rows])
+             if t.stem == "fig9a" else t for t in fig9]
+    monkeypatch.setattr(experiments, "run_experiments",
+                        lambda: {**experiment_tables, "fig9": moved})
+    assert main(["report", "-o", str(tmp_path / "out.md")]) == 1
+    assert "**FAIL**" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, stems", [

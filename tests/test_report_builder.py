@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.analysis.report_builder import (
-    QUICK_FIG11_APPS,
-    _md_table,
-    build_report,
-    write_report,
-)
+from repro.analysis.experiments import scorecard
+from repro.analysis.report_builder import _md_table, build_report, render_scorecard
 
 
 def test_md_table_shape():
@@ -20,33 +16,30 @@ def test_md_table_shape():
 
 
 @pytest.fixture(scope="module")
-def quick_report():
-    return build_report(quick=True)
+def report(experiment_tables):
+    return build_report(experiment_tables)
 
 
-def test_report_contains_every_experiment(quick_report):
-    for heading in ("Table 1", "Fig. 9", "Fig. 10", "Fig. 11",
+def test_report_contains_every_experiment(report):
+    for heading in ("Scorecard", "Table 1", "Fig. 9", "Fig. 10", "Fig. 11",
                     "Fig. 12", "Fig. 13"):
-        assert heading in quick_report
+        assert heading in report
 
 
-def test_report_quick_mode_uses_subset(quick_report):
-    for app in QUICK_FIG11_APPS:
-        assert app in quick_report
-    assert "segmentationTreeThrust" not in quick_report
+def test_report_carries_the_full_fig11_suite(report):
+    assert "segmentationTreeThrust" in report
 
 
-def test_report_carries_paper_references(quick_report):
-    assert "2,192.95" in quick_report or "2192.95" in quick_report
-    assert "Eq. 8" in quick_report
-    assert "622-2045" in quick_report
+def test_report_carries_paper_references(report):
+    assert "2,192.95" in report or "2192.95" in report
+    assert "Eq. 8" in report
+    assert "622-2045" in report
 
 
-def test_write_report(tmp_path, quick_report, monkeypatch):
-    # Reuse the already-built text to keep the test fast.
-    import repro.analysis.report_builder as rb
+def test_report_scorecard_has_one_line_per_claim(report, experiment_tables):
+    verdicts = scorecard(experiment_tables)
+    card = render_scorecard(verdicts)
+    assert card in report
+    assert len(card.splitlines()) == 2 + len(verdicts)
+    assert "**FAIL**" not in card
 
-    monkeypatch.setattr(rb, "build_report", lambda quick=False: quick_report)
-    path = write_report(tmp_path / "out.md", quick=True)
-    assert path.exists()
-    assert path.read_text().startswith("# SigmaVP reproduction")
